@@ -43,7 +43,6 @@ from .clock import (
 )
 from .errors import (
     BadBroadening,
-    ConditionUndefined,
     ConfigError,
     DegenerateRoot,
     GaplessMode,
@@ -53,9 +52,7 @@ from .errors import (
     PassiveState,
     QuenchClockError,
     TooLarge,
-    UnstableStep,
     VanHoveSingularity,
-    ZeroDownRate,
     ZeroRates,
 )
 from .oracle import (
@@ -85,9 +82,6 @@ from .rates import (
     RootContribution,
     SYMMETRY_FACTOR,
     bias_condition,
-    chi_second_at,
-    rates_ising,
-    rates_xx,
     resonance_roots,
     transition_rates,
 )

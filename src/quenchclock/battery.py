@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .clock import LadderSpec, ladder_rates, solve_first_passage
+from .clock import FirstPassage, LadderSpec, ladder_rates, solve_first_passage
 from .errors import PassiveState
 from .rates import SYMMETRY_FACTOR, QubitCoupling, Rates, transition_rates
 from .spectra import QuenchSpec
@@ -46,10 +46,9 @@ class LifetimeReport:
     mean_tick_time: float
 
 
-def _dos_term(rates: Rates) -> float:
+def _dos_term(rates: Rates, L: int) -> float:
     # weight = 1/(2|v|) per root, so the single-particle density 1/|v| is
     # twice that; the symmetry factor counts the +-k partner as the rates do.
-    L = rates.coupling.L
     return L / (2.0 * math.pi) * sum(
         SYMMETRY_FACTOR * 2.0 * c.weight * (1.0 - c.mode.n_k) for c in rates.roots)
 
@@ -57,35 +56,58 @@ def _dos_term(rates: Rates) -> float:
 def available_energy(quench: QuenchSpec, coupling: QubitCoupling) -> float:
     """Extractable energy stored in the resonant modes, ``epsilon0 * dos_term``."""
     rates = transition_rates(quench, coupling)
-    return coupling.epsilon0 * _dos_term(rates)
+    return coupling.epsilon0 * _dos_term(rates, coupling.L)
 
 
-def lifetime(quench: QuenchSpec, coupling: QubitCoupling,
-             ladder: LadderSpec) -> LifetimeReport:
-    """Battery lifetime of the chain driving the given ladder clock.
+def check_rung(coupling: QubitCoupling, ladder: LadderSpec) -> None:
+    """Reject a ladder whose rung is not resonant with the probe gap.
 
-    The ladder rung must be resonant with the probe gap; mismatched
-    energies would make the golden-rule rates inapplicable.
+    Mismatched energies would make the golden-rule rates inapplicable.
     """
     if not math.isclose(ladder.epsilon_w, coupling.epsilon0,
                         rel_tol=1e-9, abs_tol=0.0):
         raise ValueError(
             f"ladder rung epsilon_w={ladder.epsilon_w!r} must equal the probe "
             f"gap epsilon0={coupling.epsilon0!r}")
-    rates = transition_rates(quench, coupling)
-    chi = rates.chi_second
-    if chi >= 0.0:
-        raise PassiveState(
-            f"chi_second={chi!r} >= 0: the chain does not pump at this gap")
-    dos = _dos_term(rates)
+
+
+def check_pumping(rates: Rates) -> None:
+    """Raise :class:`PassiveState` unless the chain pumps the probe."""
+    if rates.chi_second >= 0.0:
+        raise PassiveState(f"chi_second={rates.chi_second!r} >= 0: the chain "
+                           "does not pump at this gap")
+
+
+def lifetime_report(rates: Rates, coupling: QubitCoupling, ladder: LadderSpec,
+                    first_passage: FirstPassage) -> LifetimeReport:
+    """Energy budget and lifetime from already evaluated pipeline stages.
+
+    ``rates`` are the probe rates at ``coupling`` and ``first_passage``
+    the tick interval of ``ladder`` driven by them; the inputs must have
+    passed :func:`check_rung` and :func:`check_pumping`.
+    """
+    dos = _dos_term(rates, coupling.L)
     e_av = coupling.epsilon0 * dos
     e_ph = (ladder.d - 1) * ladder.epsilon_w
     budget = e_av / e_ph
-    t_star = -(rates.total / chi) * dos
-    fp = solve_first_passage(ladder_rates(rates, ladder), ladder)
-    renewal = budget * fp.mean_tick_time
+    t_star = -(rates.total / rates.chi_second) * dos
+    renewal = budget * first_passage.mean_tick_time
     return LifetimeReport(available_energy=e_av, tick_energy=e_ph,
                           tick_budget=budget, lifetime=t_star,
                           renewal_lifetime=renewal,
                           formula_ratio=renewal / t_star,
-                          mean_tick_time=fp.mean_tick_time)
+                          mean_tick_time=first_passage.mean_tick_time)
+
+
+def lifetime(quench: QuenchSpec, coupling: QubitCoupling,
+             ladder: LadderSpec) -> LifetimeReport:
+    """Battery lifetime of the chain driving the given ladder clock.
+
+    The ladder rung must be resonant with the probe gap (``ValueError``
+    otherwise) and the chain must pump (:class:`PassiveState` otherwise).
+    """
+    check_rung(coupling, ladder)
+    rates = transition_rates(quench, coupling)
+    check_pumping(rates)
+    fp = solve_first_passage(ladder_rates(rates, ladder), ladder)
+    return lifetime_report(rates, coupling, ladder, fp)

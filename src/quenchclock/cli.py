@@ -26,7 +26,7 @@ from .clock import ladder_rates, sample_tick_times
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, PassiveState, QuenchClockError
 from .rates import transition_rates
-from .scan import Table, _apply_point, oracle_table, render_table, run_scan
+from .scan import Table, oracle_table, render_table, run_scan
 
 THREADS_ENV = "QUENCHCLOCK_THREADS"
 
@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="U64",
                         help="Monte Carlo seed (overrides mc.seed)")
     common.add_argument("--threads", type=int, metavar="N",
-                        help=f"worker threads (default ${THREADS_ENV} or 1)")
+                        help=f"accepted for compatibility, must be >= 1 (default "
+                             f"${THREADS_ENV} or 1); changes neither output nor speed")
 
     parser = argparse.ArgumentParser(
         prog="quenchclock",
@@ -108,7 +109,7 @@ def _histogram_table(config: RunConfig, bins: int) -> Table:
         raise ConfigError("--histogram needs a single point; remove scan axes")
     if config.mc.n_trajectories < 1:
         raise ConfigError("--histogram needs mc.n_trajectories >= 1")
-    quench, coupling, ladder = _apply_point(config, {})
+    quench, coupling, ladder = config.point({})
     rates = transition_rates(quench, coupling)
     lr = ladder_rates(rates, ladder)
     if not lr.p_up > lr.p_down:

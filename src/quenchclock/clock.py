@@ -27,12 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .errors import NotReachable, UnstableStep, ZeroRates
+from .errors import NotReachable, ZeroRates
 from .rates import Rates
-
-# Fraction of the fastest escape time an integration step may not exceed.
-_STEP_SAFETY = 0.1
 
 # Validity margin for the second-order ladder rates: g should not exceed
 # this fraction of the total environment rate.
@@ -135,13 +133,12 @@ def ladder_rates(rates: Rates, ladder: LadderSpec) -> LadderRates:
         raise ZeroRates(f"total rate {tot!r} is not positive")
     m = (rates.gamma_up - rates.gamma_down) / tot
     scale = ladder.g**2 / tot
-    p_up = scale * (1.0 + m)
-    p_down = scale * (1.0 - m)
+    walk = LadderRates(p_up=scale * (1.0 + m), p_down=scale * (1.0 - m))
     g_abs = abs(ladder.g)
-    gamma = ladder.Gamma if ladder.Gamma is not None else 10.0 * (p_up + p_down) * ladder.d
+    gamma = resolve_gamma(ladder, walk)
     return LadderRates(
-        p_up=p_up,
-        p_down=p_down,
+        p_up=walk.p_up,
+        p_down=walk.p_down,
         g_over_bath=g_abs / tot,
         g_over_emission=g_abs / gamma if gamma > 0.0 else (0.0 if g_abs == 0.0 else math.inf),
     )
@@ -212,7 +209,6 @@ class MasterTrajectory:
     populations: np.ndarray  # (n_records, d)
     tick_rate: np.ndarray  # Gamma * p_top at the record times
     ticks: np.ndarray  # accumulated expected ticks
-    dt: float
     probability_drift: float
 
 
@@ -236,13 +232,13 @@ def _generator(lr: LadderRates, d: int, gamma: float) -> np.ndarray:
 
 
 def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
-                  n_records: int = 201, dt: float | None = None) -> MasterTrajectory:
-    """Integrate the ladder populations from the bottom level.
+                  n_records: int = 201) -> MasterTrajectory:
+    """Solve the ladder populations from the bottom level.
 
-    A fourth-order one-step matrix is applied in strides between the
-    ``n_records`` equally spaced record times.  The step must resolve
-    the fastest escape rate; an explicit ``dt`` above that bound raises
-    :class:`UnstableStep`, while the default picks a safe value.
+    The exact propagator ``expm(G * dt)`` of the generator over one
+    record spacing ``dt = t_max / (n_records - 1)`` carries the state
+    from each of the ``n_records`` equally spaced record times to the
+    next, so the accuracy does not depend on the rates' stiffness.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -250,31 +246,9 @@ def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
         raise ValueError(f"n_records must be >= 2, got {n_records!r}")
     d = ladder.d
     gamma = resolve_gamma(ladder, lr)
-    # Conservative bound: the walk rates enter scaled by the ladder depth,
-    # so long chains force a finer step than the bare escape rates would.
-    max_out = max(lr.p_up * d, lr.p_down * d, gamma)
-    if not max_out > 0.0:
+    if not max(lr.p_up, lr.p_down, gamma) > 0.0:
         raise ZeroRates("no process moves the ladder")
-    cap = _STEP_SAFETY / max_out
-    per_record = t_max / (n_records - 1)
-    if dt is None:
-        n_sub = max(1, math.ceil(per_record / cap))
-    else:
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        if dt > cap:
-            raise UnstableStep(
-                f"dt={dt!r} exceeds the stability bound {cap:.6g} "
-                f"(= {_STEP_SAFETY} / max escape rate {max_out:.6g})")
-        n_sub = max(1, math.ceil(per_record / dt))
-    h = per_record / n_sub
-    gen = _generator(lr, d, gamma)
-    step = np.eye(d + 1)
-    term = np.eye(d + 1)
-    for order in range(1, 5):
-        term = term @ gen * (h / order)
-        step = step + term
-    stride = np.linalg.matrix_power(step, n_sub)
+    stride = expm(_generator(lr, d, gamma) * (t_max / (n_records - 1)))
     v = np.zeros(d + 1)
     v[0] = 1.0
     times = np.linspace(0.0, t_max, n_records)
@@ -289,7 +263,7 @@ def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
         drift = max(drift, abs(populations[i].sum() - 1.0))
     tick_rate = gamma * populations[:, d - 1]
     return MasterTrajectory(times=times, populations=populations,
-                            tick_rate=tick_rate, ticks=ticks, dt=h,
+                            tick_rate=tick_rate, ticks=ticks,
                             probability_drift=drift)
 
 

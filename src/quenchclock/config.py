@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, Mapping
 
 import yaml
 
@@ -100,20 +100,32 @@ class RunConfig:
     mc: McConfig = field(default_factory=McConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def quench(self) -> QuenchSpec:
+    def point(self, values: Mapping[str, float | int]
+              ) -> tuple[QuenchSpec, QubitCoupling, LadderSpec]:
+        """Build the quench, probe and ladder at one grid point.
+
+        ``values`` maps sweepable names (see :data:`SWEEPABLE`) to the
+        point's coordinates; every other parameter comes from the config.
+        An unset ``ladder.epsilon_w`` follows the point's probe gap.
+        """
         m = self.model
-        if m.kind == "ising":
-            return QuenchSpec.ising(h_i=m.h_i, h_f=m.h_f, kappa=m.kappa)
-        return QuenchSpec.xx_ring(V_i=m.v_i, V_f=m.v_f, t=m.t)
-
-    def probe(self) -> QubitCoupling:
         c = self.coupling
-        return QubitCoupling(epsilon0=c.epsilon0, g_obs=c.g_obs, L=c.L)
-
-    def ladder_spec(self) -> LadderSpec:
         lad = self.ladder
-        eps_w = lad.epsilon_w if lad.epsilon_w is not None else self.coupling.epsilon0
-        return LadderSpec(d=lad.d, epsilon_w=eps_w, g=lad.g, Gamma=lad.gamma)
+        get = values.get
+        if m.kind == "ising":
+            quench = QuenchSpec.ising(h_i=get("h_i", m.h_i), h_f=get("h_f", m.h_f),
+                                      kappa=get("kappa", m.kappa))
+        else:
+            quench = QuenchSpec.xx_ring(V_i=get("v_i", m.v_i), V_f=get("v_f", m.v_f),
+                                        t=get("t", m.t))
+        coupling = QubitCoupling(epsilon0=get("epsilon0", c.epsilon0),
+                                 g_obs=get("g_obs", c.g_obs), L=get("L", c.L))
+        eps_w = get("epsilon_w", lad.epsilon_w)
+        if eps_w is None:
+            eps_w = coupling.epsilon0
+        ladder = LadderSpec(d=get("d", lad.d), epsilon_w=eps_w,
+                            g=get("g", lad.g), Gamma=get("gamma", lad.gamma))
+        return quench, coupling, ladder
 
 
 # Sweepable / settable leaf parameters: name -> (section, field, type, kind).

@@ -34,20 +34,11 @@ class NoResonance(QuenchClockError):
 
 class DegenerateRoot(QuenchClockError):
     """A resonance root sits at a band edge where the rate integrand
-    diverges."""
-
-
-class ConditionUndefined(QuenchClockError):
-    """The printed sign condition cannot be evaluated (complex or zero
-    denominator)."""
+    diverges, or cannot be polished to the root residual bound."""
 
 
 class ZeroRates(QuenchClockError):
     """Both qubit transition rates vanish; the steady state is undefined."""
-
-
-class ZeroDownRate(QuenchClockError):
-    """The downward ladder rate vanishes; the entropy per tick diverges."""
 
 
 class PassiveState(QuenchClockError):
@@ -61,10 +52,6 @@ class BadBroadening(QuenchClockError):
 
 class TooLarge(QuenchClockError):
     """Problem size exceeds what the dense solver is meant for."""
-
-
-class UnstableStep(QuenchClockError):
-    """Integrator step too large for the fastest rate in the generator."""
 
 
 class NotReachable(QuenchClockError):

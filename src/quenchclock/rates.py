@@ -78,7 +78,6 @@ class Rates:
     gamma_down: float
     roots: tuple[RootContribution, ...] = ()
     excluded_roots: int = 0
-    coupling: QubitCoupling | None = None
 
     @property
     def total(self) -> float:
@@ -135,7 +134,13 @@ def resonance_roots(quench: QuenchSpec, epsilon0: float) -> ResonanceRoots:
     return ResonanceRoots(epsilon0=float(epsilon0), included=included, excluded=excluded)
 
 
-def _assemble(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
+def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
+    """Pumping and decay rates of the probe, summed over the resonant roots.
+
+    Raises :class:`NoResonance` when no coupled pair matches the gap and
+    :class:`DegenerateRoot` when a resonant root sits where the band is
+    flat.
+    """
     rr = resonance_roots(quench, coupling.epsilon0)
     if not rr.included:
         lo, hi = band_edges(quench.final, reduced=quench.kind is ModelKind.ISING_XY)
@@ -166,33 +171,7 @@ def _assemble(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
         up += emission
         down += absorption
     return Rates(gamma_up=up, gamma_down=down, roots=tuple(contribs),
-                 excluded_roots=len(rr.excluded), coupling=coupling)
-
-
-def rates_ising(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
-    """Probe rates for a transverse-field chain quench."""
-    if quench.kind is not ModelKind.ISING_XY:
-        raise ValueError("rates_ising expects a transverse-field chain quench")
-    return _assemble(quench, coupling)
-
-
-def rates_xx(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
-    """Probe rates for a staggered-potential ring quench (zero flux)."""
-    if quench.kind is not ModelKind.XX_RING:
-        raise ValueError("rates_xx expects a ring quench")
-    return _assemble(quench, coupling)
-
-
-def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
-    """Dispatch to :func:`rates_ising` or :func:`rates_xx` by model kind."""
-    if quench.kind is ModelKind.ISING_XY:
-        return rates_ising(quench, coupling)
-    return rates_xx(quench, coupling)
-
-
-def chi_second_at(quench: QuenchSpec, coupling: QubitCoupling) -> float:
-    """Imaginary part of the response at the probe gap, ``gamma_down - gamma_up``."""
-    return transition_rates(quench, coupling).chi_second
+                 excluded_roots=len(rr.excluded))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,8 @@
 Each command expands the config's scan axes into a cartesian grid (last
 axis fastest, matching C order), evaluates one row per grid point, and
 collects them into a :class:`Table`.  Rows are immutable tuples in grid
-order no matter how many worker threads computed them, and every cell
-is a plain float, int or string, so the CSV and JSON writers are trivial
-and byte-reproducible.
+order, and every cell is a plain float, int or string, so the CSV and
+JSON writers are trivial and byte-reproducible.
 
 A grid point that cannot be evaluated is not an error: the row keeps
 ``nan`` in the unavailable columns and carries exactly one flag naming
@@ -17,20 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any
 
 import numpy as np
 
-from .battery import lifetime
-from .clock import (
-    LadderSpec,
-    clock_metrics,
-    ladder_rates,
-    simulate_ticks,
-    solve_first_passage,
-)
+from .battery import check_pumping, check_rung, lifetime_report
+from .clock import clock_metrics, ladder_rates, simulate_ticks, solve_first_passage
 from .config import SWEEPABLE, AxisSpec, OutputConfig, RunConfig
 from .errors import (
     ConfigError,
@@ -44,8 +36,7 @@ from .errors import (
     ZeroRates,
 )
 from .oracle import discrete_rates
-from .rates import QubitCoupling, bias_condition, transition_rates
-from .spectra import QuenchSpec
+from .rates import bias_condition, transition_rates
 
 # Knuth's 64-bit golden-ratio step decorrelates per-row seeds.
 _SEED_STEP = 0x9E3779B97F4A7C15
@@ -112,28 +103,6 @@ def grid_points(config: RunConfig) -> list[dict[str, float | int]]:
     return points
 
 
-def _apply_point(config: RunConfig, values: dict[str, float | int]
-                 ) -> tuple[QuenchSpec, QubitCoupling, LadderSpec]:
-    m = config.model
-    c = config.coupling
-    lad = config.ladder
-    get = values.get
-    if m.kind == "ising":
-        quench = QuenchSpec.ising(h_i=get("h_i", m.h_i), h_f=get("h_f", m.h_f),
-                                  kappa=get("kappa", m.kappa))
-    else:
-        quench = QuenchSpec.xx_ring(V_i=get("v_i", m.v_i), V_f=get("v_f", m.v_f),
-                                    t=get("t", m.t))
-    coupling = QubitCoupling(epsilon0=get("epsilon0", c.epsilon0),
-                             g_obs=get("g_obs", c.g_obs), L=get("L", c.L))
-    eps_w = get("epsilon_w", lad.epsilon_w)
-    if eps_w is None:
-        eps_w = coupling.epsilon0
-    ladder = LadderSpec(d=get("d", lad.d), epsilon_w=eps_w,
-                        g=get("g", lad.g), Gamma=get("gamma", lad.gamma))
-    return quench, coupling, ladder
-
-
 _FLAG_OF_ERROR = (
     (GaplessMode, "gapless"),
     (NoResonance, "no_resonance"),
@@ -145,234 +114,163 @@ _FLAG_OF_ERROR = (
 )
 
 
-def _flag_of(exc: Exception) -> str:
+def _flag_of(exc: QuenchClockError) -> str:
     for cls, flag in _FLAG_OF_ERROR:
         if isinstance(exc, cls):
             return flag
-    if isinstance(exc, (ValueError, QuenchClockError)):
-        return "invalid"
-    raise exc
+    return "invalid"
 
 
-def _pick_flag(candidates: Iterable[str]) -> str:
-    seen = set(candidates)
+def _pick_flag(flags: set[str]) -> str:
     for flag in FLAG_PRIORITY:
-        if flag in seen:
+        if flag in flags:
             return flag
     return ""
 
 
-class _Point:
-    """Lazily evaluated pieces of one grid point, with flag collection."""
+def _evaluate(config: RunConfig, stages: frozenset[str], index: int,
+              values: dict[str, float | int]) -> tuple[dict[str, Any], set[str]]:
+    """Cells and flags of one grid point for the requested ``stages``.
 
-    def __init__(self, config: RunConfig, values: dict[str, float | int]):
-        self.values = values
-        self.flags: list[str] = []
-        self.quench = None
-        self.coupling = None
-        self.ladder = None
-        self.rates = None
-        self._rates_done = False
-        try:
-            self.quench, self.coupling, self.ladder = _apply_point(config, values)
-        except (ValueError, ConfigError):
-            self.flags.append("invalid")
-
-    def note(self, exc: Exception) -> None:
-        self.flags.append(_flag_of(exc))
-
-    def ensure_rates(self):
-        if self._rates_done or self.quench is None:
-            return self.rates
-        self._rates_done = True
-        try:
-            self.rates = transition_rates(self.quench, self.coupling)
-        except QuenchClockError as exc:
-            self.note(exc)
-        return self.rates
-
-    def flag(self) -> str:
-        return _pick_flag(self.flags)
-
-
-def _rates_cells(pt: _Point) -> dict[str, Any]:
-    cells = {"gamma_up": math.nan, "gamma_down": math.nan,
-             "chi_second": math.nan, "verdict": "",
-             "condition_lhs": math.nan, "excluded_roots": 0}
-    rates = pt.ensure_rates()
-    if rates is None:
-        return cells
-    cells["gamma_up"] = rates.gamma_up
-    cells["gamma_down"] = rates.gamma_down
-    cells["chi_second"] = rates.chi_second
-    cells["verdict"] = "active" if rates.is_active else "passive"
-    cells["excluded_roots"] = rates.excluded_roots
-    cond = bias_condition(pt.quench, pt.coupling.epsilon0)
-    if cond.multi_root:
-        pt.flags.append("multi_root")
-    elif not cond.defined:
-        pt.flags.append("condition_undefined")
-    else:
-        cells["condition_lhs"] = cond.lhs_per_root[0]
-    return cells
-
-
-def _clock_cells(pt: _Point, mc_trajectories: int, seed: int) -> dict[str, Any]:
-    cells = {"p_up": math.nan, "p_down": math.nan, "nu_tick": math.nan,
-             "accuracy_N": math.nan, "entropy_per_tick": math.nan,
-             "relative_bias": math.nan, "tur_ratio": math.nan,
-             "exact_N": math.nan, "exact_rate": math.nan}
-    if mc_trajectories:
-        cells["empirical_accuracy"] = math.nan
-        cells["empirical_rate"] = math.nan
-    rates = pt.ensure_rates()
-    if rates is None:
-        return cells
+    Steps run in pipeline order: rung check, probe rates, walk rates,
+    first passage, then sampling and the battery report.  The probe rates
+    and the first passage are computed once and shared by every stage
+    that needs them.  A failing step flags the row and leaves the cells
+    that depend on it unset; a stage whose own check fails (rung,
+    pumping) drops out while the others go on.
+    """
+    cells: dict[str, Any] = {}
+    flags: set[str] = set()
+    live = set(stages)
     try:
-        lr = ladder_rates(rates, pt.ladder)
-    except QuenchClockError as exc:
-        pt.note(exc)
-        return cells
-    metrics = clock_metrics(lr, pt.ladder.d)
-    cells["p_up"] = lr.p_up
-    cells["p_down"] = lr.p_down
-    cells["nu_tick"] = metrics.nu_tick
-    cells["accuracy_N"] = metrics.accuracy_N
-    cells["entropy_per_tick"] = metrics.entropy_per_tick
-    cells["relative_bias"] = metrics.relative_bias
-    cells["tur_ratio"] = metrics.tur_ratio
-    if lr.p_down == 0.0:
-        pt.flags.append("zero_down_rate")
+        quench, coupling, ladder = config.point(values)
+    except (ValueError, ConfigError):
+        return cells, {"invalid"}
+    if "lifetime" in live:
+        try:
+            check_rung(coupling, ladder)
+        except ValueError:
+            flags.add("invalid")
+            live.discard("lifetime")
+    if not live:
+        return cells, flags
     try:
-        fp = solve_first_passage(lr, pt.ladder)
+        rates = transition_rates(quench, coupling)
     except QuenchClockError as exc:
-        pt.note(exc)
-        return cells
-    cells["exact_N"] = fp.exact_N
-    cells["exact_rate"] = fp.exact_rate
-    if mc_trajectories:
+        flags.add(_flag_of(exc))
+        return cells, flags
+    if "rates" in live:
+        live.discard("rates")
+        cells.update(gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
+                     chi_second=rates.chi_second,
+                     verdict="active" if rates.is_active else "passive",
+                     excluded_roots=rates.excluded_roots)
+        cond = bias_condition(quench, coupling.epsilon0)
+        if cond.multi_root:
+            flags.add("multi_root")
+        elif not cond.defined:
+            flags.add("condition_undefined")
+        else:
+            cells["condition_lhs"] = cond.lhs_per_root[0]
+    if "lifetime" in live:
+        try:
+            check_pumping(rates)
+        except PassiveState:
+            flags.add("passive")
+            live.discard("lifetime")
+    if not live:
+        return cells, flags
+    try:
+        lr = ladder_rates(rates, ladder)
+    except QuenchClockError as exc:
+        flags.add(_flag_of(exc))
+        return cells, flags
+    if "clock" in live:
+        metrics = clock_metrics(lr, ladder.d)
+        cells.update(p_up=lr.p_up, p_down=lr.p_down, nu_tick=metrics.nu_tick,
+                     accuracy_N=metrics.accuracy_N,
+                     entropy_per_tick=metrics.entropy_per_tick,
+                     relative_bias=metrics.relative_bias,
+                     tur_ratio=metrics.tur_ratio)
+        if lr.p_down == 0.0:
+            flags.add("zero_down_rate")
+    try:
+        fp = solve_first_passage(lr, ladder)
+    except QuenchClockError as exc:
+        flags.add(_flag_of(exc))
+        return cells, flags
+    cells.update(exact_N=fp.exact_N, exact_rate=fp.exact_rate)
+    if "mc" in live:
         # Sampling needs upward drift: against the bias the mean number of
         # jumps to the top grows exponentially with d, so passive points
         # keep nan and the flag says why.
         if lr.p_up > lr.p_down:
-            stats = simulate_ticks(lr, pt.ladder, mc_trajectories, seed)
-            cells["empirical_accuracy"] = stats.empirical_accuracy
-            cells["empirical_rate"] = stats.empirical_rate
+            stats = simulate_ticks(lr, ladder, config.mc.n_trajectories,
+                                   row_seed(config.mc.seed, index))
+            cells.update(empirical_accuracy=stats.empirical_accuracy,
+                         empirical_rate=stats.empirical_rate)
         else:
-            pt.flags.append("passive")
-    return cells
+            flags.add("passive")
+    if "lifetime" in live:
+        rep = lifetime_report(rates, coupling, ladder, fp)
+        cells.update(available_energy=rep.available_energy,
+                     tick_energy=rep.tick_energy, tick_budget=rep.tick_budget,
+                     t_star=rep.lifetime, renewal_lifetime=rep.renewal_lifetime,
+                     formula_ratio=rep.formula_ratio,
+                     mean_tick_time=rep.mean_tick_time)
+    return cells, flags
 
 
-def _lifetime_cells(pt: _Point) -> dict[str, Any]:
-    cells = {"available_energy": math.nan, "tick_energy": math.nan,
-             "tick_budget": math.nan, "t_star": math.nan,
-             "renewal_lifetime": math.nan, "formula_ratio": math.nan,
-             "mean_tick_time": math.nan}
-    if pt.quench is None:
-        return cells
-    try:
-        rep = lifetime(pt.quench, pt.coupling, pt.ladder)
-    except (QuenchClockError, ValueError) as exc:
-        pt.note(exc)
-        return cells
-    cells["available_energy"] = rep.available_energy
-    cells["tick_energy"] = rep.tick_energy
-    cells["tick_budget"] = rep.tick_budget
-    cells["t_star"] = rep.lifetime
-    cells["renewal_lifetime"] = rep.renewal_lifetime
-    cells["formula_ratio"] = rep.formula_ratio
-    cells["mean_tick_time"] = rep.mean_tick_time
-    return cells
-
-
-_RATES_COLS = ("gamma_up", "gamma_down", "chi_second", "verdict",
-               "condition_lhs", "excluded_roots")
-_CLOCK_COLS = ("p_up", "p_down", "nu_tick", "accuracy_N", "entropy_per_tick",
-               "relative_bias", "tur_ratio", "exact_N", "exact_rate")
-_LIFE_COLS = ("available_energy", "tick_energy", "tick_budget", "t_star",
-              "renewal_lifetime", "formula_ratio", "mean_tick_time")
-_SCAN_COLS = ("gamma_up", "gamma_down", "verdict", "condition_lhs",
+# Stages each command runs, and the value columns it writes.
+_COMMANDS: dict[str, tuple[frozenset[str], tuple[str, ...]]] = {
+    "rates": (frozenset({"rates"}),
+              ("gamma_up", "gamma_down", "chi_second", "verdict",
+               "condition_lhs", "excluded_roots")),
+    "clock": (frozenset({"clock"}),
+              ("p_up", "p_down", "nu_tick", "accuracy_N", "entropy_per_tick",
+               "relative_bias", "tur_ratio", "exact_N", "exact_rate")),
+    "lifetime": (frozenset({"lifetime"}),
+                 ("available_energy", "tick_energy", "tick_budget", "t_star",
+                  "renewal_lifetime", "formula_ratio", "mean_tick_time")),
+    "scan": (frozenset({"rates", "clock", "lifetime"}),
+             ("gamma_up", "gamma_down", "verdict", "condition_lhs",
               "chi_second", "nu_tick", "accuracy_N", "entropy_per_tick",
-              "exact_N", "t_star")
-
-
-def _row_rates(config: RunConfig, index: int, values: dict) -> dict[str, Any]:
-    pt = _Point(config, values)
-    cells = _rates_cells(pt)
-    cells["flag"] = pt.flag()
-    return cells
-
-
-def _row_clock(config: RunConfig, index: int, values: dict) -> dict[str, Any]:
-    pt = _Point(config, values)
-    cells = _clock_cells(pt, config.mc.n_trajectories,
-                         row_seed(config.mc.seed, index))
-    cells["flag"] = pt.flag()
-    return cells
-
-
-def _row_lifetime(config: RunConfig, index: int, values: dict) -> dict[str, Any]:
-    pt = _Point(config, values)
-    cells = _lifetime_cells(pt)
-    cells["flag"] = pt.flag()
-    return cells
-
-
-def _row_scan(config: RunConfig, index: int, values: dict) -> dict[str, Any]:
-    pt = _Point(config, values)
-    rates = _rates_cells(pt)
-    clock = _clock_cells(pt, 0, 0)
-    life = _lifetime_cells(pt)
-    merged = {**rates, **clock, **life}
-    merged["flag"] = pt.flag()
-    return merged
-
-
-_COMMANDS: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "rates": (_row_rates, _RATES_COLS),
-    "clock": (_row_clock, _CLOCK_COLS),
-    "lifetime": (_row_lifetime, _LIFE_COLS),
-    "scan": (_row_scan, _SCAN_COLS),
+              "exact_N", "t_star")),
 }
+_MC_COLS = ("empirical_accuracy", "empirical_rate")
+# Value of a cell its row could not compute; every other column gets nan.
+_UNSET = {"verdict": "", "excluded_roots": 0}
 
 
 def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
-    """Evaluate ``command`` over the config's grid with a worker pool.
+    """Evaluate ``command`` over the config's grid, one row per point.
 
-    Rows are emitted in grid order regardless of completion order, and
-    every Monte Carlo row draws from a seed fixed by its grid index, so
-    the result is identical for any thread count.
+    Rows follow grid order, and every Monte Carlo row draws from a seed
+    fixed by its grid index.  ``threads`` is accepted for compatibility;
+    rows are evaluated in one thread, so it changes neither the result
+    nor the speed.
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown scan command {command!r}")
-    evaluate, value_cols = _COMMANDS[command]
-    points = grid_points(config)
-    axis_names = tuple(a.name for a in config.scan)
-    columns = list(axis_names)
-    columns.extend(value_cols)
+    stages, value_cols = _COMMANDS[command]
     if command == "clock" and config.mc.n_trajectories:
-        columns.extend(("empirical_accuracy", "empirical_rate"))
-    columns.append("flag")
-
-    def work(item: tuple[int, dict]) -> tuple:
-        index, values = item
-        cells = evaluate(config, index, values)
-        return tuple(values[name] for name in axis_names) + tuple(
-            cells[name] for name in columns[len(axis_names):])
-
-    items = list(enumerate(points))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, items))
-    else:
-        rows = [work(item) for item in items]
-    return Table(schema=f"quenchclock.{command}.v1", columns=tuple(columns),
-                 rows=tuple(rows))
+        stages = stages | {"mc"}
+        value_cols = value_cols + _MC_COLS
+    axis_names = tuple(a.name for a in config.scan)
+    rows = []
+    for index, values in enumerate(grid_points(config)):
+        cells, flags = _evaluate(config, stages, index, values)
+        rows.append(tuple(values[name] for name in axis_names)
+                    + tuple(cells.get(name, _UNSET.get(name, math.nan))
+                            for name in value_cols)
+                    + (_pick_flag(flags),))
+    return Table(schema=f"quenchclock.{command}.v1",
+                 columns=axis_names + value_cols + ("flag",), rows=tuple(rows))
 
 
 def oracle_table(config: RunConfig) -> Table:
     """Refinement table of the finite-size check at the config's point."""
-    quench, coupling, _ = _apply_point(config, {})
+    quench, coupling, _ = config.point({})
     report = discrete_rates(quench, coupling, L=config.oracle.L_oracle,
                             eta=config.oracle.eta, kernel=config.oracle.kernel)
     rows = tuple(

@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import GaplessMode, OutOfBand, VanHoveSingularity
+from .errors import DegenerateRoot, GaplessMode, OutOfBand, VanHoveSingularity
 
 # A mode below this energy counts as gapless and has no well defined
 # Bogoliubov angle.
@@ -277,7 +277,11 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
 
 
 def _refine_root(model: ModelSpec, eps: float, k0: float, k_max: float) -> float:
-    """Polish an analytic root of ``eps_k = eps`` by bracketed bisection."""
+    """Polish an analytic root of ``eps_k = eps`` by bracketed bisection.
+
+    Raises :class:`DegenerateRoot` when the bracketed root still misses
+    the residual bound.
+    """
 
     def f(k):
         return dispersion(model, k) - eps
@@ -295,8 +299,11 @@ def _refine_root(model: ModelSpec, eps: float, k0: float, k_max: float) -> float
             return b
         if fa * fb < 0.0:
             k1 = brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
-            if abs(f(k1)) <= _ROOT_RESIDUAL_TOL * max(1.0, eps):
-                return k1
+            residual = f(k1)
+            if abs(residual) > _ROOT_RESIDUAL_TOL * max(1.0, eps):
+                raise DegenerateRoot(
+                    f"root of eps_k={eps!r} near k={k0!r} did not polish: "
+                    f"residual {residual!r} at k={k1!r}")
             return k1
         delta *= 4.0
     # No sign change nearby: k0 sits at an extremum touching eps. Keep it;

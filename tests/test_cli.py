@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quenchclock import (
     ConfigError,
@@ -21,6 +23,7 @@ from quenchclock import (
     write_json,
 )
 from quenchclock.cli import THREADS_ENV, main
+from quenchclock.scan import FLAG_PRIORITY
 
 
 class TestConfig:
@@ -132,6 +135,48 @@ class TestGrid:
         assert 0 <= row_seed(2**64 - 1, 1000) < 2**64
 
 
+FIXED_GRID = "scan.axes=[{name: epsilon0, min: 1.0, max: 4.0, steps: 4}]"
+
+# Parameter ranges of the random configs; epsilon0 reaches past both
+# models' pair bands, so out-of-band rows occur.
+_RANGES = {
+    "ising": {"h_i": (0.0, 2.5), "h_f": (0.0, 2.5), "kappa": (0.3, 1.5)},
+    "xx_ring": {"v_i": (-2.0, 2.0), "v_f": (-2.0, 2.0), "t": (0.5, 1.5)},
+}
+_SHARED = {"epsilon0": (0.2, 8.0), "g": (0.001, 0.1), "gamma": (0.5, 50.0),
+           "epsilon_w": (0.2, 8.0)}
+
+
+def _num(x: float) -> str:
+    # Fixed-point text: YAML reads "1e-05" as a string, "0.000010" as a float.
+    return f"{x:.6f}"
+
+
+@st.composite
+def scan_overrides(draw):
+    """``--set`` assignments of a random config with a grid of <= 25 rows."""
+    kind = draw(st.sampled_from(sorted(_RANGES)))
+    ranges = {**_RANGES[kind], **_SHARED}
+    sets = [f"model.kind={kind}", f"ladder.d={draw(st.integers(2, 12))}",
+            f"mc.n_trajectories={draw(st.sampled_from([0, 20]))}"]
+    for name in _RANGES[kind]:
+        sets.append(f"model.{name}={_num(draw(st.floats(*ranges[name])))}")
+    sets.append(f"coupling.epsilon0={_num(draw(st.floats(*ranges['epsilon0'])))}")
+    sets.append(f"ladder.g={_num(draw(st.floats(*ranges['g'])))}")
+    for name in ("gamma", "epsilon_w"):
+        value = draw(st.none() | st.floats(*ranges[name]))
+        if value is not None:
+            sets.append(f"ladder.{name}={_num(value)}")
+    axes = []
+    for name in draw(st.lists(st.sampled_from(sorted(ranges)), min_size=1,
+                              max_size=2, unique=True)):
+        lo, hi = sorted(draw(st.floats(*ranges[name])) for _ in range(2))
+        axes.append(f"{{name: {name}, min: {_num(lo)}, max: {_num(hi)}, "
+                    f"steps: {draw(st.integers(1, 5))}}}")
+    sets.append("scan.axes=[" + ", ".join(axes) + "]")
+    return sets
+
+
 class TestRunScan:
     def test_rates_values_match_library(self):
         c = apply_overrides(RunConfig(), ["coupling.epsilon0=2.5"])
@@ -140,24 +185,33 @@ class TestRunScan:
         assert table.columns == ("gamma_up", "gamma_down", "chi_second",
                                  "verdict", "condition_lhs", "excluded_roots",
                                  "flag")
-        r = transition_rates(c.quench(), c.probe())
+        quench, coupling, _ = c.point({})
+        r = transition_rates(quench, coupling)
         row = table.rows[0]
         assert row[0] == r.gamma_up and row[1] == r.gamma_down
         assert row[3] == "active" and row[6] == ""
 
-    def test_every_nonfinite_cell_is_flagged(self):
-        c = apply_overrides(RunConfig(), [
-            "scan.axes=[{name: epsilon0, min: 1.0, max: 4.0, steps: 4}]",
-            "mc.n_trajectories=50"])
+    @given(scan_overrides())
+    @example([FIXED_GRID, "mc.n_trajectories=50"])
+    @settings(max_examples=60, deadline=None)
+    def test_every_nonfinite_cell_is_flagged(self, overrides):
+        c = apply_overrides(RunConfig(), overrides)
         for command in ("rates", "clock", "lifetime", "scan"):
             table = run_scan(c, command)
             flag_idx = table.columns.index("flag")
-            flags = [row[flag_idx] for row in table.rows]
             for row in table.rows:
+                flag = row[flag_idx]
+                assert flag == "" or flag in FLAG_PRIORITY
                 bad = any(isinstance(v, float) and not math.isfinite(v)
                           for v in row)
                 if bad:
-                    assert row[flag_idx] != ""
+                    assert flag != ""
+
+    def test_fixed_grid_mixes_flagged_and_clean_rows(self):
+        c = apply_overrides(RunConfig(), [FIXED_GRID, "mc.n_trajectories=50"])
+        for command in ("rates", "clock", "lifetime", "scan"):
+            table = run_scan(c, command)
+            flags = [row[table.columns.index("flag")] for row in table.rows]
             assert "no_resonance" in flags  # epsilon0 = 1 is below the band
             assert "" in flags              # epsilon0 = 4 row is evaluable
             assert not table.all_flagged

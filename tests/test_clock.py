@@ -12,7 +12,6 @@ from quenchclock import (
     LadderSpec,
     NotReachable,
     Rates,
-    UnstableStep,
     ZeroRates,
     clock_metrics,
     evolve_master,
@@ -216,14 +215,6 @@ class TestMaster:
         tr = evolve_master(lr, lad, t_max=20.0, n_records=41)
         assert np.all(tr.populations > -1e-12)
         assert np.allclose(tr.populations.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_unstable_step_rejected(self):
-        lr = LadderRates(p_up=1.0, p_down=0.5)
-        lad = LadderSpec(d=10, epsilon_w=1.0, g=0.1, Gamma=4.0)
-        # bound is 0.1 / max(p_up d, p_down d, Gamma) = 0.1/10
-        with pytest.raises(UnstableStep):
-            evolve_master(lr, lad, t_max=5.0, dt=0.02)
-        evolve_master(lr, lad, t_max=5.0, dt=0.009)  # under the bound: fine
 
 
 class TestSampling:

@@ -17,9 +17,6 @@ from quenchclock import (
     QubitCoupling,
     QuenchSpec,
     bias_condition,
-    chi_second_at,
-    rates_ising,
-    rates_xx,
     resonance_roots,
     transition_rates,
 )
@@ -36,7 +33,7 @@ class TestFrozenAnchors:
         # n = (1 - 1/(2 sqrt 2))/2, prefactor 2 g^2/(pi L), pair factor 2:
         #   gamma_up   = 0.022684048519370694   (g=1, L=2)
         #   gamma_down = 0.04749668470526138
-        r = rates_ising(ISING, QubitCoupling(epsilon0=4.0, g_obs=1.0, L=2))
+        r = transition_rates(ISING, QubitCoupling(epsilon0=4.0, g_obs=1.0, L=2))
         assert r.gamma_up == pytest.approx(0.022684048519370694, rel=1e-12)
         assert r.gamma_down == pytest.approx(0.04749668470526138, rel=1e-12)
         assert r.chi_second == pytest.approx(0.024812636185890687, rel=1e-11)
@@ -45,7 +42,7 @@ class TestFrozenAnchors:
         assert r.roots[0].mode.k == pytest.approx(math.acos(0.75), abs=1e-13)
 
     def test_chain_coupling_scaling_frozen(self):
-        r = rates_ising(ISING, QubitCoupling(epsilon0=4.0, g_obs=0.25, L=128))
+        r = transition_rates(ISING, QubitCoupling(epsilon0=4.0, g_obs=0.25, L=128))
         assert r.gamma_up == pytest.approx(2.2152391132197943e-05, rel=1e-12)
         assert r.gamma_down == pytest.approx(4.638348115748182e-05, rel=1e-12)
 
@@ -53,33 +50,27 @@ class TestFrozenAnchors:
         # eps0 = 2 sqrt 2 puts the root at k* = pi/3 where n = 1/2 exactly,
         # so pumping and decay balance:
         #   gamma = (2 g^2/(pi L)) * 2 * (sin^2 k*)/2 * 1/(2 sqrt(3/2)) * 1/2
-        r = rates_xx(RING_UP, QubitCoupling(epsilon0=2.0 * math.sqrt(2.0), g_obs=1.0, L=2))
+        r = transition_rates(RING_UP, QubitCoupling(epsilon0=2.0 * math.sqrt(2.0), g_obs=1.0, L=2))
         assert r.gamma_up == pytest.approx(0.04873105007710476, rel=1e-12)
         assert r.gamma_down == pytest.approx(r.gamma_up, rel=1e-14)
         assert abs(r.bias) < 1e-13
 
     def test_ring_small_coupling(self):
-        r = rates_xx(RING_UP, QubitCoupling(epsilon0=2.0 * math.sqrt(2.0), g_obs=0.7, L=64))
+        r = transition_rates(RING_UP, QubitCoupling(epsilon0=2.0 * math.sqrt(2.0), g_obs=0.7, L=64))
         assert r.gamma_up == pytest.approx(0.0007461942043056665, rel=1e-12)
 
     def test_ring_active_point(self):
         # Crossing quench V: 1 -> -1 at eps0 = sqrt(6):
         # condition value eps0^2/4 - V_f^2 + V_i V_f = 1.5 - 1 - 1 = -0.5
-        r = rates_xx(RING_DOWN, QubitCoupling(epsilon0=math.sqrt(6.0), g_obs=1.0, L=16))
+        r = transition_rates(RING_DOWN, QubitCoupling(epsilon0=math.sqrt(6.0), g_obs=1.0, L=16))
         assert r.is_active
         assert r.gamma_up > r.gamma_down > 0.0
 
     def test_null_quench_zero_pumping(self):
         q = QuenchSpec.ising(h_i=1.5, h_f=1.5, kappa=1.0)
-        r = rates_ising(q, QubitCoupling(epsilon0=4.0, g_obs=1.0, L=8))
+        r = transition_rates(q, QubitCoupling(epsilon0=4.0, g_obs=1.0, L=8))
         assert r.gamma_up == 0.0
         assert r.gamma_down > 0.0
-
-    def test_kind_dispatch_guards(self):
-        with pytest.raises(ValueError):
-            rates_ising(RING_UP, QubitCoupling(epsilon0=2.0, g_obs=1.0, L=2))
-        with pytest.raises(ValueError):
-            rates_xx(ISING, QubitCoupling(epsilon0=2.0, g_obs=1.0, L=2))
 
 
 class TestDomains:
@@ -161,7 +152,7 @@ class TestStructure:
     def test_chi_second_is_rate_difference(self):
         c = QubitCoupling(epsilon0=2.5, g_obs=0.4, L=32)
         r = transition_rates(ISING, c)
-        assert chi_second_at(ISING, c) == r.gamma_down - r.gamma_up
+        assert r.chi_second == r.gamma_down - r.gamma_up
 
     def test_emission_absorption_split(self):
         r = transition_rates(ISING, QubitCoupling(epsilon0=2.5, g_obs=1.0, L=8))

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenchclock import (
+    DegenerateRoot,
     GaplessMode,
     ModelSpec,
     OutOfBand,
@@ -26,6 +27,7 @@ from quenchclock import (
     group_velocity,
     mode_state,
 )
+from quenchclock import spectra
 
 SQRT2 = math.sqrt(2.0)
 
@@ -147,6 +149,20 @@ class TestEnergyRoots:
         eps = lo + 1e-6 * (hi - lo)
         for r in energy_roots(m, eps):
             assert abs(dispersion(m, r.k) - eps) <= 1e-12 * max(1.0, eps)
+
+    def test_unpolished_root_raises(self, monkeypatch):
+        # A start 1e-7 off the root u = 0.75 of eps = sqrt 2 (h = 0.5,
+        # kappa = 1) misses the residual bound, so the bracketed solver
+        # runs; a solver answer that is still off must not be accepted.
+        m = ModelSpec.ising(h=0.5, kappa=1.0)
+        k_root = math.acos(0.75)
+        k = spectra._refine_root(m, SQRT2, k_root + 1e-7, math.pi)
+        assert k == pytest.approx(k_root, abs=1e-14)
+        exact = spectra.brentq
+        monkeypatch.setattr(spectra, "brentq",
+                            lambda f, a, b, **kw: exact(f, a, b, **kw) + 1e-9)
+        with pytest.raises(DegenerateRoot):
+            spectra._refine_root(m, SQRT2, k_root + 1e-7, math.pi)
 
 
 class TestDensityOfStates:
