@@ -36,8 +36,9 @@ from .rates import Rates
 # this fraction of the total environment rate.
 WEAK_COUPLING_MARGIN = 0.1
 
-_CHUNK = 4096
-_BLOCK = 64
+# Monte Carlo working set: live trajectories, and steps drawn per block.
+_CHUNK = 2048
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -280,9 +281,18 @@ class FirstPassage:
 def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
     """First two moments of the tick interval, from the bottom level.
 
-    Solves the linear moment equations of the absorbed walk: with ``Q``
-    the generator restricted to the ladder (emission leaving the system),
-    ``Q m = -1`` and ``Q s = -2 m`` give mean and second moment.
+    The interval is the sum of independent passages from each level k to
+    the next (from the top, to the tick).  Level k is left upward at rate
+    ``a`` (``p_up``, or ``Gamma`` at the top) and downward at rate ``q``
+    (``p_down``, none at the bottom); a step down costs a passage back
+    from k-1 and a fresh try.  With ``r = a + q`` the passage moments are
+
+        m_k = (1 + q m_{k-1}) / a
+        s_k = (2/r + 2q (m_{k-1} + m_k)/r + q (s_{k-1} + 2 m_{k-1} m_k)) / a
+
+    All terms are positive, so the sums stay accurate on walks that
+    drift downward.  Raises :class:`NotReachable` when the top is never
+    reached, or when the moments leave the double range.
     """
     d = ladder.d
     if not lr.p_up > 0.0:
@@ -291,24 +301,24 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
     gamma = resolve_gamma(ladder, lr)
     if not gamma > 0.0:
         raise NotReachable(f"emission rate {gamma!r} is not positive")
-    q = np.zeros((d, d))
-    for j in range(d):
-        out = 0.0
-        if j < d - 1:
-            q[j, j + 1] = lr.p_up
-            out += lr.p_up
-        if j > 0:
-            q[j, j - 1] = lr.p_down
-            out += lr.p_down
-        if j == d - 1:
-            out += gamma
-        q[j, j] = -out
-    m = np.linalg.solve(q, -np.ones(d))
-    s = np.linalg.solve(q, -2.0 * m)
-    mean = float(m[0])
-    var = float(s[0] - m[0] ** 2)
+    mean = var = 0.0
+    m = s = 0.0  # moments of the passage into the level below
+    for k in range(d):
+        a = gamma if k == d - 1 else lr.p_up
+        q = lr.p_down if k > 0 else 0.0
+        r = a + q
+        m_next = (1.0 + q * m) / a
+        s = (2.0 / r + 2.0 * q * (m + m_next) / r + q * (s + 2.0 * m * m_next)) / a
+        m = m_next
+        mean += m
+        var += s - m * m
+    # Float products overflow to inf, where ** raises OverflowError.
+    exact_N = mean * mean / var if var > 0.0 else math.nan
+    if not (math.isfinite(mean) and math.isfinite(var) and math.isfinite(exact_N)):
+        raise NotReachable(f"tick-time moments out of double range (mean {mean!r}, "
+                           f"variance {var!r})")
     return FirstPassage(mean_tick_time=mean, var_tick_time=var,
-                        exact_N=mean**2 / var, exact_rate=1.0 / mean)
+                        exact_N=exact_N, exact_rate=1.0 / mean)
 
 
 @dataclass(frozen=True)
@@ -323,44 +333,88 @@ class TickStatistics:
     seed: int
 
 
-def _simulate_chunk(p_up: float, p_down: float, gamma: float, d: int,
-                    seed: int, start: int, count: int) -> np.ndarray:
-    # One independent counter-based stream per trajectory, so results do
-    # not depend on chunking or scheduling.
-    gens = [np.random.Generator(np.random.Philox(
-        key=np.array([seed, start + j], dtype=np.uint64))) for j in range(count)]
-    exp_blk = np.empty((count, _BLOCK))
-    uni_blk = np.empty((count, _BLOCK))
-    for j, gen in enumerate(gens):
-        exp_blk[j] = gen.standard_exponential(_BLOCK)
-        uni_blk[j] = gen.random(_BLOCK)
-    t = np.zeros(count)
-    state = np.zeros(count, dtype=np.int64)
-    out = np.empty(count)
-    active = np.ones(count, dtype=bool)
-    q_mid = p_up / (p_up + p_down)
-    q_top = gamma / (gamma + p_down)
-    ptr = 0
-    while active.any():
-        if ptr == _BLOCK:
-            for j in np.flatnonzero(active):
-                exp_blk[j] = gens[j].standard_exponential(_BLOCK)
-                uni_blk[j] = gens[j].random(_BLOCK)
-            ptr = 0
-        e = exp_blk[:, ptr]
-        u = uni_blk[:, ptr]
-        ptr += 1
-        bottom = state == 0
-        top = state == d - 1
-        rate = np.where(bottom, p_up, np.where(top, gamma + p_down, p_up + p_down))
-        t = np.where(active, t + e / rate, t)
-        up = bottom | (~bottom & ~top & (u < q_mid))
-        emit = top & (u < q_top)
-        new_state = np.where(up, state + 1, np.where(emit, state, state - 1))
-        ticked = active & emit
-        out[ticked] = t[ticked]
-        active = active & ~emit
-        state = np.where(active, new_state, state)
+# Philox4x32-10 constants (Salmon et al., "Parallel random numbers: as
+# easy as 1, 2, 3", SC'11): round multipliers and key increments.
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_MASK32 = 0xFFFFFFFF
+
+
+def _philox4x32(counter, key):
+    """Philox4x32-10 of four counter words under two key words.
+
+    Words are 32-bit values held in uint64 arrays (or ints), so each
+    32 x 32-bit product is exact.  The counter words broadcast against
+    each other, and the four output words take their common shape.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = key
+    m0, m1 = (np.uint64(m) for m in _PHILOX_M)
+    for _ in range(10):
+        p0 = c0 * m0
+        p1 = c2 * m1
+        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ np.uint64(k0), p1 & _MASK32,
+                          (p0 >> 32) ^ c3 ^ np.uint64(k1), p0 & _MASK32)
+        k0 = (k0 + _PHILOX_W[0]) & _MASK32
+        k1 = (k1 + _PHILOX_W[1]) & _MASK32
+    return c0, c1, c2, c3
+
+
+def _draws(seed: int, steps: np.ndarray, lanes: np.ndarray):
+    # Step i of trajectory j is Philox counter (i lo, i hi, j lo, j hi)
+    # under key (seed lo, seed hi).  Each pair of output words makes one
+    # 53-bit uniform: the first picks the direction, the second becomes
+    # the Exp(1) holding time.
+    w0, w1, w2, w3 = _philox4x32(
+        (steps & _MASK32, steps >> 32, lanes & _MASK32, lanes >> 32),
+        (seed & _MASK32, seed >> 32))
+    u = ((w0 << 21) | (w1 >> 11)) * 2.0**-53
+    v = ((w2 << 21) | (w3 >> 11)) * 2.0**-53
+    return u, -np.log1p(-v)
+
+
+def _simulate(p_up: float, p_down: float, gamma: float, d: int,
+              seed: int, n: int) -> np.ndarray:
+    # From level s the walk waits e * inv_rate[s], then goes up (a tick
+    # from the top) when u < thr[s] and down otherwise.  A ticked lane
+    # moves between levels d and d+1 (thr 1, then 0) at no cost in time,
+    # so it can finish its block without a bounds check.
+    inv_rate = np.zeros(d + 2)
+    thr = np.zeros(d + 2)
+    inv_rate[0], thr[0] = 1.0 / p_up, 1.0
+    inv_rate[1:d - 1] = 1.0 / (p_up + p_down)
+    thr[1:d - 1] = p_up / (p_up + p_down)
+    inv_rate[d - 1] = 1.0 / (gamma + p_down)
+    thr[d - 1] = gamma / (gamma + p_down)
+    thr[d] = 1.0
+    out = np.empty(n)
+    # Working set of at most _CHUNK trajectories, each with its own step
+    # count.  After every block of _BLOCK steps the ticked ones leave and
+    # the next waiting ones take their places.
+    lanes = np.arange(min(n, _CHUNK), dtype=np.uint64)
+    steps = np.zeros(lanes.size, dtype=np.uint64)
+    t = np.zeros(lanes.size)
+    state = np.zeros(lanes.size, dtype=np.intp)
+    offsets = np.arange(_BLOCK, dtype=np.uint64)[:, None]
+    next_j = lanes.size
+    while lanes.size:
+        u, e = _draws(seed, steps + offsets, lanes)
+        for k in range(_BLOCK):
+            t += e[k] * inv_rate[state]
+            up = u[k] < thr[state]
+            state += up  # one level up, or down when not up
+            state += up
+            state -= 1
+        ticked = state >= d
+        out[lanes[ticked]] = t[ticked]
+        live = ~ticked
+        fresh = np.arange(next_j, min(n, next_j + int(ticked.sum())), dtype=np.uint64)
+        next_j += fresh.size
+        lanes = np.concatenate((lanes[live], fresh))
+        steps = np.concatenate((steps[live] + np.uint64(_BLOCK),
+                                np.zeros(fresh.size, dtype=np.uint64)))
+        t = np.concatenate((t[live], np.zeros(fresh.size)))
+        state = np.concatenate((state[live], np.zeros(fresh.size, dtype=np.intp)))
     return out
 
 
@@ -384,12 +438,7 @@ def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
     gamma = resolve_gamma(ladder, lr)
     if not gamma > 0.0:
         raise NotReachable(f"emission rate {gamma!r} is not positive")
-    times = np.empty(n_ticks)
-    for start in range(0, n_ticks, _CHUNK):
-        count = min(_CHUNK, n_ticks - start)
-        times[start:start + count] = _simulate_chunk(
-            lr.p_up, lr.p_down, gamma, ladder.d, seed, start, count)
-    return times
+    return _simulate(lr.p_up, lr.p_down, gamma, ladder.d, seed, n_ticks)
 
 
 def simulate_ticks(lr: LadderRates, ladder: LadderSpec, n_ticks: int,

@@ -41,6 +41,9 @@ from .rates import bias_condition, transition_rates
 # Knuth's 64-bit golden-ratio step decorrelates per-row seeds.
 _SEED_STEP = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+# Rates that differ by at most this share of their total differ by
+# rounding alone (a few units in the last place), so they have no verdict.
+_BALANCE_TOL = 4 * np.finfo(float).eps
 
 # One flag per row, first applicable wins.
 FLAG_PRIORITY = (
@@ -168,7 +171,7 @@ def _evaluate(config: RunConfig, stages: frozenset[str], index: int,
         cond = bias_condition(quench, coupling.epsilon0)
         if cond.multi_root:
             flags.add("multi_root")
-        elif not cond.defined:
+        elif not cond.defined or abs(rates.chi_second) <= _BALANCE_TOL * rates.total:
             flags.add("condition_undefined")
         else:
             cells["condition_lhs"] = cond.lhs_per_root[0]
@@ -186,7 +189,11 @@ def _evaluate(config: RunConfig, stages: frozenset[str], index: int,
         flags.add(_flag_of(exc))
         return cells, flags
     if "clock" in live:
-        metrics = clock_metrics(lr, ladder.d)
+        try:
+            metrics = clock_metrics(lr, ladder.d)
+        except ZeroRates:
+            flags.add("zero_rates")
+            return cells, flags
         cells.update(p_up=lr.p_up, p_down=lr.p_down, nu_tick=metrics.nu_tick,
                      accuracy_N=metrics.accuracy_N,
                      entropy_per_tick=metrics.entropy_per_tick,

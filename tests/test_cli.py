@@ -177,6 +177,10 @@ def scan_overrides(draw):
     return sets
 
 
+def _first_row(table):
+    return dict(zip(table.columns, table.rows[0]))
+
+
 class TestRunScan:
     def test_rates_values_match_library(self):
         c = apply_overrides(RunConfig(), ["coupling.epsilon0=2.5"])
@@ -193,6 +197,7 @@ class TestRunScan:
 
     @given(scan_overrides())
     @example([FIXED_GRID, "mc.n_trajectories=50"])
+    @example([FIXED_GRID, "ladder.g=0", "mc.n_trajectories=20"])
     @settings(max_examples=60, deadline=None)
     def test_every_nonfinite_cell_is_flagged(self, overrides):
         c = apply_overrides(RunConfig(), overrides)
@@ -225,6 +230,17 @@ class TestRunScan:
         assert math.isnan(row["empirical_accuracy"])
         assert row["p_up"] < row["p_down"]  # exact columns still filled
         assert math.isfinite(row["exact_N"])
+
+    @pytest.mark.parametrize("v_i, v_f", [(-1.5, 0.5), (1.5, -0.5)])
+    def test_ring_at_exact_balance_is_undefined(self, v_i, v_f):
+        # Here the printed condition is exactly 0 and the rates differ
+        # only by rounding, so neither verdict can be trusted.
+        c = apply_overrides(RunConfig(), [
+            "model.kind=xx_ring", f"model.v_i={v_i}", f"model.v_f={v_f}",
+            "coupling.epsilon0=2.0"])
+        row = _first_row(run_scan(c, "rates"))
+        assert abs(row["chi_second"]) < 1e-15 * (row["gamma_up"] + row["gamma_down"])
+        assert row["flag"] == "condition_undefined"
 
     def test_all_flagged_grid(self):
         c = apply_overrides(RunConfig(),
@@ -287,6 +303,12 @@ class TestCli:
         assert main(["rates", "--set", "coupling.epsilon0=50"]) == 3
         out = capsys.readouterr().out
         assert "no_resonance" in out
+
+    def test_zero_ladder_coupling_exits_3_with_table(self, capsys):
+        for command in ("clock", "scan"):
+            assert main([command, "--set", "ladder.g=0"]) == 3
+            header, row = capsys.readouterr().out.splitlines()[2:4]
+            assert dict(zip(header.split(","), row.split(",")))["flag"] == "zero_rates"
 
     def test_json_format(self, capsys):
         assert main(["rates", "--format", "json",

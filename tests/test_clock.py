@@ -1,6 +1,7 @@
 """Ladder clock: walk rates, metrics, master equation, sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from quenchclock import (
     simulate_ticks,
     solve_first_passage,
 )
+from quenchclock import clock
 
 
 class TestSteadyState:
@@ -188,6 +190,51 @@ class TestFirstPassage:
         with pytest.raises(NotReachable):
             solve_first_passage(LadderRates(p_up=0.0, p_down=1.0), lad)
 
+    @staticmethod
+    def _exact_moments(p_up, p_down, gamma, d):
+        # Q m = -1 and Q s = -2 m on the tridiagonal generator restricted
+        # to the ladder, solved in rationals by forward elimination.
+        p_up, p_down, gamma = (Fraction(x) for x in (p_up, p_down, gamma))
+        sub = [p_down if j > 0 else 0 for j in range(d)]
+        sup = [p_up if j < d - 1 else 0 for j in range(d)]
+        diag = [-(sup[j] + sub[j] + (gamma if j == d - 1 else 0)) for j in range(d)]
+
+        def solve(rhs):
+            c, r = [Fraction(0)] * d, [Fraction(0)] * d
+            for j in range(d):
+                pivot = diag[j] - (sub[j] * c[j - 1] if j else 0)
+                c[j] = sup[j] / pivot
+                r[j] = (rhs[j] - (sub[j] * r[j - 1] if j else 0)) / pivot
+            x = [Fraction(0)] * d
+            for j in reversed(range(d)):
+                x[j] = r[j] - (c[j] * x[j + 1] if j < d - 1 else 0)
+            return x
+
+        m = solve([Fraction(-1)] * d)
+        s = solve([-2 * v for v in m])
+        return m[0], s[0] - m[0] ** 2
+
+    @pytest.mark.parametrize("p_up, p_down, gamma, d", [
+        (3.0, 1.0, 40.0, 4),
+        (1.5, 1.0, 50.0, 20),
+        (1.0, 1.0, 7.0, 13),
+        (0.2, 1.0, 36.0, 30),     # passive: the dense solve returned a negative mean
+        (0.05, 0.9, 2.0, 25),
+        (0.7, 0.0, 11.0, 2),
+    ])
+    def test_recursion_matches_rational_solve(self, p_up, p_down, gamma, d):
+        fp = solve_first_passage(LadderRates(p_up=p_up, p_down=p_down),
+                                 LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=gamma))
+        mean, var = self._exact_moments(p_up, p_down, gamma, d)
+        assert fp.mean_tick_time == pytest.approx(float(mean), rel=1e-12)
+        assert fp.var_tick_time == pytest.approx(float(var), rel=1e-12)
+        assert fp.exact_N == pytest.approx(float(mean**2 / var), rel=1e-12)
+
+    def test_overflowing_moments_not_reachable(self):
+        lad = LadderSpec(d=200, epsilon_w=1.0, g=0.1)
+        with pytest.raises(NotReachable):
+            solve_first_passage(LadderRates(p_up=1e-3, p_down=1.0), lad)
+
 
 class TestMaster:
     def test_two_level_flux_approaches_up_rate(self):
@@ -251,6 +298,41 @@ class TestSampling:
         t = sample_tick_times(lr, lad, 40000, seed=3)
         assert t.mean() == pytest.approx(1.0 / 0.7 + 1.0 / 11.0, rel=0.02)
         assert t.var(ddof=1) == pytest.approx(1.0 / 0.49 + 1.0 / 121.0, rel=0.05)
+
+    # Low bias on a deep ladder: trajectories outlive many blocks.
+    SLOW_LAD = LadderSpec(d=20, epsilon_w=1.0, g=0.1, Gamma=50.0)
+    SLOW_LR = LadderRates(p_up=1.2, p_down=1.0)
+
+    @pytest.mark.parametrize("chunk, block", [(1000, 8), (4096, 8), (2048, 3), (7, 64)])
+    def test_batching_does_not_change_sample(self, monkeypatch, chunk, block):
+        ref = sample_tick_times(self.SLOW_LR, self.SLOW_LAD, 5000, seed=31)
+        monkeypatch.setattr(clock, "_CHUNK", chunk)
+        monkeypatch.setattr(clock, "_BLOCK", block)
+        got = sample_tick_times(self.SLOW_LR, self.SLOW_LAD, 5000, seed=31)
+        assert np.array_equal(ref, got)
+
+    def test_prefix_across_working_set_boundary(self):
+        n = clock._CHUNK
+        long = sample_tick_times(self.SLOW_LR, self.SLOW_LAD, n + 1, seed=8)
+        short = sample_tick_times(self.SLOW_LR, self.SLOW_LAD, n, seed=8)
+        assert np.array_equal(long[:n], short)
+
+    def test_largest_seed(self):
+        t = sample_tick_times(self.LR, self.LAD, 2000, seed=2**64 - 1)
+        assert np.all(np.isfinite(t)) and np.all(t > 0.0)
+        assert not np.array_equal(t, sample_tick_times(self.LR, self.LAD, 2000, seed=0))
+
+    @pytest.mark.parametrize("counter, key, expected", [
+        ((0, 0, 0, 0), (0, 0),
+         (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2,
+         (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    ])
+    def test_philox_known_answers(self, counter, key, expected):
+        # Known-answer vectors of the Random123 reference implementation.
+        assert tuple(int(w) for w in clock._philox4x32(counter, key)) == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
