@@ -20,6 +20,9 @@ passive chain raises :class:`PassiveState`.  The renewal estimate
 ``n_ticks * mean_tick_time`` instead uses the exact tick interval of
 the ladder, and their quotient ``formula_ratio`` exposes the clock-speed
 factor separating the two conventions.
+
+:func:`rung_matches` and :func:`lifetime_report_array` are the array
+twins the grid scan uses.
 """
 
 from __future__ import annotations
@@ -27,10 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .clock import FirstPassage, LadderSpec, ladder_rates, solve_first_passage
 from .errors import PassiveState
-from .rates import SYMMETRY_FACTOR, QubitCoupling, Rates, transition_rates
+from .rates import SYMMETRY_FACTOR, QubitCoupling, RateArrays, Rates, transition_rates
 from .spectra import QuenchSpec
+
+# Relative tolerance within which the ladder rung matches the probe gap.
+_RUNG_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,10 +55,14 @@ class LifetimeReport:
 
 
 def _dos_term(rates: Rates, L: int) -> float:
-    # weight = 1/(2|v|) per root, so the single-particle density 1/|v| is
-    # twice that; the symmetry factor counts the +-k partner as the rates do.
-    return L / (2.0 * math.pi) * sum(
-        SYMMETRY_FACTOR * 2.0 * c.weight * (1.0 - c.mode.n_k) for c in rates.roots)
+    return L / (2.0 * math.pi) * sum(_root_dos(c.weight, c.mode.n_k) for c in rates.roots)
+
+
+def _root_dos(weight, n_k):
+    # A resonant root's share of the dos term (scalars or arrays).  weight =
+    # 1/(2|v|) per root, so the single-particle density 1/|v| is twice that;
+    # the symmetry factor counts the +-k partner as the rates do.
+    return SYMMETRY_FACTOR * 2.0 * weight * (1.0 - n_k)
 
 
 def available_energy(quench: QuenchSpec, coupling: QubitCoupling) -> float:
@@ -65,10 +77,22 @@ def check_rung(coupling: QubitCoupling, ladder: LadderSpec) -> None:
     Mismatched energies would make the golden-rule rates inapplicable.
     """
     if not math.isclose(ladder.epsilon_w, coupling.epsilon0,
-                        rel_tol=1e-9, abs_tol=0.0):
+                        rel_tol=_RUNG_RTOL, abs_tol=0.0):
         raise ValueError(
             f"ladder rung epsilon_w={ladder.epsilon_w!r} must equal the probe "
             f"gap epsilon0={coupling.epsilon0!r}")
+
+
+def rung_matches(epsilon_w, epsilon0) -> np.ndarray:
+    """Array twin of :func:`check_rung`: rows whose rung passes it.
+
+    Spells out :func:`math.isclose` with ``rel_tol=_RUNG_RTOL, abs_tol=0``.
+    """
+    diff = np.abs(epsilon0 - epsilon_w)
+    with np.errstate(invalid="ignore"):
+        close = ((diff <= np.abs(_RUNG_RTOL * epsilon0))
+                 | (diff <= np.abs(_RUNG_RTOL * epsilon_w)))
+    return (epsilon_w == epsilon0) | (np.isfinite(epsilon_w) & np.isfinite(epsilon0) & close)
 
 
 def check_pumping(rates: Rates) -> None:
@@ -86,17 +110,31 @@ def lifetime_report(rates: Rates, coupling: QubitCoupling, ladder: LadderSpec,
     the tick interval of ``ladder`` driven by them; the inputs must have
     passed :func:`check_rung` and :func:`check_pumping`.
     """
-    dos = _dos_term(rates, coupling.L)
-    e_av = coupling.epsilon0 * dos
-    e_ph = (ladder.d - 1) * ladder.epsilon_w
+    return _report(rates, _dos_term(rates, coupling.L), coupling.epsilon0,
+                   ladder.d, ladder.epsilon_w, first_passage.mean_tick_time)
+
+
+def _report(rates, dos, epsilon0, d, epsilon_w, mean_tick_time) -> LifetimeReport:
+    e_av = epsilon0 * dos
+    e_ph = (d - 1) * epsilon_w
     budget = e_av / e_ph
     t_star = -(rates.total / rates.chi_second) * dos
-    renewal = budget * first_passage.mean_tick_time
+    renewal = budget * mean_tick_time
     return LifetimeReport(available_energy=e_av, tick_energy=e_ph,
                           tick_budget=budget, lifetime=t_star,
                           renewal_lifetime=renewal,
                           formula_ratio=renewal / t_star,
-                          mean_tick_time=first_passage.mean_tick_time)
+                          mean_tick_time=mean_tick_time)
+
+
+def lifetime_report_array(rates: RateArrays, epsilon0, L, d, epsilon_w,
+                          mean_tick_time) -> LifetimeReport:
+    """Array twin of :func:`lifetime_report`: a report of arrays over rows
+    that passed :func:`rung_matches` and the pumping check."""
+    with np.errstate(all="ignore"):
+        terms = np.where(rates.included, _root_dos(rates.weight, rates.n_k), 0.0)
+        dos = L / (2.0 * math.pi) * (terms[:, 0] + terms[:, 1])
+        return _report(rates, dos, epsilon0, d, epsilon_w, mean_tick_time)
 
 
 def lifetime(quench: QuenchSpec, coupling: QubitCoupling,

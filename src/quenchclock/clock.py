@@ -19,6 +19,10 @@ are collected by :func:`clock_metrics`; exact finite-``Gamma`` answers
 come from :func:`solve_first_passage` (moments of the tick time),
 :func:`evolve_master` (full population dynamics with a tick counter) and
 :func:`simulate_ticks` (stochastic trajectories).
+
+The ``*_array`` functions are the array twins the grid scan uses; each
+shares its arithmetic with its scalar twin and reports the errors that
+twin would raise as :data:`~quenchclock.errors.Raises`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NotReachable, ZeroRates
+from .errors import NotReachable, Raises, ZeroRates
 from .rates import Rates
 
 # Validity margin for the second-order ladder rates: g should not exceed
@@ -64,6 +68,13 @@ class LadderSpec:
             raise ValueError(f"g must be finite, got {self.g!r}")
         if self.Gamma is not None and not (math.isfinite(self.Gamma) and self.Gamma > 0.0):
             raise ValueError(f"Gamma must be positive or None, got {self.Gamma!r}")
+
+
+def ladder_valid(d, epsilon_w, g, Gamma) -> np.ndarray:
+    """Rows the checks of :class:`LadderSpec` accept, for an integer ``d``
+    and ``Gamma`` nan where it is None."""
+    return ((d >= 2) & np.isfinite(epsilon_w) & (epsilon_w > 0.0) & np.isfinite(g)
+            & (np.isnan(Gamma) | (np.isfinite(Gamma) & (Gamma > 0.0))))
 
 
 @dataclass(frozen=True)
@@ -132,9 +143,7 @@ def ladder_rates(rates: Rates, ladder: LadderSpec) -> LadderRates:
     tot = rates.total
     if not tot > 0.0:
         raise ZeroRates(f"total rate {tot!r} is not positive")
-    m = (rates.gamma_up - rates.gamma_down) / tot
-    scale = ladder.g**2 / tot
-    walk = LadderRates(p_up=scale * (1.0 + m), p_down=scale * (1.0 - m))
+    walk = LadderRates(*_walk_rates(rates.gamma_up, rates.gamma_down, ladder.g))
     g_abs = abs(ladder.g)
     gamma = resolve_gamma(ladder, walk)
     return LadderRates(
@@ -143,6 +152,20 @@ def ladder_rates(rates: Rates, ladder: LadderSpec) -> LadderRates:
         g_over_bath=g_abs / tot,
         g_over_emission=g_abs / gamma if gamma > 0.0 else (0.0 if g_abs == 0.0 else math.inf),
     )
+
+
+def _walk_rates(gamma_up, gamma_down, g):
+    tot = gamma_up + gamma_down
+    m = (gamma_up - gamma_down) / tot
+    scale = g * g / tot
+    return scale * (1.0 + m), scale * (1.0 - m)
+
+
+def ladder_rates_array(gamma_up, gamma_down, g) -> tuple[np.ndarray, np.ndarray, Raises]:
+    """Array twin of :func:`ladder_rates`: ``(p_up, p_down, raises)``."""
+    with np.errstate(all="ignore"):
+        p_up, p_down = _walk_rates(gamma_up, gamma_down, g)
+    return p_up, p_down, ((ZeroRates, ~(gamma_up + gamma_down > 0.0)),)
 
 
 @dataclass(frozen=True)
@@ -172,34 +195,50 @@ def clock_metrics(lr: LadderRates, d: int) -> ClockMetrics:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d!r}")
-    tot = lr.p_up + lr.p_down
-    if not tot > 0.0:
+    if not lr.p_up + lr.p_down > 0.0:
         raise ZeroRates("both walk rates vanish")
-    rel = (lr.p_up - lr.p_down) / tot
-    nu = (lr.p_up - lr.p_down) / d
-    acc = d * rel
-    if lr.p_down == 0.0:
-        entropy = math.inf
-    elif lr.p_up == 0.0:
-        entropy = -math.inf
-    else:
-        entropy = d * math.log(lr.p_up / lr.p_down)
-    if entropy == 0.0:
-        tur = math.nan
-    elif math.isinf(entropy):
-        tur = 0.0 if math.isfinite(acc) else math.nan
-    else:
-        tur = 2.0 * acc / entropy
+    nu, acc, entropy, rel, tur = map(float, _metrics(lr.p_up, lr.p_down, d))
     return ClockMetrics(nu_tick=nu, accuracy_N=acc, entropy_per_tick=entropy,
-                        relative_bias=rel, tur_ratio=tur,
-                        weak_bias=abs(rel) < 0.1)
+                        relative_bias=rel, tur_ratio=tur, weak_bias=abs(rel) < 0.1)
+
+
+def _metrics(p_up, p_down, d):
+    # nu_tick, accuracy_N, entropy_per_tick, relative_bias and tur_ratio of
+    # walk rates (scalars or arrays); a vanishing rate makes the entropy
+    # infinite and the TUR ratio 0.
+    p_up = np.asarray(p_up, dtype=float)
+    p_down = np.asarray(p_down, dtype=float)
+    with np.errstate(all="ignore"):
+        rel = (p_up - p_down) / (p_up + p_down)
+        nu = (p_up - p_down) / d
+        acc = d * rel
+        entropy = np.where(p_down == 0.0, np.inf, np.where(
+            p_up == 0.0, -np.inf, d * np.log(p_up / p_down)))
+        tur = np.where(entropy == 0.0, np.nan, np.where(
+            np.isinf(entropy), np.where(np.isfinite(acc), 0.0, np.nan),
+            2.0 * acc / entropy))
+    return nu, acc, entropy, rel, tur
+
+
+def clock_metrics_array(p_up, p_down, d) -> tuple[ClockMetrics, Raises]:
+    """Array twin of :func:`clock_metrics` over rows with ``d >= 2``."""
+    nu, acc, entropy, rel, tur = _metrics(p_up, p_down, d)
+    metrics = ClockMetrics(nu_tick=nu, accuracy_N=acc, entropy_per_tick=entropy,
+                           relative_bias=rel, tur_ratio=tur,
+                           weak_bias=np.abs(rel) < 0.1)
+    return metrics, ((ZeroRates, ~(p_up + p_down > 0.0)),)
 
 
 def resolve_gamma(ladder: LadderSpec, lr: LadderRates) -> float:
     """Emission rate to use: the ladder's explicit value, or the fast-reset default."""
     if ladder.Gamma is not None:
         return ladder.Gamma
-    return 10.0 * (lr.p_up + lr.p_down) * ladder.d
+    return _default_gamma(lr.p_up, lr.p_down, ladder.d)
+
+
+def _default_gamma(p_up, p_down, d):
+    # Fast reset: emission well above the ladder's own rates.
+    return 10.0 * (p_up + p_down) * d
 
 
 @dataclass(frozen=True)
@@ -306,10 +345,7 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
     for k in range(d):
         a = gamma if k == d - 1 else lr.p_up
         q = lr.p_down if k > 0 else 0.0
-        r = a + q
-        m_next = (1.0 + q * m) / a
-        s = (2.0 / r + 2.0 * q * (m + m_next) / r + q * (s + 2.0 * m * m_next)) / a
-        m = m_next
+        m, s = _passage_step(a, q, m, s)
         mean += m
         var += s - m * m
     # Float products overflow to inf, where ** raises OverflowError.
@@ -319,6 +355,41 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
                            f"variance {var!r})")
     return FirstPassage(mean_tick_time=mean, var_tick_time=var,
                         exact_N=exact_N, exact_rate=1.0 / mean)
+
+
+def _passage_step(a, q, m, s):
+    # Moments of the passage out of a level left upward at rate a and
+    # downward at rate q, from the moments (m, s) of the one below.
+    r = a + q
+    m_next = (1.0 + q * m) / a
+    s_next = (2.0 / r + 2.0 * q * (m + m_next) / r + q * (s + 2.0 * m * m_next)) / a
+    return m_next, s_next
+
+
+def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
+    """Array twin of :func:`solve_first_passage`, with ``Gamma`` nan where
+    the ladder leaves it None.
+
+    One loop over the levels up to ``max(d)`` runs the recursion on
+    every row at once; row ``i`` stops at its own ``d[i]``.
+    """
+    with np.errstate(all="ignore"):
+        gamma = np.where(np.isnan(Gamma), _default_gamma(p_up, p_down, d), Gamma)
+        mean, var, m, s = (np.zeros(np.shape(p_up)) for _ in range(4))
+        for k in range(int(np.max(d, initial=0))):
+            a = np.where(k == d - 1, gamma, p_up)
+            q = p_down if k > 0 else 0.0
+            m_next, s_next = _passage_step(a, q, m, s)
+            level = k < d
+            m = np.where(level, m_next, m)
+            s = np.where(level, s_next, s)
+            mean = np.where(level, mean + m, mean)
+            var = np.where(level, var + (s - m * m), var)
+        exact_N = np.where(var > 0.0, mean * mean / var, np.nan)
+        passage = FirstPassage(mean_tick_time=mean, var_tick_time=var,
+                               exact_N=exact_N, exact_rate=1.0 / mean)
+    in_range = np.isfinite(mean) & np.isfinite(var) & np.isfinite(exact_N)
+    return passage, ((NotReachable, ~(p_up > 0.0) | ~(gamma > 0.0) | ~in_range),)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
+import numpy as np
 import yaml
 
-from .clock import LadderSpec
+from .clock import LadderSpec, ladder_valid
 from .errors import ConfigError
-from .rates import QubitCoupling
-from .spectra import ModelKind, QuenchSpec
+from .rates import QubitCoupling, coupling_valid
+from .spectra import ModelArrays, ModelKind, QuenchSpec
 
 FORMATS = ("csv", "json")
 MODEL_KINDS = ("ising", "xx_ring")
@@ -91,6 +92,32 @@ class OutputConfig:
 
 
 @dataclass(frozen=True)
+class PointArrays:
+    """Array twin of the ``(quench, probe, ladder)`` of :meth:`RunConfig.point`.
+
+    Every parameter is a 1-D array over grid rows; ``Gamma`` is nan
+    where the ladder leaves it None.  Both endpoints of the quench share
+    the parameters a quench keeps fixed.
+    """
+
+    initial: ModelArrays
+    final: ModelArrays
+    epsilon0: np.ndarray
+    g_obs: np.ndarray
+    L: np.ndarray
+    d: np.ndarray
+    epsilon_w: np.ndarray
+    g: np.ndarray
+    Gamma: np.ndarray
+
+    def valid(self) -> np.ndarray:
+        """Rows whose point :meth:`RunConfig.point` builds without an error."""
+        return (self.initial.valid() & self.final.valid()
+                & coupling_valid(self.epsilon0, self.g_obs, self.L)
+                & ladder_valid(self.d, self.epsilon_w, self.g, self.Gamma))
+
+
+@dataclass(frozen=True)
 class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     coupling: CouplingConfig = field(default_factory=CouplingConfig)
@@ -126,6 +153,39 @@ class RunConfig:
         ladder = LadderSpec(d=get("d", lad.d), epsilon_w=eps_w,
                             g=get("g", lad.g), Gamma=get("gamma", lad.gamma))
         return quench, coupling, ladder
+
+    def point_arrays(self, columns: Mapping[str, np.ndarray], n: int) -> PointArrays:
+        """Array twin of :meth:`point` for ``n`` rows.
+
+        ``columns`` maps sweepable names to their values on every row;
+        every other parameter comes from the config.
+        """
+        m = self.model
+        c = self.coupling
+        lad = self.ladder
+
+        def get(name, default, dtype=float):
+            if name in columns:
+                return np.asarray(columns[name], dtype=dtype)
+            return np.full(n, np.nan if default is None else default, dtype=dtype)
+
+        if m.kind == "ising":
+            kappa = get("kappa", m.kappa)
+            initial = ModelArrays(ModelKind.ISING_XY, h=get("h_i", m.h_i), kappa=kappa)
+            final = ModelArrays(ModelKind.ISING_XY, h=get("h_f", m.h_f), kappa=kappa)
+        else:
+            t = get("t", m.t)
+            initial = ModelArrays(ModelKind.XX_RING, t=t, V=get("v_i", m.v_i))
+            final = ModelArrays(ModelKind.XX_RING, t=t, V=get("v_f", m.v_f))
+        epsilon0 = get("epsilon0", c.epsilon0)
+        if "epsilon_w" not in columns and lad.epsilon_w is None:
+            epsilon_w = epsilon0
+        else:
+            epsilon_w = get("epsilon_w", lad.epsilon_w)
+        return PointArrays(initial=initial, final=final, epsilon0=epsilon0,
+                           g_obs=get("g_obs", c.g_obs), L=get("L", c.L, int),
+                           d=get("d", lad.d, int), epsilon_w=epsilon_w,
+                           g=get("g", lad.g), Gamma=get("gamma", lad.gamma))
 
 
 # Sweepable / settable leaf parameters: name -> (section, field, type, kind).
@@ -178,6 +238,9 @@ def _need_str(where: str, value: Any) -> str:
         raise ConfigError(f"{where}: expected a string, got {value!r}")
     return value
 
+
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
 
 _OPTIONAL_FLOATS = {("ladder", "gamma"), ("ladder", "epsilon_w")}
 _OPTIONAL_STRS = {("output", "path")}
@@ -260,11 +323,21 @@ def _validate(config: RunConfig) -> RunConfig:
     if config.mc.n_trajectories < 0:
         raise ConfigError(
             f"mc.n_trajectories: must be >= 0, got {config.mc.n_trajectories}")
+    # A grid holds the integer parameters in int64 arrays.
+    for name, (section, key, kind, _) in SWEEPABLE.items():
+        value = getattr(getattr(config, section), key)
+        if kind is int and not _INT64_MIN <= value <= _INT64_MAX:
+            raise ConfigError(f"{section}.{key}: must fit in an i64, got {value}")
     for axis in config.scan:
         if axis.name not in SWEEPABLE:
             raise ConfigError(
                 f"scan.axes: unknown parameter {axis.name!r}; "
                 f"choose from {sorted(SWEEPABLE)}")
+        if SWEEPABLE[axis.name][2] is int and not all(
+                _INT64_MIN <= v < 2.0**63 for v in (axis.min, axis.max)):
+            raise ConfigError(
+                f"scan.axes: {axis.name!r} values must fit in an i64, "
+                f"got min {axis.min!r}, max {axis.max!r}")
         kind = SWEEPABLE[axis.name][3]
         if kind is not None and kind != config.model.kind:
             raise ConfigError(

@@ -5,6 +5,13 @@ distinguish physics/numerics problems from programming errors.  The scan
 driver maps these onto row flags instead of crashing.
 """
 
+from typing import Any
+
+# How an array twin reports the errors its scalar twin raises: (error
+# class, boolean rows) pairs in the order the scalar twin checks them.
+# A row raises the first pair that holds it.
+Raises = tuple[tuple[type[Exception], Any], ...]
+
 
 class QuenchClockError(Exception):
     """Base class for every error raised by this package."""

@@ -19,6 +19,10 @@ contributes ``1 / |d(2 eps_k)/dk|`` and a squared matrix element:
 
 Emission carries an extra ``sin(dtheta)**2`` (the pair must be there to
 be consumed) and absorption ``cos(dtheta)**2``.
+
+:func:`transition_rates_array` and :func:`bias_condition_array` are the
+array twins the grid scan uses; they share each formula with the scalar
+functions (see :mod:`quenchclock.spectra` on squares).
 """
 
 from __future__ import annotations
@@ -26,16 +30,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateRoot, NoResonance
+import numpy as np
+
+from .errors import DegenerateRoot, GaplessMode, NoResonance, Raises
 from .spectra import (
     DERIVATIVE_TOL,
     EnergyRoot,
     ModeState,
+    ModelArrays,
     ModelKind,
     QuenchSpec,
     band_edges,
     energy_roots,
+    energy_roots_array,
     mode_state,
+    mode_state_array,
 )
 
 # Each root in the half zone stands for a +-k* pair of the full zone.
@@ -57,6 +66,11 @@ class QubitCoupling:
             raise ValueError(f"g_obs must be finite, got {self.g_obs!r}")
         if self.L != int(self.L) or self.L < 1:
             raise ValueError(f"L must be a positive integer, got {self.L!r}")
+
+
+def coupling_valid(epsilon0, g_obs, L) -> np.ndarray:
+    """Rows the checks of :class:`QubitCoupling` accept, for an integer ``L``."""
+    return np.isfinite(epsilon0) & (epsilon0 > 0.0) & np.isfinite(g_obs) & (L >= 1)
 
 
 @dataclass(frozen=True)
@@ -147,7 +161,7 @@ def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
         raise NoResonance(
             f"no resonant pair at epsilon0={coupling.epsilon0!r}; the coupled "
             f"pair band is [{2.0 * lo:.6g}, {2.0 * hi:.6g}]")
-    g2 = coupling.g_obs**2
+    g2 = coupling.g_obs * coupling.g_obs
     pref = 2.0 * g2 / (math.pi * coupling.L)
     up = 0.0
     down = 0.0
@@ -159,19 +173,89 @@ def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
                 f"band slope {v!r} at resonant k={root.k!r} is below "
                 f"{DERIVATIVE_TOL}; the delta-function weight diverges")
         ms = mode_state(quench, root.k)
-        element = math.sin(2.0 * ms.theta_f) ** 2
-        if quench.kind is ModelKind.XX_RING:
-            element *= (quench.final.t * math.sin(root.k)) ** 2
-        weight = 1.0 / (2.0 * abs(v))
-        base = pref * SYMMETRY_FACTOR * element * weight
-        emission = base * ms.n_k
-        absorption = base * (1.0 - ms.n_k)
+        weight, emission, absorption = map(float, _pair_rates(
+            quench.final, root.k, v, ms.theta_f, ms.n_k, pref))
         contribs.append(RootContribution(mode=ms, velocity=v, weight=weight,
                                          emission=emission, absorption=absorption))
         up += emission
         down += absorption
     return Rates(gamma_up=up, gamma_down=down, roots=tuple(contribs),
                  excluded_roots=len(rr.excluded))
+
+
+def _pair_rates(final, k, velocity, theta_f, n_k, pref):
+    # Delta-function weight, emission and absorption of resonant pairs at
+    # momenta k of the final band (scalars or arrays).
+    s = np.sin(2.0 * theta_f)
+    element = s * s
+    if final.kind is ModelKind.XX_RING:
+        st = final.t * np.sin(k)
+        element = element * (st * st)
+    weight = 1.0 / (2.0 * abs(velocity))
+    base = pref * SYMMETRY_FACTOR * element * weight
+    return weight, base * n_k, base * (1.0 - n_k)
+
+
+@dataclass(frozen=True)
+class RateArrays:
+    """Array twin of :class:`Rates` over grid rows, with its roots.
+
+    The columns of ``included``, ``u``, ``weight`` and ``n_k`` are the
+    root columns of :class:`~quenchclock.spectra.RootArrays`;
+    ``included`` marks the coupled roots, the ones :attr:`Rates.roots`
+    holds.  ``raises`` holds the errors :func:`transition_rates` raises
+    (see :data:`~quenchclock.errors.Raises`); the values of those rows
+    are meaningless.
+    """
+
+    gamma_up: np.ndarray
+    gamma_down: np.ndarray
+    excluded_roots: np.ndarray
+    included: np.ndarray
+    u: np.ndarray
+    weight: np.ndarray
+    n_k: np.ndarray
+    raises: Raises
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.gamma_up + self.gamma_down
+
+    @property
+    def chi_second(self) -> np.ndarray:
+        return self.gamma_down - self.gamma_up
+
+
+def transition_rates_array(initial: ModelArrays, final: ModelArrays, epsilon0,
+                           g_obs, L) -> RateArrays:
+    """Array twin of :func:`transition_rates` for the quench ``initial`` to
+    ``final`` and the probe ``(epsilon0, g_obs, L)`` of every row."""
+    roots = energy_roots_array(final, 0.5 * np.asarray(epsilon0, dtype=float))
+    included = roots.present
+    if final.kind is ModelKind.ISING_XY:
+        included = included & (roots.u >= 0.0)
+    column = (slice(None), None)
+    with np.errstate(all="ignore"):
+        mode, gapless = mode_state_array(initial.take(column), final.take(column),
+                                         roots.k)
+        v = roots.velocity
+        flat = ~np.isfinite(v) | (np.abs(v) < DERIVATIVE_TOL)
+        pref = 2.0 * (g_obs * g_obs) / (math.pi * L)
+        weight, emission, absorption = _pair_rates(
+            final.take(column), roots.k, v, mode.theta_f, mode.n_k,
+            np.reshape(pref, (-1, 1)))
+    emission = np.where(included, emission, 0.0)
+    absorption = np.where(included, absorption, 0.0)
+    raises = [(DegenerateRoot, roots.degenerate),
+              (NoResonance, ~included.any(axis=1))]
+    for j in range(included.shape[1]):
+        raises += [(DegenerateRoot, included[:, j] & flat[:, j]),
+                   (GaplessMode, included[:, j] & gapless[:, j])]
+    return RateArrays(gamma_up=emission[:, 0] + emission[:, 1],
+                      gamma_down=absorption[:, 0] + absorption[:, 1],
+                      excluded_roots=(roots.present & ~included).sum(axis=1),
+                      included=included, u=roots.u, weight=weight,
+                      n_k=mode.n_k, raises=tuple(raises))
 
 
 @dataclass(frozen=True)
@@ -203,24 +287,16 @@ def bias_condition(quench: QuenchSpec, epsilon0: float) -> BiasCondition:
     """
     probe = QubitCoupling(epsilon0=float(epsilon0), g_obs=1.0, L=2)
     rates = transition_rates(quench, probe)
-    lhs: list[float] = []
-    if quench.kind is ModelKind.ISING_XY:
-        h_i = quench.initial.h
-        h_f = quench.final.h
-        kap = quench.initial.kappa
-        for contrib in rates.roots:
-            u = math.cos(contrib.mode.k)
-            arg = epsilon0**2 / 4.0 - 4.0 * (h_f - u) ** 2 + 4.0 * (h_i - u) ** 2
-            if not (math.isfinite(arg) and arg > 0.0):
-                lhs.append(math.nan)
-                continue
-            num = 8.0 * ((h_f - u) * (h_i - u) + kap**2 * (1.0 - u**2))
+    lhs = []
+    for c in rates.roots:
+        num, arg = _condition_terms(quench.initial, quench.final, epsilon0,
+                                    float(np.cos(c.mode.k)))
+        if arg is None:
+            lhs.append(num)
+        elif math.isfinite(arg) and arg > 0.0:
             lhs.append(num / (epsilon0 * math.sqrt(arg)))
-    else:
-        V_i = quench.initial.V
-        V_f = quench.final.V
-        value = epsilon0**2 / 4.0 - V_f**2 + V_i * V_f
-        lhs = [value] * len(rates.roots)
+        else:
+            lhs.append(math.nan)
     # Rate-weighted mean of cos(2 dtheta) over the roots; its sign is the
     # inversion verdict and for a single root it reduces to the printed form.
     weights = [c.weight * math.sin(2.0 * c.mode.theta_f) ** 2 for c in rates.roots]
@@ -235,3 +311,39 @@ def bias_condition(quench: QuenchSpec, epsilon0: float) -> BiasCondition:
         defined=bool(lhs) and all(math.isfinite(x) for x in lhs),
         multi_root=len(rates.roots) > 1,
     )
+
+
+def _condition_terms(initial, final, epsilon0, u):
+    # The printed condition at resonant u = cos k* (scalars or arrays): the
+    # chain's is num / (epsilon0 sqrt(arg)), defined where arg > 0; the
+    # ring's is num itself, and arg is None.
+    if initial.kind is ModelKind.ISING_XY:
+        h_i, h_f, kap = initial.h, final.h, initial.kappa
+        arg = (epsilon0 * epsilon0 / 4.0 - 4.0 * ((h_f - u) * (h_f - u))
+               + 4.0 * ((h_i - u) * (h_i - u)))
+        num = 8.0 * ((h_f - u) * (h_i - u) + kap * kap * (1.0 - u * u))
+        return num, arg
+    return epsilon0 * epsilon0 / 4.0 - final.V * final.V + initial.V * final.V, None
+
+
+def bias_condition_array(initial: ModelArrays, final: ModelArrays, epsilon0,
+                         rates: RateArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array twin of :func:`bias_condition` at the roots of ``rates``.
+
+    Returns per row the printed condition at the first coupled root
+    (``lhs_per_root[0]``), ``defined`` and ``multi_root``.
+    """
+    column = (slice(None), None)
+    epsilon0 = np.reshape(epsilon0, (-1, 1))
+    with np.errstate(all="ignore"):
+        lhs, arg = _condition_terms(initial.take(column), final.take(column),
+                                    epsilon0, rates.u)
+        if arg is not None:
+            ok = np.isfinite(arg) & (arg > 0.0)
+            lhs = np.where(ok, lhs / (epsilon0 * np.sqrt(np.where(ok, arg, 1.0))), np.nan)
+    included = rates.included
+    lhs = np.broadcast_to(lhs, included.shape)
+    first = np.where(included[:, 0], lhs[:, 0], lhs[:, 1])
+    count = included.sum(axis=1)
+    defined = (count > 0) & np.all(np.isfinite(lhs) | ~included, axis=1)
+    return first, defined, count > 1

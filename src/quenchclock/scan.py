@@ -1,10 +1,16 @@
 """Grid scans over run configurations, with flat tabular results.
 
 Each command expands the config's scan axes into a cartesian grid (last
-axis fastest, matching C order), evaluates one row per grid point, and
-collects them into a :class:`Table`.  Rows are immutable tuples in grid
-order, and every cell is a plain float, int or string, so the CSV and
-JSON writers are trivial and byte-reproducible.
+axis fastest, matching C order) and evaluates it as columns: one array
+per parameter over all rows, and one pass per pipeline layer (row
+validation; resonance roots, their polish and guards, and the rates;
+the inversion condition; walk rates and clock metrics; first passage;
+Monte Carlo; lifetime).  Each pass runs the array twin of a public
+scalar function, so a row gets the values the scalar pipeline gives its
+point; every scan checks this on its first row that has rates, against
+the scalar :func:`~quenchclock.rates.transition_rates`.  Rows are
+immutable tuples in grid order, and every cell is a plain float, int or
+string, so the CSV and JSON writers are trivial and byte-reproducible.
 
 A grid point that cannot be evaluated is not an error: the row keeps
 ``nan`` in the unavailable columns and carries exactly one flag naming
@@ -21,9 +27,16 @@ from typing import Any
 
 import numpy as np
 
-from .battery import check_pumping, check_rung, lifetime_report
-from .clock import clock_metrics, ladder_rates, simulate_ticks, solve_first_passage
-from .config import SWEEPABLE, AxisSpec, OutputConfig, RunConfig
+from .battery import lifetime_report_array, rung_matches
+from .clock import (
+    LadderRates,
+    LadderSpec,
+    clock_metrics_array,
+    first_passage_array,
+    ladder_rates_array,
+    simulate_ticks,
+)
+from .config import SWEEPABLE, AxisSpec, OutputConfig, PointArrays, RunConfig
 from .errors import (
     ConfigError,
     DegenerateRoot,
@@ -32,11 +45,12 @@ from .errors import (
     NotReachable,
     PassiveState,
     QuenchClockError,
+    Raises,
     VanHoveSingularity,
     ZeroRates,
 )
 from .oracle import discrete_rates
-from .rates import bias_condition, transition_rates
+from .rates import RateArrays, bias_condition_array, transition_rates, transition_rates_array
 
 # Knuth's 64-bit golden-ratio step decorrelates per-row seeds.
 _SEED_STEP = 0x9E3779B97F4A7C15
@@ -44,6 +58,9 @@ _MASK64 = (1 << 64) - 1
 # Rates that differ by at most this share of their total differ by
 # rounding alone (a few units in the last place), so they have no verdict.
 _BALANCE_TOL = 4 * np.finfo(float).eps
+# Largest difference between the rates of the array and scalar twins, as
+# a share of the total rate, that rounding can explain.
+_TWIN_RTOL = 1e-12
 
 # One flag per row, first applicable wins.
 FLAG_PRIORITY = (
@@ -81,29 +98,41 @@ def row_seed(base: int, index: int) -> int:
     return (base + (index + 1) * _SEED_STEP) & _MASK64
 
 
-def _axis_values(axis: AxisSpec) -> list[float]:
+def _axis_values(axis: AxisSpec) -> np.ndarray:
+    """The axis's grid values; integers for an integer parameter."""
     if axis.steps == 1:
-        return [float(axis.min)]
-    return [float(v) for v in np.linspace(axis.min, axis.max, axis.steps)]
+        values = np.array([float(axis.min)])
+    else:
+        values = np.linspace(axis.min, axis.max, axis.steps)
+    if SWEEPABLE[axis.name][2] is not int:
+        return values
+    rounded = np.round(values)
+    off = np.abs(values - rounded) > 1e-9
+    if off.any():
+        raise ConfigError(
+            f"scan.axes: {axis.name!r} is integer-valued but the grid contains "
+            f"{float(values[off][0])!r}")
+    return rounded.astype(np.int64)
+
+
+def _grid_axes(config: RunConfig) -> tuple[int, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Row count, and for each swept parameter its axis values and the
+    index into them of every row (row order, last axis fastest).
+
+    A parameter swept by two axes takes the later axis's value.
+    """
+    values = [_axis_values(axis) for axis in config.scan]
+    shape = tuple(len(v) for v in values)
+    n = math.prod(shape)
+    index = np.unravel_index(np.arange(n), shape) if values else ()
+    return n, {axis.name: (v, i) for axis, v, i in zip(config.scan, values, index)}
 
 
 def grid_points(config: RunConfig) -> list[dict[str, float | int]]:
     """All grid points in row order; a single empty point when no axes."""
-    points: list[dict[str, float | int]] = [{}]
-    for axis in config.scan:
-        coerce = SWEEPABLE[axis.name][2]
-        values = []
-        for v in _axis_values(axis):
-            if coerce is int:
-                if abs(v - round(v)) > 1e-9:
-                    raise ConfigError(
-                        f"scan.axes: {axis.name!r} is integer-valued but the "
-                        f"grid contains {v!r}")
-                values.append(int(round(v)))
-            else:
-                values.append(v)
-        points = [dict(p, **{axis.name: v}) for p in points for v in values]
-    return points
+    _, axes = _grid_axes(config)
+    columns = {name: values[index].tolist() for name, (values, index) in axes.items()}
+    return [dict(zip(columns, row)) for row in zip(*columns.values())] or [{}]
 
 
 _FLAG_OF_ERROR = (
@@ -117,115 +146,176 @@ _FLAG_OF_ERROR = (
 )
 
 
-def _flag_of(exc: QuenchClockError) -> str:
+def _flag_of(error: type[Exception]) -> str:
     for cls, flag in _FLAG_OF_ERROR:
-        if isinstance(exc, cls):
+        if issubclass(error, cls):
             return flag
     return "invalid"
 
 
-def _pick_flag(flags: set[str]) -> str:
-    for flag in FLAG_PRIORITY:
-        if flag in flags:
-            return flag
-    return ""
+class _Rows:
+    """Cells and flags of every grid row, filled one layer at a time.
 
-
-def _evaluate(config: RunConfig, stages: frozenset[str], index: int,
-              values: dict[str, float | int]) -> tuple[dict[str, Any], set[str]]:
-    """Cells and flags of one grid point for the requested ``stages``.
-
-    Steps run in pipeline order: rung check, probe rates, walk rates,
-    first passage, then sampling and the battery report.  The probe rates
-    and the first passage are computed once and shared by every stage
-    that needs them.  A failing step flags the row and leaves the cells
-    that depend on it unset; a stage whose own check fails (rung,
-    pumping) drops out while the others go on.
+    ``live`` marks the rows still being evaluated: the first error of a
+    row flags it and takes it out of the later layers.
     """
-    cells: dict[str, Any] = {}
-    flags: set[str] = set()
-    live = set(stages)
+
+    def __init__(self, n: int):
+        self.n = n
+        self.live = np.ones(n, dtype=bool)
+        self.flags = {flag: np.zeros(n, dtype=bool) for flag in FLAG_PRIORITY}
+        self.cells: dict[str, np.ndarray] = {}
+
+    def fail(self, raises: Raises) -> None:
+        for error, rows in raises:
+            hit = self.live & rows
+            self.flags[_flag_of(error)] |= hit
+            self.live &= ~hit
+
+    def put(self, rows: np.ndarray, **values: Any) -> None:
+        """Set the cells of ``rows``; the other rows keep their unset value."""
+        for name, value in values.items():
+            if name not in self.cells:
+                unset = _UNSET.get(name, math.nan)
+                self.cells[name] = np.full(
+                    self.n, unset, dtype=object if isinstance(unset, str) else type(unset))
+            self.cells[name][rows] = np.broadcast_to(value, (self.n,))[rows]
+
+    def column(self, name: str) -> list[Any]:
+        column = self.cells.get(name)
+        if column is None:
+            return [_UNSET.get(name, math.nan)] * self.n
+        values = column.tolist()
+        if column.dtype.kind == "f" and np.isnan(column).any():
+            # One nan object throughout, so equal tables compare equal.
+            values = [math.nan if v != v else v for v in values]
+        return values
+
+    def flag_column(self) -> list[str]:
+        picked = np.full(self.n, "", dtype=object)
+        for flag in reversed(FLAG_PRIORITY):
+            picked[self.flags[flag]] = flag
+        return picked.tolist()
+
+
+def _check_rates_twin(config: RunConfig, columns: dict[str, np.ndarray],
+                      rates: RateArrays, rows: np.ndarray) -> None:
+    """Recompute the rates of the first of ``rows`` with the scalar
+    :func:`transition_rates` and stop the scan if they differ.
+
+    The array twins share each formula with the scalar functions, so the
+    two agree to the last bits; a difference beyond rounding means the
+    twins have drifted apart, and the table would be wrong.
+    """
+    first = np.flatnonzero(rows)[:1].tolist()
+    if not first:
+        return
+    i = first[0]
+    quench, coupling, _ = config.point({name: col[i].item() for name, col in columns.items()})
+    up, down = float(rates.gamma_up[i]), float(rates.gamma_down[i])
     try:
-        quench, coupling, ladder = config.point(values)
-    except (ValueError, ConfigError):
-        return cells, {"invalid"}
-    if "lifetime" in live:
-        try:
-            check_rung(coupling, ladder)
-        except ValueError:
-            flags.add("invalid")
-            live.discard("lifetime")
-    if not live:
-        return cells, flags
-    try:
-        rates = transition_rates(quench, coupling)
+        ref = transition_rates(quench, coupling)
     except QuenchClockError as exc:
-        flags.add(_flag_of(exc))
-        return cells, flags
-    if "rates" in live:
-        live.discard("rates")
-        cells.update(gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
-                     chi_second=rates.chi_second,
-                     verdict="active" if rates.is_active else "passive",
-                     excluded_roots=rates.excluded_roots)
-        cond = bias_condition(quench, coupling.epsilon0)
-        if cond.multi_root:
-            flags.add("multi_root")
-        elif not cond.defined or abs(rates.chi_second) <= _BALANCE_TOL * rates.total:
-            flags.add("condition_undefined")
-        else:
-            cells["condition_lhs"] = cond.lhs_per_root[0]
-    if "lifetime" in live:
-        try:
-            check_pumping(rates)
-        except PassiveState:
-            flags.add("passive")
-            live.discard("lifetime")
-    if not live:
-        return cells, flags
-    try:
-        lr = ladder_rates(rates, ladder)
-    except QuenchClockError as exc:
-        flags.add(_flag_of(exc))
-        return cells, flags
-    if "clock" in live:
-        try:
-            metrics = clock_metrics(lr, ladder.d)
-        except ZeroRates:
-            flags.add("zero_rates")
-            return cells, flags
-        cells.update(p_up=lr.p_up, p_down=lr.p_down, nu_tick=metrics.nu_tick,
-                     accuracy_N=metrics.accuracy_N,
-                     entropy_per_tick=metrics.entropy_per_tick,
-                     relative_bias=metrics.relative_bias,
-                     tur_ratio=metrics.tur_ratio)
-        if lr.p_down == 0.0:
-            flags.add("zero_down_rate")
-    try:
-        fp = solve_first_passage(lr, ladder)
-    except QuenchClockError as exc:
-        flags.add(_flag_of(exc))
-        return cells, flags
-    cells.update(exact_N=fp.exact_N, exact_rate=fp.exact_rate)
-    if "mc" in live:
+        raise RuntimeError(f"scan row {i}: the rates twins disagree: {exc}") from exc
+    tol = _TWIN_RTOL * (ref.gamma_up + ref.gamma_down)
+
+    def agree(x, y):
+        # Overflowed rates are inf or nan in both twins.
+        return x == y or abs(x - y) <= tol or (math.isnan(x) and math.isnan(y))
+
+    if not (agree(up, ref.gamma_up) and agree(down, ref.gamma_down)):
+        raise RuntimeError(
+            f"scan row {i}: the rates twins disagree: ({up!r}, {down!r}) against "
+            f"({ref.gamma_up!r}, {ref.gamma_down!r})")
+
+
+def _evaluate_layers(config: RunConfig, stages: frozenset[str],
+                     columns: dict[str, np.ndarray], pt: PointArrays, out: _Rows) -> None:
+    """Run the pipeline layers for the requested ``stages`` over all rows.
+
+    Each layer runs once over the whole grid.  The probe rates and the
+    first passage are shared by every stage that needs them.  A row
+    whose scalar twin would raise gets that error's flag and leaves the
+    later layers; a stage whose own check fails (rung, pumping) drops
+    out of that row while the others go on.
+    """
+    # Rows the lifetime stage still runs on.
+    lifetime = np.full(out.n, "lifetime" in stages)
+    out.fail(((ValueError, ~pt.valid()),))
+    if "lifetime" in stages:
+        mismatch = out.live & ~rung_matches(pt.epsilon_w, pt.epsilon0)
+        out.flags["invalid"] |= mismatch
+        lifetime &= ~mismatch
+    if not stages - {"lifetime"}:
+        out.live &= lifetime
+
+    rates = transition_rates_array(pt.initial, pt.final, pt.epsilon0, pt.g_obs, pt.L)
+    out.fail(rates.raises)
+    _check_rates_twin(config, columns, rates, out.live)
+    chi = rates.chi_second
+    if "rates" in stages:
+        live = out.live.copy()
+        out.put(live, gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
+                chi_second=chi,
+                verdict=np.where(rates.gamma_up > rates.gamma_down, _ACTIVE, _PASSIVE),
+                excluded_roots=rates.excluded_roots)
+        lhs, defined, multi = bias_condition_array(pt.initial, pt.final, pt.epsilon0,
+                                                   rates)
+        undefined = ~multi & (~defined | (np.abs(chi) <= _BALANCE_TOL * rates.total))
+        out.flags["multi_root"] |= live & multi
+        out.flags["condition_undefined"] |= live & undefined
+        out.put(live & ~multi & ~undefined, condition_lhs=lhs)
+    if "lifetime" in stages:
+        passive = out.live & lifetime & (chi >= 0.0)
+        out.flags["passive"] |= passive
+        lifetime &= ~passive
+    if not stages - {"rates", "lifetime"}:
+        out.live &= lifetime
+    if not out.live.any():
+        return
+
+    # Vanishing walk rates flag zero_rates under every command.
+    p_up, p_down, raises = ladder_rates_array(rates.gamma_up, rates.gamma_down, pt.g)
+    out.fail(raises)
+    metrics, raises = clock_metrics_array(p_up, p_down, pt.d)
+    out.fail(raises)
+    if "clock" in stages:
+        live = out.live.copy()
+        out.put(live, p_up=p_up, p_down=p_down, nu_tick=metrics.nu_tick,
+                accuracy_N=metrics.accuracy_N,
+                entropy_per_tick=metrics.entropy_per_tick,
+                relative_bias=metrics.relative_bias, tur_ratio=metrics.tur_ratio)
+        out.flags["zero_down_rate"] |= live & (p_down == 0.0)
+
+    # Flagged rows get d = 0, so the recursion runs to the largest live d.
+    fp, raises = first_passage_array(p_up, p_down, pt.Gamma, np.where(out.live, pt.d, 0))
+    out.fail(raises)
+    out.put(out.live, exact_N=fp.exact_N, exact_rate=fp.exact_rate)
+    if "mc" in stages:
         # Sampling needs upward drift: against the bias the mean number of
         # jumps to the top grows exponentially with d, so passive points
         # keep nan and the flag says why.
-        if lr.p_up > lr.p_down:
-            stats = simulate_ticks(lr, ladder, config.mc.n_trajectories,
-                                   row_seed(config.mc.seed, index))
-            cells.update(empirical_accuracy=stats.empirical_accuracy,
-                         empirical_rate=stats.empirical_rate)
-        else:
-            flags.add("passive")
-    if "lifetime" in live:
-        rep = lifetime_report(rates, coupling, ladder, fp)
-        cells.update(available_energy=rep.available_energy,
-                     tick_energy=rep.tick_energy, tick_budget=rep.tick_budget,
-                     t_star=rep.lifetime, renewal_lifetime=rep.renewal_lifetime,
-                     formula_ratio=rep.formula_ratio,
-                     mean_tick_time=rep.mean_tick_time)
-    return cells, flags
+        sample = out.live & (p_up > p_down)
+        out.flags["passive"] |= out.live & ~sample
+        accuracy = np.full(out.n, math.nan)
+        rate = np.full(out.n, math.nan)
+        for i in np.flatnonzero(sample).tolist():
+            gamma = float(pt.Gamma[i])
+            ladder = LadderSpec(d=int(pt.d[i]), epsilon_w=float(pt.epsilon_w[i]),
+                                g=float(pt.g[i]), Gamma=None if math.isnan(gamma) else gamma)
+            stats = simulate_ticks(LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
+                                   ladder, config.mc.n_trajectories,
+                                   row_seed(config.mc.seed, i))
+            accuracy[i] = stats.empirical_accuracy
+            rate[i] = stats.empirical_rate
+        out.put(sample, empirical_accuracy=accuracy, empirical_rate=rate)
+    if "lifetime" in stages:
+        rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, pt.epsilon_w,
+                                    fp.mean_tick_time)
+        out.put(out.live & lifetime, available_energy=rep.available_energy,
+                tick_energy=rep.tick_energy, tick_budget=rep.tick_budget,
+                t_star=rep.lifetime, renewal_lifetime=rep.renewal_lifetime,
+                formula_ratio=rep.formula_ratio, mean_tick_time=rep.mean_tick_time)
 
 
 # Stages each command runs, and the value columns it writes.
@@ -247,6 +337,9 @@ _COMMANDS: dict[str, tuple[frozenset[str], tuple[str, ...]]] = {
 _MC_COLS = ("empirical_accuracy", "empirical_rate")
 # Value of a cell its row could not compute; every other column gets nan.
 _UNSET = {"verdict": "", "excluded_roots": 0}
+# The verdicts as Python objects, so that the rows share two strings.
+_ACTIVE = np.array("active", dtype=object)
+_PASSIVE = np.array("passive", dtype=object)
 
 
 def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
@@ -254,8 +347,8 @@ def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
 
     Rows follow grid order, and every Monte Carlo row draws from a seed
     fixed by its grid index.  ``threads`` is accepted for compatibility;
-    rows are evaluated in one thread, so it changes neither the result
-    nor the speed.
+    the grid is evaluated in one thread, so it changes neither the
+    result nor the speed.
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown scan command {command!r}")
@@ -263,16 +356,20 @@ def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
     if command == "clock" and config.mc.n_trajectories:
         stages = stages | {"mc"}
         value_cols = value_cols + _MC_COLS
+    n, axes = _grid_axes(config)
+    out = _Rows(n)
+    columns = {name: values[index] for name, (values, index) in axes.items()}
+    # Flagged rows go on through the arithmetic, with meaningless values.
+    with np.errstate(all="ignore"):
+        _evaluate_layers(config, stages, columns, config.point_arrays(columns, n), out)
     axis_names = tuple(a.name for a in config.scan)
-    rows = []
-    for index, values in enumerate(grid_points(config)):
-        cells, flags = _evaluate(config, stages, index, values)
-        rows.append(tuple(values[name] for name in axis_names)
-                    + tuple(cells.get(name, _UNSET.get(name, math.nan))
-                            for name in value_cols)
-                    + (_pick_flag(flags),))
+    # The rows of an axis value share one object, as grid_points' rows do.
+    axis_cells = {name: values.tolist() for name, (values, _) in axes.items()}
+    cells = ([[axis_cells[name][i] for i in axes[name][1].tolist()] for name in axis_names]
+             + [out.column(name) for name in value_cols] + [out.flag_column()])
     return Table(schema=f"quenchclock.{command}.v1",
-                 columns=axis_names + value_cols + ("flag",), rows=tuple(rows))
+                 columns=axis_names + value_cols + ("flag",),
+                 rows=tuple(zip(*cells)))
 
 
 def oracle_table(config: RunConfig) -> Table:
@@ -299,13 +396,38 @@ def _format_cell(value: Any, precision: int) -> str:
     return str(value)
 
 
+def _column_code(cells: tuple[Any, ...], precision: int) -> str | None:
+    # The printf code of a column whose cells are all floats, all ints or
+    # all strings; None for any other column (booleans, mixed kinds).
+    kinds = set(map(type, cells))
+    if all(issubclass(k, (float, np.floating)) for k in kinds):
+        return f"%.{precision}g"
+    if all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
+        return "%d"
+    if all(issubclass(k, str) for k in kinds):
+        return "%s"
+    return None
+
+
 def write_csv(table: Table, precision: int) -> str:
-    """Render a table as CSV with a versioned '#' header."""
+    """Render a table as CSV with a versioned '#' header.
+
+    Each row is one ``%`` format built from the column kinds: ``%.{p}g``
+    prints a float as ``format(x, ".{p}g")`` does, ``%d`` an int and
+    ``%s`` a string.  Cells of other columns are formatted one by one.
+    """
     lines = [f"# schema: {table.schema}",
              "# columns: " + ",".join(table.columns),
              ",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v, precision) for v in row))
+    if table.rows:
+        codes = [_column_code(cells, precision) for cells in zip(*table.rows)]
+        rows = table.rows
+        if None in codes:
+            rows = zip(*(cells if code else [_format_cell(v, precision) for v in cells]
+                         for code, cells in zip(codes, zip(*table.rows))))
+            codes = [code or "%s" for code in codes]
+        fmt = ",".join(codes)
+        lines.extend(fmt % row for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -27,6 +27,14 @@ Two models are supported:
     wherever angles (and hence rates) are evaluated.
 
 Units: ``hbar = k_B = 1`` everywhere.
+
+The grid scan evaluates whole rows of parameters at once through the
+array twins :class:`ModelArrays` and :func:`energy_roots_array`.  The
+scalar functions and their twins share one formula per quantity, and
+every square is an explicit product: Python's ``x ** 2`` and numpy's
+float scalar ``** 2`` call libm ``pow``, which can miss the correctly
+rounded ``x * x`` that numpy arrays compute, so only products give the
+same bits in both.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 import numpy as np
 from scipy.optimize import brentq
@@ -50,6 +59,15 @@ DERIVATIVE_TOL = 1e-6
 # Residual tolerance on eps_k - eps, i.e. half the tolerance on the pair
 # energy 2 eps_k used by the resonance solvers.
 _ROOT_RESIDUAL_TOL = 5e-13
+
+# Polishing of a root that misses the residual bound: the half-widths of
+# the brackets tried around it (1e-9, growing 4x, up to 1e-3), and the
+# step tolerances of the solve inside a bracket (brentq's defaults).
+_BRACKET_DELTAS = tuple(1e-9 * 4.0**i for i in range(10))
+_POLISH_XTOL = 1e-15
+_POLISH_RTOL = 8.9e-16
+# The array twin solves with at most this many Newton or bisection steps.
+_POLISH_STEPS = 100
 
 
 class ModelKind(Enum):
@@ -132,6 +150,39 @@ class QuenchSpec:
 
 
 @dataclass(frozen=True)
+class ModelArrays:
+    """Array twin of :class:`ModelSpec`: one chain kind, parameters per row.
+
+    Each parameter is a float or a 1-D array over grid rows.  The
+    functions that take a model duck-type over both classes wherever
+    they only do arithmetic (:func:`dispersion`, :func:`group_velocity`).
+    """
+
+    kind: ModelKind
+    h: Any = 0.0
+    kappa: Any = 0.0
+    t: Any = 0.0
+    V: Any = 0.0
+    phi: Any = 0.0
+
+    def valid(self) -> np.ndarray:
+        """Rows the checks of :meth:`ModelSpec.__post_init__` accept."""
+        ok = (np.isfinite(self.h) & np.isfinite(self.kappa) & np.isfinite(self.t)
+              & np.isfinite(self.V) & np.isfinite(self.phi))
+        if self.kind is ModelKind.XX_RING:
+            ok = ok & (self.t > 0.0)
+        return ok
+
+    def take(self, index) -> "ModelArrays":
+        """The model at rows ``index`` (any numpy index) of each array."""
+        def pick(value):
+            return np.asarray(value)[index] if np.ndim(value) else value
+
+        return ModelArrays(self.kind, pick(self.h), pick(self.kappa),
+                           pick(self.t), pick(self.V), pick(self.phi))
+
+
+@dataclass(frozen=True)
 class ModeState:
     """Quench data of a single momentum mode."""
 
@@ -172,13 +223,19 @@ class DensityOfStates:
 
 
 def dispersion(model: ModelSpec, k):
-    """Quasiparticle energy ``eps_k`` (scalar in, scalar out)."""
+    """Quasiparticle energy ``eps_k`` (scalar in, scalar out).
+
+    Arrays of ``k``, or a :class:`ModelArrays` model, give an array.
+    """
     karr = np.asarray(k, dtype=float)
     if model.kind is ModelKind.ISING_XY:
-        e = 2.0 * np.sqrt((model.h - np.cos(karr)) ** 2 + (model.kappa * np.sin(karr)) ** 2)
+        x = model.h - np.cos(karr)
+        y = model.kappa * np.sin(karr)
+        e = 2.0 * np.sqrt(x * x + y * y)
     else:
-        e = np.sqrt((2.0 * model.t * np.cos(karr - model.phi)) ** 2 + model.V**2)
-    return e if e.ndim else float(e)
+        x = 2.0 * model.t * np.cos(karr - model.phi)
+        e = np.sqrt(x * x + model.V * model.V)
+    return e if np.ndim(e) else float(e)
 
 
 def group_velocity(model: ModelSpec, k):
@@ -191,10 +248,11 @@ def group_velocity(model: ModelSpec, k):
     eps = np.asarray(dispersion(model, karr), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         if model.kind is ModelKind.ISING_XY:
-            num = 4.0 * np.sin(karr) * (model.h - (1.0 - model.kappa**2) * np.cos(karr))
+            num = 4.0 * np.sin(karr) * (model.h - (1.0 - model.kappa * model.kappa)
+                                        * np.cos(karr))
         else:
             kk = karr - model.phi
-            num = -4.0 * model.t**2 * np.sin(kk) * np.cos(kk)
+            num = -4.0 * (model.t * model.t) * np.sin(kk) * np.cos(kk)
         v = np.where(eps > 0.0, num / np.where(eps > 0.0, eps, 1.0), np.nan)
     return v if v.ndim else float(v)
 
@@ -220,14 +278,25 @@ def bogoliubov_angle(model: ModelSpec, k):
     if np.any(eps < GAPLESS_TOL):
         bad = np.atleast_1d(karr)[np.atleast_1d(eps < GAPLESS_TOL)][0]
         raise GaplessMode(f"mode k={bad!r} is gapless (eps < {GAPLESS_TOL})")
-    if model.kind is ModelKind.ISING_XY:
-        two_theta = np.arctan2(model.kappa * np.sin(karr), model.h - np.cos(karr))
-    else:
-        if model.phi != 0.0:
-            raise ValueError("Bogoliubov angle is defined at zero flux only")
-        two_theta = np.arctan2(model.V, 2.0 * model.t * np.cos(karr))
-    theta = 0.5 * two_theta
+    if model.kind is ModelKind.XX_RING and model.phi != 0.0:
+        raise ValueError("Bogoliubov angle is defined at zero flux only")
+    theta = _angle(model, karr)
     return theta if theta.ndim else float(theta)
+
+
+def _angle(model, k):
+    # theta_k of a gapped mode, for a ModelSpec or ModelArrays at zero flux.
+    if model.kind is ModelKind.ISING_XY:
+        two_theta = np.arctan2(model.kappa * np.sin(k), model.h - np.cos(k))
+    else:
+        two_theta = np.arctan2(model.V, 2.0 * model.t * np.cos(k))
+    return 0.5 * two_theta
+
+
+def _occupation(dtheta):
+    # sin(dtheta)**2 of a scalar or an array.
+    s = np.sin(dtheta)
+    return s * s
 
 
 def mode_state(quench: QuenchSpec, k: float) -> ModeState:
@@ -243,9 +312,27 @@ def mode_state(quench: QuenchSpec, k: float) -> ModeState:
     theta_i = bogoliubov_angle(quench.initial, k)
     theta_f = bogoliubov_angle(quench.final, k)
     dtheta = theta_f - theta_i
-    n_k = math.sin(dtheta) ** 2
+    n_k = float(_occupation(dtheta))
     return ModeState(k=k, eps_i=eps_i, eps_f=eps_f, theta_i=theta_i,
                      theta_f=theta_f, dtheta=dtheta, n_k=n_k)
+
+
+def mode_state_array(initial: ModelArrays, final: ModelArrays,
+                     k: np.ndarray) -> tuple[ModeState, np.ndarray]:
+    """Array twin of :func:`mode_state`: mode data at momenta ``k``.
+
+    ``k`` broadcasts against the models' parameters.  Returns the
+    :class:`ModeState` with array fields and the mask of modes on which
+    :func:`mode_state` raises :class:`GaplessMode`.
+    """
+    eps_i = dispersion(initial, k)
+    eps_f = dispersion(final, k)
+    theta_i = _angle(initial, k)
+    theta_f = _angle(final, k)
+    dtheta = theta_f - theta_i
+    state = ModeState(k=k, eps_i=eps_i, eps_f=eps_f, theta_i=theta_i,
+                      theta_f=theta_f, dtheta=dtheta, n_k=_occupation(dtheta))
+    return state, (eps_i < GAPLESS_TOL) | (eps_f < GAPLESS_TOL)
 
 
 def _domain_max(model: ModelSpec) -> float:
@@ -288,8 +375,7 @@ def _refine_root(model: ModelSpec, eps: float, k0: float, k_max: float) -> float
 
     if abs(f(k0)) <= _ROOT_RESIDUAL_TOL * max(1.0, eps):
         return k0
-    delta = 1e-9
-    while delta <= 1e-3:
+    for delta in _BRACKET_DELTAS:
         a = max(0.0, k0 - delta)
         b = min(k_max, k0 + delta)
         fa, fb = f(a), f(b)
@@ -298,14 +384,13 @@ def _refine_root(model: ModelSpec, eps: float, k0: float, k_max: float) -> float
         if fb == 0.0:
             return b
         if fa * fb < 0.0:
-            k1 = brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
+            k1 = brentq(f, a, b, xtol=_POLISH_XTOL, rtol=_POLISH_RTOL)
             residual = f(k1)
             if abs(residual) > _ROOT_RESIDUAL_TOL * max(1.0, eps):
                 raise DegenerateRoot(
                     f"root of eps_k={eps!r} near k={k0!r} did not polish: "
                     f"residual {residual!r} at k={k1!r}")
             return k1
-        delta *= 4.0
     # No sign change nearby: k0 sits at an extremum touching eps. Keep it;
     # the velocity guard downstream classifies it.
     return k0
@@ -324,14 +409,14 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
     k_max = _domain_max(model)
     us: list[float] = []
     if model.kind is ModelKind.XX_RING:
-        c2 = (eps**2 - model.V**2) / (4.0 * model.t**2)
+        c2 = (eps * eps - model.V * model.V) / (4.0 * (model.t * model.t))
         if -1e-14 <= c2 <= 1.0 + 1e-12:
             us.append(math.sqrt(min(max(c2, 0.0), 1.0)))
     else:
         h, kap = model.h, model.kappa
-        a = 1.0 - kap**2
+        a = 1.0 - kap * kap
         b = -2.0 * h
-        c = h**2 + kap**2 - eps**2 / 4.0
+        c = h * h + kap * kap - eps * eps / 4.0
         if abs(a) < 1e-12:
             if abs(b) < 1e-12:
                 # Flat band (|kappa| = 1, h = 0): eps_k identically 2.
@@ -358,12 +443,144 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
         us = [min(1.0, max(-1.0, u)) for u in us if -1.0 - 1e-12 <= u <= 1.0 + 1e-12]
     roots = []
     for u in sorted(set(us)):
-        k0 = math.acos(u)
+        k0 = float(np.arccos(u))
         if k0 > k_max + 1e-12:
             continue
         k = _refine_root(model, eps, min(k0, k_max), k_max)
-        roots.append(EnergyRoot(k=k, u=math.cos(k), velocity=group_velocity(model, k)))
+        roots.append(EnergyRoot(k=k, u=float(np.cos(k)), velocity=group_velocity(model, k)))
     return tuple(roots)
+
+
+@dataclass(frozen=True)
+class RootArrays:
+    """Array twin of :func:`energy_roots` over grid rows.
+
+    Row ``i`` holds at most two roots, in the ascending ``u`` order of
+    the scalar twin, with the single root of a row in column 0; absent
+    roots are nan.  ``degenerate`` marks the rows on which
+    :func:`energy_roots` raises (a flat band, or a root that cannot be
+    polished to the residual bound).
+    """
+
+    k: np.ndarray  # (n, 2)
+    u: np.ndarray  # (n, 2), cos(k)
+    velocity: np.ndarray  # (n, 2), d eps_k / dk
+    present: np.ndarray  # (n, 2) bool
+    degenerate: np.ndarray  # (n,) bool
+
+
+def _band_u(u: np.ndarray) -> np.ndarray:
+    # A quadratic root inside [-1, 1] up to rounding, clipped; nan otherwise.
+    inside = (u >= -1.0 - 1e-12) & (u <= 1.0 + 1e-12)
+    return np.where(inside, np.clip(u, -1.0, 1.0), np.nan)
+
+
+def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
+    """Array twin of :func:`energy_roots`: the roots of ``eps_k = eps[i]``
+    of every row ``i``, from the same masked quadratic in ``u = cos k``."""
+    eps = np.asarray(eps, dtype=float)
+    n = eps.shape[0]
+    degenerate = np.zeros(n, dtype=bool)
+    u = np.full((n, 2), np.nan)
+    with np.errstate(all="ignore"):
+        if model.kind is ModelKind.XX_RING:
+            c2 = (eps * eps - model.V * model.V) / (4.0 * (model.t * model.t))
+            hit = (c2 >= -1e-14) & (c2 <= 1.0 + 1e-12)
+            u[:, 0] = np.where(hit, np.sqrt(np.clip(c2, 0.0, 1.0)), np.nan)
+        else:
+            h = np.broadcast_to(model.h, (n,))
+            kap = np.broadcast_to(model.kappa, (n,))
+            a = 1.0 - kap * kap
+            b = -2.0 * h
+            c = h * h + kap * kap - eps * eps / 4.0
+            linear = np.abs(a) < 1e-12
+            flat = linear & (np.abs(b) < 1e-12)
+            degenerate |= flat & (np.abs(c) < 1e-12)
+            disc = b * b - 4.0 * a * c
+            double = ~linear & (disc == 0.0)
+            split = ~linear & (disc > 0.0)
+            sq = np.sqrt(disc)
+            q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), sq / 2.0)
+            u1 = np.where(linear & ~flat, -c / b, np.nan)
+            u1 = np.where(double, -b / (2.0 * a), np.where(split, q / a, u1))
+            u2 = np.where(split & (q != 0.0), c / q, np.nan)
+            u2 = np.where(np.abs(u2 - u1) > 1e-12, u2, np.nan)
+            u1, u2 = _band_u(u1), _band_u(u2)
+            u2 = np.where(u2 == u1, np.nan, u2)
+            u[:, 0] = np.fmin(u1, u2)
+            u[:, 1] = np.where(np.isnan(u1) | np.isnan(u2), np.nan, np.fmax(u1, u2))
+        k_max = _domain_max(model)
+        k0 = np.arccos(u)
+        present = k0 <= k_max + 1e-12
+        k0 = np.where(present, np.minimum(k0, k_max), np.nan)
+        model2 = model.take((slice(None), None))
+        eps2 = eps[:, None]
+        residual = dispersion(model2, k0) - eps2
+        rough = present & ~(np.abs(residual) <= _ROOT_RESIDUAL_TOL * np.maximum(1.0, eps2))
+        k = k0
+        if rough.any():
+            rows, cols = np.nonzero(rough)
+            polished, unpolished = _polish_roots(model.take(rows), eps[rows],
+                                                 k0[rows, cols], k_max)
+            k = k0.copy()
+            k[rows, cols] = polished
+            degenerate[rows[unpolished]] = True
+        velocity = np.where(present, group_velocity(model2, k), np.nan)
+    return RootArrays(k=k, u=np.cos(k), velocity=velocity, present=present,
+                      degenerate=degenerate)
+
+
+def _polish_roots(model: ModelArrays, eps: np.ndarray, k0: np.ndarray,
+                  k_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of :func:`_refine_root` for roots that miss the bound.
+
+    The bracket search is the scalar one; inside a bracket, Newton steps
+    replace brentq, with a bisection whenever a step leaves the bracket.
+    Returns the roots and the mask of those still off the bound, on
+    which the scalar twin raises :class:`DegenerateRoot`.
+    """
+
+    def f(k):
+        return dispersion(model, k) - eps
+
+    tol = _ROOT_RESIDUAL_TOL * np.maximum(1.0, eps)
+    k = k0.copy()
+    lo, hi, f_lo = k0.copy(), k0.copy(), np.zeros_like(k0)
+    searching = np.ones(k0.shape, dtype=bool)
+    bracketed = np.zeros(k0.shape, dtype=bool)
+    for delta in _BRACKET_DELTAS:
+        a = np.maximum(0.0, k0 - delta)
+        b = np.minimum(k_max, k0 + delta)
+        fa, fb = f(a), f(b)
+        at_a = searching & (fa == 0.0)
+        at_b = searching & ~at_a & (fb == 0.0)
+        k = np.where(at_a, a, np.where(at_b, b, k))
+        found = searching & ~at_a & ~at_b & (fa * fb < 0.0)
+        lo, hi, f_lo = (np.where(found, a, lo), np.where(found, b, hi),
+                        np.where(found, fa, f_lo))
+        bracketed |= found
+        searching &= ~(at_a | at_b | found)
+    # Roots without a sign change nearby keep k0: it sits at an extremum
+    # touching eps, and the velocity guard downstream classifies it.
+    x = k0
+    fx = f(x)
+    going = bracketed.copy()
+    for _ in range(_POLISH_STEPS):
+        going &= fx != 0.0
+        if not going.any():
+            break
+        left = np.sign(fx) == np.sign(f_lo)
+        lo = np.where(going & left, x, lo)
+        f_lo = np.where(going & left, fx, f_lo)
+        hi = np.where(going & ~left, x, hi)
+        x_next = x - fx / group_velocity(model, x)
+        x_next = np.where((x_next > lo) & (x_next < hi), x_next, 0.5 * (lo + hi))
+        settled = np.abs(x_next - x) <= _POLISH_XTOL + _POLISH_RTOL * np.abs(x_next)
+        x = np.where(going, x_next, x)
+        fx = f(x)
+        going &= ~settled
+    k = np.where(bracketed, x, k)
+    return k, bracketed & (np.abs(f(k)) > tol)
 
 
 def density_of_states(model: ModelSpec, eps: float) -> DensityOfStates:

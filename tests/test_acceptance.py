@@ -184,7 +184,7 @@ def test_criterion_3_bias_condition_equivalence():
         "scan.axes=[{name: v_i, min: -1.5, max: 1.5, steps: 50},"
         " {name: v_f, min: -1.5, max: 1.5, steps: 50}]"])
     check(ring, "ring", lambda row: row[0] * row[1] < 0.0)
-    _finish(3, "inversion-condition equivalence", t0, 30.0, failures)
+    _finish(3, "inversion-condition equivalence", t0, 1.0, failures)
 
 
 def test_criterion_4_clock_statistics():
@@ -278,4 +278,4 @@ def test_criterion_7_determinism(tmp_path):
         failures.append("two identical runs produced different bytes")
     if not (blobs[0] == blobs[2]):
         failures.append("thread counts 1 and 4 produced different bytes")
-    _finish(7, "byte determinism", t0, 30.0, failures)
+    _finish(7, "byte determinism", t0, 1.0, failures)

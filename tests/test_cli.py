@@ -1,29 +1,47 @@
 """Config round-trips, scan tables, writers, and the command line."""
 
+import dataclasses
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quenchclock import scan
 from quenchclock import (
     ConfigError,
+    DegenerateRoot,
+    GaplessMode,
+    NoResonance,
+    NotReachable,
+    PassiveState,
+    QuenchClockError,
     RunConfig,
     Table,
+    VanHoveSingularity,
+    ZeroRates,
     apply_overrides,
+    bias_condition,
+    clock_metrics,
     emit_config,
     grid_points,
+    ladder_rates,
     load_config,
     parse_config,
     row_seed,
     run_scan,
+    simulate_ticks,
+    solve_first_passage,
     transition_rates,
     write_csv,
     write_json,
 )
+from quenchclock.battery import check_pumping, check_rung, lifetime_report
 from quenchclock.cli import THREADS_ENV, main
-from quenchclock.scan import FLAG_PRIORITY
+from quenchclock.scan import _BALANCE_TOL, _COMMANDS, _MC_COLS, FLAG_PRIORITY
 
 
 class TestConfig:
@@ -145,6 +163,9 @@ _RANGES = {
 }
 _SHARED = {"epsilon0": (0.2, 8.0), "g": (0.001, 0.1), "gamma": (0.5, 50.0),
            "epsilon_w": (0.2, 8.0)}
+# Integer axes run from lo to lo + m (steps - 1), so every grid value is
+# an integer; d = 1 and L = 0 make invalid rows.
+_INTEGERS = {"d": (1, 12), "L": (0, 600)}
 
 
 def _num(x: float) -> str:
@@ -168,11 +189,16 @@ def scan_overrides(draw):
         if value is not None:
             sets.append(f"ladder.{name}={_num(value)}")
     axes = []
-    for name in draw(st.lists(st.sampled_from(sorted(ranges)), min_size=1,
-                              max_size=2, unique=True)):
-        lo, hi = sorted(draw(st.floats(*ranges[name])) for _ in range(2))
-        axes.append(f"{{name: {name}, min: {_num(lo)}, max: {_num(hi)}, "
-                    f"steps: {draw(st.integers(1, 5))}}}")
+    for name in draw(st.lists(st.sampled_from(sorted(ranges) + sorted(_INTEGERS)),
+                              min_size=1, max_size=2, unique=True)):
+        steps = draw(st.integers(1, 5))
+        if name in _INTEGERS:
+            lo = draw(st.integers(*_INTEGERS[name]))
+            lo, hi = str(lo), str(lo + draw(st.integers(0, 3)) * (steps - 1))
+        else:
+            lo, hi = (_num(x) for x in sorted(draw(st.floats(*ranges[name]))
+                                              for _ in range(2)))
+        axes.append(f"{{name: {name}, min: {lo}, max: {hi}, steps: {steps}}}")
     sets.append("scan.axes=[" + ", ".join(axes) + "]")
     return sets
 
@@ -260,6 +286,180 @@ class TestRunScan:
         with pytest.raises(ValueError):
             run_scan(RunConfig(), "frobnicate")
 
+    def test_rates_twin_drift_stops_the_scan(self, monkeypatch):
+        # Array rates that leave the scalar ones by more than rounding must
+        # not reach a table.
+        def drifted(*args):
+            rates = twin(*args)
+            return dataclasses.replace(rates, gamma_up=rates.gamma_up * (1.0 + 1e-9))
+
+        twin = scan.transition_rates_array
+        monkeypatch.setattr(scan, "transition_rates_array", drifted)
+        with pytest.raises(RuntimeError, match="twins disagree"):
+            run_scan(RunConfig(), "rates")
+
+    def test_overflowing_rates_pass_the_twin_check(self):
+        table = run_scan(apply_overrides(RunConfig(), ["coupling.g_obs=1.0e+200"]), "rates")
+        assert math.isinf(_first_row(table)["gamma_up"])
+
+
+_REFERENCE_FLAGS = ((GaplessMode, "gapless"), (NoResonance, "no_resonance"),
+                    (DegenerateRoot, "van_hove"), (VanHoveSingularity, "van_hove"),
+                    (ZeroRates, "zero_rates"), (NotReachable, "not_reachable"))
+
+
+class _SharedSampler:
+    """:func:`simulate_ticks`, run once per distinct input.
+
+    The sampler is deterministic in its inputs, so when the columnar scan
+    and the reference sample with equal inputs the second call reuses the
+    first result; unequal inputs sample afresh, and the comparison of the
+    Monte Carlo cells stays exact.  A row whose pinned emission rate is
+    far below its walk rates takes seconds per call.
+    """
+
+    def __init__(self):
+        self.results = {}
+
+    def __call__(self, lr, ladder, n_ticks, seed):
+        key = (lr.p_up, lr.p_down, ladder, n_ticks, seed)
+        if key not in self.results:
+            self.results[key] = simulate_ticks(lr, ladder, n_ticks, seed)
+        return self.results[key]
+
+
+def _reference_point(config, stages, index, values, sample):
+    """Cells and flags of one grid point, from the public scalar functions."""
+    cells, flags, live = {}, set(), set(stages)
+    try:
+        quench, coupling, ladder = config.point(values)
+    except ValueError:
+        return cells, {"invalid"}
+    if "lifetime" in live:
+        try:
+            check_rung(coupling, ladder)
+        except ValueError:
+            flags.add("invalid")
+            live.discard("lifetime")
+    if not live:
+        return cells, flags
+    try:
+        rates = transition_rates(quench, coupling)
+        if "rates" in live:
+            live.discard("rates")
+            cells.update(gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
+                         chi_second=rates.chi_second,
+                         verdict="active" if rates.is_active else "passive",
+                         excluded_roots=rates.excluded_roots)
+            cond = bias_condition(quench, coupling.epsilon0)
+            if cond.multi_root:
+                flags.add("multi_root")
+            elif (not cond.defined
+                  or abs(rates.chi_second) <= _BALANCE_TOL * rates.total):
+                flags.add("condition_undefined")
+            else:
+                cells["condition_lhs"] = cond.lhs_per_root[0]
+        if "lifetime" in live:
+            try:
+                check_pumping(rates)
+            except PassiveState:
+                flags.add("passive")
+                live.discard("lifetime")
+        if not live:
+            return cells, flags
+        lr = ladder_rates(rates, ladder)
+        metrics = clock_metrics(lr, ladder.d)  # ZeroRates for vanishing walk rates
+        if "clock" in live:
+            cells.update(p_up=lr.p_up, p_down=lr.p_down, nu_tick=metrics.nu_tick,
+                         accuracy_N=metrics.accuracy_N,
+                         entropy_per_tick=metrics.entropy_per_tick,
+                         relative_bias=metrics.relative_bias,
+                         tur_ratio=metrics.tur_ratio)
+            if lr.p_down == 0.0:
+                flags.add("zero_down_rate")
+        fp = solve_first_passage(lr, ladder)
+    except QuenchClockError as exc:
+        return cells, flags | {next(f for c, f in _REFERENCE_FLAGS if isinstance(exc, c))}
+    cells.update(exact_N=fp.exact_N, exact_rate=fp.exact_rate)
+    if "mc" in live:
+        if lr.p_up > lr.p_down:
+            stats = sample(lr, ladder, config.mc.n_trajectories,
+                           row_seed(config.mc.seed, index))
+            cells.update(empirical_accuracy=stats.empirical_accuracy,
+                         empirical_rate=stats.empirical_rate)
+        else:
+            flags.add("passive")
+    if "lifetime" in live:
+        rep = lifetime_report(rates, coupling, ladder, fp)
+        cells.update(available_energy=rep.available_energy,
+                     tick_energy=rep.tick_energy, tick_budget=rep.tick_budget,
+                     t_star=rep.lifetime, renewal_lifetime=rep.renewal_lifetime,
+                     formula_ratio=rep.formula_ratio,
+                     mean_tick_time=rep.mean_tick_time)
+    return cells, flags
+
+
+def _assert_matches_reference(config, command):
+    """The columnar table of ``command`` against the point-by-point one."""
+    sample = _SharedSampler()
+    with mock.patch.object(scan, "simulate_ticks", sample):
+        table = run_scan(config, command)
+    stages, _ = _COMMANDS[command]
+    if command == "clock" and config.mc.n_trajectories:
+        stages = stages | {"mc"}
+    names = table.columns
+    for index, (values, row) in enumerate(zip(grid_points(config), table.rows)):
+        cells, flags = _reference_point(config, stages, index, values, sample)
+        flag = next((f for f in FLAG_PRIORITY if f in flags), "")
+        got = dict(zip(names, row))
+        where = f"{command} row {index} {values}"
+        assert got["flag"] == flag, where
+        scale = cells.get("gamma_up", math.nan) + cells.get("gamma_down", math.nan)
+        for name in names[len(values):-1]:
+            want = cells.get(name, {"verdict": "", "excluded_roots": 0}.get(name, math.nan))
+            have = got[name]
+            if not isinstance(want, float):
+                assert have == want and type(have) is type(want), (where, name)
+            elif math.isnan(want) or name in _MC_COLS:
+                assert have == want or (math.isnan(have) and math.isnan(want)), (where, name)
+            elif name in ("chi_second", "condition_lhs"):
+                assert abs(have - want) <= 1e-12 * scale, (where, name)
+            else:
+                assert have == pytest.approx(want, rel=1e-12), (where, name)
+
+
+class TestColumnarScan:
+    """The columnar grid engine against the scalar pipeline, row by row."""
+
+    @given(scan_overrides())
+    @example([FIXED_GRID, "ladder.g=0", "mc.n_trajectories=20"])
+    @example(["ladder.g=0", "scan.axes=[{name: d, min: 2, max: 4, steps: 3}]"])
+    # d = 1 and L = 0 rows are invalid; d differs between live rows.
+    @example(["mc.n_trajectories=20", "scan.axes=[{name: d, min: 1, max: 9, steps: 5},"
+              " {name: epsilon0, min: 2.2, max: 3.0, steps: 3}]"])
+    @example(["scan.axes=[{name: L, min: 0, max: 600, steps: 4}]"])
+    # With kappa = 0 the initial chain is gapless at the h_i = 0.5 root.
+    @example(["model.kappa=0.0", "coupling.epsilon0=4.0",
+              "scan.axes=[{name: h_i, min: 0.25, max: 0.75, steps: 3}]"])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_reference(self, overrides):
+        c = apply_overrides(RunConfig(), overrides)
+        for command in ("rates", "clock", "lifetime", "scan"):
+            _assert_matches_reference(c, command)
+
+    @pytest.mark.parametrize("overrides", [
+        [f"coupling.epsilon0={e}", "scan.axes=[{name: h_i, min: 0.05, max: 0.95, "
+         "steps: 30}, {name: h_f, min: 0.1, max: 2.5, steps: 40}]"]
+        for e in (1.5, 2.1666666666666665, 2.833333333333333, 3.5)] + [
+        ["model.kind=xx_ring", f"coupling.epsilon0={e}", "scan.axes=[{name: v_i, "
+         "min: -1.5, max: 1.5, steps: 40}, {name: v_f, min: -1.5, max: 1.5, steps: 40}]"]
+        for e in (2.0, 3.2)])
+    def test_matches_scalar_reference_on_phase_diagrams(self, overrides):
+        # The six scan_grid grids of the benchmark: 8000 rows.
+        c = apply_overrides(RunConfig(), overrides)
+        for command in ("rates", "clock", "lifetime", "scan"):
+            _assert_matches_reference(c, command)
+
 
 class TestWriters:
     TABLE = Table(schema="t.v1", columns=("a", "b", "c", "d"),
@@ -280,6 +480,32 @@ class TestWriters:
         full = write_csv(self.TABLE, precision=15)
         assert "3.14159265358979" in full
 
+    def test_csv_booleans_and_mixed_columns(self):
+        table = Table(schema="t.v1", columns=("ok", "x"),
+                      rows=((True, 1), (False, 2.5)))
+        assert write_csv(table, precision=6).splitlines()[3:] == ["true,1", "false,2.5"]
+
+    @pytest.mark.parametrize("precision", range(6, 18))
+    def test_printf_float_matches_format(self, precision):
+        # The CSV rows use printf codes; they must print a float exactly as
+        # format() does, including nan, infinities, -0.0 and subnormals.
+        rng = np.random.default_rng(precision)
+        bits = rng.integers(0, 2**63, size=2000, dtype=np.uint64)
+        bits[::2] |= np.uint64(1 << 63)
+        values = bits.view(np.float64).tolist() + [
+            math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+            2.225073858507201e-308, 1e-310, 0.1, 1e16, 123456789012345678.0]
+        code = f"%.{precision}g"
+        for x in values:
+            assert code % x == format(x, f".{precision}g")
+
+    def test_json_unchanged(self):
+        assert write_json(self.TABLE) == (
+            '{\n  "schema": "t.v1",\n  "columns": [\n    "a",\n    "b",\n    "c",'
+            '\n    "d"\n  ],\n  "rows": [\n    [\n      3.141592653589793,\n      '
+            'null,\n      3,\n      "ok"\n    ],\n    [\n      1.0,\n      null,'
+            '\n      -2,\n      ""\n    ]\n  ]\n}\n')
+
     def test_json_nulls(self):
         doc = json.loads(write_json(self.TABLE))
         assert doc["schema"] == "t.v1"
@@ -299,6 +525,18 @@ class TestCli:
         assert main(["rates", "--set", "coupling.L=nope"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["coupling.L=10000000000000000000",
+                                         "ladder.d=-10000000000000000000"])
+    def test_integer_beyond_i64_exits_2(self, setting, capsys):
+        assert main(["rates", "--set", setting]) == 2
+        assert "i64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,top", [("L", "1.0e+19"), ("d", "-1.0e+19")])
+    def test_integer_axis_beyond_i64_exits_2(self, name, top, capsys):
+        axes = f"scan.axes=[{{name: {name}, min: 2, max: {top}, steps: 2}}]"
+        assert main(["rates", "--set", axes]) == 2
+        assert "i64" in capsys.readouterr().err
+
     def test_out_of_domain_point_exits_3(self, capsys):
         assert main(["rates", "--set", "coupling.epsilon0=50"]) == 3
         out = capsys.readouterr().out
@@ -307,6 +545,14 @@ class TestCli:
     def test_zero_ladder_coupling_exits_3_with_table(self, capsys):
         for command in ("clock", "scan"):
             assert main([command, "--set", "ladder.g=0"]) == 3
+            header, row = capsys.readouterr().out.splitlines()[2:4]
+            assert dict(zip(header.split(","), row.split(",")))["flag"] == "zero_rates"
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_zero_ladder_coupling_flags_zero_rates_for_every_command(self, d, capsys):
+        # Vanishing walk rates are one condition whatever the command.
+        for command in ("clock", "lifetime", "scan"):
+            assert main([command, "--set", "ladder.g=0", "--set", f"ladder.d={d}"]) == 3
             header, row = capsys.readouterr().out.splitlines()[2:4]
             assert dict(zip(header.split(","), row.split(",")))["flag"] == "zero_rates"
 

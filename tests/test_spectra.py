@@ -28,6 +28,7 @@ from quenchclock import (
     mode_state,
 )
 from quenchclock import spectra
+from quenchclock.spectra import ModelArrays, ModelKind, energy_roots_array
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,6 +164,39 @@ class TestEnergyRoots:
                             lambda f, a, b, **kw: exact(f, a, b, **kw) + 1e-9)
         with pytest.raises(DegenerateRoot):
             spectra._refine_root(m, SQRT2, k_root + 1e-7, math.pi)
+
+
+    def test_array_twin_polishes_critical_roots_like_the_scalar(self, monkeypatch):
+        # At the critical field h = 1 a root near k = 0 comes from acos(u)
+        # with u close to 1 and misses the residual bound, so both twins
+        # polish it: the scalar with brentq, the array twin with Newton.
+        kappa = np.repeat([0.3, 0.5, 0.7, 0.9], 7)
+        eps = np.tile(4.0 * 10.0 ** -np.arange(6.0, 13.0), 4)
+        exact = spectra.brentq
+        calls = []
+        monkeypatch.setattr(spectra, "brentq",
+                            lambda *a, **kw: calls.append(a) or exact(*a, **kw))
+        roots = energy_roots_array(
+            ModelArrays(ModelKind.ISING_XY, h=np.ones(kappa.size), kappa=kappa), eps)
+        assert not roots.degenerate.any()
+        for i, (kap, e) in enumerate(zip(kappa, eps)):
+            (root,) = energy_roots(ModelSpec.ising(1.0, kap), e)
+            assert roots.present[i].tolist() == [True, False]
+            assert roots.k[i, 0] == pytest.approx(root.k, rel=1e-12)
+            assert roots.velocity[i, 0] == pytest.approx(root.velocity, rel=1e-12)
+        assert len(calls) >= 20
+
+    def test_array_twin_flags_unpolished_root(self, monkeypatch):
+        # The start of test_unpolished_root_raises, through the array twin.
+        m = ModelArrays(ModelKind.ISING_XY, h=np.array([0.5]), kappa=np.array([1.0]))
+        k_root = math.acos(0.75)
+        start = (m, np.array([SQRT2]), np.array([k_root + 1e-7]), math.pi)
+        k, unpolished = spectra._polish_roots(*start)
+        assert k[0] == pytest.approx(k_root, abs=1e-14)
+        assert not unpolished[0]
+        monkeypatch.setattr(spectra, "_POLISH_STEPS", 0)
+        k, unpolished = spectra._polish_roots(*start)
+        assert unpolished[0]
 
 
 class TestDensityOfStates:
