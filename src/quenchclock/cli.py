@@ -16,7 +16,6 @@ row flagged), 1 for anything unexpected.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -27,8 +26,6 @@ from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, PassiveState, QuenchClockError
 from .rates import transition_rates
 from .scan import Table, oracle_table, render_table, run_scan
-
-THREADS_ENV = "QUENCHCLOCK_THREADS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (overrides output.format)")
     common.add_argument("--seed", type=int, metavar="U64",
                         help="Monte Carlo seed (overrides mc.seed)")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help=f"accepted for compatibility, must be >= 1 (default "
-                             f"${THREADS_ENV} or 1); changes neither output nor speed")
+    common.add_argument("--threads", type=int, default=1, metavar="N",
+                        help="accepted for compatibility, must be >= 1; "
+                             "changes neither output nor speed")
 
     parser = argparse.ArgumentParser(
         prog="quenchclock",
@@ -69,37 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config file, then every ``--set``, then the typed flags."""
     config = load_config(args.config) if args.config else RunConfig()
-    config = apply_overrides(config, list(args.assignments))
-    extra: list[str] = []
-    if args.seed is not None:
-        extra.append(f"mc.seed={args.seed}")
-    if args.format is not None:
-        extra.append(f"output.format={args.format}")
-    if extra:
-        config = apply_overrides(config, extra)
-    if args.out is not None:
-        # Paths bypass the YAML override route: they must stay verbatim.
-        config = replace(config, output=replace(config.output, path=args.out))
-    return config
-
-
-def _resolve_threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        env = os.environ.get(THREADS_ENV)
-        if env is None:
-            threads = 1
-        else:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(
-                    f"{THREADS_ENV}={env!r}: not an integer") from None
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    return threads
+    config = apply_overrides(config, args.assignments)
+    mc = {} if args.seed is None else {"seed": args.seed}
+    output = {key: value for key, value in (("format", args.format), ("path", args.out))
+              if value is not None}
+    # RunConfig checks the replaced values as it checks a parsed document.
+    return replace(config, mc=replace(config.mc, **mc),
+                   output=replace(config.output, **output))
 
 
 def _histogram_table(config: RunConfig, bins: int) -> Table:
@@ -136,13 +111,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
-        threads = _resolve_threads(args)
+        if args.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         if args.command == "oracle":
             table = oracle_table(config)
         elif args.command == "clock" and args.histogram is not None:
             table = _histogram_table(config, args.histogram)
         else:
-            table = run_scan(config, args.command, threads)
+            table = run_scan(config, args.command, args.threads)
         _emit(render_table(table, config.output), config.output.path)
         return 3 if table.all_flagged else 0
     except ConfigError as exc:

@@ -7,8 +7,14 @@ check settings), ``mc`` (trajectory sampling) and ``output``.  Every
 key has a default, so a config file only states what differs; command
 line ``--set section.key=value`` assignments override file values.
 
-:func:`parse_config` and :func:`emit_config` are exact inverses: the
-emitted document always lists every key, so ``parse(emit(c)) == c``
+Every config is built one way: a mapping of sections goes through one
+builder that type-checks each key, and :class:`RunConfig` checks the
+cross-field rules whenever it is constructed, so a config changed with
+:func:`dataclasses.replace` is checked too.  :func:`parse_config` builds
+from a YAML document, :func:`apply_overrides` from the mapping of an
+existing config with the assignments written into it.  Integers stay
+exact.  :func:`parse_config` and :func:`emit_config` are exact inverses:
+the emitted document always lists every key, so ``parse(emit(c)) == c``
 for any config object.
 """
 
@@ -127,6 +133,9 @@ class RunConfig:
     mc: McConfig = field(default_factory=McConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
+    def __post_init__(self) -> None:
+        _validate(self)
+
     def point(self, values: Mapping[str, float | int]
               ) -> tuple[QuenchSpec, QubitCoupling, LadderSpec]:
         """Build the quench, probe and ladder at one grid point.
@@ -220,7 +229,10 @@ def _need_number(where: str, value: Any) -> float:
     # YAML booleans are ints in Python; reject them for numeric keys.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: integer beyond float range") from None
     if not math.isfinite(v):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return v
@@ -228,7 +240,9 @@ def _need_number(where: str, value: Any) -> float:
 
 def _need_int(where: str, value: Any) -> int:
     v = _need_number(where, value)
-    if v != int(v):
+    if isinstance(value, int):
+        return value  # exact, also above 2**53
+    if not v.is_integer():
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return int(v)
 
@@ -308,7 +322,7 @@ def _build_axes(raw: Any) -> tuple[AxisSpec, ...]:
     return tuple(axes)
 
 
-def _validate(config: RunConfig) -> RunConfig:
+def _validate(config: RunConfig) -> None:
     if config.model.kind not in MODEL_KINDS:
         raise ConfigError(
             f"model.kind: must be one of {MODEL_KINDS}, got {config.model.kind!r}")
@@ -346,15 +360,10 @@ def _validate(config: RunConfig) -> RunConfig:
         if axis.steps < 1:
             raise ConfigError(
                 f"scan.axes: steps must be >= 1 for {axis.name!r}, got {axis.steps}")
-    return config
 
 
-def parse_config(text: str) -> RunConfig:
-    """Read a YAML document into a validated :class:`RunConfig`."""
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"not valid YAML: {exc}") from exc
+def _build(raw: Any) -> RunConfig:
+    """Type-check a mapping of sections and build the config it describes."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -364,7 +373,16 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
     sections = {name: _build_section(name, cls, raw.get(name))
                 for name, cls in _SECTIONS.items()}
-    return _validate(RunConfig(scan=_build_axes(raw.get("scan")), **sections))
+    return RunConfig(scan=_build_axes(raw.get("scan")), **sections)
+
+
+def parse_config(text: str) -> RunConfig:
+    """Read a YAML document into a validated :class:`RunConfig`."""
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"not valid YAML: {exc}") from exc
+    return _build(raw)
 
 
 def load_config(path: str) -> RunConfig:
@@ -397,7 +415,9 @@ def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
 
     Values are parsed as YAML scalars, so ``gamma=null`` clears an
     optional and ``scan.axes=[{name: h_f, min: 0.1, max: 3, steps: 5}]``
-    replaces the whole axis list.
+    replaces the whole axis list.  The assignments edit the mapping of
+    ``config``, which is then built once, as :func:`parse_config` builds
+    a document.
     """
     raw = _to_raw(config)
     for item in assignments:
@@ -420,4 +440,4 @@ def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
         if key not in raw[section]:
             raise ConfigError(f"--set {item!r}: unknown key {section}.{key}")
         raw[section][key] = value
-    return parse_config(yaml.safe_dump(raw, sort_keys=False))
+    return _build(raw)

@@ -40,8 +40,11 @@ from quenchclock import (
     write_json,
 )
 from quenchclock.battery import check_pumping, check_rung, lifetime_report
-from quenchclock.cli import THREADS_ENV, main
+from quenchclock.cli import main
 from quenchclock.scan import _BALANCE_TOL, _COMMANDS, _MC_COLS, FLAG_PRIORITY
+
+# An integer far beyond the range of a double.
+_HUGE_INT = "1" + "0" * 400
 
 
 class TestConfig:
@@ -81,6 +84,58 @@ output: {format: json, precision: 9}
         assert c.ladder.gamma == 2.0
         cleared = apply_overrides(c, ["ladder.gamma=null"])
         assert cleared.ladder.gamma is None
+        whole = apply_overrides(c, ["coupling.L=256.0"]).coupling.L
+        assert whole == 256 and type(whole) is int
+
+    @pytest.mark.parametrize("item, section, key, value", [
+        ("mc.seed=9007199254740993", "mc", "seed", 2**53 + 1),
+        ("mc.seed=18446744073709551615", "mc", "seed", 2**64 - 1),
+        ("coupling.L=9223372036854775807", "coupling", "L", 2**63 - 1),
+    ])
+    def test_integers_stay_exact(self, item, section, key, value):
+        c = apply_overrides(RunConfig(), [item])
+        assert getattr(getattr(c, section), key) == value
+
+    def test_overrides_build_without_yaml_round_trip(self, monkeypatch):
+        def no_dump(*args, **kwargs):
+            raise AssertionError("apply_overrides emitted a YAML document")
+
+        monkeypatch.setattr("quenchclock.config.yaml.safe_dump", no_dump)
+        c = apply_overrides(RunConfig(), [
+            "scan.axes=[{name: h_f, min: 1.1, max: 2.0, steps: 5}]",
+            "ladder.gamma=2.0", "coupling.L=256"])
+        c = apply_overrides(c, ["ladder.gamma=null"])
+        assert c.scan[0].steps == 5
+        assert c.ladder.gamma is None
+        assert c.coupling.L == 256
+
+    @pytest.mark.parametrize("items", [
+        # criterion 7
+        ["scan.axes=[{name: epsilon0, min: 2.2, max: 3.0, steps: 5}]",
+         "mc.n_trajectories=500", "mc.seed=17"],
+        # a chain and a ring run of the scan_grid benchmark workload
+        ["output.precision=17",
+         "scan.axes=[{name: h_i, min: 0.05, max: 0.95, steps: 30}, "
+         "{name: h_f, min: 0.1, max: 2.5, steps: 40}, "
+         "{name: epsilon0, min: 2.1666666666666665, max: 2.1666666666666665, steps: 1}]"],
+        ["output.precision=17", "model.kind=xx_ring",
+         "scan.axes=[{name: v_i, min: -1.5, max: 1.5, steps: 40}, "
+         "{name: v_f, min: -1.5, max: 1.5, steps: 40}, "
+         "{name: epsilon0, min: 3.2, max: 3.2, steps: 1}]"],
+        # a run of the clock_mc benchmark workload
+        ["output.precision=17", "mc.n_trajectories=20000", "mc.seed=1",
+         "scan.axes=[{name: d, min: 20, max: 20, steps: 1}, "
+         "{name: epsilon0, min: 2.4, max: 2.4, steps: 1}]"],
+    ])
+    def test_overrides_match_one_document(self, items):
+        sections: dict[str, list[str]] = {}
+        for item in items:
+            path, _, value = item.partition("=")
+            section, key = path.split(".")
+            sections.setdefault(section, []).append(f"{key}: {value}")
+        text = "".join(f"{section}: {{{', '.join(pairs)}}}\n"
+                       for section, pairs in sections.items())
+        assert apply_overrides(RunConfig(), items) == parse_config(text)
 
     def test_override_scan_axes(self):
         c = apply_overrides(
@@ -97,6 +152,9 @@ output: {format: json, precision: 9}
             "mc.seed=-3",
             "mc.n_trajectories=-1",
             "coupling.L=12.5",
+            "coupling.L=true",
+            "coupling.L=9223372036854775808",
+            "mc.seed=18446744073709551616",
             "coupling.epsilon0=true",
             "coupling.epsilon0=.inf",
             "nosuch.key=1",
@@ -525,11 +583,22 @@ class TestCli:
         assert main(["rates", "--set", "coupling.L=nope"]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("setting", ["coupling.L=10000000000000000000",
-                                         "ladder.d=-10000000000000000000"])
-    def test_integer_beyond_i64_exits_2(self, setting, capsys):
-        assert main(["rates", "--set", setting]) == 2
-        assert "i64" in capsys.readouterr().err
+    @pytest.mark.parametrize("args, reason", [
+        pytest.param(["--set", "coupling.L=10000000000000000000"], "i64",
+                     id="coupling.L=10000000000000000000"),
+        pytest.param(["--set", "ladder.d=-10000000000000000000"], "i64",
+                     id="ladder.d=-10000000000000000000"),
+        pytest.param(["--set", f"coupling.epsilon0={_HUGE_INT}"], "float range",
+                     id="coupling.epsilon0=1e400"),
+        pytest.param(["--set", f"coupling.L={_HUGE_INT}"], "float range",
+                     id="coupling.L=1e400"),
+        pytest.param(["--seed", _HUGE_INT], "u64", id="seed=1e400"),
+        pytest.param(["--set", "scan.axes=[{name: h_f, min: 1, max: 2, "
+                      f"steps: {_HUGE_INT}}}]"], "float range", id="steps=1e400"),
+    ])
+    def test_integer_beyond_i64_exits_2(self, args, reason, capsys):
+        assert main(["rates", *args]) == 2
+        assert reason in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,top", [("L", "1.0e+19"), ("d", "-1.0e+19")])
     def test_integer_axis_beyond_i64_exits_2(self, name, top, capsys):
@@ -633,15 +702,32 @@ class TestCli:
             out.append(path.read_bytes())
         assert out[0] == out[1] == out[2]
 
-    def test_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(THREADS_ENV, "3")
-        path = tmp_path / "env.csv"
-        assert main(["rates", "--out", str(path)]) == 0
-        monkeypatch.setenv(THREADS_ENV, "zero")
-        assert main(["rates"]) == 2
-        assert "config error" in capsys.readouterr().err
-        monkeypatch.setenv(THREADS_ENV, "0")
-        assert main(["rates"]) == 2
+    def test_typed_flags_apply_after_set(self, tmp_path, capsys):
+        assert main(["rates", "--set", "output.format=csv", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["schema"] == "quenchclock.rates.v1"
+        clock = ["clock", "--set", "mc.n_trajectories=60"]
+        runs = {"flag": ["--set", "mc.seed=5", "--seed", "7"],
+                "set": ["--set", "mc.seed=7"],
+                "2**53": ["--seed", str(2**53)],
+                "2**53+1": ["--seed", str(2**53 + 1)]}
+        out = {}
+        for name, args in runs.items():
+            path = tmp_path / f"{name}.csv"
+            assert main(clock + args + ["--out", str(path)]) == 0
+            out[name] = path.read_bytes()
+        assert out["flag"] == out["set"]
+        assert out["2**53"] != out["2**53+1"]
+        for seed in ("-1", "18446744073709551616"):
+            assert main(["rates", "--seed", seed]) == 2
+            assert "u64" in capsys.readouterr().err
+        assert main(["rates", "--threads", "0"]) == 2
+
+    def test_out_path_stays_verbatim(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name in ("null", "123"):
+            assert main(["rates", "--out", name]) == 0
+            assert (tmp_path / name).read_text().startswith("# schema: ")
+        assert capsys.readouterr().out == ""
 
     def test_config_file_plus_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
