@@ -18,7 +18,13 @@ merit of such a clock, in the idealized limit of instantaneous emission,
 are collected by :func:`clock_metrics`; exact finite-``Gamma`` answers
 come from :func:`solve_first_passage` (moments of the tick time),
 :func:`evolve_master` (full population dynamics with a tick counter) and
-:func:`simulate_ticks` (stochastic trajectories).
+:func:`simulate_ticks` (sampled tick intervals).
+
+The sampler draws each tick interval exactly, from the number of times
+the walk leaves each level up and down, in O(d) numpy calls per block of
+:data:`_STREAM_BLOCK` trajectories.  Block ``b`` of seed ``s`` draws
+from ``numpy.random.Philox`` keyed by the uint64 words ``(s, b)``, so a
+sample is fixed by its seed and is a prefix of any larger one.
 
 The ``*_array`` functions are the array twins the grid scan uses; each
 shares its arithmetic with its scalar twin and reports the errors that
@@ -40,9 +46,13 @@ from .rates import Rates
 # this fraction of the total environment rate.
 WEAK_COUPLING_MARGIN = 0.1
 
-# Monte Carlo working set: live trajectories, and steps drawn per block.
-_CHUNK = 2048
-_BLOCK = 8
+# Trajectories per Monte Carlo stream block.  It is part of the stream
+# format, not a tuning knob: every sampled value depends on it.
+_STREAM_BLOCK = 2048
+# Largest mean number of down-exits of a level the sampler draws.  Beyond
+# it the counts lose exactness in a double, and numpy's Poisson fails
+# near 1e19.
+_MAX_VISITS = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -404,89 +414,48 @@ class TickStatistics:
     seed: int
 
 
-# Philox4x32-10 constants (Salmon et al., "Parallel random numbers: as
-# easy as 1, 2, 3", SC'11): round multipliers and key increments.
-_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
-_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
-_MASK32 = 0xFFFFFFFF
+def _block_times(rng: np.random.Generator, p_up: float, p_down: float,
+                 gamma: float, d: int) -> np.ndarray:
+    """Tick times of the :data:`_STREAM_BLOCK` trajectories of one block.
 
-
-def _philox4x32(counter, key):
-    """Philox4x32-10 of four counter words under two key words.
-
-    Words are 32-bit values held in uint64 arrays (or ints), so each
-    32 x 32-bit product is exact.  The counter words broadcast against
-    each other, and the four output words take their common shape.
+    Level k is left upward at rate ``a`` (``p_up``, ``gamma`` at the top)
+    and downward at rate ``q`` (``p_down``, none at level 0), and each
+    exit is up with probability ``a / (a + q)`` whatever came before
+    (T. E. Harris, Trans. AMS 73, 1952).  A walk ends on its one up-exit
+    of the top, and every down-exit of level k is answered by one more
+    up-exit of level k-1.  So, from the top down, the ``U`` up-exits of a
+    level come with ``D ~ NegBin(U, a/(a+q))`` down-exits, drawn as
+    ``Poisson(Gamma(U) q/a)``, and level k-1 has ``D + 1`` up-exits.  The
+    time is a Gamma sum over the visits of each rate class.
     """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
-    k0, k1 = key
-    m0, m1 = (np.uint64(m) for m in _PHILOX_M)
-    for _ in range(10):
-        p0 = c0 * m0
-        p1 = c2 * m1
-        c0, c1, c2, c3 = ((p1 >> 32) ^ c1 ^ np.uint64(k0), p1 & _MASK32,
-                          (p0 >> 32) ^ c3 ^ np.uint64(k1), p0 & _MASK32)
-        k0 = (k0 + _PHILOX_W[0]) & _MASK32
-        k1 = (k1 + _PHILOX_W[1]) & _MASK32
-    return c0, c1, c2, c3
-
-
-def _draws(seed: int, steps: np.ndarray, lanes: np.ndarray):
-    # Step i of trajectory j is Philox counter (i lo, i hi, j lo, j hi)
-    # under key (seed lo, seed hi).  Each pair of output words makes one
-    # 53-bit uniform: the first picks the direction, the second becomes
-    # the Exp(1) holding time.
-    w0, w1, w2, w3 = _philox4x32(
-        (steps & _MASK32, steps >> 32, lanes & _MASK32, lanes >> 32),
-        (seed & _MASK32, seed >> 32))
-    u = ((w0 << 21) | (w1 >> 11)) * 2.0**-53
-    v = ((w2 << 21) | (w3 >> 11)) * 2.0**-53
-    return u, -np.log1p(-v)
+    up = np.ones(_STREAM_BLOCK)
+    interior = np.zeros(_STREAM_BLOCK)
+    for k in range(d - 1, 0, -1):
+        mean = rng.standard_gamma(up) * (p_down / (gamma if k == d - 1 else p_up))
+        if not mean.max() <= _MAX_VISITS:
+            raise NotReachable(f"a tick would need more than 2**53 down-exits of "
+                               f"level {k}; the top is practically never reached")
+        down = rng.poisson(mean)
+        if k == d - 1:
+            top = up + down
+        else:
+            interior += up + down
+        up = down + 1.0
+    return (rng.standard_gamma(up) / p_up
+            + rng.standard_gamma(interior) / (p_up + p_down)
+            + rng.standard_gamma(top) / (gamma + p_down))
 
 
 def _simulate(p_up: float, p_down: float, gamma: float, d: int,
               seed: int, n: int) -> np.ndarray:
-    # From level s the walk waits e * inv_rate[s], then goes up (a tick
-    # from the top) when u < thr[s] and down otherwise.  A ticked lane
-    # moves between levels d and d+1 (thr 1, then 0) at no cost in time,
-    # so it can finish its block without a bounds check.
-    inv_rate = np.zeros(d + 2)
-    thr = np.zeros(d + 2)
-    inv_rate[0], thr[0] = 1.0 / p_up, 1.0
-    inv_rate[1:d - 1] = 1.0 / (p_up + p_down)
-    thr[1:d - 1] = p_up / (p_up + p_down)
-    inv_rate[d - 1] = 1.0 / (gamma + p_down)
-    thr[d - 1] = gamma / (gamma + p_down)
-    thr[d] = 1.0
-    out = np.empty(n)
-    # Working set of at most _CHUNK trajectories, each with its own step
-    # count.  After every block of _BLOCK steps the ticked ones leave and
-    # the next waiting ones take their places.
-    lanes = np.arange(min(n, _CHUNK), dtype=np.uint64)
-    steps = np.zeros(lanes.size, dtype=np.uint64)
-    t = np.zeros(lanes.size)
-    state = np.zeros(lanes.size, dtype=np.intp)
-    offsets = np.arange(_BLOCK, dtype=np.uint64)[:, None]
-    next_j = lanes.size
-    while lanes.size:
-        u, e = _draws(seed, steps + offsets, lanes)
-        for k in range(_BLOCK):
-            t += e[k] * inv_rate[state]
-            up = u[k] < thr[state]
-            state += up  # one level up, or down when not up
-            state += up
-            state -= 1
-        ticked = state >= d
-        out[lanes[ticked]] = t[ticked]
-        live = ~ticked
-        fresh = np.arange(next_j, min(n, next_j + int(ticked.sum())), dtype=np.uint64)
-        next_j += fresh.size
-        lanes = np.concatenate((lanes[live], fresh))
-        steps = np.concatenate((steps[live] + np.uint64(_BLOCK),
-                                np.zeros(fresh.size, dtype=np.uint64)))
-        t = np.concatenate((t[live], np.zeros(fresh.size)))
-        state = np.concatenate((state[live], np.zeros(fresh.size, dtype=np.intp)))
-    return out
+    # Trajectory j is lane j % _STREAM_BLOCK of block j // _STREAM_BLOCK,
+    # and block b draws from numpy's Philox keyed by (seed, b).  The key
+    # is built as uint64 words: a plain list goes through float64 for
+    # seeds >= 2**63 and merges neighbouring seeds.
+    blocks = [_block_times(np.random.Generator(np.random.Philox(
+        key=np.array([seed, b], dtype=np.uint64))), p_up, p_down, gamma, d)
+        for b in range(-(-n // _STREAM_BLOCK))]
+    return np.concatenate(blocks)[:n]
 
 
 def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
@@ -494,10 +463,14 @@ def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
     """Draw ``n_ticks`` independent tick intervals of the ladder clock.
 
     Ticks renew the ladder at the bottom level, so intervals are iid and
-    one interval per trajectory suffices.  Trajectory ``j`` draws from
-    its own counter-based stream keyed by ``(seed, j)``: the sample is
-    reproducible bit for bit for a given ``seed`` regardless of how the
-    work is batched.
+    one interval per trajectory suffices.  Each interval is drawn exactly
+    from the walk's crossing counts, at a cost of O(d) whatever the bias
+    or the emission rate.  Trajectories come in blocks of
+    :data:`_STREAM_BLOCK`; block ``b`` draws from numpy's Philox keyed by
+    ``(seed, b)``, always for the whole block.  So the sample is
+    reproducible bit for bit for a given ``seed``, and a shorter sample is
+    a prefix of a longer one.  Raises :class:`NotReachable` when the top
+    is never reached, or when a level would need more than 2**53 visits.
     """
     if n_ticks < 1:
         raise ValueError(f"need at least 1 tick sample, got {n_ticks!r}")

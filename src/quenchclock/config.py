@@ -360,6 +360,9 @@ def _validate(config: RunConfig) -> None:
         if axis.steps < 1:
             raise ConfigError(
                 f"scan.axes: steps must be >= 1 for {axis.name!r}, got {axis.steps}")
+        if axis.steps > _INT64_MAX:
+            raise ConfigError(
+                f"scan.axes: steps must fit in an i64 for {axis.name!r}, got {axis.steps}")
 
 
 def _build(raw: Any) -> RunConfig:

@@ -299,15 +299,22 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
         out.flags["passive"] |= out.live & ~sample
         accuracy = np.full(out.n, math.nan)
         rate = np.full(out.n, math.nan)
+        unreachable = np.zeros(out.n, dtype=bool)
+        # One row at a time: each row draws from its own seed's streams.
         for i in np.flatnonzero(sample).tolist():
             gamma = float(pt.Gamma[i])
             ladder = LadderSpec(d=int(pt.d[i]), epsilon_w=float(pt.epsilon_w[i]),
                                 g=float(pt.g[i]), Gamma=None if math.isnan(gamma) else gamma)
-            stats = simulate_ticks(LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
-                                   ladder, config.mc.n_trajectories,
-                                   row_seed(config.mc.seed, i))
+            try:
+                stats = simulate_ticks(
+                    LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
+                    ladder, config.mc.n_trajectories, row_seed(config.mc.seed, i))
+            except NotReachable:
+                unreachable[i] = True
+                continue
             accuracy[i] = stats.empirical_accuracy
             rate[i] = stats.empirical_rate
+        out.fail(((NotReachable, unreachable),))
         out.put(sample, empirical_accuracy=accuracy, empirical_rate=rate)
     if "lifetime" in stages:
         rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, pt.epsilon_w,

@@ -211,7 +211,7 @@ def test_criterion_4_clock_statistics():
         if not err < 0.01:
             failures.append(f"ratio {ratio}: master flux off the exact rate "
                             f"by {err:.2%} (>= 1%)")
-    _finish(4, "clock statistics", t0, 6.0, failures)
+    _finish(4, "clock statistics", t0, 3.0, failures)
 
 
 def test_criterion_5_scaling_shapes():

@@ -261,6 +261,31 @@ def scan_overrides(draw):
     return sets
 
 
+# Edge rows the scan property tests must always cover.  The random
+# examples change whenever the library changes (see conftest.py); these
+# do not.
+_EDGE_ROWS = (
+    # d = 1 and L = 0 rows are invalid; d differs between live rows.
+    ["mc.n_trajectories=20", "scan.axes=[{name: d, min: 1, max: 9, steps: 5},"
+     " {name: epsilon0, min: 2.2, max: 3.0, steps: 3}]"],
+    [FIXED_GRID, "ladder.g=0", "mc.n_trajectories=20"],
+    # With kappa = 0 the initial chain is gapless at the h_i = 0.5 root.
+    ["model.kappa=0.0", "coupling.epsilon0=4.0",
+     "scan.axes=[{name: h_i, min: 0.25, max: 0.75, steps: 3}]"],
+    # A pinned emission rate far below the walk rates: thousands of
+    # visits of the top per tick.
+    ["ladder.gamma=0.01", "mc.n_trajectories=20",
+     "scan.axes=[{name: d, min: 2, max: 12, steps: 3},"
+     " {name: epsilon0, min: 2.2, max: 3.0, steps: 3}]"],
+)
+
+
+def _with_edge_rows(test):
+    for overrides in _EDGE_ROWS:
+        test = example(overrides)(test)
+    return test
+
+
 def _first_row(table):
     return dict(zip(table.columns, table.rows[0]))
 
@@ -281,7 +306,7 @@ class TestRunScan:
 
     @given(scan_overrides())
     @example([FIXED_GRID, "mc.n_trajectories=50"])
-    @example([FIXED_GRID, "ladder.g=0", "mc.n_trajectories=20"])
+    @_with_edge_rows
     @settings(max_examples=60, deadline=None)
     def test_every_nonfinite_cell_is_flagged(self, overrides):
         c = apply_overrides(RunConfig(), overrides)
@@ -304,6 +329,15 @@ class TestRunScan:
             assert "no_resonance" in flags  # epsilon0 = 1 is below the band
             assert "" in flags              # epsilon0 = 4 row is evaluable
             assert not table.all_flagged
+
+    def test_unreachable_sample_is_flagged(self):
+        # The top is left down 1e31 times per tick: the sampler refuses
+        # the row, and only the Monte Carlo cells stay empty.
+        c = apply_overrides(RunConfig(), ["ladder.gamma=1.0e-30", "mc.n_trajectories=20"])
+        row = _first_row(run_scan(c, "clock"))
+        assert row["flag"] == "not_reachable"
+        assert math.isnan(row["empirical_accuracy"]) and math.isnan(row["empirical_rate"])
+        assert math.isfinite(row["exact_N"])
 
     def test_passive_point_skips_sampling(self):
         c = apply_overrides(RunConfig(), ["coupling.epsilon0=4.0",
@@ -371,9 +405,9 @@ class _SharedSampler:
 
     The sampler is deterministic in its inputs, so when the columnar scan
     and the reference sample with equal inputs the second call reuses the
-    first result; unequal inputs sample afresh, and the comparison of the
-    Monte Carlo cells stays exact.  A row whose pinned emission rate is
-    far below its walk rates takes seconds per call.
+    first result bit for bit; unequal inputs sample afresh, and the
+    comparison of the Monte Carlo cells stays exact.  This halves the
+    sampling of a comparison.
     """
 
     def __init__(self):
@@ -440,13 +474,16 @@ def _reference_point(config, stages, index, values, sample):
         return cells, flags | {next(f for c, f in _REFERENCE_FLAGS if isinstance(exc, c))}
     cells.update(exact_N=fp.exact_N, exact_rate=fp.exact_rate)
     if "mc" in live:
-        if lr.p_up > lr.p_down:
-            stats = sample(lr, ladder, config.mc.n_trajectories,
-                           row_seed(config.mc.seed, index))
-            cells.update(empirical_accuracy=stats.empirical_accuracy,
-                         empirical_rate=stats.empirical_rate)
-        else:
+        if not lr.p_up > lr.p_down:
             flags.add("passive")
+        else:
+            try:
+                stats = sample(lr, ladder, config.mc.n_trajectories,
+                               row_seed(config.mc.seed, index))
+                cells.update(empirical_accuracy=stats.empirical_accuracy,
+                             empirical_rate=stats.empirical_rate)
+            except NotReachable:
+                flags.add("not_reachable")
     if "lifetime" in live:
         rep = lifetime_report(rates, coupling, ladder, fp)
         cells.update(available_energy=rep.available_energy,
@@ -490,15 +527,9 @@ class TestColumnarScan:
     """The columnar grid engine against the scalar pipeline, row by row."""
 
     @given(scan_overrides())
-    @example([FIXED_GRID, "ladder.g=0", "mc.n_trajectories=20"])
     @example(["ladder.g=0", "scan.axes=[{name: d, min: 2, max: 4, steps: 3}]"])
-    # d = 1 and L = 0 rows are invalid; d differs between live rows.
-    @example(["mc.n_trajectories=20", "scan.axes=[{name: d, min: 1, max: 9, steps: 5},"
-              " {name: epsilon0, min: 2.2, max: 3.0, steps: 3}]"])
     @example(["scan.axes=[{name: L, min: 0, max: 600, steps: 4}]"])
-    # With kappa = 0 the initial chain is gapless at the h_i = 0.5 root.
-    @example(["model.kappa=0.0", "coupling.epsilon0=4.0",
-              "scan.axes=[{name: h_i, min: 0.25, max: 0.75, steps: 3}]"])
+    @_with_edge_rows
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_reference(self, overrides):
         c = apply_overrides(RunConfig(), overrides)
@@ -600,10 +631,13 @@ class TestCli:
         assert main(["rates", *args]) == 2
         assert reason in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name,top", [("L", "1.0e+19"), ("d", "-1.0e+19")])
-    def test_integer_axis_beyond_i64_exits_2(self, name, top, capsys):
-        axes = f"scan.axes=[{{name: {name}, min: 2, max: {top}, steps: 2}}]"
-        assert main(["rates", "--set", axes]) == 2
+    @pytest.mark.parametrize("axis", [
+        pytest.param("{name: L, min: 2, max: 1.0e+19, steps: 2}", id="L-1.0e+19"),
+        pytest.param("{name: d, min: 2, max: -1.0e+19, steps: 2}", id="d--1.0e+19"),
+        pytest.param("{name: h_f, min: 1, max: 2, steps: 1.0e+300}", id="steps-1.0e+300"),
+    ])
+    def test_integer_axis_beyond_i64_exits_2(self, axis, capsys):
+        assert main(["rates", "--set", f"scan.axes=[{axis}]"]) == 2
         assert "i64" in capsys.readouterr().err
 
     def test_out_of_domain_point_exits_3(self, capsys):

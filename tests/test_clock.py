@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.stats import kstest
 
 from quenchclock import (
     LadderRates,
@@ -274,7 +276,8 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_stream_per_trajectory_prefix(self):
-        # trajectory j is keyed by (seed, j): a shorter run is a prefix
+        # blocks are keyed by (seed, block) and drawn whole: a shorter run
+        # is a prefix
         long = sample_tick_times(self.LR, self.LAD, 5000, seed=5)
         short = sample_tick_times(self.LR, self.LAD, 1200, seed=5)
         assert np.array_equal(long[:1200], short)
@@ -299,22 +302,10 @@ class TestSampling:
         assert t.mean() == pytest.approx(1.0 / 0.7 + 1.0 / 11.0, rel=0.02)
         assert t.var(ddof=1) == pytest.approx(1.0 / 0.49 + 1.0 / 121.0, rel=0.05)
 
-    # Low bias on a deep ladder: trajectories outlive many blocks.
-    SLOW_LAD = LadderSpec(d=20, epsilon_w=1.0, g=0.1, Gamma=50.0)
-    SLOW_LR = LadderRates(p_up=1.2, p_down=1.0)
-
-    @pytest.mark.parametrize("chunk, block", [(1000, 8), (4096, 8), (2048, 3), (7, 64)])
-    def test_batching_does_not_change_sample(self, monkeypatch, chunk, block):
-        ref = sample_tick_times(self.SLOW_LR, self.SLOW_LAD, 5000, seed=31)
-        monkeypatch.setattr(clock, "_CHUNK", chunk)
-        monkeypatch.setattr(clock, "_BLOCK", block)
-        got = sample_tick_times(self.SLOW_LR, self.SLOW_LAD, 5000, seed=31)
-        assert np.array_equal(ref, got)
-
-    def test_prefix_across_working_set_boundary(self):
-        n = clock._CHUNK
-        long = sample_tick_times(self.SLOW_LR, self.SLOW_LAD, n + 1, seed=8)
-        short = sample_tick_times(self.SLOW_LR, self.SLOW_LAD, n, seed=8)
+    def test_prefix_across_block_boundary(self):
+        n = clock._STREAM_BLOCK
+        long = sample_tick_times(self.LR, self.LAD, n + 1, seed=8)
+        short = sample_tick_times(self.LR, self.LAD, n, seed=8)
         assert np.array_equal(long[:n], short)
 
     def test_largest_seed(self):
@@ -322,17 +313,55 @@ class TestSampling:
         assert np.all(np.isfinite(t)) and np.all(t > 0.0)
         assert not np.array_equal(t, sample_tick_times(self.LR, self.LAD, 2000, seed=0))
 
-    @pytest.mark.parametrize("counter, key, expected", [
-        ((0, 0, 0, 0), (0, 0),
-         (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
-        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2,
-         (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
-        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
-         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 2])
+    def test_neighbouring_large_seeds_differ(self, seed):
+        # Seeds this large are not doubles: a key built through float64
+        # would give both the same stream.
+        a = sample_tick_times(self.LR, self.LAD, 100, seed=seed)
+        b = sample_tick_times(self.LR, self.LAD, 100, seed=seed + 1)
+        assert not np.array_equal(a, b)
+
+    def test_passive_walk_not_reachable(self):
+        # Each level is left down 1e8 times per up-exit: the visit counts
+        # leave the exact range of a double two levels below the top.
+        lad = LadderSpec(d=37, epsilon_w=1.0, g=0.1)
+        with pytest.raises(NotReachable, match="2\\*\\*53"):
+            sample_tick_times(LadderRates(p_up=1e-8, p_down=1.0), lad, 100, seed=1)
+
+    @staticmethod
+    def _phase_type_cdf(p_up, p_down, gamma, d, t_max, points=20001):
+        """1 - alpha expm(S t) 1 on an even grid of [0, t_max] (Neuts 1981).
+
+        S is the walk generator on the d levels, killed from the top at
+        the emission rate, and alpha starts the walk at the bottom.
+        """
+        s = (np.diag(np.full(d - 1, p_up), 1) + np.diag(np.full(d - 1, p_down), -1))
+        s -= np.diag(s.sum(axis=1))
+        s[-1, -1] -= gamma
+        grid = np.linspace(0.0, t_max, points)
+        step = expm(s * grid[1])
+        alive = np.zeros(d)
+        alive[0] = 1.0
+        survival = np.empty(points)
+        for i in range(points):
+            survival[i] = alive.sum()
+            alive = alive @ step
+        return grid, 1.0 - survival
+
+    @pytest.mark.parametrize("p_up, p_down, gamma, d", [
+        pytest.param(6940.0, 6346.0, 1.0, 12, id="pinned-low-gamma"),
+        pytest.param(0.7, 0.0, 11.0, 2, id="two-level-no-down"),
+        pytest.param(1.2, 1.0, 50.0, 20, id="d20-bias-1.2"),
+        pytest.param(3.0, 1.0, 50.0, 20, id="d20-bias-3"),
     ])
-    def test_philox_known_answers(self, counter, key, expected):
-        # Known-answer vectors of the Random123 reference implementation.
-        assert tuple(int(w) for w in clock._philox4x32(counter, key)) == expected
+    def test_distribution_matches_phase_type(self, p_up, p_down, gamma, d):
+        n = 100_000
+        lad = LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=gamma)
+        t = sample_tick_times(LadderRates(p_up=p_up, p_down=p_down), lad, n, seed=2024)
+        grid, cdf = self._phase_type_cdf(p_up, p_down, gamma, d, t.max())
+        result = kstest(t, lambda x: np.interp(x, grid, cdf))
+        # The 0.1% critical distance of the one-sample test.
+        assert result.statistic < 1.95 / math.sqrt(n), result
 
     def test_validation(self):
         with pytest.raises(ValueError):
