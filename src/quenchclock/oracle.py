@@ -9,7 +9,9 @@ slow way, twice over:
   ``k = (2n+1) pi / L`` of a finite chain, with the delta replaced by a
   normalized broadening kernel.  These converge to the closed forms as
   ``L`` grows and ``eta`` shrinks, as long as ``eta`` stays well above
-  the local level spacing ``~ 2 pi |d(2 eps)/dk| / L``.
+  the local level spacing ``~ 2 pi |d(2 eps)/dk| / L``.  A refinement
+  table sums all its rungs in one pass over their stacked momentum
+  grids.
 
 * **Dense diagonalization** (:func:`dense_ed_correlator`): for tiny
   chains, the stationary correlator of the coupling operator evaluated
@@ -22,9 +24,11 @@ energy image of each momentum cell, which keeps the sum smooth even when
 ``eta`` dips below the level spacing; ``"lorentzian_point"`` evaluates
 it at the mode energy only (the textbook comb, which needs
 ``eta >> spacing``); ``"gaussian"`` is a point-evaluated cross-check.
-All kernels are unit normalized, and all are evaluated as complex
-values whose imaginary part is the broadened density and whose real
-part is its dispersive (Kramers-Kronig) partner.
+All kernels are unit normalized.  The rates need only the broadened
+density, a real function written once per kernel (:func:`_density`);
+for the cell-averaged Lorentzian it is the angle the cell subtends, one
+``atan2``.  Only the spectra build a complex kernel, whose real part is
+the density's dispersive (Kramers-Kronig) partner.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ from .spectra import (
     ModelKind,
     ModelSpec,
     QuenchSpec,
+    _angle,
+    _check_gapped,
     band_edges,
-    bogoliubov_angle,
     dispersion,
 )
 
@@ -106,14 +111,13 @@ class OracleReport:
     kernel: str
 
 
-def _pair_band(model: ModelSpec) -> tuple[float, float]:
+def _eta_cap(model: ModelSpec) -> float:
+    # A tenth of the pair band's width.
     lo, hi = band_edges(model)
-    return 2.0 * lo, 2.0 * hi
+    return (2.0 * hi - 2.0 * lo) / 10.0
 
 
-def _check_eta(model: ModelSpec, eta: float) -> None:
-    lo, hi = _pair_band(model)
-    cap = (hi - lo) / 10.0
+def _check_eta(eta: float, cap: float) -> None:
     if not (math.isfinite(eta) and 0.0 < eta < cap):
         raise BadBroadening(
             f"eta={eta!r} outside (0, bandwidth/10) = (0, {cap:.6g})")
@@ -124,54 +128,98 @@ def _check_grid_size(L: int) -> None:
         raise ValueError(f"lattice size must be even and >= 64, got {L!r}")
 
 
-def _half_zone_modes(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Antiperiodic momenta (2n+1) pi/L in (0, pi/2], with their momentum
-    # cells clipped to the reduced zone.
-    count = (L + 2) // 4
-    n = np.arange(count)
-    k = (2 * n + 1) * (math.pi / L)
-    lo = 2 * n * (math.pi / L)
-    hi = np.minimum((2 * n + 2) * (math.pi / L), 0.5 * math.pi)
-    return k, lo, hi
+def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
+    """Mode data of chains of the given sizes, stacked rung after rung.
 
-
-def _mode_data(quench: QuenchSpec, L: int):
-    """Pair energies, cell energy spans and rate weights on the grid."""
-    k, k_lo, k_hi = _half_zone_modes(L)
+    A chain of size ``L`` has ``count = (L + 2) // 4`` antiperiodic
+    momenta ``(2n+1) pi/L`` in ``(0, pi/2]``.  On the grid ``j pi/L``,
+    ``j = 0 .. 2 count``, the odd ``j`` are those modes and the even
+    ``j`` their cell edges, the last edge clipped to the reduced zone;
+    one dispersion call over all rungs' grids gives the mode energies
+    and both cell-edge energies.  Returns the pair energies ``E``, the
+    energy span ``[lo, hi]`` of each cell, the rate weight (cell width
+    times squared matrix element), the occupations ``n_k`` and each
+    rung's mode count.
+    """
+    counts = [(L + 2) // 4 for L in sizes]
+    grids, modes, offset = [], [], 0
+    for L, count in zip(sizes, counts):
+        grid = np.arange(2 * count + 1) * (math.pi / L)
+        grid[-1] = min(grid[-1], 0.5 * math.pi)
+        grids.append(grid)
+        modes.append(np.arange(offset + 1, offset + 2 * count, 2))
+        offset += len(grid)
+    k = np.concatenate(grids)
+    mode = np.concatenate(modes)
+    km = k[mode]
     final, initial = quench.final, quench.initial
-    E = 2.0 * np.asarray(dispersion(final, k))
-    e_a = 2.0 * np.asarray(dispersion(final, k_lo))
-    e_b = 2.0 * np.asarray(dispersion(final, k_hi))
-    th_f = np.asarray(bogoliubov_angle(final, k))
-    th_i = np.asarray(bogoliubov_angle(initial, k))
-    n_k = np.sin(th_f - th_i) ** 2
-    F = np.sin(2.0 * th_f) ** 2
+    eps = dispersion(final, k)
+    _check_gapped(final, km, eps[mode])
+    _check_gapped(initial, km, dispersion(initial, km))
+    e_a = 2.0 * eps[mode - 1]
+    e_b = 2.0 * eps[mode + 1]
+    th_f = _angle(final, km)
+    dtheta = th_f - _angle(initial, km)
+    n_k = np.sin(dtheta) ** 2
+    weight = (k[mode + 1] - k[mode - 1]) * np.sin(2.0 * th_f) ** 2
     if quench.kind is ModelKind.XX_RING:
-        F = F * (final.t * np.sin(k)) ** 2
-    return E, np.minimum(e_a, e_b), np.maximum(e_a, e_b), F, n_k, k_hi - k_lo
+        weight = weight * (final.t * np.sin(km)) ** 2
+    return (2.0 * eps[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b),
+            weight, n_k, counts)
+
+
+def _cells(E, lo, hi):
+    # Width of each cell, and the cells an extremum fold has collapsed,
+    # where the point form stands in for the cell average.
+    width = hi - lo
+    return width, width < 1e-12 * np.maximum(1.0, np.abs(E))
+
+
+def _density(kernel: str, eta, omega, E, lo, hi):
+    """Broadened density of the modes at energies ``E`` (cells
+    ``[lo, hi]``) seen at frequencies ``omega``; the arguments broadcast.
+
+    Each kernel's density is written here once; :func:`_kernel_matrix`
+    adds the dispersive part for the spectra.
+    """
+    if kernel == "lorentzian":
+        width, narrow = _cells(E, lo, hi)
+        a, b = lo - omega, hi - omega
+        # Im[log(b - i eta) - log(a - i eta)], the angle the cell subtends,
+        # as one atan2: the difference of the two angles cancels in narrow
+        # cells.
+        val = np.arctan2(eta * width, a * b + eta * eta) / (np.pi * np.where(narrow, 1.0, width))
+        if narrow.any():
+            val = np.where(narrow, _density("lorentzian_point", eta, omega, E, lo, hi), val)
+        return val
+    x = E - omega
+    if kernel == "lorentzian_point":
+        return eta / (np.pi * (x * x + eta * eta))
+    if kernel == "gaussian":
+        return np.exp(-(x * x) / (2.0 * eta * eta)) / (eta * math.sqrt(2.0 * math.pi))
+    raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
 
 
 def _kernel_matrix(kernel: str, eta: float, omega: np.ndarray, E: np.ndarray,
                    lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Complex kernel values, shape ``(len(omega), len(E))``."""
+    """Complex kernel values, shape ``(len(omega), len(E))``: the
+    dispersive part plus ``1j`` times :func:`_density`."""
     w = np.asarray(omega, dtype=float)[:, None]
+    x = E - w
+    point = x / (np.pi * (x * x + eta * eta))
     if kernel == "lorentzian":
-        width = hi - lo
-        narrow = width < 1e-12 * np.maximum(1.0, np.abs(E))
-        safe = np.where(narrow, 1.0, width)
-        val = (np.log(hi - w - 1j * eta) - np.log(lo - w - 1j * eta)) / (np.pi * safe)
+        width, narrow = _cells(E, lo, hi)
+        a, b = lo - w, hi - w
+        # Re[log(b - i eta) - log(a - i eta)] = log(|b - i eta| / |a - i eta|).
+        disp = (0.5 * np.log1p(width * (a + b) / (a * a + eta * eta))
+                / (np.pi * np.where(narrow, 1.0, width)))
         if narrow.any():
-            # Extremum folds can collapse a cell; fall back to the point form.
-            val = np.where(narrow, 1.0 / (np.pi * (E - w - 1j * eta)), val)
-        return val
-    if kernel == "lorentzian_point":
-        return 1.0 / (np.pi * (E - w - 1j * eta))
-    if kernel == "gaussian":
-        x = E - w
-        re = math.sqrt(2.0) / (math.pi * eta) * dawsn(x / (math.sqrt(2.0) * eta))
-        im = np.exp(-(x * x) / (2.0 * eta * eta)) / (eta * math.sqrt(2.0 * math.pi))
-        return re + 1j * im
-    raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+            disp = np.where(narrow, point, disp)
+    elif kernel == "gaussian":
+        disp = math.sqrt(2.0) / (math.pi * eta) * dawsn(x / (math.sqrt(2.0) * eta))
+    else:
+        disp = point
+    return disp + 1j * _density(kernel, eta, w, E, lo, hi)
 
 
 def kernel_density(kernel: str, eta: float, x, cell_width: float | None = None):
@@ -182,20 +230,8 @@ def kernel_density(kernel: str, eta: float, x, cell_width: float | None = None):
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     half = 0.5 * (cell_width or 0.0)
-    out = _kernel_matrix(kernel, eta, np.zeros(1), xa, xa - half, xa + half)[0]
-    dens = out.imag
+    dens = _density(kernel, eta, 0.0, xa, xa - half, xa + half)
     return dens if np.ndim(x) else float(dens[0])
-
-
-def _rates_once(quench: QuenchSpec, epsilon0: float, g_obs: float, L: int,
-                eta: float, kernel: str) -> tuple[float, float]:
-    E, lo, hi, F, n_k, dk = _mode_data(quench, L)
-    dens = _kernel_matrix(kernel, eta, np.array([epsilon0]), E, lo, hi)[0].imag
-    pref = 4.0 * g_obs**2 / (math.pi * L)
-    base = pref * dk * F * dens
-    up = float(np.sum(base * n_k))
-    down = float(np.sum(base * (1.0 - n_k)))
-    return up, down
 
 
 def _default_convergence(L: int, eta: float, cap: float) -> tuple[tuple[int, float], ...]:
@@ -209,6 +245,12 @@ def _default_convergence(L: int, eta: float, cap: float) -> tuple[tuple[int, flo
     return tuple(rungs)
 
 
+def _rel(value: float, ref: float) -> float:
+    if ref == 0.0:
+        return 0.0 if value == 0.0 else math.inf
+    return abs(value - ref) / abs(ref)
+
+
 def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
                    eta: float, kernel: str = "lorentzian",
                    convergence: tuple[tuple[int, float], ...] | None = None,
@@ -219,7 +261,10 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     and compares them against the closed forms at that same size, so the
     reported errors are pure quadrature errors.  The last rung is
     ``(L, eta)``; the default two coarser rungs shrink the chain and
-    widen the kernel, giving a monotone refinement path.
+    widen the kernel, giving a monotone refinement path.  All rungs'
+    modes are summed in one pass, and the closed forms are evaluated
+    once: they depend on the chain size only through the ``1/L`` of
+    their prefactor.
 
     Raises :class:`BadBroadening` for ``eta`` outside
     ``(0, bandwidth/10)``; domain failures of the closed forms (no
@@ -228,28 +273,31 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     _check_grid_size(L)
-    _check_eta(quench.final, eta)
-    band_lo, band_hi = _pair_band(quench.final)
-    cap = (band_hi - band_lo) / 10.0
+    cap = _eta_cap(quench.final)
+    _check_eta(eta, cap)
     rungs = convergence if convergence is not None else _default_convergence(L, eta, cap)
-    rows = []
     for L_r, eta_r in rungs:
         _check_grid_size(L_r)
-        _check_eta(quench.final, eta_r)
-        up, down = _rates_once(quench, coupling.epsilon0, coupling.g_obs,
-                               L_r, eta_r, kernel)
-        closed = transition_rates(
-            quench, QubitCoupling(coupling.epsilon0, coupling.g_obs, L_r))
-
-        def _rel(value: float, ref: float) -> float:
-            if ref == 0.0:
-                return 0.0 if value == 0.0 else math.inf
-            return abs(value - ref) / abs(ref)
-
+        _check_eta(eta_r, cap)
+    sizes = [L_r for L_r, _ in rungs]
+    E, lo, hi, weight, n_k, counts = _rung_modes(quench, sizes)
+    eta_k = np.array([eta_r for _, eta_r in rungs]).repeat(counts)
+    base = weight * _density(kernel, eta_k, coupling.epsilon0, E, lo, hi)
+    starts = np.cumsum(counts) - counts
+    ups = np.add.reduceat(base * n_k, starts)
+    downs = np.add.reduceat(base * (1.0 - n_k), starts)
+    L_ref = sizes[-1]
+    closed = transition_rates(
+        quench, QubitCoupling(coupling.epsilon0, coupling.g_obs, L_ref))
+    rows = []
+    for (L_r, eta_r), up, down in zip(rungs, ups.tolist(), downs.tolist()):
+        pref = 4.0 * coupling.g_obs**2 / (math.pi * L_r)
+        up, down = pref * up, pref * down
+        scale = L_ref / L_r
         rows.append(ConvergenceRow(
             L=L_r, eta=eta_r, gamma_up=up, gamma_down=down,
-            rel_err_up=_rel(up, closed.gamma_up),
-            rel_err_down=_rel(down, closed.gamma_down)))
+            rel_err_up=_rel(up, closed.gamma_up * scale),
+            rel_err_down=_rel(down, closed.gamma_down * scale)))
     last = rows[-1]
     return OracleReport(
         gamma_up_oracle=last.gamma_up,
@@ -275,11 +323,11 @@ def chi_spectrum(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     _check_grid_size(L)
-    _check_eta(quench.final, eta)
+    _check_eta(eta, _eta_cap(quench.final))
     grid = np.asarray(omega_grid, dtype=float)
-    E, lo, hi, F, n_k, dk = _mode_data(quench, L)
+    E, lo, hi, weight, n_k, _ = _rung_modes(quench, [L])
     pref = 4.0 * coupling.g_obs**2 / (math.pi * L)
-    strength = pref * dk * F * (1.0 - 2.0 * n_k)
+    strength = pref * weight * (1.0 - 2.0 * n_k)
     values = np.empty(len(grid), dtype=complex)
     for start in range(0, len(grid), _OMEGA_CHUNK):
         block = grid[start:start + _OMEGA_CHUNK]

@@ -55,6 +55,11 @@ from .rates import RateArrays, bias_condition_array, transition_rates, transitio
 # Knuth's 64-bit golden-ratio step decorrelates per-row seeds.
 _SEED_STEP = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+# Most values an axis, or the grid, may hold: half as many as the
+# float64 values whose bytes an i64 counts.  numpy reserves some bytes of
+# that count, so np.linspace raises ValueError, not MemoryError, from
+# 2**60 - 64 values on.
+_MAX_VALUES = np.iinfo(np.intp).max // 16
 # Rates that differ by at most this share of their total differ by
 # rounding alone (a few units in the last place), so they have no verdict.
 _BALANCE_TOL = 4 * np.finfo(float).eps
@@ -121,10 +126,21 @@ def _grid_axes(config: RunConfig) -> tuple[int, dict[str, tuple[np.ndarray, np.n
 
     A parameter swept by two axes takes the later axis's value.
     """
-    values = [_axis_values(axis) for axis in config.scan]
-    shape = tuple(len(v) for v in values)
+    for axis in config.scan:
+        if axis.steps > _MAX_VALUES:
+            raise ConfigError(
+                f"scan.axes: {axis.name!r} has {axis.steps} steps, more than "
+                f"{_MAX_VALUES}, half the float64 values an i64 byte count holds")
+    shape = tuple(axis.steps for axis in config.scan)
     n = math.prod(shape)
-    index = np.unravel_index(np.arange(n), shape) if values else ()
+    too_large = ConfigError(f"scan.axes: a grid of {n} rows does not fit in memory")
+    if n > _MAX_VALUES:
+        raise too_large
+    try:
+        values = [_axis_values(axis) for axis in config.scan]
+        index = np.unravel_index(np.arange(n), shape) if values else ()
+    except MemoryError:
+        raise too_large from None
     return n, {axis.name: (v, i) for axis, v, i in zip(config.scan, values, index)}
 
 

@@ -274,14 +274,20 @@ def bogoliubov_angle(model: ModelSpec, k):
         ``phi = 0``.
     """
     karr = np.asarray(k, dtype=float)
-    eps = np.asarray(dispersion(model, karr), dtype=float)
-    if np.any(eps < GAPLESS_TOL):
-        bad = np.atleast_1d(karr)[np.atleast_1d(eps < GAPLESS_TOL)][0]
+    _check_gapped(model, karr, dispersion(model, karr))
+    theta = _angle(model, karr)
+    return theta if theta.ndim else float(theta)
+
+
+def _check_gapped(model, k, eps) -> None:
+    """Raise what :func:`bogoliubov_angle` raises unless every mode at
+    momenta ``k``, of energies ``eps``, is gapped at zero flux."""
+    low = np.asarray(eps) < GAPLESS_TOL
+    if low.any():
+        bad = np.asarray(k)[low][0]
         raise GaplessMode(f"mode k={bad!r} is gapless (eps < {GAPLESS_TOL})")
     if model.kind is ModelKind.XX_RING and model.phi != 0.0:
         raise ValueError("Bogoliubov angle is defined at zero flux only")
-    theta = _angle(model, karr)
-    return theta if theta.ndim else float(theta)
 
 
 def _angle(model, k):
@@ -309,8 +315,11 @@ def mode_state(quench: QuenchSpec, k: float) -> ModeState:
     k = float(k)
     eps_i = dispersion(quench.initial, k)
     eps_f = dispersion(quench.final, k)
-    theta_i = bogoliubov_angle(quench.initial, k)
-    theta_f = bogoliubov_angle(quench.final, k)
+    if not (eps_i >= GAPLESS_TOL and eps_f >= GAPLESS_TOL and quench.final.phi == 0.0):
+        _check_gapped(quench.initial, k, eps_i)
+        _check_gapped(quench.final, k, eps_f)
+    theta_i = float(_angle(quench.initial, k))
+    theta_f = float(_angle(quench.final, k))
     dtheta = theta_f - theta_i
     n_k = float(_occupation(dtheta))
     return ModeState(k=k, eps_i=eps_i, eps_f=eps_f, theta_i=theta_i,

@@ -96,7 +96,7 @@ def test_criterion_1_oracle_equivalence():
                     for r in rep.convergence_table]
             if not (errs[0] > errs[1] > errs[2]):
                 failures.append(f"{where}: refinement not monotone {errs}")
-    _finish(1, "oracle equivalence", t0, 60.0, failures)
+    _finish(1, "oracle equivalence", t0, 1.0, failures)
 
 
 def test_criterion_2_identity_suite():

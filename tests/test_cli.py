@@ -631,14 +631,21 @@ class TestCli:
         assert main(["rates", *args]) == 2
         assert reason in capsys.readouterr().err
 
-    @pytest.mark.parametrize("axis", [
-        pytest.param("{name: L, min: 2, max: 1.0e+19, steps: 2}", id="L-1.0e+19"),
-        pytest.param("{name: d, min: 2, max: -1.0e+19, steps: 2}", id="d--1.0e+19"),
-        pytest.param("{name: h_f, min: 1, max: 2, steps: 1.0e+300}", id="steps-1.0e+300"),
+    @pytest.mark.parametrize("axis, reason", [
+        pytest.param("{name: L, min: 2, max: 1.0e+19, steps: 2}", "i64", id="L-1.0e+19"),
+        pytest.param("{name: d, min: 2, max: -1.0e+19, steps: 2}", "i64", id="d--1.0e+19"),
+        pytest.param("{name: h_f, min: 1, max: 2, steps: 1.0e+300}", "i64",
+                     id="steps-1.0e+300"),
+        # Inside the i64 range: more steps than an axis may hold, or an
+        # axis too large to allocate.
+        pytest.param("{name: h_f, min: 1, max: 2, steps: 9223372036854775807}", "i64",
+                     id="steps-9223372036854775807"),
+        pytest.param("{name: h_f, min: 1, max: 2, steps: 1.0e+17}",
+                     "100000000000000000 rows", id="steps-1.0e+17"),
     ])
-    def test_integer_axis_beyond_i64_exits_2(self, axis, capsys):
+    def test_integer_axis_beyond_i64_exits_2(self, axis, reason, capsys):
         assert main(["rates", "--set", f"scan.axes=[{axis}]"]) == 2
-        assert "i64" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
 
     def test_out_of_domain_point_exits_3(self, capsys):
         assert main(["rates", "--set", "coupling.epsilon0=50"]) == 3

@@ -2,7 +2,8 @@
 
 The dense cross-check rebuilds the two-spin problem with explicit Pauli
 matrices and the textbook Lehmann sum, so it shares no code with the
-module under test.
+module under test.  The differential test rebuilds the rung-by-rung
+complex-log mode sum that the stacked real-arithmetic one replaced.
 """
 
 import math
@@ -11,12 +12,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from test_acceptance import _draw_chain_point, _draw_ring_point
+
 from quenchclock import (
     BadBroadening,
+    GaplessMode,
+    ModelKind,
+    ModelSpec,
     QubitCoupling,
     QuenchSpec,
     SpectralFunction,
     TooLarge,
+    bogoliubov_angle,
     chi_spectrum,
     dense_ed_correlator,
     discrete_rates,
@@ -121,6 +128,113 @@ class TestDiscreteRates:
             discrete_rates(ISING, COUP, L=32, eta=1e-2)
         with pytest.raises(ValueError):
             discrete_rates(ISING, COUP, L=256, eta=1e-2, kernel="nope")
+
+
+# The Lorentzian reference takes the difference of two complex logs.  In
+# the flat cells near a band extremum the two nearly equal angles cancel,
+# which costs up to 8e-12 of a ring rate in float64 (measured); in
+# extended precision the reference is exact to ~1e-15.
+_WIDE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+def _rel(value, ref):
+    return abs(value - ref) / abs(ref) if ref else (0.0 if value == 0.0 else math.inf)
+
+
+def _complex_log_rates(quench, coupling, rungs, kernel):
+    """(gamma_up, gamma_down, rel_err_up, rel_err_down) of each rung, from
+    its own momentum grid, the complex kernel's imaginary part and the
+    closed forms at that rung's chain size."""
+    final, initial = quench.final, quench.initial
+    w, g = coupling.epsilon0, coupling.g_obs
+    rows = []
+    for L, eta in rungs:
+        n = np.arange((L + 2) // 4)
+        k = (2 * n + 1) * (math.pi / L)
+        k_lo = 2 * n * (math.pi / L)
+        k_hi = np.minimum((2 * n + 2) * (math.pi / L), 0.5 * math.pi)
+        E = 2.0 * dispersion(final, k)
+        e_a, e_b = 2.0 * dispersion(final, k_lo), 2.0 * dispersion(final, k_hi)
+        lo, hi = np.minimum(e_a, e_b), np.maximum(e_a, e_b)
+        th_f = bogoliubov_angle(final, k)
+        th_i = bogoliubov_angle(initial, k)
+        n_k = np.sin(th_f - th_i) ** 2
+        F = np.sin(2.0 * th_f) ** 2
+        if quench.kind is ModelKind.XX_RING:
+            F = F * (final.t * np.sin(k)) ** 2
+        point = 1.0 / (np.pi * (E - w - 1j * eta))
+        if kernel == "lorentzian":
+            width = hi - lo
+            narrow = width < 1e-12 * np.maximum(1.0, np.abs(E))
+            ld = np.longdouble
+            diff = (np.log(hi.astype(ld) - ld(w) - 1j * ld(eta))
+                    - np.log(lo.astype(ld) - ld(w) - 1j * ld(eta)))
+            dens = np.where(narrow, point.imag,
+                            diff.imag.astype(float) / (np.pi * np.where(narrow, 1.0, width)))
+        elif kernel == "lorentzian_point":
+            dens = point.imag
+        else:
+            dens = np.exp(-((E - w) ** 2) / (2.0 * eta**2)) / (eta * math.sqrt(2.0 * math.pi))
+        base = 4.0 * g**2 / (math.pi * L) * (k_hi - k_lo) * F * dens
+        up, down = float(np.sum(base * n_k)), float(np.sum(base * (1.0 - n_k)))
+        closed = transition_rates(quench, QubitCoupling(w, g, L))
+        rows.append((up, down, _rel(up, closed.gamma_up), _rel(down, closed.gamma_down)))
+    return rows
+
+
+def _points(draw, seed, count=50):
+    rng = np.random.default_rng(seed)
+    return [draw(rng)[:2] for _ in range(count)]
+
+
+# 94 and 1030 are 2 mod 4, so their last mode sits at k = pi/2; 252 is
+# not a multiple of 8.
+_CUSTOM_RUNGS = ((94, 0.02), (252, 0.01), (1030, 2e-3))
+
+
+class TestAgainstComplexLogModeSum:
+    @pytest.mark.parametrize("kernel", [
+        pytest.param("lorentzian", marks=pytest.mark.skipif(
+            not _WIDE, reason="the reference needs extended precision")),
+        "lorentzian_point",
+        "gaussian",
+    ])
+    @pytest.mark.parametrize("draw, seed", [(_draw_chain_point, 11), (_draw_ring_point, 12)],
+                             ids=["chain", "ring"])
+    def test_every_rung_matches(self, draw, seed, kernel):
+        for quench, coup in _points(draw, seed):
+            for rungs in (None, _CUSTOM_RUNGS):
+                rep = discrete_rates(quench, coup, L=4096, eta=1e-3, kernel=kernel,
+                                     convergence=rungs)
+                table = rep.convergence_table
+                expected = _complex_log_rates(quench, coup, [(r.L, r.eta) for r in table],
+                                              kernel)
+                for row, (up, down, err_up, err_down) in zip(table, expected, strict=True):
+                    assert row.gamma_up == pytest.approx(up, rel=1e-13, abs=0.0)
+                    assert row.gamma_down == pytest.approx(down, rel=1e-13, abs=0.0)
+                    assert row.rel_err_up == pytest.approx(err_up, rel=0.0, abs=1e-13)
+                    assert row.rel_err_down == pytest.approx(err_down, rel=0.0, abs=1e-13)
+
+    def test_flux_still_raises(self):
+        ring = QuenchSpec(ModelSpec.xx_ring(1.0, -1.0, phi=0.3),
+                          ModelSpec.xx_ring(1.0, 1.0, phi=0.3))
+        with pytest.raises(ValueError, match="zero flux"):
+            discrete_rates(ring, RING_COUP, L=256, eta=1e-2)
+        with pytest.raises(ValueError, match="zero flux"):
+            chi_spectrum(ring, RING_COUP, 256, 1e-2, np.array([1.0, 2.0]))
+
+    def test_gapless_mode_still_raises(self):
+        # With V = 0 the ring's band closes at k = pi/2, a mode when L = 2 mod 4.
+        ring = QuenchSpec.xx_ring(V_i=-1.0, V_f=0.0, t=1.0)
+        with pytest.raises(GaplessMode):
+            _complex_log_rates(ring, RING_COUP, [(94, 0.02)], "lorentzian_point")
+        with pytest.raises(GaplessMode):
+            discrete_rates(ring, RING_COUP, L=96, eta=0.02,
+                           convergence=((96, 0.02), (94, 0.02)))
+        with pytest.raises(GaplessMode):
+            chi_spectrum(ring, RING_COUP, 94, 0.02, np.array([1.0, 2.0]))
+        # L = 96 has no mode at pi/2.
+        discrete_rates(ring, RING_COUP, L=96, eta=0.02, convergence=((96, 0.02),))
 
 
 class TestChiSpectrum:
