@@ -76,17 +76,16 @@ def check_rung(coupling: QubitCoupling, ladder: LadderSpec) -> None:
 
     Mismatched energies would make the golden-rule rates inapplicable.
     """
-    if not math.isclose(ladder.epsilon_w, coupling.epsilon0,
-                        rel_tol=_RUNG_RTOL, abs_tol=0.0):
+    if not rung_matches(ladder.epsilon_w, coupling.epsilon0):
         raise ValueError(
             f"ladder rung epsilon_w={ladder.epsilon_w!r} must equal the probe "
             f"gap epsilon0={coupling.epsilon0!r}")
 
 
 def rung_matches(epsilon_w, epsilon0) -> np.ndarray:
-    """Array twin of :func:`check_rung`: rows whose rung passes it.
-
-    Spells out :func:`math.isclose` with ``rel_tol=_RUNG_RTOL, abs_tol=0``.
+    """Whether each rung ``epsilon_w`` matches its probe gap ``epsilon0``
+    (scalars or arrays): the rule of :func:`check_rung`, which is
+    :func:`math.isclose` with ``rel_tol=_RUNG_RTOL, abs_tol=0``.
     """
     diff = np.abs(epsilon0 - epsilon_w)
     with np.errstate(invalid="ignore"):

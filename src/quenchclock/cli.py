@@ -93,10 +93,8 @@ def _histogram_table(config: RunConfig, bins: int) -> Table:
     times = sample_tick_times(lr, ladder, config.mc.n_trajectories,
                               config.mc.seed)
     counts, edges = np.histogram(times, bins=bins)
-    rows = tuple((float(edges[i]), float(edges[i + 1]), int(counts[i]))
-                 for i in range(len(counts)))
-    return Table(schema="quenchclock.histogram.v1",
-                 columns=("bin_lo", "bin_hi", "count"), rows=rows)
+    return Table(schema="quenchclock.histogram.v1", columns=("bin_lo", "bin_hi", "count"),
+                 values=(edges[:-1], edges[1:], counts.astype(np.int64)))
 
 
 def _emit(text: str, path: str | None) -> None:

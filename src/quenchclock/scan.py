@@ -8,9 +8,10 @@ the inversion condition; walk rates and clock metrics; first passage;
 Monte Carlo; lifetime).  Each pass runs the array twin of a public
 scalar function, so a row gets the values the scalar pipeline gives its
 point; every scan checks this on its first row that has rates, against
-the scalar :func:`~quenchclock.rates.transition_rates`.  Rows are
-immutable tuples in grid order, and every cell is a plain float, int or
-string, so the CSV and JSON writers are trivial and byte-reproducible.
+the scalar :func:`~quenchclock.rates.transition_rates`.  A finished
+:class:`Table` keeps those arrays as its typed columns (float64, int64,
+or an object array of str), rows in grid order, and the CSV and JSON
+writers format each column by its dtype, byte-reproducibly.
 
 A grid point that cannot be evaluated is not an error: the row keeps
 ``nan`` in the unavailable columns and carries exactly one flag naming
@@ -67,6 +68,9 @@ _BALANCE_TOL = 4 * np.finfo(float).eps
 # a share of the total rate, that rounding can explain.
 _TWIN_RTOL = 1e-12
 
+# The dtypes a table column may have.
+_COLUMN_DTYPES = (np.dtype(np.float64), np.dtype(np.int64), np.dtype(object))
+
 # One flag per row, first applicable wins.
 FLAG_PRIORITY = (
     "invalid",
@@ -82,20 +86,34 @@ FLAG_PRIORITY = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """A finished scan: schema tag, column names and row tuples."""
+    """A finished scan: schema tag, column names, and one 1-D array per
+    column, all of one length: float64, int64, or an object array of str."""
 
     schema: str
     columns: tuple[str, ...]
-    rows: tuple[tuple[Any, ...], ...]
+    values: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if len(self.values) != len(self.columns) or len({v.shape for v in self.values}) > 1:
+            raise ValueError("a table needs one array per column, all of one length")
+        for name, v in zip(self.columns, self.values):
+            if v.ndim != 1 or v.dtype not in _COLUMN_DTYPES:
+                raise ValueError(f"column {name!r} is a {v.ndim}-D {v.dtype} array, "
+                                 "not a 1-D float64, int64 or object one")
+
+    @property
+    def rows(self) -> tuple[tuple[Any, ...], ...]:
+        """The cells as row tuples of Python floats, ints and strings."""
+        return tuple(zip(*(v.tolist() for v in self.values)))
 
     @property
     def all_flagged(self) -> bool:
-        if "flag" not in self.columns or not self.rows:
+        if "flag" not in self.columns:
             return False
-        idx = self.columns.index("flag")
-        return all(row[idx] != "" for row in self.rows)
+        flag = self.values[self.columns.index("flag")]
+        return flag.size > 0 and bool((flag != "").all())
 
 
 def row_seed(base: int, index: int) -> int:
@@ -191,27 +209,20 @@ class _Rows:
     def put(self, rows: np.ndarray, **values: Any) -> None:
         """Set the cells of ``rows``; the other rows keep their unset value."""
         for name, value in values.items():
-            if name not in self.cells:
-                unset = _UNSET.get(name, math.nan)
-                self.cells[name] = np.full(
-                    self.n, unset, dtype=object if isinstance(unset, str) else type(unset))
-            self.cells[name][rows] = np.broadcast_to(value, (self.n,))[rows]
+            self.column(name)[rows] = np.broadcast_to(value, (self.n,))[rows]
 
-    def column(self, name: str) -> list[Any]:
-        column = self.cells.get(name)
-        if column is None:
-            return [_UNSET.get(name, math.nan)] * self.n
-        values = column.tolist()
-        if column.dtype.kind == "f" and np.isnan(column).any():
-            # One nan object throughout, so equal tables compare equal.
-            values = [math.nan if v != v else v for v in values]
-        return values
+    def column(self, name: str) -> np.ndarray:
+        if name not in self.cells:
+            unset = _UNSET.get(name, math.nan)
+            self.cells[name] = np.full(
+                self.n, unset, dtype=object if isinstance(unset, str) else type(unset))
+        return self.cells[name]
 
-    def flag_column(self) -> list[str]:
+    def flag_column(self) -> np.ndarray:
         picked = np.full(self.n, "", dtype=object)
         for flag in reversed(FLAG_PRIORITY):
             picked[self.flags[flag]] = flag
-        return picked.tolist()
+        return picked
 
 
 def _check_rates_twin(config: RunConfig, columns: dict[str, np.ndarray],
@@ -273,7 +284,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
         live = out.live.copy()
         out.put(live, gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
                 chi_second=chi,
-                verdict=np.where(rates.gamma_up > rates.gamma_down, _ACTIVE, _PASSIVE),
+                verdict=np.where(rates.gamma_up > rates.gamma_down, "active", "passive"),
                 excluded_roots=rates.excluded_roots)
         lhs, defined, multi = bias_condition_array(pt.initial, pt.final, pt.epsilon0,
                                                    rates)
@@ -360,9 +371,6 @@ _COMMANDS: dict[str, tuple[frozenset[str], tuple[str, ...]]] = {
 _MC_COLS = ("empirical_accuracy", "empirical_rate")
 # Value of a cell its row could not compute; every other column gets nan.
 _UNSET = {"verdict": "", "excluded_roots": 0}
-# The verdicts as Python objects, so that the rows share two strings.
-_ACTIVE = np.array("active", dtype=object)
-_PASSIVE = np.array("passive", dtype=object)
 
 
 def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
@@ -386,13 +394,10 @@ def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
     with np.errstate(all="ignore"):
         _evaluate_layers(config, stages, columns, config.point_arrays(columns, n), out)
     axis_names = tuple(a.name for a in config.scan)
-    # The rows of an axis value share one object, as grid_points' rows do.
-    axis_cells = {name: values.tolist() for name, (values, _) in axes.items()}
-    cells = ([[axis_cells[name][i] for i in axes[name][1].tolist()] for name in axis_names]
-             + [out.column(name) for name in value_cols] + [out.flag_column()])
     return Table(schema=f"quenchclock.{command}.v1",
                  columns=axis_names + value_cols + ("flag",),
-                 rows=tuple(zip(*cells)))
+                 values=(*(columns[name] for name in axis_names),
+                         *(out.column(name) for name in value_cols), out.flag_column()))
 
 
 def oracle_table(config: RunConfig) -> Table:
@@ -400,73 +405,33 @@ def oracle_table(config: RunConfig) -> Table:
     quench, coupling, _ = config.point({})
     report = discrete_rates(quench, coupling, L=config.oracle.L_oracle,
                             eta=config.oracle.eta, kernel=config.oracle.kernel)
-    rows = tuple(
-        (r.L, r.eta, r.gamma_up, r.gamma_down, r.rel_err_up, r.rel_err_down)
-        for r in report.convergence_table)
-    return Table(schema="quenchclock.oracle.v1",
-                 columns=("L", "eta", "gamma_up", "gamma_down",
-                          "rel_err_up", "rel_err_down"),
-                 rows=rows)
-
-
-def _format_cell(value: Any, precision: int) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), f".{precision}g")
-    return str(value)
-
-
-def _column_code(cells: tuple[Any, ...], precision: int) -> str | None:
-    # The printf code of a column whose cells are all floats, all ints or
-    # all strings; None for any other column (booleans, mixed kinds).
-    kinds = set(map(type, cells))
-    if all(issubclass(k, (float, np.floating)) for k in kinds):
-        return f"%.{precision}g"
-    if all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
-        return "%d"
-    if all(issubclass(k, str) for k in kinds):
-        return "%s"
-    return None
+    columns = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")
+    return Table(schema="quenchclock.oracle.v1", columns=columns,
+                 values=tuple(np.array([getattr(r, name) for r in report.convergence_table])
+                              for name in columns))
 
 
 def write_csv(table: Table, precision: int) -> str:
     """Render a table as CSV with a versioned '#' header.
 
-    Each row is one ``%`` format built from the column kinds: ``%.{p}g``
-    prints a float as ``format(x, ".{p}g")`` does, ``%d`` an int and
-    ``%s`` a string.  Cells of other columns are formatted one by one.
+    Each row is one ``%`` format of its columns' printf codes, taken from
+    their dtypes: ``%.{p}g`` prints a float as ``format(x, ".{p}g")``
+    does, ``%d`` an int and ``%s`` a string.
     """
-    lines = [f"# schema: {table.schema}",
-             "# columns: " + ",".join(table.columns),
-             ",".join(table.columns)]
-    if table.rows:
-        codes = [_column_code(cells, precision) for cells in zip(*table.rows)]
-        rows = table.rows
-        if None in codes:
-            rows = zip(*(cells if code else [_format_cell(v, precision) for v in cells]
-                         for code, cells in zip(codes, zip(*table.rows))))
-            codes = [code or "%s" for code in codes]
-        fmt = ",".join(codes)
-        lines.extend(fmt % row for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_cell(value: Any) -> Any:
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    codes = {"f": f"%.{precision}g", "i": "%d", "O": "%s"}
+    fmt = ",".join(codes[v.dtype.kind] for v in table.values)
+    return "\n".join([f"# schema: {table.schema}",
+                      "# columns: " + ",".join(table.columns),
+                      ",".join(table.columns),
+                      *(fmt % row for row in table.rows)]) + "\n"
 
 
 def write_json(table: Table) -> str:
     """Render a table as JSON; non-finite numbers become null."""
+    columns = [np.where(np.isfinite(v), v, None).tolist() if v.dtype.kind == "f"
+               else v.tolist() for v in table.values]
     doc = {"schema": table.schema, "columns": list(table.columns),
-           "rows": [[_json_cell(v) for v in row] for row in table.rows]}
+           "rows": [list(row) for row in zip(*columns)]}
     return json.dumps(doc, indent=2) + "\n"
 
 

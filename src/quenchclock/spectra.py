@@ -45,7 +45,6 @@ from enum import Enum
 from typing import Any
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateRoot, GaplessMode, OutOfBand, VanHoveSingularity
 
@@ -60,13 +59,13 @@ DERIVATIVE_TOL = 1e-6
 # energy 2 eps_k used by the resonance solvers.
 _ROOT_RESIDUAL_TOL = 5e-13
 
-# Polishing of a root that misses the residual bound: the half-widths of
-# the brackets tried around it (1e-9, growing 4x, up to 1e-3), and the
-# step tolerances of the solve inside a bracket (brentq's defaults).
+# Polishing of a root that misses the residual bound (:func:`_polish_roots`):
+# the half-widths of the brackets tried around it (1e-9, growing 4x, up to
+# 1e-3), the step tolerances of the solve inside a bracket, and its most
+# Newton or bisection steps.
 _BRACKET_DELTAS = tuple(1e-9 * 4.0**i for i in range(10))
 _POLISH_XTOL = 1e-15
 _POLISH_RTOL = 8.9e-16
-# The array twin solves with at most this many Newton or bisection steps.
 _POLISH_STEPS = 100
 
 
@@ -372,39 +371,6 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
-def _refine_root(model: ModelSpec, eps: float, k0: float, k_max: float) -> float:
-    """Polish an analytic root of ``eps_k = eps`` by bracketed bisection.
-
-    Raises :class:`DegenerateRoot` when the bracketed root still misses
-    the residual bound.
-    """
-
-    def f(k):
-        return dispersion(model, k) - eps
-
-    if abs(f(k0)) <= _ROOT_RESIDUAL_TOL * max(1.0, eps):
-        return k0
-    for delta in _BRACKET_DELTAS:
-        a = max(0.0, k0 - delta)
-        b = min(k_max, k0 + delta)
-        fa, fb = f(a), f(b)
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if fa * fb < 0.0:
-            k1 = brentq(f, a, b, xtol=_POLISH_XTOL, rtol=_POLISH_RTOL)
-            residual = f(k1)
-            if abs(residual) > _ROOT_RESIDUAL_TOL * max(1.0, eps):
-                raise DegenerateRoot(
-                    f"root of eps_k={eps!r} near k={k0!r} did not polish: "
-                    f"residual {residual!r} at k={k1!r}")
-            return k1
-    # No sign change nearby: k0 sits at an extremum touching eps. Keep it;
-    # the velocity guard downstream classifies it.
-    return k0
-
-
 def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
     """All momenta in the half zone with ``eps_k == eps``.
 
@@ -455,7 +421,15 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
         k0 = float(np.arccos(u))
         if k0 > k_max + 1e-12:
             continue
-        k = _refine_root(model, eps, min(k0, k_max), k_max)
+        k = min(k0, k_max)
+        if not abs(dispersion(model, k) - eps) <= _ROOT_RESIDUAL_TOL * max(1.0, eps):
+            polished, unpolished = _polish_roots(model, np.array([eps]), np.array([k]), k_max)
+            k1 = float(polished[0])
+            if unpolished[0]:
+                raise DegenerateRoot(
+                    f"root of eps_k={eps!r} near k={k!r} did not polish: "
+                    f"residual {dispersion(model, k1) - eps!r} at k={k1!r}")
+            k = k1
         roots.append(EnergyRoot(k=k, u=float(np.cos(k)), velocity=group_velocity(model, k)))
     return tuple(roots)
 
@@ -539,14 +513,16 @@ def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
                       degenerate=degenerate)
 
 
-def _polish_roots(model: ModelArrays, eps: np.ndarray, k0: np.ndarray,
+def _polish_roots(model, eps: np.ndarray, k0: np.ndarray,
                   k_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of :func:`_refine_root` for roots that miss the bound.
+    """Polish the roots ``k0`` of ``eps_k = eps`` that miss the residual
+    bound, for a :class:`ModelSpec` or a :class:`ModelArrays` of rows.
 
-    The bracket search is the scalar one; inside a bracket, Newton steps
-    replace brentq, with a bisection whenever a step leaves the bracket.
-    Returns the roots and the mask of those still off the bound, on
-    which the scalar twin raises :class:`DegenerateRoot`.
+    Each root gets the first bracket of :data:`_BRACKET_DELTAS` around it
+    with a sign change, and Newton steps inside it, with a bisection
+    whenever a step leaves the bracket.  Returns the roots and the mask
+    of those still off the bound, on which :func:`energy_roots` raises
+    :class:`DegenerateRoot`.
     """
 
     def f(k):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from quenchclock import (
@@ -18,6 +19,7 @@ from quenchclock import (
     solve_first_passage,
     transition_rates,
 )
+from quenchclock.battery import check_rung, rung_matches
 
 RING = QuenchSpec.xx_ring(V_i=-1.0, V_f=1.0, t=1.0)
 EPS_BOUNDARY = 2.0 * math.sqrt(2.0)  # |V|=1 rings: bias changes sign here
@@ -101,6 +103,20 @@ class TestLifetime:
         coup = ring_coupling(64)
         with pytest.raises(ValueError):
             lifetime(RING, coup, LadderSpec(d=6, epsilon_w=coup.epsilon0 * 1.01, g=0.02))
+
+    @pytest.mark.parametrize("shift", [0.0, 5e-10, -5e-10, 9.9e-10, 1.01e-9, -2e-9, 1e-3])
+    def test_rung_rule_is_isclose(self, shift):
+        # One rung rule for the point and the grid: math.isclose with
+        # rel_tol 1e-9 and no absolute tolerance.
+        coup = ring_coupling(64)
+        lad = LadderSpec(d=6, epsilon_w=coup.epsilon0 * (1.0 + shift), g=0.02)
+        close = math.isclose(lad.epsilon_w, coup.epsilon0, rel_tol=1e-9, abs_tol=0.0)
+        assert bool(rung_matches(np.array([lad.epsilon_w]), coup.epsilon0)[0]) is close
+        if close:
+            check_rung(coup, lad)
+        else:
+            with pytest.raises(ValueError, match="must equal the probe gap"):
+                check_rung(coup, lad)
 
     def test_grows_without_bound_at_marginal_bias(self):
         # on the |V|=1 ring the relative bias at gap eps0 is

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quenchclock
 from quenchclock import scan
 from quenchclock import (
     ConfigError,
@@ -40,8 +45,8 @@ from quenchclock import (
     write_json,
 )
 from quenchclock.battery import check_pumping, check_rung, lifetime_report
-from quenchclock.cli import main
-from quenchclock.scan import _BALANCE_TOL, _COMMANDS, _MC_COLS, FLAG_PRIORITY
+from quenchclock.cli import _histogram_table, main
+from quenchclock.scan import _BALANCE_TOL, _COMMANDS, _MC_COLS, FLAG_PRIORITY, oracle_table
 
 # An integer far beyond the range of a double.
 _HUGE_INT = "1" + "0" * 400
@@ -372,7 +377,7 @@ class TestRunScan:
             "mc.n_trajectories=40"])
         t1 = run_scan(c, "clock", threads=1)
         t4 = run_scan(c, "clock", threads=4)
-        assert t1 == t4
+        assert write_csv(t1, precision=17) == write_csv(t4, precision=17)
 
     def test_unknown_command(self):
         with pytest.raises(ValueError):
@@ -550,10 +555,25 @@ class TestColumnarScan:
             _assert_matches_reference(c, command)
 
 
+@pytest.fixture(scope="module")
+def writer_tables():
+    """One table of each kind the command line writes."""
+    c = apply_overrides(RunConfig(), [
+        "scan.axes=[{name: d, min: 2, max: 6, steps: 3},"
+        " {name: epsilon0, min: 1.0, max: 4.0, steps: 4}]", "mc.n_trajectories=50"])
+    tables = {command: run_scan(c, command) for command in ("rates", "clock", "lifetime", "scan")}
+    flags = [row[-1] for row in tables["scan"].rows]
+    assert "" in flags and "no_resonance" in flags
+    point = apply_overrides(RunConfig(), ["oracle.L_oracle=512", "mc.n_trajectories=200"])
+    tables["oracle"] = oracle_table(point)
+    tables["histogram"] = _histogram_table(point, 8)
+    return tables
+
+
 class TestWriters:
     TABLE = Table(schema="t.v1", columns=("a", "b", "c", "d"),
-                  rows=((math.pi, math.nan, 3, "ok"),
-                        (1.0, math.inf, -2, "")))
+                  values=(np.array([math.pi, 1.0]), np.array([math.nan, math.inf]),
+                          np.array([3, -2]), np.array(["ok", ""], dtype=object)))
 
     def test_csv_layout(self):
         text = write_csv(self.TABLE, precision=6)
@@ -569,10 +589,43 @@ class TestWriters:
         full = write_csv(self.TABLE, precision=15)
         assert "3.14159265358979" in full
 
-    def test_csv_booleans_and_mixed_columns(self):
-        table = Table(schema="t.v1", columns=("ok", "x"),
-                      rows=((True, 1), (False, 2.5)))
-        assert write_csv(table, precision=6).splitlines()[3:] == ["true,1", "false,2.5"]
+    def test_rows_are_python_cells(self):
+        assert self.TABLE.rows[0][0] == math.pi and self.TABLE.rows[0][3] == "ok"
+        assert [type(v) for v in self.TABLE.rows[1]] == [float, float, int, str]
+
+    @pytest.mark.parametrize("values", [
+        (np.array([True, False]),),
+        (np.array([1.0, 2.0], dtype=np.float32),),
+        (np.array(["a", "b"]),),
+        (np.zeros((2, 1)),),
+    ], ids=["bool", "float32", "unicode", "2-D"])
+    def test_table_rejects_other_columns(self, values):
+        with pytest.raises(ValueError, match="not a 1-D float64, int64 or object"):
+            Table(schema="t.v1", columns=("x",), values=values)
+
+    def test_table_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="one array per column"):
+            Table(schema="t.v1", columns=("x", "y"), values=(np.zeros(2), np.zeros(3)))
+        with pytest.raises(ValueError, match="one array per column"):
+            Table(schema="t.v1", columns=("x", "y"), values=(np.zeros(2),))
+
+    @pytest.mark.parametrize("kind", ["rates", "clock", "lifetime", "scan", "oracle",
+                                      "histogram"])
+    def test_writers_match_per_cell_reference(self, writer_tables, kind):
+        # The column-wise writers against a cell-by-cell rendering of the
+        # rows: format() for floats, str() for ints and strings.
+        table = writer_tables[kind]
+        assert table.rows
+        for precision in (6, 12, 17):
+            lines = [f"# schema: {table.schema}", "# columns: " + ",".join(table.columns),
+                     ",".join(table.columns)]
+            lines += [",".join(format(v, f".{precision}g") if isinstance(v, float) else str(v)
+                               for v in row) for row in table.rows]
+            assert write_csv(table, precision) == "\n".join(lines) + "\n"
+        cells = [[v if not isinstance(v, float) or math.isfinite(v) else None for v in row]
+                 for row in table.rows]
+        doc = {"schema": table.schema, "columns": list(table.columns), "rows": cells}
+        assert write_json(table) == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("precision", range(6, 18))
     def test_printf_float_matches_format(self, precision):
@@ -604,6 +657,17 @@ class TestWriters:
 
 
 class TestCli:
+    def test_import_leaves_out_scipy_optimize(self):
+        # The command line needs no root finder, and importing
+        # scipy.optimize would add about 0.3 s and 17 MiB to its start.
+        src = str(Path(quenchclock.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        probe = "import sys, quenchclock.cli; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_rates_to_stdout(self, capsys):
         assert main(["rates"]) == 0
         out = capsys.readouterr().out

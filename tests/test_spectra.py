@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from quenchclock import (
     DegenerateRoot,
@@ -152,38 +153,41 @@ class TestEnergyRoots:
             assert abs(dispersion(m, r.k) - eps) <= 1e-12 * max(1.0, eps)
 
     def test_unpolished_root_raises(self, monkeypatch):
-        # A start 1e-7 off the root u = 0.75 of eps = sqrt 2 (h = 0.5,
-        # kappa = 1) misses the residual bound, so the bracketed solver
-        # runs; a solver answer that is still off must not be accepted.
-        m = ModelSpec.ising(h=0.5, kappa=1.0)
-        k_root = math.acos(0.75)
-        k = spectra._refine_root(m, SQRT2, k_root + 1e-7, math.pi)
-        assert k == pytest.approx(k_root, abs=1e-14)
-        exact = spectra.brentq
-        monkeypatch.setattr(spectra, "brentq",
-                            lambda f, a, b, **kw: exact(f, a, b, **kw) + 1e-9)
-        with pytest.raises(DegenerateRoot):
-            spectra._refine_root(m, SQRT2, k_root + 1e-7, math.pi)
-
+        # At h = 1 the root k ~ eps/(2 kappa) = 5e-9 comes from acos(u) with u
+        # rounded to 1, so its start k = 0 misses the residual bound by the
+        # whole of eps.  The polish finds it; a polish that cannot move it
+        # must not be accepted.
+        m = ModelSpec.ising(h=1.0, kappa=0.3)
+        (root,) = energy_roots(m, 3e-9)
+        assert abs(dispersion(m, root.k) - 3e-9) <= spectra._ROOT_RESIDUAL_TOL
+        assert root.k == pytest.approx(5e-9, rel=1e-6)
+        monkeypatch.setattr(spectra, "_POLISH_STEPS", 0)
+        with pytest.raises(DegenerateRoot, match="did not polish"):
+            energy_roots(m, 3e-9)
 
     def test_array_twin_polishes_critical_roots_like_the_scalar(self, monkeypatch):
         # At the critical field h = 1 a root near k = 0 comes from acos(u)
         # with u close to 1 and misses the residual bound, so both twins
-        # polish it: the scalar with brentq, the array twin with Newton.
+        # polish it, with the one polish of _polish_roots.
         kappa = np.repeat([0.3, 0.5, 0.7, 0.9], 7)
         eps = np.tile(4.0 * 10.0 ** -np.arange(6.0, 13.0), 4)
-        exact = spectra.brentq
+        polish = spectra._polish_roots
         calls = []
-        monkeypatch.setattr(spectra, "brentq",
-                            lambda *a, **kw: calls.append(a) or exact(*a, **kw))
+        monkeypatch.setattr(spectra, "_polish_roots",
+                            lambda *a: calls.append(a) or polish(*a))
         roots = energy_roots_array(
             ModelArrays(ModelKind.ISING_XY, h=np.ones(kappa.size), kappa=kappa), eps)
         assert not roots.degenerate.any()
+        calls.clear()
         for i, (kap, e) in enumerate(zip(kappa, eps)):
-            (root,) = energy_roots(ModelSpec.ising(1.0, kap), e)
+            m = ModelSpec.ising(1.0, kap)
+            (root,) = energy_roots(m, e)
             assert roots.present[i].tolist() == [True, False]
-            assert roots.k[i, 0] == pytest.approx(root.k, rel=1e-12)
-            assert roots.velocity[i, 0] == pytest.approx(root.velocity, rel=1e-12)
+            assert roots.k[i, 0] == root.k and roots.velocity[i, 0] == root.velocity
+            # An independent solve: k ~ e/(2 kappa) lies inside [0, 1e-3].
+            ref = brentq(lambda k: dispersion(m, k) - e, 0.0, 1e-3,
+                         xtol=1e-300, rtol=8.9e-16, maxiter=1000)
+            assert root.k == pytest.approx(ref, rel=1e-12)
         assert len(calls) >= 20
 
     def test_array_twin_flags_unpolished_root(self, monkeypatch):
