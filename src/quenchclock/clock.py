@@ -205,34 +205,54 @@ def clock_metrics(lr: LadderRates, d: int) -> ClockMetrics:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d!r}")
-    if not lr.p_up + lr.p_down > 0.0:
+    p_up, p_down = float(lr.p_up), float(lr.p_down)
+    if not p_up + p_down > 0.0:
         raise ZeroRates("both walk rates vanish")
-    nu, acc, entropy, rel, tur = map(float, _metrics(lr.p_up, lr.p_down, d))
+    nu, acc, rel = map(float, _bias_terms(p_up, p_down, d))
+    # The branches of clock_metrics_array, on floats.
+    if p_down == 0.0:
+        entropy = math.inf
+    elif p_up / p_down > 0.0:
+        entropy = float(_entropy(p_up, p_down, d))
+    else:
+        # p_up = 0 or an underflowed ratio (log 0), or rates of opposite sign.
+        entropy = -math.inf if p_up / p_down == 0.0 else math.nan
+    if entropy == 0.0:
+        tur = math.nan
+    elif math.isinf(entropy):
+        tur = 0.0 if math.isfinite(acc) else math.nan
+    else:
+        tur = _tur(acc, entropy)
     return ClockMetrics(nu_tick=nu, accuracy_N=acc, entropy_per_tick=entropy,
                         relative_bias=rel, tur_ratio=tur, weak_bias=abs(rel) < 0.1)
 
 
-def _metrics(p_up, p_down, d):
-    # nu_tick, accuracy_N, entropy_per_tick, relative_bias and tur_ratio of
-    # walk rates (scalars or arrays); a vanishing rate makes the entropy
-    # infinite and the TUR ratio 0.
-    p_up = np.asarray(p_up, dtype=float)
-    p_down = np.asarray(p_down, dtype=float)
-    with np.errstate(all="ignore"):
-        rel = (p_up - p_down) / (p_up + p_down)
-        nu = (p_up - p_down) / d
-        acc = d * rel
-        entropy = np.where(p_down == 0.0, np.inf, np.where(
-            p_up == 0.0, -np.inf, d * np.log(p_up / p_down)))
-        tur = np.where(entropy == 0.0, np.nan, np.where(
-            np.isinf(entropy), np.where(np.isfinite(acc), 0.0, np.nan),
-            2.0 * acc / entropy))
-    return nu, acc, entropy, rel, tur
+def _bias_terms(p_up, p_down, d):
+    # nu_tick, accuracy_N and relative_bias of walk rates (scalars or arrays).
+    rel = (p_up - p_down) / (p_up + p_down)
+    return (p_up - p_down) / d, d * rel, rel
+
+
+def _entropy(p_up, p_down, d):
+    return d * np.log(p_up / p_down)
+
+
+def _tur(acc, entropy):
+    return 2.0 * acc / entropy
 
 
 def clock_metrics_array(p_up, p_down, d) -> tuple[ClockMetrics, Raises]:
     """Array twin of :func:`clock_metrics` over rows with ``d >= 2``."""
-    nu, acc, entropy, rel, tur = _metrics(p_up, p_down, d)
+    p_up = np.asarray(p_up, dtype=float)
+    p_down = np.asarray(p_down, dtype=float)
+    with np.errstate(all="ignore"):
+        nu, acc, rel = _bias_terms(p_up, p_down, d)
+        # A vanishing rate makes the entropy infinite and the TUR ratio 0.
+        entropy = np.where(p_down == 0.0, np.inf, np.where(
+            p_up == 0.0, -np.inf, _entropy(p_up, p_down, d)))
+        tur = np.where(entropy == 0.0, np.nan, np.where(
+            np.isinf(entropy), np.where(np.isfinite(acc), 0.0, np.nan),
+            _tur(acc, entropy)))
     metrics = ClockMetrics(nu_tick=nu, accuracy_N=acc, entropy_per_tick=entropy,
                            relative_bias=rel, tur_ratio=tur,
                            weak_bias=np.abs(rel) < 0.1)

@@ -45,8 +45,10 @@ from .spectra import (
     ModelKind,
     ModelSpec,
     QuenchSpec,
-    _angle,
     _check_gapped,
+    _components,
+    _energy,
+    _mode_fields,
     band_edges,
     dispersion,
 )
@@ -135,11 +137,11 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
     momenta ``(2n+1) pi/L`` in ``(0, pi/2]``.  On the grid ``j pi/L``,
     ``j = 0 .. 2 count``, the odd ``j`` are those modes and the even
     ``j`` their cell edges, the last edge clipped to the reduced zone;
-    one dispersion call over all rungs' grids gives the mode energies
-    and both cell-edge energies.  Returns the pair energies ``E``, the
-    energy span ``[lo, hi]`` of each cell, the rate weight (cell width
-    times squared matrix element), the occupations ``n_k`` and each
-    rung's mode count.
+    one cos and one sin over all rungs' grids give the mode energies,
+    both cell-edge energies and the modes' angles.  Returns the pair
+    energies ``E``, the energy span ``[lo, hi]`` of each cell, the rate
+    weight (cell width times squared matrix element), the occupations
+    ``n_k`` and each rung's mode count.
     """
     counts = [(L + 2) // 4 for L in sizes]
     grids, modes, offset = [], [], 0
@@ -153,17 +155,19 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
     mode = np.concatenate(modes)
     km = k[mode]
     final, initial = quench.final, quench.initial
-    eps = dispersion(final, k)
+    if final.kind is ModelKind.XX_RING and final.phi != 0.0:
+        # Raises: a gapless mode of the shifted band, or the flux itself.
+        _check_gapped(final, km, dispersion(final, km))
+    c, s = np.cos(k), np.sin(k)
+    eps = _energy(final, *_components(final, c, s))
     _check_gapped(final, km, eps[mode])
-    _check_gapped(initial, km, dispersion(initial, km))
+    eps_i, _, _, th_f, _, n_k = _mode_fields(initial, final, c[mode], s[mode])
+    _check_gapped(initial, km, eps_i)
     e_a = 2.0 * eps[mode - 1]
     e_b = 2.0 * eps[mode + 1]
-    th_f = _angle(final, km)
-    dtheta = th_f - _angle(initial, km)
-    n_k = np.sin(dtheta) ** 2
     weight = (k[mode + 1] - k[mode - 1]) * np.sin(2.0 * th_f) ** 2
     if quench.kind is ModelKind.XX_RING:
-        weight = weight * (final.t * np.sin(km)) ** 2
+        weight = weight * (final.t * s[mode]) ** 2
     return (2.0 * eps[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b),
             weight, n_k, counts)
 

@@ -154,25 +154,20 @@ def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
     Raises :class:`NoResonance` when no coupled pair matches the gap and
     :class:`DegenerateRoot` when a resonant root sits where the band is
     flat.
+
+    The resonance depends on the quench and the gap only, so consecutive
+    calls on one :class:`QuenchSpec` object at one ``epsilon0`` (as
+    :func:`bias_condition`, :func:`~quenchclock.battery.lifetime` and the
+    oracle's closed form make at a point) share one resonance solve.
     """
-    rr = resonance_roots(quench, coupling.epsilon0)
-    if not rr.included:
-        lo, hi = band_edges(quench.final, reduced=quench.kind is ModelKind.ISING_XY)
-        raise NoResonance(
-            f"no resonant pair at epsilon0={coupling.epsilon0!r}; the coupled "
-            f"pair band is [{2.0 * lo:.6g}, {2.0 * hi:.6g}]")
+    excluded, pairs = _resonance(quench, coupling.epsilon0)
     g2 = coupling.g_obs * coupling.g_obs
     pref = 2.0 * g2 / (math.pi * coupling.L)
     up = 0.0
     down = 0.0
     contribs = []
-    for root in rr.included:
+    for root, ms in pairs:
         v = root.velocity
-        if not math.isfinite(v) or abs(v) < DERIVATIVE_TOL:
-            raise DegenerateRoot(
-                f"band slope {v!r} at resonant k={root.k!r} is below "
-                f"{DERIVATIVE_TOL}; the delta-function weight diverges")
-        ms = mode_state(quench, root.k)
         weight, emission, absorption = map(float, _pair_rates(
             quench.final, root.k, v, ms.theta_f, ms.n_k, pref))
         contribs.append(RootContribution(mode=ms, velocity=v, weight=weight,
@@ -180,7 +175,46 @@ def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
         up += emission
         down += absorption
     return Rates(gamma_up=up, gamma_down=down, roots=tuple(contribs),
-                 excluded_roots=len(rr.excluded))
+                 excluded_roots=excluded)
+
+
+# The last resonance :func:`_resonance` solved, as one tuple
+# (quench, epsilon0, excluded root count, ((root, mode state), ...)).
+# It is only ever replaced whole, so a reader in another thread sees one
+# consistent entry.
+_last_resonance = None
+
+
+def _resonance(quench: QuenchSpec, epsilon0):
+    """The excluded root count and the coupled roots with their mode
+    states at gap ``epsilon0``, after the guards of :func:`transition_rates`.
+
+    The last success is kept and reused for the same ``quench`` object
+    (by identity: ``==`` holds between specs whose signed zeros give
+    angles of opposite sign) at an equal ``epsilon0``; a call that raises
+    keeps nothing, so it raises again when repeated.
+    """
+    global _last_resonance
+    memo = _last_resonance
+    if memo is not None and memo[0] is quench and memo[1] == epsilon0:
+        return memo[2], memo[3]
+    rr = resonance_roots(quench, epsilon0)
+    if not rr.included:
+        lo, hi = band_edges(quench.final, reduced=quench.kind is ModelKind.ISING_XY)
+        raise NoResonance(
+            f"no resonant pair at epsilon0={epsilon0!r}; the coupled "
+            f"pair band is [{2.0 * lo:.6g}, {2.0 * hi:.6g}]")
+    pairs = []
+    for root in rr.included:
+        v = root.velocity
+        if not math.isfinite(v) or abs(v) < DERIVATIVE_TOL:
+            raise DegenerateRoot(
+                f"band slope {v!r} at resonant k={root.k!r} is below "
+                f"{DERIVATIVE_TOL}; the delta-function weight diverges")
+        pairs.append((root, mode_state(quench, root.k)))
+    pairs = tuple(pairs)
+    _last_resonance = (quench, epsilon0, len(rr.excluded), pairs)
+    return len(rr.excluded), pairs
 
 
 def _pair_rates(final, k, velocity, theta_f, n_k, pref):

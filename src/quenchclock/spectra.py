@@ -228,13 +228,45 @@ def dispersion(model: ModelSpec, k):
     """
     karr = np.asarray(k, dtype=float)
     if model.kind is ModelKind.ISING_XY:
-        x = model.h - np.cos(karr)
-        y = model.kappa * np.sin(karr)
-        e = 2.0 * np.sqrt(x * x + y * y)
+        e = _energy(model, *_components(model, np.cos(karr), np.sin(karr)))
     else:
-        x = 2.0 * model.t * np.cos(karr - model.phi)
-        e = np.sqrt(x * x + model.V * model.V)
+        e = _energy(model, *_components(model, np.cos(karr - model.phi), None))
     return e if np.ndim(e) else float(e)
+
+
+def _components(model, cos_k, sin_k):
+    """Pair components ``(x, y)`` of the modes with ``cos k`` and ``sin k``.
+
+    ``eps_k`` is ``2 sqrt(x**2 + y**2)`` on the chain and
+    ``sqrt(x**2 + y**2)`` on the ring (:func:`_energy`), and
+    ``2 theta_k = atan2(y, x)`` (:func:`_half_angle`).  The ring ignores
+    ``sin_k``; its band sits at ``cos(k - phi)``, its angle at zero flux.
+    """
+    if model.kind is ModelKind.ISING_XY:
+        return model.h - cos_k, model.kappa * sin_k
+    return 2.0 * model.t * cos_k, model.V
+
+
+def _energy(model, x, y):
+    e = np.sqrt(x * x + y * y)
+    return 2.0 * e if model.kind is ModelKind.ISING_XY else e
+
+
+def _half_angle(x, y):
+    return 0.5 * np.arctan2(y, x)
+
+
+def _velocity_parts(model, k):
+    # eps_k and eps_k * d eps_k/dk, whose quotient is the group velocity,
+    # from one cos and one sin of k (of k - phi on the ring).
+    if model.kind is ModelKind.ISING_XY:
+        c, s = np.cos(k), np.sin(k)
+        num = 4.0 * s * (model.h - (1.0 - model.kappa * model.kappa) * c)
+    else:
+        kk = k - model.phi
+        c, s = np.cos(kk), np.sin(kk)
+        num = -4.0 * (model.t * model.t) * s * c
+    return _energy(model, *_components(model, c, s)), num
 
 
 def group_velocity(model: ModelSpec, k):
@@ -243,15 +275,11 @@ def group_velocity(model: ModelSpec, k):
     At a gapless point the velocity is a 0/0 limit; this returns ``nan``
     there and the callers guard against it.
     """
-    karr = np.asarray(k, dtype=float)
-    eps = np.asarray(dispersion(model, karr), dtype=float)
+    if isinstance(model, ModelSpec) and np.ndim(k) == 0:
+        eps, num = map(float, _velocity_parts(model, float(k)))
+        return num / eps if eps > 0.0 else math.nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        if model.kind is ModelKind.ISING_XY:
-            num = 4.0 * np.sin(karr) * (model.h - (1.0 - model.kappa * model.kappa)
-                                        * np.cos(karr))
-        else:
-            kk = karr - model.phi
-            num = -4.0 * (model.t * model.t) * np.sin(kk) * np.cos(kk)
+        eps, num = _velocity_parts(model, np.asarray(k, dtype=float))
         v = np.where(eps > 0.0, num / np.where(eps > 0.0, eps, 1.0), np.nan)
     return v if v.ndim else float(v)
 
@@ -291,17 +319,30 @@ def _check_gapped(model, k, eps) -> None:
 
 def _angle(model, k):
     # theta_k of a gapped mode, for a ModelSpec or ModelArrays at zero flux.
-    if model.kind is ModelKind.ISING_XY:
-        two_theta = np.arctan2(model.kappa * np.sin(k), model.h - np.cos(k))
-    else:
-        two_theta = np.arctan2(model.V, 2.0 * model.t * np.cos(k))
-    return 0.5 * two_theta
+    return _half_angle(*_components(model, np.cos(k), np.sin(k)))
 
 
 def _occupation(dtheta):
     # sin(dtheta)**2 of a scalar or an array.
     s = np.sin(dtheta)
     return s * s
+
+
+def _mode_fields(initial, final, cos_k, sin_k):
+    """Energies, angles and occupation of the modes with ``cos k`` and
+    ``sin k`` in the quench ``initial`` to ``final``.
+
+    The energies are those at zero flux; :func:`mode_state` and its twin
+    take the gap check's from :func:`dispersion` where the flux is not
+    zero.
+    """
+    x_i, y_i = _components(initial, cos_k, sin_k)
+    x_f, y_f = _components(final, cos_k, sin_k)
+    theta_i = _half_angle(x_i, y_i)
+    theta_f = _half_angle(x_f, y_f)
+    dtheta = theta_f - theta_i
+    return (_energy(initial, x_i, y_i), _energy(final, x_f, y_f), theta_i,
+            theta_f, dtheta, _occupation(dtheta))
 
 
 def mode_state(quench: QuenchSpec, k: float) -> ModeState:
@@ -312,15 +353,12 @@ def mode_state(quench: QuenchSpec, k: float) -> ModeState:
     gapped at ``k``.
     """
     k = float(k)
-    eps_i = dispersion(quench.initial, k)
-    eps_f = dispersion(quench.final, k)
-    if not (eps_i >= GAPLESS_TOL and eps_f >= GAPLESS_TOL and quench.final.phi == 0.0):
-        _check_gapped(quench.initial, k, eps_i)
-        _check_gapped(quench.final, k, eps_f)
-    theta_i = float(_angle(quench.initial, k))
-    theta_f = float(_angle(quench.final, k))
-    dtheta = theta_f - theta_i
-    n_k = float(_occupation(dtheta))
+    initial, final = quench.initial, quench.final
+    eps_i, eps_f, theta_i, theta_f, dtheta, n_k = map(
+        float, _mode_fields(initial, final, np.cos(k), np.sin(k)))
+    if not (eps_i >= GAPLESS_TOL and eps_f >= GAPLESS_TOL and final.phi == 0.0):
+        _check_gapped(initial, k, dispersion(initial, k))
+        _check_gapped(final, k, dispersion(final, k))
     return ModeState(k=k, eps_i=eps_i, eps_f=eps_f, theta_i=theta_i,
                      theta_f=theta_f, dtheta=dtheta, n_k=n_k)
 
@@ -333,13 +371,13 @@ def mode_state_array(initial: ModelArrays, final: ModelArrays,
     :class:`ModeState` with array fields and the mask of modes on which
     :func:`mode_state` raises :class:`GaplessMode`.
     """
-    eps_i = dispersion(initial, k)
-    eps_f = dispersion(final, k)
-    theta_i = _angle(initial, k)
-    theta_f = _angle(final, k)
-    dtheta = theta_f - theta_i
+    eps_i, eps_f, theta_i, theta_f, dtheta, n_k = _mode_fields(
+        initial, final, np.cos(k), np.sin(k))
+    if final.kind is ModelKind.XX_RING and np.any(final.phi != 0.0):
+        # The gap check sees the band the flux shifts.
+        eps_i, eps_f = dispersion(initial, k), dispersion(final, k)
     state = ModeState(k=k, eps_i=eps_i, eps_f=eps_f, theta_i=theta_i,
-                      theta_f=theta_f, dtheta=dtheta, n_k=_occupation(dtheta))
+                      theta_f=theta_f, dtheta=dtheta, n_k=n_k)
     return state, (eps_i < GAPLESS_TOL) | (eps_f < GAPLESS_TOL)
 
 

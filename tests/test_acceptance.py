@@ -140,7 +140,7 @@ def test_criterion_2_identity_suite():
         if r0.gamma_up != 0.0:
             failures.append(f"draw {i}: null quench pumps (gamma_up={r0.gamma_up})")
             break
-    _finish(2, "steady-state identities", t0, 5.0, failures)
+    _finish(2, "steady-state identities", t0, 1.0, failures)
 
 
 def test_criterion_3_bias_condition_equivalence():
@@ -230,7 +230,7 @@ def test_criterion_5_scaling_shapes():
     quotient = small.accuracy_N / (small.entropy_per_tick / 2.0)
     if not abs(quotient - 1.0) < 1e-3:
         failures.append(f"N != entropy/2 at ratio 1.001 (quotient {quotient})")
-    _finish(5, "scaling shapes", t0, 5.0, failures)
+    _finish(5, "scaling shapes", t0, 1.0, failures)
 
 
 def test_criterion_6_lifetime():

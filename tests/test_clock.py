@@ -1,6 +1,7 @@
 """Ladder clock: walk rates, metrics, master equation, sampling."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,30 @@ class TestMetrics:
         for ratio in (1.1, 2.0, 5.0, 50.0):
             m = clock_metrics(LadderRates(p_up=ratio, p_down=1.0), d=12)
             assert m.tur_ratio <= 1.0 + 1e-12
+
+    def test_scalar_matches_array_twin_bits(self):
+        # Random rates, then p_down = 0, p_up = 0, p_up = p_down, a ratio
+        # that underflows to 0 and rates of opposite sign.
+        rng = np.random.default_rng(23)
+        p_up = np.concatenate([10.0 ** rng.uniform(-6.0, 3.0, 300),
+                               [2.0, 0.0, 1.5, 1e-200, -1.0]])
+        p_down = np.concatenate([10.0 ** rng.uniform(-6.0, 3.0, 300),
+                                 [0.0, 2.0, 1.5, 1e200, 2.0]])
+        d = rng.integers(2, 60, p_up.size)
+        twin, _ = clock.clock_metrics_array(p_up, p_down, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the scalar path stays silent
+            scalar = [clock_metrics(LadderRates(p_up=u, p_down=w), int(n))
+                      for u, w, n in zip(p_up.tolist(), p_down.tolist(), d)]
+        for name in ("nu_tick", "accuracy_N", "entropy_per_tick", "relative_bias",
+                     "tur_ratio", "weak_bias"):
+            got = [getattr(m, name) for m in scalar]
+            assert all(type(v) is type(got[0]) for v in got), name
+            assert list(map(repr, got)) == [repr(v) for v in getattr(twin, name).tolist()], name
+        inf_up, inf_down, balanced = scalar[-5:-2]
+        assert (inf_up.entropy_per_tick, inf_up.tur_ratio) == (math.inf, 0.0)
+        assert (inf_down.entropy_per_tick, inf_down.tur_ratio) == (-math.inf, 0.0)
+        assert balanced.entropy_per_tick == 0.0 and math.isnan(balanced.tur_ratio)
 
 
 @given(gu=st.floats(1e-6, 1e3), gd=st.floats(1e-6, 1e3),

@@ -237,6 +237,231 @@ class TestAgainstComplexLogModeSum:
         discrete_rates(ring, RING_COUP, L=96, eta=0.02, convergence=((96, 0.02),))
 
 
+# Every ConvergenceRow field of discrete_rates, recorded before the mode
+# sums shared one cos and one sin per momentum, at two chain and two ring
+# points drawn as _draw_*_point draws them.  Keys are (point, rungs,
+# kernel); rows are (L, eta, gamma_up, gamma_down, rel_err_up,
+# rel_err_down), and every float literal is the recorded repr.
+_ANCHOR_POINTS = (
+    (QuenchSpec.ising(0.6538580381869649, 1.403855201524476, 0.9263358498019613),
+     4.639605624604286),
+    (QuenchSpec.ising(0.2318152423021388, 2.0862242124882933, 0.846153940868623),
+     6.127187524024793),
+    (QuenchSpec.xx_ring(0.47550346001726784, 1.3190266090696796),
+     4.43415209076845),
+    (QuenchSpec.xx_ring(-0.48946909881337747, 0.409900549013787),
+     2.3408653202009333),
+)
+_ANCHORS = {
+    (0, 0, "lorentzian"): (
+        (128, 0.04, 1.3461853685061242e-06, 1.0144510203799093e-05,
+         0.002110187899848602, 0.014365539435117841),
+        (512, 0.012649110640673518, 3.3736322307672545e-07, 2.561356026318172e-06,
+         0.00031193671082748315, 0.004560805954227377),
+        (1024, 0.004, 1.6860433966125899e-07, 1.284693542723201e-06,
+         0.00014629925415998802, 0.0014396346122523597),
+    ),
+    (0, 0, "lorentzian_point"): (
+        (128, 0.04, 1.3695772659576766e-06, 1.0385235825968154e-05,
+         0.01522957577511921, 0.009023216057669899),
+        (512, 0.012649110640673518, 2.816814655503866e-07, 2.1384586410734654e-06,
+         0.16478942259758547, 0.1689146201083564),
+        (1024, 0.004, 2.572302385646645e-07, 1.962302766671493e-06,
+         0.5254210329896476, 0.5252491761850955),
+    ),
+    (0, 0, "gaussian"): (
+        (128, 0.04, 1.5832924638689072e-06, 1.23796800303009e-05,
+         0.17365071425714418, 0.20280220567592455),
+        (512, 0.012649110640673518, 2.8005045132968043e-07, 2.1525697593177407e-06,
+         0.16962552470450193, 0.16343050933740766),
+        (1024, 0.004, 3.2550538587961793e-07, 2.487491314653368e-06,
+         0.9303047913138659, 0.9334651832949216),
+    ),
+    (0, 1, "lorentzian"): (
+        (94, 0.02, 1.9061520176453118e-06, 1.3904051891499616e-05,
+         0.037655374580318035, 0.007926018466172231),
+        (510, 0.008, 3.4006153309075084e-07, 2.575618674814976e-06,
+         0.004373944341416866, 0.0029278915333094176),
+        (1030, 0.004, 1.6756924740395439e-07, 1.2772128339481345e-06,
+         0.0004620290227793496, 0.001437333742682043),
+    ),
+    (0, 1, "lorentzian_point"): (
+        (94, 0.02, 4.906840025686009e-07, 3.5446452779538893e-06,
+         0.7328854741004011, 0.747084491523318),
+        (510, 0.008, 1.8465797545564795e-07, 1.394018691096779e-06,
+         0.45461147140980745, 0.46034823820583987),
+        (1030, 0.004, 2.0229364354038648e-07, 1.5432854937321203e-06,
+         0.20666638502295628, 0.2065861197570519),
+    ),
+    (0, 1, "gaussian"): (
+        (94, 0.02, 1.1334158924074158e-11, 8.071015629230802e-11,
+         0.9999938300036854, 0.9999942412149546),
+        (510, 0.008, 6.570795235838777e-08, 4.956685938200973e-07,
+         0.8059311363888373, 0.8081170420243101),
+        (1030, 0.004, 2.594208416758875e-07, 1.9839317757437753e-06,
+         0.5474258298292046, 0.5510963803388842),
+    ),
+    (1, 0, "lorentzian"): (
+        (128, 0.04, 2.6834968564252692e-06, 1.7241811380451584e-06,
+         0.015159915278292697, 0.017990206358474564),
+        (512, 0.012649110640673518, 6.77614346621278e-07, 4.368606318227833e-07,
+         0.005265433514804597, 0.0047416493773015855),
+        (1024, 0.004, 3.3981519161791176e-07, 2.1945732721274355e-07,
+         0.0023059015660084913, 6.216352118537614e-05),
+    ),
+    (1, 0, "lorentzian_point"): (
+        (128, 0.04, 3.2819253573268216e-06, 2.0951412333641967e-06,
+         0.20446261720824074, 0.19329063798860485),
+        (512, 0.012649110640673518, 8.737244378923427e-07, 5.6254201340178e-07,
+         0.28262322704350623, 0.28158638162970456),
+        (1024, 0.004, 2.294196357559426e-07, 1.4823882845005205e-07,
+         0.32642618015752367, 0.32456293309904244),
+    ),
+    (1, 0, "gaussian"): (
+        (128, 0.04, 3.884394316027007e-06, 2.452244617171996e-06,
+         0.4255679927960035, 0.39667937279368465),
+        (512, 0.012649110640673518, 9.047466290026669e-07, 5.811779409442795e-07,
+         0.32816365277300524, 0.3240428566635918),
+        (1024, 0.004, 1.7824804357918103e-07, 1.1545960034826413e-07,
+         0.4766654772270634, 0.4739185770679172),
+    ),
+    (1, 1, "lorentzian"): (
+        (94, 0.02, 3.638683355882148e-06, 2.432040566315389e-06,
+         0.019321228967283017, 0.017235780908694223),
+        (510, 0.008, 6.809381916457401e-07, 4.402990825938353e-07,
+         0.004290787189439362, 0.0008264790080440225),
+        (1030, 0.004, 3.380637158923873e-07, 2.178442926469552e-07,
+         0.001632484163905973, 0.001595865965287198),
+    ),
+    (1, 1, "lorentzian_point"): (
+        (94, 0.02, 1.530479849977439e-06, 1.02028305550373e-06,
+         0.5875131327544884, 0.5732520069409675),
+        (510, 0.008, 7.919079467460601e-07, 5.126424299014095e-07,
+         0.15797593371465837, 0.16334274120432835),
+        (1030, 0.004, 1.7526368049527298e-07, 1.1299091505316416e-07,
+         0.4824124652050634, 0.482150322477035),
+    ),
+    (1, 1, "gaussian"): (
+        (94, 0.02, 7.52576022339022e-08, 5.1027321318537524e-08,
+         0.9797169674711308, 0.9786570924152873),
+        (510, 0.008, 1.001345143085273e-06, 6.488889619493515e-07,
+         0.46422773227534364, 0.47252786679512043),
+        (1030, 0.004, 3.6533045332902297e-08, 2.3474131922780534e-08,
+         0.8921108536636114, 0.8924154951694675),
+    ),
+    (2, 0, "lorentzian"): (
+        (128, 0.04, 1.851899628689835e-07, 4.933015125232384e-06,
+         0.06400623202976936, 0.028240513069121016),
+        (512, 0.012649110640673518, 4.441207958233024e-08, 1.2102707795053859e-06,
+         0.020675823266572937, 0.00907815255284431),
+        (1024, 0.004, 2.1889991515007963e-08, 6.012067898017725e-07,
+         0.00614901715920801, 0.0025271154663931176),
+    ),
+    (2, 0, "lorentzian_point"): (
+        (128, 0.04, 1.9245705135163142e-07, 5.13843604595937e-06,
+         0.10575918296976974, 0.07105856806413724),
+        (512, 0.012649110640673518, 4.5278314818077514e-08, 1.234118215114377e-06,
+         0.04058359094382962, 0.028961245390364678),
+        (1024, 0.004, 2.0944384608777987e-08, 5.7521863047951e-07,
+         0.03731474840095438, 0.040808779675807955),
+    ),
+    (2, 0, "gaussian"): (
+        (128, 0.04, 1.7409624857449398e-07, 4.7931261852882965e-06,
+         0.00026745827103490853, 0.0009180181190492437),
+        (512, 0.012649110640673518, 4.3523865892153783e-08, 1.1995144792809208e-06,
+         0.00026294803120152914, 0.00010995490434557001),
+        (1024, 0.004, 2.1441505113598793e-08, 5.911144687637551e-07,
+         0.014465159492150182, 0.014302078199134803),
+    ),
+    (2, 1, "lorentzian"): (
+        (94, 0.02, 2.4763119061926656e-07, 6.6852808448005416e-06,
+         0.0448404000573846, 0.02333965724403666),
+        (510, 0.008, 4.429034208077048e-08, 1.2117642099440697e-06,
+         0.013901972935936176, 0.006376743091887196),
+        (1030, 0.004, 2.1779396632860283e-08, 5.980845528179438e-07,
+         0.006931265918646675, 0.0031643844953597776),
+    ),
+    (2, 1, "lorentzian_point"): (
+        (94, 0.02, 1.4591395699270172e-07, 3.896200679399795e-06,
+         0.38433927964828507, 0.4035947388938861),
+        (510, 0.008, 4.407769193367608e-08, 1.2056135380454278e-06,
+         0.009033949941421199, 0.0012685767486447332),
+        (1030, 0.004, 2.163981498996984e-08, 5.941625594994539e-07,
+         0.0004779594867035747, 0.003413956300770905),
+    ),
+    (2, 1, "gaussian"): (
+        (94, 0.02, 5.554291074916928e-08, 1.5164424887879574e-06,
+         0.765645527357092, 0.7678727681405488),
+        (510, 0.008, 4.3934167356067186e-08, 1.2104628027612982e-06,
+         0.005748361129822507, 0.005295917374073304),
+        (1030, 0.004, 2.1683462042793185e-08, 5.975678100553885e-07,
+         0.002495902540585862, 0.0022976543099722706),
+    ),
+    (3, 0, "lorentzian"): (
+        (128, 0.04, 5.161738515268622e-07, 2.364078345187971e-06,
+         0.3185575023530381, 0.013763036455396364),
+        (512, 0.012649110640673518, 1.0675633916898015e-07, 5.828342298387906e-07,
+         0.09082915780113884, 0.0002771273732301025),
+        (1024, 0.004, 5.042420034168844e-08, 2.917265628806743e-07,
+         0.03046223614798299, 0.000784451336256121),
+    ),
+    (3, 0, "lorentzian_point"): (
+        (128, 0.04, 4.3776730176290837e-07, 1.9036690078395615e-06,
+         0.11826927752517133, 0.18366949313601574),
+        (512, 0.012649110640673518, 1.0716074097652965e-07, 5.86369022488904e-07,
+         0.09496130851533877, 0.005786025546406756),
+        (1024, 0.004, 8.265382980433593e-08, 4.835033477418919e-07,
+         0.6891026473245775, 0.6586855437879209),
+    ),
+    (3, 0, "gaussian"): (
+        (128, 0.04, 3.2912171789412656e-07, 1.8826150034287654e-06,
+         0.15926405602892743, 0.19269786204962586),
+        (512, 0.012649110640673518, 1.0022033158292935e-07, 6.003339475059494e-07,
+         0.02404466794346021, 0.029739757567121525),
+        (1024, 0.004, 9.127560399064116e-08, 5.432142786152871e-07,
+         0.865296075229825, 0.8635272647571246),
+    ),
+    (3, 1, "lorentzian"): (
+        (94, 0.02, 5.784754370312543e-07, 3.070967402658648e-06,
+         0.08519024413081154, 0.03290825173972226),
+        (510, 0.008, 1.0436023858571522e-07, 5.865693846659661e-07,
+         0.06218054783995894, 0.002199508278953116),
+        (1030, 0.004, 5.016947111620986e-08, 2.9014361878307235e-07,
+         0.03126398668320091, 0.0011862249679845207),
+    ),
+    (3, 1, "lorentzian_point"): (
+        (94, 0.02, 2.773142597519453e-07, 1.222435731692048e-06,
+         0.4797726749028594, 0.6150374283118686),
+        (510, 0.008, 1.5429202065787404e-07, 8.827708573942731e-07,
+         0.57038720158836, 0.5082828090445735),
+        (1030, 0.004, 7.138447938802802e-08, 4.161913729908018e-07,
+         0.4673513824868087, 0.436133840670266),
+    ),
+    (3, 1, "gaussian"): (
+        (94, 0.02, 7.3320232962813036e-09, 4.655276262769235e-08,
+         0.9862455004283365, 0.9853398663375638),
+        (510, 0.008, 1.7314490320252086e-07, 1.027919666835067e-06,
+         0.7622722085700938, 0.7562808622189288),
+        (1030, 0.004, 8.217250951846147e-08, 4.885509880865822e-07,
+         0.6891059019833213, 0.6858220818996726),
+    ),
+}
+# Rungs 0: the default rungs of (L, eta) = (1024, 4e-3); rungs 1: custom
+# rungs with L % 4 = 2, whose last mode sits at pi/2.
+_ANCHOR_RUNGS = ((1024, None), (1030, ((94, 0.02), (510, 0.008), (1030, 0.004))))
+
+
+@pytest.mark.parametrize("point, rungs, kernel", list(_ANCHORS))
+def test_convergence_rows_match_frozen_anchors(point, rungs, kernel):
+    quench, epsilon0 = _ANCHOR_POINTS[point]
+    L, convergence = _ANCHOR_RUNGS[rungs]
+    rep = discrete_rates(quench, QubitCoupling(epsilon0, 0.1, 512), L=L, eta=4e-3,
+                         kernel=kernel, convergence=convergence)
+    fields = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")
+    got = [tuple(repr(getattr(row, f)) for f in fields) for row in rep.convergence_table]
+    assert got == [tuple(map(repr, row)) for row in _ANCHORS[point, rungs, kernel]]
+
+
 class TestChiSpectrum:
     def test_matches_rate_difference_at_the_gap(self):
         L, eta = 1024, 5e-3

@@ -6,17 +6,27 @@ code under test.
 """
 
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import _draw_chain_point, _draw_ring_point
+
 from quenchclock import (
     DegenerateRoot,
+    GaplessMode,
+    LadderSpec,
     NoResonance,
+    QuenchClockError,
     QubitCoupling,
     QuenchSpec,
     bias_condition,
+    discrete_rates,
+    lifetime,
     resonance_roots,
     transition_rates,
 )
@@ -161,6 +171,115 @@ class TestStructure:
         for c in r.roots:
             total = c.emission + c.absorption
             assert c.emission == pytest.approx(total * c.mode.n_k, rel=1e-14)
+
+
+def _outcome(call, quench):
+    """``repr`` of what ``call(quench)`` returns, or the type and message
+    of the package error it raises."""
+    try:
+        return repr(call(quench))
+    except QuenchClockError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _point_calls(coup):
+    """The four scalar entry points that solve the resonance at a point,
+    in the order the benchmark's point pipeline calls them."""
+    ladder = LadderSpec(d=12, epsilon_w=coup.epsilon0, g=0.01)
+    return {
+        "transition_rates": lambda q: transition_rates(q, coup),
+        "bias_condition": lambda q: bias_condition(q, coup.epsilon0),
+        "lifetime": lambda q: lifetime(q, coup, ladder),
+        "discrete_rates": lambda q: discrete_rates(q, coup, L=1024, eta=4e-3),
+    }
+
+
+def _fresh(quench):
+    # An equal spec the resonance memo has not seen.
+    return QuenchSpec(quench.initial, quench.final)
+
+
+class TestResonanceMemo:
+    """Consecutive calls on one spec object at one gap share a resonance
+    solve; they must return what separate solves return, bit for bit."""
+
+    @pytest.mark.parametrize("draw, seed", [(_draw_chain_point, 31), (_draw_ring_point, 32)])
+    def test_warm_calls_match_cold_calls(self, draw, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            quench, coup, _ = draw(rng)
+            calls = _point_calls(coup)
+            cold = {name: _outcome(call, _fresh(quench)) for name, call in calls.items()}
+            for order in (list(calls), list(reversed(calls))):
+                warm = _fresh(quench)
+                for name in order:
+                    assert _outcome(calls[name], warm) == cold[name], (name, order)
+
+    @pytest.mark.parametrize("quench, warm_epsilon0, epsilon0, error", [
+        (QuenchSpec.ising(h_i=0.2, h_f=0.5, kappa=0.5), 2.2, 6.0, NoResonance),
+        # The root sits at the ring's upper band edge, k = 0.
+        (QuenchSpec.xx_ring(V_i=-1.0, V_f=1.0, t=1.0), 3.0, 2.0 * math.sqrt(5.0),
+         DegenerateRoot),
+        # With kappa = 0 the initial band closes at cos k = h_i, the root's u.
+        (QuenchSpec.ising(h_i=0.5, h_f=1.5, kappa=0.0), 3.0, 4.0, GaplessMode),
+    ])
+    def test_failures_raise_on_every_call(self, quench, warm_epsilon0, epsilon0, error):
+        coup = QubitCoupling(epsilon0=epsilon0, g_obs=0.1, L=512)
+        first = _outcome(_point_calls(coup)["transition_rates"], _fresh(quench))
+        assert first.startswith(f"{error.__name__}: ")
+        warm = _point_calls(QubitCoupling(epsilon0=warm_epsilon0, g_obs=0.1, L=512))
+        for _ in range(3):
+            # A success at another gap on the same object changes nothing.
+            transition_rates(quench, QubitCoupling(epsilon0=warm_epsilon0, g_obs=0.1, L=512))
+            for name, call in _point_calls(coup).items():
+                assert _outcome(call, quench) == first, name
+            assert not _outcome(warm["transition_rates"], quench).startswith(error.__name__)
+
+    def test_signed_zero_specs_keep_their_own_bits(self):
+        # kappa = -0.0 and 0.0 give equal, equally hashed specs whose
+        # angles differ in sign where h_f - cos k < 0, so the memo must
+        # key on the object, not on ==.
+        neg = QuenchSpec.ising(h_i=1.5, h_f=0.5, kappa=-0.0)
+        pos = QuenchSpec.ising(h_i=1.5, h_f=0.5, kappa=0.0)
+        assert neg == pos and hash(neg) == hash(pos)
+        calls = _point_calls(QubitCoupling(epsilon0=1.2, g_obs=0.1, L=512))
+        cold = [{name: _outcome(call, _fresh(q)) for name, call in calls.items()}
+                for q in (neg, pos)]
+        assert cold[0]["transition_rates"] != cold[1]["transition_rates"]
+        specs = (neg, pos)
+        for first, second in ((0, 1), (1, 0), (0, 1)):
+            for name, call in calls.items():
+                assert _outcome(call, specs[first]) == cold[first][name], name
+                assert _outcome(call, specs[second]) == cold[second][name], name
+
+
+    def test_threads_sharing_the_memo_get_their_own_rates(self):
+        # Threads switch the one memo entry between points at a short switch
+        # interval; each call must still get the rates of its own point.
+        rng = np.random.default_rng(34)
+        points = ([_draw_chain_point(rng)[:2] for _ in range(3)]
+                  + [_draw_ring_point(rng)[:2] for _ in range(3)])
+        want = [repr(transition_rates(_fresh(q), c)) for q, c in points]
+        wrong = []
+
+        def work(offset):
+            for i in range(400):
+                j = (i // 2 + offset) % len(points)  # each point twice in a row
+                if repr(transition_rates(*points[j])) != want[j]:
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
 
 
 @given(h_i=st.floats(0.05, 0.95), h_f=st.floats(1.05, 2.5),

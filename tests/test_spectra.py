@@ -65,6 +65,31 @@ class TestDispersion:
         fd = (dispersion(m, k + dk) - dispersion(m, k - dk)) / (2 * dk)
         assert group_velocity(m, k) == pytest.approx(fd, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_group_velocity_scalar_matches_array_bits(self, kind):
+        # Random rows, each through the scalar path (a ModelSpec and a float
+        # momentum) and through the array twin (ModelArrays, as the scan and
+        # the root polish call it); row 0 of the chain is gapless, k = 0 at h = 1.
+        rng = np.random.default_rng(17)
+        n = 400
+        k = rng.uniform(-4.0, 4.0, n)
+        a, b = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 2.0, n)
+        phi = rng.uniform(-1.0, 1.0, n)
+        if kind is ModelKind.ISING_XY:
+            a[0], k[0] = 1.0, 0.0
+            rows = ModelArrays(kind, h=a, kappa=b)
+            specs = [ModelSpec.ising(h, kap) for h, kap in zip(a, b)]
+        else:
+            rows = ModelArrays(kind, t=b, V=a, phi=phi)
+            specs = [ModelSpec.xx_ring(t, V, f) for t, V, f in zip(b, a, phi)]
+        scalar = [group_velocity(m, x) for m, x in zip(specs, k.tolist())]
+        assert all(type(v) is float for v in scalar)
+        for twin in (group_velocity(rows, k),
+                     [group_velocity(m, np.array([x]))[0] for m, x in zip(specs, k)]):
+            assert [repr(v) for v in scalar] == [repr(float(v)) for v in twin]
+        if kind is ModelKind.ISING_XY:
+            assert math.isnan(scalar[0])
+
     def test_gapless_angle_raises(self):
         # critical chain: gap closes at k = 0 for h = 1
         m = ModelSpec.ising(h=1.0, kappa=1.0)
