@@ -82,13 +82,16 @@ def check_rung(coupling: QubitCoupling, ladder: LadderSpec) -> None:
             f"gap epsilon0={coupling.epsilon0!r}")
 
 
-def rung_matches(epsilon_w, epsilon0) -> np.ndarray:
+def rung_matches(epsilon_w, epsilon0) -> np.ndarray | bool:
     """Whether each rung ``epsilon_w`` matches its probe gap ``epsilon0``
     (scalars or arrays): the rule of :func:`check_rung`, which is
-    :func:`math.isclose` with ``rel_tol=_RUNG_RTOL, abs_tol=0``.
+    :func:`math.isclose` with ``rel_tol=_RUNG_RTOL, abs_tol=0``.  Two
+    Python numbers take that rule itself and give a ``bool``.
     """
-    diff = np.abs(epsilon0 - epsilon_w)
+    if isinstance(epsilon_w, (int, float)) and isinstance(epsilon0, (int, float)):
+        return math.isclose(epsilon_w, epsilon0, rel_tol=_RUNG_RTOL, abs_tol=0.0)
     with np.errstate(invalid="ignore"):
+        diff = np.abs(epsilon0 - epsilon_w)
         close = ((diff <= np.abs(_RUNG_RTOL * epsilon0))
                  | (diff <= np.abs(_RUNG_RTOL * epsilon_w)))
     return (epsilon_w == epsilon0) | (np.isfinite(epsilon_w) & np.isfinite(epsilon0) & close)

@@ -308,7 +308,12 @@ def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
     The exact propagator ``expm(G * dt)`` of the generator over one
     record spacing ``dt = t_max / (n_records - 1)`` carries the state
     from each of the ``n_records`` equally spaced record times to the
-    next, so the accuracy does not depend on the rates' stiffness.
+    next, so the accuracy does not depend on the rates' stiffness.  The
+    states go as rows into one ``(n_records, d + 1)`` array, of which
+    ``populations`` and ``ticks`` are views.  ``probability_drift`` is
+    the largest ``|sum(populations) - 1|`` over the records; it is nan
+    when any population is, so an overflowed solve does not pass as
+    exact.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max!r}")
@@ -319,22 +324,16 @@ def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
     if not max(lr.p_up, lr.p_down, gamma) > 0.0:
         raise ZeroRates("no process moves the ladder")
     stride = expm(_generator(lr, d, gamma) * (t_max / (n_records - 1)))
-    v = np.zeros(d + 1)
-    v[0] = 1.0
-    times = np.linspace(0.0, t_max, n_records)
-    populations = np.empty((n_records, d))
-    ticks = np.empty(n_records)
-    drift = 0.0
-    for i in range(n_records):
-        if i:
-            v = stride @ v
-        populations[i] = v[:d]
-        ticks[i] = v[d]
-        drift = max(drift, abs(populations[i].sum() - 1.0))
-    tick_rate = gamma * populations[:, d - 1]
-    return MasterTrajectory(times=times, populations=populations,
-                            tick_rate=tick_rate, ticks=ticks,
-                            probability_drift=drift)
+    states = np.zeros((n_records, d + 1))
+    states[0, 0] = 1.0
+    for i in range(1, n_records):
+        np.matmul(stride, states[i - 1], out=states[i])
+    populations = states[:, :d]
+    drift = float(np.abs(populations.sum(axis=1) - 1.0).max())
+    return MasterTrajectory(times=np.linspace(0.0, t_max, n_records),
+                            populations=populations,
+                            tick_rate=gamma * populations[:, d - 1],
+                            ticks=states[:, d], probability_drift=drift)
 
 
 @dataclass(frozen=True)

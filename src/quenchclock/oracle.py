@@ -33,8 +33,10 @@ the density's dispersive (Kramers-Kronig) partner.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import dawsn
@@ -130,20 +132,29 @@ def _check_grid_size(L: int) -> None:
         raise ValueError(f"lattice size must be even and >= 64, got {L!r}")
 
 
-def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
-    """Mode data of chains of the given sizes, stacked rung after rung.
+class _RungGrid(NamedTuple):
+    """Quench-independent part of :func:`_rung_modes`, read-only."""
 
-    A chain of size ``L`` has ``count = (L + 2) // 4`` antiperiodic
-    momenta ``(2n+1) pi/L`` in ``(0, pi/2]``.  On the grid ``j pi/L``,
-    ``j = 0 .. 2 count``, the odd ``j`` are those modes and the even
-    ``j`` their cell edges, the last edge clipped to the reduced zone;
-    one cos and one sin over all rungs' grids give the mode energies,
-    both cell-edge energies and the modes' angles.  Returns the pair
-    energies ``E``, the energy span ``[lo, hi]`` of each cell, the rate
-    weight (cell width times squared matrix element), the occupations
-    ``n_k`` and each rung's mode count.
-    """
-    counts = [(L + 2) // 4 for L in sizes]
+    cos: np.ndarray  # cos k on the stacked grids k = j pi/L, rung after rung
+    sin: np.ndarray  # sin k
+    mode: np.ndarray  # grid index of each mode
+    below: np.ndarray  # grid index of its lower cell edge, mode - 1
+    above: np.ndarray  # and of its upper one, mode + 1
+    k_mode: np.ndarray  # k at the modes
+    cos_mode: np.ndarray
+    sin_mode: np.ndarray
+    width: np.ndarray  # cell width k[above] - k[below]
+    counts: tuple[int, ...]  # modes per rung
+
+
+# Distinct rung sets a process keeps; one entry at the default rungs
+# (512, 2048, 4096) holds about 145 KiB.
+_GRID_MEMO = 8
+
+
+@functools.lru_cache(maxsize=_GRID_MEMO)
+def _rung_grid(sizes: tuple[int, ...]) -> _RungGrid:
+    counts = tuple((L + 2) // 4 for L in sizes)
     grids, modes, offset = [], [], 0
     for L, count in zip(sizes, counts):
         grid = np.arange(2 * count + 1) * (math.pi / L)
@@ -153,23 +164,47 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
         offset += len(grid)
     k = np.concatenate(grids)
     mode = np.concatenate(modes)
-    km = k[mode]
+    below, above = mode - 1, mode + 1
+    c, s = np.cos(k), np.sin(k)
+    arrays = (c, s, mode, below, above, k[mode], c[mode], s[mode], k[above] - k[below])
+    for a in arrays:
+        a.flags.writeable = False
+    return _RungGrid(*arrays, counts)
+
+
+def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
+    """Mode data of chains of the given sizes, stacked rung after rung.
+
+    A chain of size ``L`` has ``count = (L + 2) // 4`` antiperiodic
+    momenta ``(2n+1) pi/L`` in ``(0, pi/2]``.  On the grid ``j pi/L``,
+    ``j = 0 .. 2 count``, the odd ``j`` are those modes and the even
+    ``j`` their cell edges, the last edge clipped to the reduced zone.
+    The grid, its cos and sin, the index arrays and the cell widths do
+    not depend on the quench: :func:`_rung_grid` builds them once per
+    tuple of sizes and keeps the last :data:`_GRID_MEMO` of them,
+    read-only.  Per quench, the energies at the modes and both cell
+    edges and the modes' angles follow from that one cos and sin.
+    Returns the pair energies ``E``, the energy span ``[lo, hi]`` of
+    each cell, the rate weight (cell width times squared matrix
+    element), the occupations ``n_k`` and each rung's mode count.
+    """
+    g = _rung_grid(tuple(int(L) for L in sizes))
+    km = g.k_mode
     final, initial = quench.final, quench.initial
     if final.kind is ModelKind.XX_RING and final.phi != 0.0:
         # Raises: a gapless mode of the shifted band, or the flux itself.
         _check_gapped(final, km, dispersion(final, km))
-    c, s = np.cos(k), np.sin(k)
-    eps = _energy(final, *_components(final, c, s))
-    _check_gapped(final, km, eps[mode])
-    eps_i, _, _, th_f, _, n_k = _mode_fields(initial, final, c[mode], s[mode])
+    eps = _energy(final, *_components(final, g.cos, g.sin))
+    _check_gapped(final, km, eps[g.mode])
+    eps_i, _, _, th_f, _, n_k = _mode_fields(initial, final, g.cos_mode, g.sin_mode)
     _check_gapped(initial, km, eps_i)
-    e_a = 2.0 * eps[mode - 1]
-    e_b = 2.0 * eps[mode + 1]
-    weight = (k[mode + 1] - k[mode - 1]) * np.sin(2.0 * th_f) ** 2
+    e_a = 2.0 * eps[g.below]
+    e_b = 2.0 * eps[g.above]
+    weight = g.width * np.sin(2.0 * th_f) ** 2
     if quench.kind is ModelKind.XX_RING:
-        weight = weight * (final.t * s[mode]) ** 2
-    return (2.0 * eps[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b),
-            weight, n_k, counts)
+        weight = weight * (final.t * g.sin_mode) ** 2
+    return (2.0 * eps[g.mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b),
+            weight, n_k, g.counts)
 
 
 def _cells(E, lo, hi):

@@ -411,19 +411,32 @@ def oracle_table(config: RunConfig) -> Table:
                               for name in columns))
 
 
+def _number_texts(values: np.ndarray, code: str) -> list[str]:
+    """The cells of a number column as text, in row order.
+
+    Each distinct value is formatted once with the printf ``code``; the
+    values are keyed on their int64 bit view, so -0.0 and nan keep their
+    own text.
+    """
+    keys, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [code % x for x in keys.view(values.dtype).tolist()]
+    return [texts[i] for i in index.tolist()]
+
+
 def write_csv(table: Table, precision: int) -> str:
     """Render a table as CSV with a versioned '#' header.
 
-    Each row is one ``%`` format of its columns' printf codes, taken from
-    their dtypes: ``%.{p}g`` prints a float as ``format(x, ".{p}g")``
-    does, ``%d`` an int and ``%s`` a string.
+    A number cell is its column's printf code, taken from the dtype:
+    ``%.{p}g`` prints a float as ``format(x, ".{p}g")`` does and ``%d``
+    an int.  A string cell is written as it is.
     """
-    codes = {"f": f"%.{precision}g", "i": "%d", "O": "%s"}
-    fmt = ",".join(codes[v.dtype.kind] for v in table.values)
+    codes = {"f": f"%.{precision}g", "i": "%d"}
+    cells = [v.tolist() if v.dtype.kind == "O" else _number_texts(v, codes[v.dtype.kind])
+             for v in table.values]
     return "\n".join([f"# schema: {table.schema}",
                       "# columns: " + ",".join(table.columns),
                       ",".join(table.columns),
-                      *(fmt % row for row in table.rows)]) + "\n"
+                      *map(",".join, zip(*cells))]) + "\n"
 
 
 def write_json(table: Table) -> str:

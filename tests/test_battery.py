@@ -118,6 +118,23 @@ class TestLifetime:
             with pytest.raises(ValueError, match="must equal the probe gap"):
                 check_rung(coup, lad)
 
+    def test_scalar_rung_rule_matches_array_twin(self):
+        # Python floats take the scalar branch, one-element arrays the
+        # array one; both must give the same verdict.
+        rng = np.random.default_rng(5)
+        base = rng.uniform(-10.0, 10.0, 300)
+        rel = rng.choice([0.0, 1e-12, 5e-10, 1e-9, 2e-9, 1e-6], 300) * rng.choice([-1, 1], 300)
+        pairs = list(zip(base.tolist(), (base * (1.0 + rel)).tolist()))
+        one = 1.0 + 1e-9
+        edges = [1.0, one, 1.0 / one, -one, math.nextafter(one, 2.0),
+                 math.nextafter(one, 0.0), math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324]
+        pairs += [(a, b) for a in edges for b in edges]
+        for w, e0 in pairs:
+            scalar = rung_matches(w, e0)
+            assert type(scalar) is bool
+            assert scalar is bool(rung_matches(np.array([w]), np.array([e0]))[0]), (w, e0)
+            assert scalar is math.isclose(w, e0, rel_tol=1e-9, abs_tol=0.0)
+
     def test_grows_without_bound_at_marginal_bias(self):
         # on the |V|=1 ring the relative bias at gap eps0 is
         # (eps0^2/4 - 2)/(eps0^2/4); pinning it to -1e-7 makes the chain

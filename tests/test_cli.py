@@ -627,6 +627,21 @@ class TestWriters:
         doc = {"schema": table.schema, "columns": list(table.columns), "rows": cells}
         assert write_json(table) == json.dumps(doc, indent=2) + "\n"
 
+    def test_csv_repeated_values_keep_their_own_text(self):
+        # The writer formats each distinct value of a column once, keyed
+        # on its bits: 0.0 and -0.0, and nans of any payload or sign, each
+        # keep their own text.
+        nan_bits = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64)
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, *nan_bits.view(np.float64)]
+        rng = np.random.default_rng(3)
+        x = np.array(specials + [0.1, 1.0 / 3.0, 2.5e-310])[rng.integers(0, 10, 200)]
+        n = rng.integers(-3, 3, 200)
+        s = np.array(["a", "", "b"], dtype=object)[rng.integers(0, 3, 200)]
+        table = Table(schema="t.v1", columns=("x", "n", "s"), values=(x, n, s))
+        for precision in (6, 17):
+            rows = [f"{format(a, f'.{precision}g')},{b},{c}" for a, b, c in table.rows]
+            assert write_csv(table, precision).splitlines()[3:] == rows
+
     @pytest.mark.parametrize("precision", range(6, 18))
     def test_printf_float_matches_format(self, precision):
         # The CSV rows use printf codes; they must print a float exactly as

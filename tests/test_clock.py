@@ -291,6 +291,52 @@ class TestMaster:
         assert np.allclose(tr.populations.sum(axis=1), 1.0, atol=1e-9)
 
 
+    @staticmethod
+    def _stepwise(lr, lad, t_max, n_records):
+        # One record at a time, each state its own vector.
+        gamma = resolve_gamma(lad, lr)
+        stride = expm(clock._generator(lr, lad.d, gamma) * (t_max / (n_records - 1)))
+        v = np.zeros(lad.d + 1)
+        v[0] = 1.0
+        populations, ticks, drift = [], [], 0.0
+        for i in range(n_records):
+            if i:
+                v = stride @ v
+            populations.append(v[:lad.d].copy())
+            ticks.append(v[lad.d])
+            drift = max(drift, abs(float(populations[-1].sum()) - 1.0))
+        populations = np.array(populations)
+        return populations, np.array(ticks), gamma * populations[:, lad.d - 1], drift
+
+    def test_matches_stepwise_reference_bits(self):
+        rng = np.random.default_rng(31)
+        for d in range(2, 41):
+            lr = LadderRates(p_up=rng.uniform(0.1, 50.0), p_down=rng.uniform(0.0, 50.0))
+            gamma = None if rng.random() < 0.5 else rng.uniform(1.0, 500.0)
+            lad = LadderSpec(d=d, epsilon_w=1.0, g=0.01, Gamma=gamma)
+            t_max = rng.uniform(0.1, 100.0)
+            n_records = int(rng.integers(2, 80))
+            tr = evolve_master(lr, lad, t_max, n_records)
+            populations, ticks, tick_rate, drift = self._stepwise(lr, lad, t_max, n_records)
+            for got, want in ((tr.populations, populations), (tr.ticks, ticks),
+                              (tr.tick_rate, tick_rate)):
+                assert got.shape == want.shape
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+            assert repr(tr.probability_drift) == repr(drift)
+
+    @pytest.mark.parametrize("lr, t_max", [
+        (LadderRates(p_up=1e308, p_down=1e308), 1.0),
+        (LadderRates(p_up=2.0, p_down=1.0), 1e300),
+    ], ids=["overflowing_rates", "overflowing_time"])
+    def test_failed_solve_reports_nan_drift(self, lr, t_max):
+        # The propagator overflows to nan: the drift must say so, not 0.0.
+        lad = LadderSpec(d=5, epsilon_w=1.0, g=0.01)
+        with np.errstate(all="ignore"):
+            tr = evolve_master(lr, lad, t_max)
+        assert np.isnan(tr.populations[1:]).all()
+        assert math.isnan(tr.probability_drift)
+
+
 class TestSampling:
     LAD = LadderSpec(d=4, epsilon_w=1.0, g=0.1, Gamma=40.0)
     LR = LadderRates(p_up=3.0, p_down=1.0)

@@ -31,6 +31,8 @@ from quenchclock import (
     kernel_density,
     transition_rates,
 )
+from quenchclock.oracle import _GRID_MEMO, _rung_grid, _rung_modes
+from quenchclock.spectra import _check_gapped, _components, _energy, _mode_fields
 
 ISING = QuenchSpec.ising(h_i=0.5, h_f=1.5, kappa=1.0)
 RING = QuenchSpec.xx_ring(V_i=-1.0, V_f=1.0, t=1.0)
@@ -235,6 +237,105 @@ class TestAgainstComplexLogModeSum:
             chi_spectrum(ring, RING_COUP, 94, 0.02, np.array([1.0, 2.0]))
         # L = 96 has no mode at pi/2.
         discrete_rates(ring, RING_COUP, L=96, eta=0.02, convergence=((96, 0.02),))
+
+
+
+def _rung_modes_unmemoized(quench, sizes):
+    """The stacked mode data built from scratch on every call."""
+    counts = [(L + 2) // 4 for L in sizes]
+    grids, modes, offset = [], [], 0
+    for L, count in zip(sizes, counts):
+        grid = np.arange(2 * count + 1) * (math.pi / L)
+        grid[-1] = min(grid[-1], 0.5 * math.pi)
+        grids.append(grid)
+        modes.append(np.arange(offset + 1, offset + 2 * count, 2))
+        offset += len(grid)
+    k = np.concatenate(grids)
+    mode = np.concatenate(modes)
+    km = k[mode]
+    final, initial = quench.final, quench.initial
+    if final.kind is ModelKind.XX_RING and final.phi != 0.0:
+        _check_gapped(final, km, dispersion(final, km))
+    c, s = np.cos(k), np.sin(k)
+    eps = _energy(final, *_components(final, c, s))
+    _check_gapped(final, km, eps[mode])
+    eps_i, _, _, th_f, _, n_k = _mode_fields(initial, final, c[mode], s[mode])
+    _check_gapped(initial, km, eps_i)
+    e_a = 2.0 * eps[mode - 1]
+    e_b = 2.0 * eps[mode + 1]
+    weight = (k[mode + 1] - k[mode - 1]) * np.sin(2.0 * th_f) ** 2
+    if quench.kind is ModelKind.XX_RING:
+        weight = weight * (final.t * s[mode]) ** 2
+    return (2.0 * eps[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b),
+            weight, n_k, counts)
+
+
+class TestRungGridMemo:
+    # Default rungs; L = 2 mod 4 (a mode at pi/2); L % 8 != 0 and sizes
+    # that do not nest, in falling order too; one rung.
+    SIZES = ((512, 2048, 4096), (94, 510, 1030), (100, 252, 700), (1030, 94, 300), (64,))
+
+    @staticmethod
+    def _assert_bits_equal(got, want):
+        *arrays, counts = got
+        *ref, ref_counts = want
+        assert list(counts) == ref_counts
+        for a, b in zip(arrays, ref, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("first", ["chain", "ring"])
+    def test_matches_unmemoized_build(self, first):
+        quenches = {"chain": [p[0] for p in _points(_draw_chain_point, 21, 3)],
+                    "ring": [p[0] for p in _points(_draw_ring_point, 22, 3)]}
+        order = [first, "ring" if first == "chain" else "chain"]
+        _rung_grid.cache_clear()
+        for _ in range(2):  # cold, then warm
+            for kind in order:
+                for quench in quenches[kind]:
+                    for sizes in self.SIZES:
+                        self._assert_bits_equal(_rung_modes(quench, sizes),
+                                                _rung_modes_unmemoized(quench, sizes))
+
+    def test_numpy_sizes_share_the_entry(self):
+        _rung_grid.cache_clear()
+        _rung_modes(ISING, [512, 2048])
+        _rung_modes(ISING, np.array([512, 2048]))
+        info = _rung_grid.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
+
+    def test_arrays_refuse_writes(self):
+        grid = _rung_grid((94, 512))
+        arrays = [a for a in grid if isinstance(a, np.ndarray)]
+        assert len(arrays) == len(grid) - 1
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+
+    def test_memo_is_bounded(self):
+        _rung_grid.cache_clear()
+        for n in range(20):
+            _rung_modes(ISING, [64 + 2 * n, 512])
+        info = _rung_grid.cache_info()
+        assert info.maxsize == _GRID_MEMO and info.currsize == _GRID_MEMO
+        # The last entries are still served.
+        _rung_modes(ISING, [64 + 2 * 19, 512])
+        assert _rung_grid.cache_info().hits == 1
+
+    def test_warm_memo_still_raises(self):
+        gapless = QuenchSpec.xx_ring(V_i=-1.0, V_f=0.0, t=1.0)
+        flux = QuenchSpec(ModelSpec.xx_ring(1.0, -1.0, phi=0.3),
+                          ModelSpec.xx_ring(1.0, 1.0, phi=0.3))
+        rungs = ((94, 0.02), (510, 0.01))
+        for _ in range(2):
+            discrete_rates(RING, RING_COUP, L=510, eta=0.01, convergence=rungs)
+            with pytest.raises(GaplessMode):
+                discrete_rates(gapless, RING_COUP, L=510, eta=0.01, convergence=rungs)
+            with pytest.raises(ValueError, match="zero flux"):
+                discrete_rates(flux, RING_COUP, L=510, eta=0.01, convergence=rungs)
+            with pytest.raises(GaplessMode):
+                chi_spectrum(gapless, RING_COUP, 94, 0.02, np.array([1.0, 2.0]))
+            with pytest.raises(ValueError, match="zero flux"):
+                chi_spectrum(flux, RING_COUP, 94, 0.02, np.array([1.0, 2.0]))
 
 
 # Every ConvergenceRow field of discrete_rates, recorded before the mode
