@@ -25,7 +25,7 @@ from .clock import ladder_rates, sample_tick_times
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, PassiveState, QuenchClockError
 from .rates import transition_rates
-from .scan import Table, oracle_table, render_table, run_scan
+from .scan import Table, oracle_table, render_table, run_scan, single_point
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +84,7 @@ def _histogram_table(config: RunConfig, bins: int) -> Table:
         raise ConfigError("--histogram needs a single point; remove scan axes")
     if config.mc.n_trajectories < 1:
         raise ConfigError("--histogram needs mc.n_trajectories >= 1")
-    quench, coupling, ladder = config.point({})
+    quench, coupling, ladder = single_point(config)
     rates = transition_rates(quench, coupling)
     lr = ladder_rates(rates, ladder)
     if not lr.p_up > lr.p_down:
@@ -101,8 +101,11 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,6 +29,7 @@ import yaml
 
 from .clock import LadderSpec, ladder_valid
 from .errors import ConfigError
+from .oracle import _check_settings
 from .rates import QubitCoupling, coupling_valid
 from .spectra import ModelArrays, ModelKind, QuenchSpec
 
@@ -337,6 +338,12 @@ def _validate(config: RunConfig) -> None:
     if config.mc.n_trajectories < 0:
         raise ConfigError(
             f"mc.n_trajectories: must be >= 0, got {config.mc.n_trajectories}")
+    # The oracle's own rules; its eta bound depends on the band, so a bad
+    # eta stays a domain error of the point.
+    try:
+        _check_settings(config.oracle.kernel, config.oracle.L_oracle)
+    except ValueError as exc:
+        raise ConfigError(f"oracle: {exc}") from None
     # A grid holds the integer parameters in int64 arrays.
     for name, (section, key, kind, _) in SWEEPABLE.items():
         value = getattr(getattr(config, section), key)

@@ -50,9 +50,9 @@ from .spectra import (
     _check_gapped,
     _components,
     _energy,
-    _mode_fields,
+    _half_angle,
+    _occupation,
     band_edges,
-    dispersion,
 )
 
 KERNELS = ("lorentzian", "lorentzian_point", "gaussian")
@@ -127,7 +127,10 @@ def _check_eta(eta: float, cap: float) -> None:
             f"eta={eta!r} outside (0, bandwidth/10) = (0, {cap:.6g})")
 
 
-def _check_grid_size(L: int) -> None:
+def _check_settings(kernel: str, L: int) -> None:
+    """The rules on a kernel and a chain size, which hold at any point."""
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
     if L % 2 or L < 64:
         raise ValueError(f"lattice size must be even and >= 64, got {L!r}")
 
@@ -182,8 +185,9 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
     The grid, its cos and sin, the index arrays and the cell widths do
     not depend on the quench: :func:`_rung_grid` builds them once per
     tuple of sizes and keeps the last :data:`_GRID_MEMO` of them,
-    read-only.  Per quench, the energies at the modes and both cell
-    edges and the modes' angles follow from that one cos and sin.
+    read-only.  Per quench, the final model's pair components over the
+    grid and the initial model's at the modes, each computed once, give
+    the energies at the modes and cell edges and the modes' angles.
     Returns the pair energies ``E``, the energy span ``[lo, hi]`` of
     each cell, the rate weight (cell width times squared matrix
     element), the occupations ``n_k`` and each rung's mode count.
@@ -191,13 +195,14 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
     g = _rung_grid(tuple(int(L) for L in sizes))
     km = g.k_mode
     final, initial = quench.final, quench.initial
-    if final.kind is ModelKind.XX_RING and final.phi != 0.0:
-        # Raises: a gapless mode of the shifted band, or the flux itself.
-        _check_gapped(final, km, dispersion(final, km))
-    eps = _energy(final, *_components(final, g.cos, g.sin))
-    _check_gapped(final, km, eps[g.mode])
-    eps_i, _, _, th_f, _, n_k = _mode_fields(initial, final, g.cos_mode, g.sin_mode)
-    _check_gapped(initial, km, eps_i)
+    x_f, y_f = _components(final, g.cos, g.sin)
+    eps = _energy(final, x_f, y_f)
+    _check_gapped(km, eps[g.mode])
+    x_i, y_i = _components(initial, g.cos_mode, g.sin_mode)
+    _check_gapped(km, _energy(initial, x_i, y_i))
+    # The ring's y is the scalar V: broadcast it so one index picks the modes.
+    th_f = _half_angle(x_f[g.mode], np.broadcast_to(y_f, x_f.shape)[g.mode])
+    n_k = _occupation(th_f - _half_angle(x_i, y_i))
     e_a = 2.0 * eps[g.below]
     e_b = 2.0 * eps[g.above]
     weight = g.width * np.sin(2.0 * th_f) ** 2
@@ -309,14 +314,12 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     ``(0, bandwidth/10)``; domain failures of the closed forms (no
     resonance, degenerate root, gapless mode) propagate unchanged.
     """
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    _check_grid_size(L)
+    _check_settings(kernel, L)
     cap = _eta_cap(quench.final)
     _check_eta(eta, cap)
     rungs = convergence if convergence is not None else _default_convergence(L, eta, cap)
     for L_r, eta_r in rungs:
-        _check_grid_size(L_r)
+        _check_settings(kernel, L_r)
         _check_eta(eta_r, cap)
     sizes = [L_r for L_r, _ in rungs]
     E, lo, hi, weight, n_k, counts = _rung_modes(quench, sizes)
@@ -359,9 +362,7 @@ def chi_spectrum(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     ``gamma_down_oracle - gamma_up_oracle`` of :func:`discrete_rates` at
     the same ``(L, eta, kernel)`` by construction.
     """
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    _check_grid_size(L)
+    _check_settings(kernel, L)
     _check_eta(eta, _eta_cap(quench.final))
     grid = np.asarray(omega_grid, dtype=float)
     E, lo, hi, weight, n_k, _ = _rung_modes(quench, [L])
@@ -446,10 +447,11 @@ def dense_ed_correlator(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     The chain starts in the ground state of the initial Hamiltonian; the
     steady state is its diagonal ensemble in the final eigenbasis, with
     levels grouped to tolerance ``1e-9``.  The coupling operator is the
-    total transverse magnetization (chain) or the total current (ring).
-    Positive frequencies are emissions, the processes feeding the upward
-    probe rate.  Qualitative tool: peaks sit at the pair energies
-    ``2 eps_k``, but no continuum normalization is attempted.
+    total transverse magnetization (chain) or the total current (ring),
+    which needs ``L % 4 == 0``.  Positive frequencies are emissions, the
+    processes feeding the upward probe rate.  Qualitative tool: peaks sit
+    at the pair energies ``2 eps_k``, but no continuum normalization is
+    attempted.
     """
     if L > DENSE_MAX_SITES:
         raise TooLarge(f"dense diagonalization limited to {DENSE_MAX_SITES} "
@@ -469,8 +471,10 @@ def dense_ed_correlator(quench: QuenchSpec, coupling: QubitCoupling, L: int,
         op = np.zeros((dim, dim))
         op[s, s] = L - 2.0 * _bits(s, L).sum(axis=1)
     else:
-        if L % 2:
-            raise ValueError("the staggered ring needs an even site count")
+        if L % 4:
+            # At L = 2 mod 4 half filling is odd, so the fermions are periodic.
+            raise ValueError(f"the staggered ring needs L % 4 == 0, got L={L!r}: only "
+                             "then do its lines sit at the pair energies 2 eps_k")
         h_i = _dense_xx(L, quench.initial.t, quench.initial.V)
         h_f = _dense_xx(L, quench.final.t, quench.final.V)
         op = _dense_xx_current(L, quench.final.t)

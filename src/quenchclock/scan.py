@@ -400,9 +400,18 @@ def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
                          *(out.column(name) for name in value_cols), out.flag_column()))
 
 
+def single_point(config: RunConfig) -> tuple:
+    """``config.point({})`` for a command without a grid, where a point the
+    spec constructors reject is a domain error, as it is an ``invalid`` row."""
+    try:
+        return config.point({})
+    except ValueError as exc:
+        raise QuenchClockError(str(exc)) from exc
+
+
 def oracle_table(config: RunConfig) -> Table:
     """Refinement table of the finite-size check at the config's point."""
-    quench, coupling, _ = config.point({})
+    quench, coupling, _ = single_point(config)
     report = discrete_rates(quench, coupling, L=config.oracle.L_oracle,
                             eta=config.oracle.eta, kernel=config.oracle.kernel)
     columns = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")

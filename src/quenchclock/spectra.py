@@ -19,12 +19,14 @@ Two models are supported:
     parameter is the field ``h``.
 
 ``XX_RING``
-    Hard-core bosons on a ring with hopping ``t``, staggered potential
-    ``V`` and threaded flux ``phi``.  Dispersion
-    ``eps_k = sqrt((2 t cos(k - phi))**2 + V**2)`` on the reduced zone
-    ``|k| < pi/2`` and angle ``tan(2 theta_k) = V / (2 t cos k)``.  The
-    quenched parameter is ``V``; the flux is stored but must stay zero
-    wherever angles (and hence rates) are evaluated.
+    Hard-core bosons on a ring with hopping ``t`` and staggered
+    potential ``V``.  Dispersion ``eps_k = sqrt((2 t cos k)**2 + V**2)``
+    on the reduced zone ``|k| < pi/2`` and angle
+    ``tan(2 theta_k) = V / (2 t cos k)``.  The quenched parameter is
+    ``V``.
+
+Every mode quantity comes from one path: ``cos k`` and ``sin k`` give
+the pair components ``(x, y)``, which give the energy and the angle.
 
 Units: ``hbar = k_B = 1`` everywhere.
 
@@ -88,10 +90,9 @@ class ModelSpec:
     kappa: float = 0.0
     t: float = 0.0
     V: float = 0.0
-    phi: float = 0.0
 
     def __post_init__(self):
-        for name in ("h", "kappa", "t", "V", "phi"):
+        for name in ("h", "kappa", "t", "V"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -103,8 +104,8 @@ class ModelSpec:
         return cls(ModelKind.ISING_XY, h=float(h), kappa=float(kappa))
 
     @classmethod
-    def xx_ring(cls, t: float, V: float, phi: float = 0.0) -> "ModelSpec":
-        return cls(ModelKind.XX_RING, t=float(t), V=float(V), phi=float(phi))
+    def xx_ring(cls, t: float, V: float) -> "ModelSpec":
+        return cls(ModelKind.XX_RING, t=float(t), V=float(V))
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,8 @@ class QuenchSpec:
         if a.kind is ModelKind.ISING_XY:
             if a.kappa != b.kappa:
                 raise ValueError("anisotropy kappa must not change across the quench")
-        else:
-            if a.t != b.t:
-                raise ValueError("hopping t must not change across the quench")
-            if a.phi != b.phi:
-                raise ValueError("flux phi must not change across the quench")
+        elif a.t != b.t:
+            raise ValueError("hopping t must not change across the quench")
 
     @classmethod
     def ising(cls, h_i: float, h_f: float, kappa: float = 1.0) -> "QuenchSpec":
@@ -162,12 +160,11 @@ class ModelArrays:
     kappa: Any = 0.0
     t: Any = 0.0
     V: Any = 0.0
-    phi: Any = 0.0
 
     def valid(self) -> np.ndarray:
         """Rows the checks of :meth:`ModelSpec.__post_init__` accept."""
         ok = (np.isfinite(self.h) & np.isfinite(self.kappa) & np.isfinite(self.t)
-              & np.isfinite(self.V) & np.isfinite(self.phi))
+              & np.isfinite(self.V))
         if self.kind is ModelKind.XX_RING:
             ok = ok & (self.t > 0.0)
         return ok
@@ -178,7 +175,7 @@ class ModelArrays:
             return np.asarray(value)[index] if np.ndim(value) else value
 
         return ModelArrays(self.kind, pick(self.h), pick(self.kappa),
-                           pick(self.t), pick(self.V), pick(self.phi))
+                           pick(self.t), pick(self.V))
 
 
 @dataclass(frozen=True)
@@ -227,10 +224,7 @@ def dispersion(model: ModelSpec, k):
     Arrays of ``k``, or a :class:`ModelArrays` model, give an array.
     """
     karr = np.asarray(k, dtype=float)
-    if model.kind is ModelKind.ISING_XY:
-        e = _energy(model, *_components(model, np.cos(karr), np.sin(karr)))
-    else:
-        e = _energy(model, *_components(model, np.cos(karr - model.phi), None))
+    e = _energy(model, *_components(model, np.cos(karr), np.sin(karr)))
     return e if np.ndim(e) else float(e)
 
 
@@ -240,7 +234,7 @@ def _components(model, cos_k, sin_k):
     ``eps_k`` is ``2 sqrt(x**2 + y**2)`` on the chain and
     ``sqrt(x**2 + y**2)`` on the ring (:func:`_energy`), and
     ``2 theta_k = atan2(y, x)`` (:func:`_half_angle`).  The ring ignores
-    ``sin_k``; its band sits at ``cos(k - phi)``, its angle at zero flux.
+    ``sin_k``.
     """
     if model.kind is ModelKind.ISING_XY:
         return model.h - cos_k, model.kappa * sin_k
@@ -258,13 +252,11 @@ def _half_angle(x, y):
 
 def _velocity_parts(model, k):
     # eps_k and eps_k * d eps_k/dk, whose quotient is the group velocity,
-    # from one cos and one sin of k (of k - phi on the ring).
+    # from one cos and one sin of k.
+    c, s = np.cos(k), np.sin(k)
     if model.kind is ModelKind.ISING_XY:
-        c, s = np.cos(k), np.sin(k)
         num = 4.0 * s * (model.h - (1.0 - model.kappa * model.kappa) * c)
     else:
-        kk = k - model.phi
-        c, s = np.cos(kk), np.sin(kk)
         num = -4.0 * (model.t * model.t) * s * c
     return _energy(model, *_components(model, c, s)), num
 
@@ -296,30 +288,21 @@ def bogoliubov_angle(model: ModelSpec, k):
     ------
     GaplessMode
         If any requested mode has ``eps_k < 1e-10``.
-    ValueError
-        For a ring with nonzero flux; the angle is only defined at
-        ``phi = 0``.
     """
     karr = np.asarray(k, dtype=float)
-    _check_gapped(model, karr, dispersion(model, karr))
-    theta = _angle(model, karr)
+    x, y = _components(model, np.cos(karr), np.sin(karr))
+    _check_gapped(karr, _energy(model, x, y))
+    theta = _half_angle(x, y)
     return theta if theta.ndim else float(theta)
 
 
-def _check_gapped(model, k, eps) -> None:
-    """Raise what :func:`bogoliubov_angle` raises unless every mode at
-    momenta ``k``, of energies ``eps``, is gapped at zero flux."""
+def _check_gapped(k, eps) -> None:
+    """Raise :class:`GaplessMode` unless every mode at momenta ``k``, of
+    energies ``eps``, is gapped."""
     low = np.asarray(eps) < GAPLESS_TOL
     if low.any():
         bad = np.asarray(k)[low][0]
         raise GaplessMode(f"mode k={bad!r} is gapless (eps < {GAPLESS_TOL})")
-    if model.kind is ModelKind.XX_RING and model.phi != 0.0:
-        raise ValueError("Bogoliubov angle is defined at zero flux only")
-
-
-def _angle(model, k):
-    # theta_k of a gapped mode, for a ModelSpec or ModelArrays at zero flux.
-    return _half_angle(*_components(model, np.cos(k), np.sin(k)))
 
 
 def _occupation(dtheta):
@@ -330,12 +313,7 @@ def _occupation(dtheta):
 
 def _mode_fields(initial, final, cos_k, sin_k):
     """Energies, angles and occupation of the modes with ``cos k`` and
-    ``sin k`` in the quench ``initial`` to ``final``.
-
-    The energies are those at zero flux; :func:`mode_state` and its twin
-    take the gap check's from :func:`dispersion` where the flux is not
-    zero.
-    """
+    ``sin k`` in the quench ``initial`` to ``final``."""
     x_i, y_i = _components(initial, cos_k, sin_k)
     x_f, y_f = _components(final, cos_k, sin_k)
     theta_i = _half_angle(x_i, y_i)
@@ -356,9 +334,9 @@ def mode_state(quench: QuenchSpec, k: float) -> ModeState:
     initial, final = quench.initial, quench.final
     eps_i, eps_f, theta_i, theta_f, dtheta, n_k = map(
         float, _mode_fields(initial, final, np.cos(k), np.sin(k)))
-    if not (eps_i >= GAPLESS_TOL and eps_f >= GAPLESS_TOL and final.phi == 0.0):
-        _check_gapped(initial, k, dispersion(initial, k))
-        _check_gapped(final, k, dispersion(final, k))
+    if not (eps_i >= GAPLESS_TOL and eps_f >= GAPLESS_TOL):
+        _check_gapped(k, eps_i)
+        _check_gapped(k, eps_f)
     return ModeState(k=k, eps_i=eps_i, eps_f=eps_f, theta_i=theta_i,
                      theta_f=theta_f, dtheta=dtheta, n_k=n_k)
 
@@ -373,9 +351,6 @@ def mode_state_array(initial: ModelArrays, final: ModelArrays,
     """
     eps_i, eps_f, theta_i, theta_f, dtheta, n_k = _mode_fields(
         initial, final, np.cos(k), np.sin(k))
-    if final.kind is ModelKind.XX_RING and np.any(final.phi != 0.0):
-        # The gap check sees the band the flux shifts.
-        eps_i, eps_f = dispersion(initial, k), dispersion(final, k)
     state = ModeState(k=k, eps_i=eps_i, eps_f=eps_f, theta_i=theta_i,
                       theta_f=theta_f, dtheta=dtheta, n_k=n_k)
     return state, (eps_i < GAPLESS_TOL) | (eps_f < GAPLESS_TOL)
@@ -436,7 +411,6 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
                 if abs(c) < 1e-12:
                     raise VanHoveSingularity(
                         "flat band: the density of states is not defined")
-                us = []
             else:
                 us.append(-c / b)
         else:
@@ -530,6 +504,8 @@ def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
             u2 = np.where(u2 == u1, np.nan, u2)
             u[:, 0] = np.fmin(u1, u2)
             u[:, 1] = np.where(np.isnan(u1) | np.isnan(u2), np.nan, np.fmax(u1, u2))
+        # Both quadratics see eps only squared; no energy below zero is reached.
+        u[eps < 0.0] = np.nan
         k_max = _domain_max(model)
         k0 = np.arccos(u)
         present = k0 <= k_max + 1e-12

@@ -187,6 +187,15 @@ output: {format: json, precision: 9}
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.yaml"))
 
+    @pytest.mark.parametrize("text, reason", [
+        ("oracle: {kernel: foo}", "unknown kernel 'foo'"),
+        ("oracle: {L_oracle: 65}", "even and >= 64"),
+        ("oracle: {L_oracle: 62}", "even and >= 64"),
+    ])
+    def test_oracle_settings_checked_by_the_oracle_rules(self, text, reason):
+        with pytest.raises(ConfigError, match=reason):
+            parse_config(text)
+
 
 class TestGrid:
     def test_last_axis_fastest(self):
@@ -731,6 +740,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "no_resonance" in out
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["coupling.epsilon0=-1"], "epsilon0 must be positive"),
+        (["coupling.L=0"], "L must be a positive integer"),
+        (["model.kind=xx_ring", "model.t=0"], "hopping t must be positive"),
+        (["ladder.d=1"], "d must be an integer >= 2"),
+    ])
+    def test_invalid_single_point_exits_like_rates(self, overrides, message, capsys):
+        # The row of rates is flagged invalid; the one-point commands have no
+        # row to flag and stop with the spec's message.
+        args = [a for item in ["mc.n_trajectories=10", *overrides] for a in ("--set", item)]
+        expected = main(["rates", *args])
+        assert capsys.readouterr().out.splitlines()[3].endswith(",invalid")
+        for command in (["oracle"], ["clock", "--histogram", "4"]):
+            assert main([*command, *args]) == expected == 3
+            assert capsys.readouterr().err.startswith(f"domain error: {message}")
+
     def test_zero_ladder_coupling_exits_3_with_table(self, capsys):
         for command in ("clock", "scan"):
             assert main([command, "--set", "ladder.g=0"]) == 3
@@ -841,6 +866,26 @@ class TestCli:
             assert main(["rates", "--seed", seed]) == 2
             assert "u64" in capsys.readouterr().err
         assert main(["rates", "--threads", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["rates", "oracle"])
+    @pytest.mark.parametrize("item", ["oracle.kernel=foo", "oracle.L_oracle=65",
+                                      "oracle.L_oracle=62"])
+    def test_bad_oracle_setting_exits_2(self, command, item, capsys):
+        assert main([command, "--set", item]) == 2
+        assert capsys.readouterr().err.startswith("config error: oracle: ")
+
+    def test_bad_oracle_eta_is_a_domain_error(self, capsys):
+        # Its bound is a tenth of the point's band, so only the oracle sees it.
+        assert main(["rates", "--set", "oracle.eta=5"]) == 0
+        assert main(["oracle", "--set", "oracle.eta=5"]) == 3
+        assert "domain error" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert main(["rates", "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {str(path)!r}")
+        assert not path.parent.exists()
 
     def test_out_path_stays_verbatim(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

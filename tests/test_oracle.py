@@ -18,7 +18,6 @@ from quenchclock import (
     BadBroadening,
     GaplessMode,
     ModelKind,
-    ModelSpec,
     QubitCoupling,
     QuenchSpec,
     SpectralFunction,
@@ -217,14 +216,6 @@ class TestAgainstComplexLogModeSum:
                     assert row.rel_err_up == pytest.approx(err_up, rel=0.0, abs=1e-13)
                     assert row.rel_err_down == pytest.approx(err_down, rel=0.0, abs=1e-13)
 
-    def test_flux_still_raises(self):
-        ring = QuenchSpec(ModelSpec.xx_ring(1.0, -1.0, phi=0.3),
-                          ModelSpec.xx_ring(1.0, 1.0, phi=0.3))
-        with pytest.raises(ValueError, match="zero flux"):
-            discrete_rates(ring, RING_COUP, L=256, eta=1e-2)
-        with pytest.raises(ValueError, match="zero flux"):
-            chi_spectrum(ring, RING_COUP, 256, 1e-2, np.array([1.0, 2.0]))
-
     def test_gapless_mode_still_raises(self):
         # With V = 0 the ring's band closes at k = pi/2, a mode when L = 2 mod 4.
         ring = QuenchSpec.xx_ring(V_i=-1.0, V_f=0.0, t=1.0)
@@ -254,13 +245,11 @@ def _rung_modes_unmemoized(quench, sizes):
     mode = np.concatenate(modes)
     km = k[mode]
     final, initial = quench.final, quench.initial
-    if final.kind is ModelKind.XX_RING and final.phi != 0.0:
-        _check_gapped(final, km, dispersion(final, km))
     c, s = np.cos(k), np.sin(k)
     eps = _energy(final, *_components(final, c, s))
-    _check_gapped(final, km, eps[mode])
+    _check_gapped(km, eps[mode])
     eps_i, _, _, th_f, _, n_k = _mode_fields(initial, final, c[mode], s[mode])
-    _check_gapped(initial, km, eps_i)
+    _check_gapped(km, eps_i)
     e_a = 2.0 * eps[mode - 1]
     e_b = 2.0 * eps[mode + 1]
     weight = (k[mode + 1] - k[mode - 1]) * np.sin(2.0 * th_f) ** 2
@@ -323,19 +312,13 @@ class TestRungGridMemo:
 
     def test_warm_memo_still_raises(self):
         gapless = QuenchSpec.xx_ring(V_i=-1.0, V_f=0.0, t=1.0)
-        flux = QuenchSpec(ModelSpec.xx_ring(1.0, -1.0, phi=0.3),
-                          ModelSpec.xx_ring(1.0, 1.0, phi=0.3))
         rungs = ((94, 0.02), (510, 0.01))
         for _ in range(2):
             discrete_rates(RING, RING_COUP, L=510, eta=0.01, convergence=rungs)
             with pytest.raises(GaplessMode):
                 discrete_rates(gapless, RING_COUP, L=510, eta=0.01, convergence=rungs)
-            with pytest.raises(ValueError, match="zero flux"):
-                discrete_rates(flux, RING_COUP, L=510, eta=0.01, convergence=rungs)
             with pytest.raises(GaplessMode):
                 chi_spectrum(gapless, RING_COUP, 94, 0.02, np.array([1.0, 2.0]))
-            with pytest.raises(ValueError, match="zero flux"):
-                chi_spectrum(flux, RING_COUP, 94, 0.02, np.array([1.0, 2.0]))
 
 
 # Every ConvergenceRow field of discrete_rates, recorded before the mode
@@ -636,8 +619,22 @@ class TestDense:
             peak = window[np.argmax(spec.values.imag)]
             assert abs(peak - e_pair) < 2.0 * (window[1] - window[0])
 
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_ring_peaks_sit_at_pair_energies(self, L):
+        # the current is a fermion bilinear too: its emission lines land on
+        # 2 eps_k of the antiperiodic modes k = (2n+1) pi/L, |k| < pi/2
+        eta = 0.05
+        for n in range(L // 4):
+            k = (2 * n + 1) * math.pi / L
+            e_pair = 2.0 * dispersion(RING.final, k)
+            window = np.linspace(e_pair - 3.0 * eta, e_pair + 3.0 * eta, 61)
+            spec = dense_ed_correlator(RING, QubitCoupling(2.0, 1.0, L), L,
+                                       omega_grid=window, eta=eta)
+            peak = window[np.argmax(spec.values.imag)]
+            assert abs(peak - e_pair) < 2.0 * (window[1] - window[0])
+
     def test_ring_smoke(self):
-        spec = dense_ed_correlator(RING, QubitCoupling(2.0, 1.0, 6), L=6)
+        spec = dense_ed_correlator(RING, QubitCoupling(2.0, 1.0, 8), L=8)
         assert np.all(np.isfinite(spec.values))
         assert spec.omega_grid[0] == -spec.omega_grid[-1]
 
@@ -646,6 +643,9 @@ class TestDense:
             dense_ed_correlator(ISING, COUP, L=12)
         with pytest.raises(ValueError):
             dense_ed_correlator(RING, RING_COUP, L=5)  # ring needs even sites
+        with pytest.raises(ValueError, match="L % 4 == 0"):
+            # half filling at L = 2 mod 4 is odd: periodic fermions
+            dense_ed_correlator(RING, RING_COUP, L=6)
         with pytest.raises(ValueError):
             dense_ed_correlator(ISING, COUP, L=4, kernel="lorentzian")
         with pytest.raises(BadBroadening):

@@ -74,14 +74,13 @@ class TestDispersion:
         n = 400
         k = rng.uniform(-4.0, 4.0, n)
         a, b = rng.uniform(-2.0, 2.0, n), rng.uniform(0.1, 2.0, n)
-        phi = rng.uniform(-1.0, 1.0, n)
         if kind is ModelKind.ISING_XY:
             a[0], k[0] = 1.0, 0.0
             rows = ModelArrays(kind, h=a, kappa=b)
             specs = [ModelSpec.ising(h, kap) for h, kap in zip(a, b)]
         else:
-            rows = ModelArrays(kind, t=b, V=a, phi=phi)
-            specs = [ModelSpec.xx_ring(t, V, f) for t, V, f in zip(b, a, phi)]
+            rows = ModelArrays(kind, t=b, V=a)
+            specs = [ModelSpec.xx_ring(t, V) for t, V in zip(b, a)]
         scalar = [group_velocity(m, x) for m, x in zip(specs, k.tolist())]
         assert all(type(v) is float for v in scalar)
         for twin in (group_velocity(rows, k),
@@ -281,6 +280,8 @@ class TestQuench:
                        final=ModelSpec.ising(h=1.5, kappa=0.8))
         with pytest.raises(ValueError):
             ModelSpec.xx_ring(t=-1.0, V=0.5)
+        with pytest.raises(TypeError):
+            ModelSpec.xx_ring(1.0, 0.5, phi=0.3)  # the ring carries no flux
 
 
 @st.composite
@@ -311,3 +312,59 @@ def test_root_residuals_property(pair):
         assert abs(dispersion(model, r.k) - eps) <= 1e-12 * max(1.0, eps)
         assert 0.0 <= r.k <= math.pi
         assert r.u == pytest.approx(math.cos(r.k), abs=5e-16)
+
+
+def _random_models(kind, rng, n):
+    """``n`` random models of ``kind``, with the chain's special cases
+    (linear root equation at |kappa| = 1, h = 0) mixed in, and targets
+    at the band edges, inside the band and just outside it, and the
+    negatives of those inside, which no mode reaches."""
+    if kind is ModelKind.ISING_XY:
+        h = rng.uniform(-3.0, 3.0, n)
+        kappa = rng.uniform(-2.0, 2.0, n)
+        kappa[rng.random(n) < 0.1] = 1.0
+        h[rng.random(n) < 0.05] = 0.0
+        specs = [ModelSpec.ising(a, b) for a, b in zip(h, kappa)]
+        rows = ModelArrays(kind, h=h, kappa=kappa)
+    else:
+        t, V = rng.uniform(0.05, 3.0, n), rng.uniform(-3.0, 3.0, n)
+        specs = [ModelSpec.xx_ring(a, b) for a, b in zip(t, V)]
+        rows = ModelArrays(kind, t=t, V=V)
+    edges = np.array([band_edges(m, reduced=bool(r)) for m, r in
+                      zip(specs, rng.random(n) < 0.5)])
+    lo, hi = edges[:, 0], edges[:, 1]
+    pick = rng.integers(0, 4, n)
+    inside = lo + rng.uniform(-0.05, 1.05, n) * (hi - lo)
+    eps = np.choose(pick, [lo, hi, inside, -np.abs(inside)])
+    return specs, rows, eps
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_every_root_meets_the_residual_or_sits_at_an_extremum(kind):
+    # A root misses _ROOT_RESIDUAL_TOL * max(1, eps) only where _polish_roots
+    # leaves it unbracketed on purpose: an extremum touching eps, whose
+    # velocity the density-of-states guard sees as a van Hove point.
+    rng = np.random.default_rng(29)
+    specs, rows, eps = _random_models(kind, rng, 10000)
+    tol = spectra._ROOT_RESIDUAL_TOL * np.maximum(1.0, eps)
+
+    arr = energy_roots_array(rows, eps)
+    keep = arr.present & ~arr.degenerate[:, None]
+    residual = np.abs(dispersion(rows.take((slice(None), None)), arr.k) - eps[:, None])
+    ok = (residual <= tol[:, None]) | (np.abs(arr.velocity) < spectra.DERIVATIVE_TOL)
+    assert keep.sum() > 7000
+    assert ok[keep].all(), np.argwhere(keep & ~ok)[:5]
+
+    # The scalar twin on the first rows, which also returns as many roots.
+    checked = 0
+    for i, (m, e, t) in enumerate(zip(specs[:2000], eps.tolist(), tol.tolist())):
+        try:
+            roots = energy_roots(m, e)
+        except (DegenerateRoot, VanHoveSingularity):
+            continue
+        assert len(roots) == arr.present[i].sum(), (m, e)
+        for r in roots:
+            checked += 1
+            assert (abs(dispersion(m, r.k) - e) <= t
+                    or abs(r.velocity) < spectra.DERIVATIVE_TOL), (m, e, r)
+    assert checked > 1000
