@@ -16,6 +16,7 @@ row flagged), 1 for anything unexpected.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -28,7 +29,13 @@ from .rates import transition_rates
 from .scan import Table, oracle_table, render_table, run_scan, single_point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing leaves it unchanged: the ``append`` action of ``--set``
+    copies its default list before it appends.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="YAML config file (defaults apply when omitted)")
@@ -80,11 +87,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _histogram_table(config: RunConfig, bins: int) -> Table:
     if bins < 1:
         raise ConfigError(f"--histogram: bins must be >= 1, got {bins}")
-    if config.scan:
-        raise ConfigError("--histogram needs a single point; remove scan axes")
     if config.mc.n_trajectories < 1:
         raise ConfigError("--histogram needs mc.n_trajectories >= 1")
-    quench, coupling, ladder = single_point(config)
+    quench, coupling, ladder = single_point(config, "--histogram")
     rates = transition_rates(quench, coupling)
     lr = ladder_rates(rates, ladder)
     if not lr.p_up > lr.p_down:

@@ -20,11 +20,13 @@ come from :func:`solve_first_passage` (moments of the tick time),
 :func:`evolve_master` (full population dynamics with a tick counter) and
 :func:`simulate_ticks` (sampled tick intervals).
 
-The sampler draws each tick interval exactly, from the number of times
-the walk leaves each level up and down, in O(d) numpy calls per block of
-:data:`_STREAM_BLOCK` trajectories.  Block ``b`` of seed ``s`` draws
-from ``numpy.random.Philox`` keyed by the uint64 words ``(s, b)``, so a
-sample is fixed by its seed and is a prefix of any larger one.
+The sampler draws each tick interval exactly, as a sum of ``d``
+independent exponential stages whose rates are the passage-time spectrum
+of the walk (Keilson's theorem), in one numpy call per level chunk of
+each block of :data:`_STREAM_BLOCK` trajectories.  Block ``b`` of seed
+``s`` draws from ``numpy.random.Philox`` keyed by the uint64 words
+``(s, b)``, so a sample is fixed by its seed and is a prefix of any
+larger one.
 
 The ``*_array`` functions are the array twins the grid scan uses; each
 shares its arithmetic with its scalar twin and reports the errors that
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from .errors import NotReachable, Raises, ZeroRates
 from .rates import Rates
@@ -49,10 +51,12 @@ WEAK_COUPLING_MARGIN = 0.1
 # Trajectories per Monte Carlo stream block.  It is part of the stream
 # format, not a tuning knob: every sampled value depends on it.
 _STREAM_BLOCK = 2048
-# Largest mean number of down-exits of a level the sampler draws.  Beyond
-# it the counts lose exactness in a double, and numpy's Poisson fails
-# near 1e19.
-_MAX_VISITS = 2.0**53
+# Levels a block draws per numpy call.  The stream is consumed level-major,
+# so the chunk changes no sampled bit; it only bounds a block's memory.
+_LEVEL_CHUNK = 64
+# Largest share of the exact mean tick time by which the mean of the
+# sampled spectrum, sum(1/lambda), may differ from it.
+_SPECTRUM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -433,48 +437,47 @@ class TickStatistics:
     seed: int
 
 
-def _block_times(rng: np.random.Generator, p_up: float, p_down: float,
-                 gamma: float, d: int) -> np.ndarray:
-    """Tick times of the :data:`_STREAM_BLOCK` trajectories of one block.
+def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.ndarray:
+    """Rates ``lambda_j``, ascending, of the exponential stages of a tick.
 
-    Level k is left upward at rate ``a`` (``p_up``, ``gamma`` at the top)
-    and downward at rate ``q`` (``p_down``, none at level 0), and each
-    exit is up with probability ``a / (a + q)`` whatever came before
-    (T. E. Harris, Trans. AMS 73, 1952).  A walk ends on its one up-exit
-    of the top, and every down-exit of level k is answered by one more
-    up-exit of level k-1.  So, from the top down, the ``U`` up-exits of a
-    level come with ``D ~ NegBin(U, a/(a+q))`` down-exits, drawn as
-    ``Poisson(Gamma(U) q/a)``, and level k-1 has ``D + 1`` up-exits.  The
-    time is a Gamma sum over the visits of each rate class.
+    The time from the bottom level to the tick is distributed as
+    ``sum_j E_j / lambda_j`` with ``E_j`` iid standard exponentials, where
+    the ``lambda_j`` are the eigenvalues of minus the walk generator on the
+    ``d`` levels, killed from the top at rate ``gamma`` (J. Keilson 1971;
+    J. A. Fill, J. Theor. Probab. 22, 2009).  That matrix is similar to
+    ``B^T B`` for the upper bidiagonal ``B`` with diagonal ``sqrt(a_k)``
+    (``p_up``, ``gamma`` at the top) and superdiagonal ``sqrt(p_down)``,
+    so ``lambda_j = sigma_j(B)**2``.  The singular values come from
+    bisection on the zero-diagonal Golub-Kahan tridiagonal of ``B``, which
+    finds each to high relative accuracy, in O(d) memory and O(d**2) time.
     """
-    up = np.ones(_STREAM_BLOCK)
-    interior = np.zeros(_STREAM_BLOCK)
-    for k in range(d - 1, 0, -1):
-        mean = rng.standard_gamma(up) * (p_down / (gamma if k == d - 1 else p_up))
-        if not mean.max() <= _MAX_VISITS:
-            raise NotReachable(f"a tick would need more than 2**53 down-exits of "
-                               f"level {k}; the top is practically never reached")
-        down = rng.poisson(mean)
-        if k == d - 1:
-            top = up + down
-        else:
-            interior += up + down
-        up = down + 1.0
-    return (rng.standard_gamma(up) / p_up
-            + rng.standard_gamma(interior) / (p_up + p_down)
-            + rng.standard_gamma(top) / (gamma + p_down))
+    off = np.full(2 * d - 1, math.sqrt(p_down))
+    off[0::2] = math.sqrt(p_up)
+    off[-1] = math.sqrt(gamma)
+    sigma = eigvalsh_tridiagonal(np.zeros(2 * d), off, select="i",
+                                 select_range=(d, 2 * d - 1), lapack_driver="stebz",
+                                 tol=np.finfo(float).tiny)
+    return sigma * sigma
 
 
-def _simulate(p_up: float, p_down: float, gamma: float, d: int,
-              seed: int, n: int) -> np.ndarray:
+def _simulate(rates: np.ndarray, seed: int, n: int) -> np.ndarray:
     # Trajectory j is lane j % _STREAM_BLOCK of block j // _STREAM_BLOCK,
     # and block b draws from numpy's Philox keyed by (seed, b).  The key
     # is built as uint64 words: a plain list goes through float64 for
-    # seeds >= 2**63 and merges neighbouring seeds.
-    blocks = [_block_times(np.random.Generator(np.random.Philox(
-        key=np.array([seed, b], dtype=np.uint64))), p_up, p_down, gamma, d)
-        for b in range(-(-n // _STREAM_BLOCK))]
-    return np.concatenate(blocks)[:n]
+    # seeds >= 2**63 and merges neighbouring seeds.  A block draws its
+    # exponentials level-major, a (levels, _STREAM_BLOCK) array in the
+    # order of ``rates``, and adds the stages level by level, so no sum
+    # depends on the chunking or on a BLAS.
+    times = np.zeros((-(-n // _STREAM_BLOCK), _STREAM_BLOCK))
+    for b, lanes in enumerate(times):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        for start in range(0, rates.size, _LEVEL_CHUNK):
+            chunk = rates[start:start + _LEVEL_CHUNK]
+            stages = rng.standard_exponential((chunk.size, _STREAM_BLOCK))
+            stages /= chunk[:, None]
+            for stage in stages:
+                lanes += stage
+    return times.reshape(-1)[:n]
 
 
 def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
@@ -482,26 +485,29 @@ def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
     """Draw ``n_ticks`` independent tick intervals of the ladder clock.
 
     Ticks renew the ladder at the bottom level, so intervals are iid and
-    one interval per trajectory suffices.  Each interval is drawn exactly
-    from the walk's crossing counts, at a cost of O(d) whatever the bias
-    or the emission rate.  Trajectories come in blocks of
-    :data:`_STREAM_BLOCK`; block ``b`` draws from numpy's Philox keyed by
-    ``(seed, b)``, always for the whole block.  So the sample is
-    reproducible bit for bit for a given ``seed``, and a shorter sample is
-    a prefix of a longer one.  Raises :class:`NotReachable` when the top
-    is never reached, or when a level would need more than 2**53 visits.
+    one interval per trajectory suffices.  Each interval is drawn exactly,
+    as ``d`` exponential stages over the passage-time spectrum, at a
+    cost of O(d) per interval whatever the bias or the emission rate.
+    Trajectories come in blocks of :data:`_STREAM_BLOCK`; block ``b``
+    draws from numpy's Philox keyed by ``(seed, b)``, always for the whole
+    block.  So the sample is reproducible bit for bit for a given
+    ``seed``, and a shorter sample is a prefix of a longer one.
+
+    Raises :class:`NotReachable` exactly where :func:`solve_first_passage`
+    does, and :class:`RuntimeError` when the spectrum's mean tick time
+    misses the exact one, which only a wrong spectrum can do.
     """
     if n_ticks < 1:
         raise ValueError(f"need at least 1 tick sample, got {n_ticks!r}")
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must fit in an unsigned 64-bit word, got {seed!r}")
-    if not lr.p_up > 0.0:
-        raise NotReachable(f"upward rate {lr.p_up!r} is not positive; the top "
-                           "level is never reached")
-    gamma = resolve_gamma(ladder, lr)
-    if not gamma > 0.0:
-        raise NotReachable(f"emission rate {gamma!r} is not positive")
-    return _simulate(lr.p_up, lr.p_down, gamma, ladder.d, seed, n_ticks)
+    mean = solve_first_passage(lr, ladder).mean_tick_time
+    rates = _passage_spectrum(lr.p_up, lr.p_down, resolve_gamma(ladder, lr), ladder.d)
+    spectrum_mean = float(np.sum(1.0 / rates))
+    if not abs(spectrum_mean - mean) <= _SPECTRUM_RTOL * mean:
+        raise RuntimeError(f"passage spectrum has mean tick time {spectrum_mean!r}, "
+                           f"the first-passage moments {mean!r}")
+    return _simulate(rates, seed, n_ticks)
 
 
 def simulate_ticks(lr: LadderRates, ladder: LadderSpec, n_ticks: int,

@@ -386,10 +386,25 @@ def _build(raw: Any) -> RunConfig:
     return RunConfig(scan=_build_axes(raw.get("scan")), **sections)
 
 
+# libyaml's parser where PyYAML was built with it: the same safe
+# constructor and resolver as the pure-Python one, so the same values.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml(text: str) -> Any:
+    """The value of a YAML document, under PyYAML's safe schema."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except UnicodeEncodeError:
+        # libyaml reads UTF-8 bytes only; the pure-Python reader reports a
+        # character with no encoding (an undecodable argv byte) as YAMLError.
+        return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def parse_config(text: str) -> RunConfig:
     """Read a YAML document into a validated :class:`RunConfig`."""
     try:
-        raw = yaml.safe_load(text)
+        raw = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     return _build(raw)
@@ -435,7 +450,7 @@ def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
         if not sep:
             raise ConfigError(f"--set {item!r}: expected section.key=value")
         try:
-            value = yaml.safe_load(text) if text != "" else None
+            value = _load_yaml(text) if text != "" else None
         except yaml.YAMLError as exc:
             raise ConfigError(f"--set {item!r}: bad value: {exc}") from exc
         parts = path.strip().split(".")

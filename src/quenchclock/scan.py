@@ -326,22 +326,17 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
         out.flags["passive"] |= out.live & ~sample
         accuracy = np.full(out.n, math.nan)
         rate = np.full(out.n, math.nan)
-        unreachable = np.zeros(out.n, dtype=bool)
         # One row at a time: each row draws from its own seed's streams.
+        # The sampler refuses only the rows the first passage flagged.
         for i in np.flatnonzero(sample).tolist():
             gamma = float(pt.Gamma[i])
             ladder = LadderSpec(d=int(pt.d[i]), epsilon_w=float(pt.epsilon_w[i]),
                                 g=float(pt.g[i]), Gamma=None if math.isnan(gamma) else gamma)
-            try:
-                stats = simulate_ticks(
-                    LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
-                    ladder, config.mc.n_trajectories, row_seed(config.mc.seed, i))
-            except NotReachable:
-                unreachable[i] = True
-                continue
+            stats = simulate_ticks(
+                LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
+                ladder, config.mc.n_trajectories, row_seed(config.mc.seed, i))
             accuracy[i] = stats.empirical_accuracy
             rate[i] = stats.empirical_rate
-        out.fail(((NotReachable, unreachable),))
         out.put(sample, empirical_accuracy=accuracy, empirical_rate=rate)
     if "lifetime" in stages:
         rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, pt.epsilon_w,
@@ -400,9 +395,15 @@ def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
                          *(out.column(name) for name in value_cols), out.flag_column()))
 
 
-def single_point(config: RunConfig) -> tuple:
-    """``config.point({})`` for a command without a grid, where a point the
-    spec constructors reject is a domain error, as it is an ``invalid`` row."""
+def single_point(config: RunConfig, command: str) -> tuple:
+    """``config.point({})`` for a ``command`` without a grid.
+
+    Scan axes are a config error, since the command would ignore them; a
+    point the spec constructors reject is a domain error, as it is an
+    ``invalid`` row.
+    """
+    if config.scan:
+        raise ConfigError(f"{command} needs a single point; remove scan axes")
     try:
         return config.point({})
     except ValueError as exc:
@@ -411,7 +412,7 @@ def single_point(config: RunConfig) -> tuple:
 
 def oracle_table(config: RunConfig) -> Table:
     """Refinement table of the finite-size check at the config's point."""
-    quench, coupling, _ = single_point(config)
+    quench, coupling, _ = single_point(config, "oracle")
     report = discrete_rates(quench, coupling, L=config.oracle.L_oracle,
                             eta=config.oracle.eta, kernel=config.oracle.kernel)
     columns = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")
@@ -420,16 +421,18 @@ def oracle_table(config: RunConfig) -> Table:
                               for name in columns))
 
 
-def _number_texts(values: np.ndarray, code: str) -> list[str]:
-    """The cells of a number column as text, in row order.
+def _number_texts(columns: list[np.ndarray], code: str) -> list[list[str]]:
+    """The cells of number columns of one dtype and length as text, one
+    list per column in row order.
 
-    Each distinct value is formatted once with the printf ``code``; the
-    values are keyed on their int64 bit view, so -0.0 and nan keep their
-    own text.
+    Each distinct value of all the columns is formatted once with the
+    printf ``code``; the values are keyed on their int64 bit view, so
+    -0.0 and nan keep their own text.
     """
-    keys, index = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [code % x for x in keys.view(values.dtype).tolist()]
-    return [texts[i] for i in index.tolist()]
+    stacked = np.stack(columns)
+    keys, index = np.unique(stacked.view(np.int64), return_inverse=True)
+    texts = np.array([code % x for x in keys.view(stacked.dtype).tolist()], dtype=object)
+    return texts[index.reshape(stacked.shape)].tolist()
 
 
 def write_csv(table: Table, precision: int) -> str:
@@ -439,9 +442,12 @@ def write_csv(table: Table, precision: int) -> str:
     ``%.{p}g`` prints a float as ``format(x, ".{p}g")`` does and ``%d``
     an int.  A string cell is written as it is.
     """
-    codes = {"f": f"%.{precision}g", "i": "%d"}
-    cells = [v.tolist() if v.dtype.kind == "O" else _number_texts(v, codes[v.dtype.kind])
-             for v in table.values]
+    cells = [v.tolist() if v.dtype.kind == "O" else None for v in table.values]
+    for kind, code in (("f", f"%.{precision}g"), ("i", "%d")):
+        at = [i for i, v in enumerate(table.values) if v.dtype.kind == kind]
+        if at:
+            for i, texts in zip(at, _number_texts([table.values[i] for i in at], code)):
+                cells[i] = texts
     return "\n".join([f"# schema: {table.schema}",
                       "# columns: " + ",".join(table.columns),
                       ",".join(table.columns),

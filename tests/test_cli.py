@@ -1,6 +1,7 @@
 """Config round-trips, scan tables, writers, and the command line."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -11,10 +12,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quenchclock
+from quenchclock import config as config_module
 from quenchclock import scan
 from quenchclock import (
     ConfigError,
@@ -48,6 +51,7 @@ from quenchclock.battery import check_pumping, check_rung, lifetime_report
 from quenchclock.cli import _histogram_table, main
 from quenchclock.scan import _BALANCE_TOL, _COMMANDS, _MC_COLS, FLAG_PRIORITY, oracle_table
 
+_ROOT = Path(__file__).resolve().parents[1]
 # An integer far beyond the range of a double.
 _HUGE_INT = "1" + "0" * 400
 
@@ -186,6 +190,35 @@ output: {format: json, precision: 9}
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.yaml"))
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_loader_gives_the_pure_python_values(self, monkeypatch):
+        # The README's config document and every --set value of the
+        # benchmark workloads, read by both parsers.
+        readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+        texts = [readme.split("```yaml\n", 1)[1].split("```", 1)[0]]
+        spec = importlib.util.spec_from_file_location("workloads", _ROOT / "bench/workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up while the module executes.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        for name in ("scan_grid", "clock_mc", "point_pipeline"):
+            for seed, tiny in ((1, False), (2**64 - 1, True)):
+                texts += [item.partition("=")[2]
+                          for overrides in workloads.setup_overrides(name, seed, tiny)
+                          for item in overrides]
+        assert len(texts) > 20
+        for text in texts:
+            value = config_module._load_yaml(text)
+            assert repr(value) == repr(yaml.load(text, Loader=yaml.SafeLoader)), text
+        assert parse_config(texts[0]) == RunConfig()
+
+    @pytest.mark.parametrize("item", ["model.h_i=\udcff", "model.h_i=[1", "model.h_i=\x00"])
+    def test_unreadable_set_value_is_a_config_error(self, item):
+        # An undecodable argv byte reaches Python as a lone surrogate, which
+        # libyaml cannot encode; it stays a config error.
+        with pytest.raises(ConfigError, match="bad value"):
+            apply_overrides(RunConfig(), [item])
 
     @pytest.mark.parametrize("text, reason", [
         ("oracle: {kernel: foo}", "unknown kernel 'foo'"),
@@ -345,13 +378,21 @@ class TestRunScan:
             assert not table.all_flagged
 
     def test_unreachable_sample_is_flagged(self):
-        # The top is left down 1e31 times per tick: the sampler refuses
-        # the row, and only the Monte Carlo cells stay empty.
-        c = apply_overrides(RunConfig(), ["ladder.gamma=1.0e-30", "mc.n_trajectories=20"])
+        # The top is left down 1e31 times per tick, yet the moments are
+        # finite: the row samples, one slow stage dominates, and N is ~1.
+        c = apply_overrides(RunConfig(), ["ladder.gamma=1.0e-30", "mc.n_trajectories=20000"])
+        row = _first_row(run_scan(c, "clock"))
+        assert row["flag"] == ""
+        assert math.isfinite(row["empirical_accuracy"]) and math.isfinite(row["empirical_rate"])
+        assert row["empirical_accuracy"] == pytest.approx(row["exact_N"], rel=0.05)
+        # Moments beyond the double range: the row is flagged before it
+        # samples, and every cell from the first passage on stays empty.
+        c = apply_overrides(RunConfig(), ["ladder.gamma=1.0e-200", "mc.n_trajectories=20"])
         row = _first_row(run_scan(c, "clock"))
         assert row["flag"] == "not_reachable"
-        assert math.isnan(row["empirical_accuracy"]) and math.isnan(row["empirical_rate"])
-        assert math.isfinite(row["exact_N"])
+        assert row["p_up"] > row["p_down"]
+        for name in ("exact_N", "empirical_accuracy", "empirical_rate"):
+            assert math.isnan(row[name])
 
     def test_passive_point_skips_sampling(self):
         c = apply_overrides(RunConfig(), ["coupling.epsilon0=4.0",
@@ -491,13 +532,10 @@ def _reference_point(config, stages, index, values, sample):
         if not lr.p_up > lr.p_down:
             flags.add("passive")
         else:
-            try:
-                stats = sample(lr, ladder, config.mc.n_trajectories,
-                               row_seed(config.mc.seed, index))
-                cells.update(empirical_accuracy=stats.empirical_accuracy,
-                             empirical_rate=stats.empirical_rate)
-            except NotReachable:
-                flags.add("not_reachable")
+            stats = sample(lr, ladder, config.mc.n_trajectories,
+                           row_seed(config.mc.seed, index))
+            cells.update(empirical_accuracy=stats.empirical_accuracy,
+                         empirical_rate=stats.empirical_rate)
     if "lifetime" in live:
         rep = lifetime_report(rates, coupling, ladder, fp)
         cells.update(available_energy=rep.available_energy,
@@ -825,6 +863,35 @@ class TestCli:
         assert main(["clock", "--histogram", "8"]) == 2
         assert main(["clock", "--histogram", "0",
                      "--set", "mc.n_trajectories=10"]) == 2
+
+    @pytest.mark.parametrize("command, name", [(["oracle"], "oracle"),
+                                               (["clock", "--histogram", "4"], "--histogram")])
+    def test_single_point_command_rejects_axes(self, command, name, capsys):
+        # A one-point command would ignore the grid; both refuse it by one rule.
+        assert main([*command, "--set", "mc.n_trajectories=10", "--set",
+                     "scan.axes=[{name: h_f, min: 1.2, max: 1.5, steps: 2}]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {name} needs a single point; remove scan axes\n"
+
+    def test_consecutive_calls_match_separate_processes(self, capsys):
+        # One parser serves every call in a process; no call's --set list
+        # may leak into the next one's defaults.
+        runs = [["rates", "--set", "coupling.epsilon0=2.2", "--set", "model.h_f=1.3"],
+                ["clock", "--set", "ladder.d=12"],
+                ["rates"]]
+        in_process = []
+        for argv in runs:
+            assert main(argv) == 0
+            in_process.append(capsys.readouterr().out)
+        src = str(Path(quenchclock.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        separate = [subprocess.run([sys.executable, "-m", "quenchclock", *argv], env=env,
+                                   capture_output=True, text=True, check=True).stdout
+                    for argv in runs]
+        assert in_process == separate
+        assert len(set(in_process)) == len(runs)
 
     def test_seed_controls_sampling(self, tmp_path):
         args = ["clock", "--set", "mc.n_trajectories=60"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import eigvalsh_tridiagonal, expm
 from scipy.stats import kstest
 
 from quenchclock import (
@@ -393,11 +393,67 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     def test_passive_walk_not_reachable(self):
-        # Each level is left down 1e8 times per up-exit: the visit counts
-        # leave the exact range of a double two levels below the top.
+        # Each level is left down 1e8 times per up-exit: the variance of
+        # the tick time leaves the range of a double.
         lad = LadderSpec(d=37, epsilon_w=1.0, g=0.1)
-        with pytest.raises(NotReachable, match="2\\*\\*53"):
+        with pytest.raises(NotReachable, match="out of double range"):
             sample_tick_times(LadderRates(p_up=1e-8, p_down=1.0), lad, 100, seed=1)
+
+    @pytest.mark.parametrize("p_up, p_down, gamma, d", [
+        (3.0, 1.0, 40.0, 4),
+        (1.5, 1.0, 50.0, 20),
+        (1.0, 1.0, 7.0, 13),
+        (1.2, 1.0, 50.0, 20),
+        (3.0, 1.0, 50.0, 20),
+        (6940.0, 6346.0, 1.0, 12),
+        (0.1, 1.0, 36.0, 30),     # passive, p_up/p_down = 1/10
+        (1 / 30, 1.0, 36.0, 20),  # passive, p_up/p_down = 1/30
+        (1.0, 10.0, 5.0, 20),     # the symmetrized generator's spectrum is 100% off
+        (0.7, 0.0, 11.0, 2),      # no down rate: the stages are p_up and Gamma
+        (2.0, 1.0, 1e-30, 10),    # a top that almost never fires
+        (1.0, 1e-30, 1e-30, 10),
+        (100.0, 1.0, 1e-6, 20),   # Gamma far below p_up
+        (1.0, 100.0, 1e6, 20),    # Gamma far above p_down
+    ])
+    def test_spectrum_matches_first_passage_moments(self, p_up, p_down, gamma, d):
+        # Sum of independent Exp(lambda_j): mean sum 1/lambda, variance
+        # sum 1/lambda**2, over rates that span up to 60 decades.
+        rates = clock._passage_spectrum(p_up, p_down, gamma, d)
+        fp = solve_first_passage(LadderRates(p_up=p_up, p_down=p_down),
+                                 LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=gamma))
+        assert rates.shape == (d,) and rates[0] > 0.0 and np.all(np.diff(rates) >= 0.0)
+        assert np.sum(1.0 / rates) == pytest.approx(fp.mean_tick_time, rel=1e-12)
+        assert np.sum(1.0 / rates**2) == pytest.approx(fp.var_tick_time, rel=1e-12)
+
+    def test_wrong_spectrum_fails_loudly(self, monkeypatch):
+        # The eigenvalues of the symmetrized generator, from the default
+        # tridiagonal solver, lose the small rates of a downward walk to
+        # rounding on the scale of the large ones.
+        def symmetrized(p_up, p_down, gamma, d):
+            diag = np.full(d, p_up + p_down)
+            diag[0], diag[-1] = p_up, gamma + p_down
+            return eigvalsh_tridiagonal(diag, np.full(d - 1, math.sqrt(p_up * p_down)))
+
+        monkeypatch.setattr(clock, "_passage_spectrum", symmetrized)
+        lad = LadderSpec(d=20, epsilon_w=1.0, g=0.1, Gamma=5.0)
+        with pytest.raises(RuntimeError, match="passage spectrum"):
+            sample_tick_times(LadderRates(p_up=1.0, p_down=10.0), lad, 10, seed=1)
+
+    def test_level_chunks_keep_the_bits(self):
+        # A block draws its exponentials level-major, so a ladder deeper
+        # than one chunk gets the bits of one (d, block) draw, summed level
+        # by level.
+        d = 2 * clock._LEVEL_CHUNK + 5
+        block = clock._STREAM_BLOCK
+        lad = LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=40.0)
+        got = sample_tick_times(self.LR, lad, block + 10, seed=31)
+        rates = clock._passage_spectrum(self.LR.p_up, self.LR.p_down, 40.0, d)
+        expected = np.zeros((2, block))
+        for b, times in enumerate(expected):
+            rng = np.random.Generator(np.random.Philox(key=np.array([31, b], dtype=np.uint64)))
+            for stage in rng.standard_exponential((d, block)) / rates[:, None]:
+                times += stage
+        assert np.array_equal(got, expected.reshape(-1)[:block + 10])
 
     @staticmethod
     def _phase_type_cdf(p_up, p_down, gamma, d, t_max, points=20001):
