@@ -52,7 +52,6 @@ from .errors import (
     PassiveState,
     QuenchClockError,
     TooLarge,
-    VanHoveSingularity,
     ZeroRates,
 )
 from .oracle import (

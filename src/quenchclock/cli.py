@@ -24,7 +24,7 @@ import numpy as np
 
 from .clock import ladder_rates, sample_tick_times
 from .config import RunConfig, apply_overrides, load_config
-from .errors import ConfigError, PassiveState, QuenchClockError
+from .errors import ConfigError, QuenchClockError
 from .rates import transition_rates
 from .scan import Table, oracle_table, render_table, run_scan, single_point
 
@@ -91,12 +91,8 @@ def _histogram_table(config: RunConfig, bins: int) -> Table:
         raise ConfigError("--histogram needs mc.n_trajectories >= 1")
     quench, coupling, ladder = single_point(config, "--histogram")
     rates = transition_rates(quench, coupling)
-    lr = ladder_rates(rates, ladder)
-    if not lr.p_up > lr.p_down:
-        raise PassiveState("tick sampling needs an active point: the walk "
-                           "would reach the top only against its own drift")
-    times = sample_tick_times(lr, ladder, config.mc.n_trajectories,
-                              config.mc.seed)
+    times = sample_tick_times(ladder_rates(rates, ladder), ladder,
+                              config.mc.n_trajectories, config.mc.seed)
     counts, edges = np.histogram(times, bins=bins)
     return Table(schema="quenchclock.histogram.v1", columns=("bin_lo", "bin_hi", "count"),
                  values=(edges[:-1], edges[1:], counts.astype(np.int64)))

@@ -512,12 +512,16 @@ def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
 
 def simulate_ticks(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
                    seed: int) -> TickStatistics:
-    """Monte Carlo tick statistics from :func:`sample_tick_times`."""
+    """Monte Carlo tick statistics from :func:`sample_tick_times`.
+
+    The accuracy is the inverse variance of the intervals in units of
+    their mean, finite even where the squared mean overflows."""
     if n_ticks < 2:
         raise ValueError(f"need at least 2 tick samples, got {n_ticks!r}")
     times = sample_tick_times(lr, ladder, n_ticks, seed)
     mean = float(times.mean())
-    var = float(times.var(ddof=1))
+    rel_var = float((times / mean).var(ddof=1))
     return TickStatistics(n_trajectories=n_ticks, mean_tick_time=mean,
-                          var_tick_time=var, empirical_accuracy=mean**2 / var,
+                          var_tick_time=mean * mean * rel_var,
+                          empirical_accuracy=1.0 / rel_var,
                           empirical_rate=1.0 / mean, seed=seed)

@@ -21,6 +21,7 @@ for any config object.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
@@ -386,19 +387,25 @@ def _build(raw: Any) -> RunConfig:
     return RunConfig(scan=_build_axes(raw.get("scan")), **sections)
 
 
-# libyaml's parser where PyYAML was built with it: the same safe
-# constructor and resolver as the pure-Python one, so the same values.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """PyYAML's safe loader (on libyaml where built with it), with the
+    YAML 1.2 floats such as ``1e-30``, which YAML 1.1 reads as strings.
+    The pattern comes after PyYAML's resolvers, so integers stay ints."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
 
 
 def _load_yaml(text: str) -> Any:
-    """The value of a YAML document, under PyYAML's safe schema."""
+    """The value of a YAML document, read by :class:`_Loader`."""
     try:
-        return yaml.load(text, Loader=_YAML_LOADER)
-    except UnicodeEncodeError:
-        # libyaml reads UTF-8 bytes only; the pure-Python reader reports a
-        # character with no encoding (an undecodable argv byte) as YAMLError.
-        return yaml.load(text, Loader=yaml.SafeLoader)
+        return yaml.load(text, Loader=_Loader)
+    except UnicodeEncodeError as exc:
+        # libyaml reads UTF-8 only: an undecodable argv byte is no YAML.
+        raise yaml.YAMLError(f"unreadable character: {exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -414,7 +421,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 

@@ -29,19 +29,15 @@ class OutOfBand(QuenchClockError):
     """An energy argument lies outside the single-particle band."""
 
 
-class VanHoveSingularity(QuenchClockError):
-    """The group velocity vanishes at a requested energy; the density of
-    states diverges there."""
-
-
 class NoResonance(QuenchClockError):
     """No momentum satisfies the resonance condition for the requested
     qubit frequency."""
 
 
 class DegenerateRoot(QuenchClockError):
-    """A resonance root sits at a band edge where the rate integrand
-    diverges, or cannot be polished to the root residual bound."""
+    """A root sits at a van Hove point, where the band is flat and the
+    density of states diverges, or cannot be polished to the root
+    residual bound."""
 
 
 class ZeroRates(QuenchClockError):
@@ -49,8 +45,8 @@ class ZeroRates(QuenchClockError):
 
 
 class PassiveState(QuenchClockError):
-    """The stationary state cannot drive the clock (no population
-    inversion at the probe frequency)."""
+    """The chain does not pump the probe (no population inversion at the
+    probe frequency), so it has no battery lifetime."""
 
 
 class BadBroadening(QuenchClockError):

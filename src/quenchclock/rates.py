@@ -34,17 +34,18 @@ import numpy as np
 
 from .errors import DegenerateRoot, GaplessMode, NoResonance, Raises
 from .spectra import (
-    DERIVATIVE_TOL,
     EnergyRoot,
     ModeState,
     ModelArrays,
     ModelKind,
     QuenchSpec,
     band_edges,
+    check_slope,
     energy_roots,
     energy_roots_array,
     mode_state,
     mode_state_array,
+    van_hove,
 )
 
 # Each root in the half zone stands for a +-k* pair of the full zone.
@@ -206,11 +207,7 @@ def _resonance(quench: QuenchSpec, epsilon0):
             f"pair band is [{2.0 * lo:.6g}, {2.0 * hi:.6g}]")
     pairs = []
     for root in rr.included:
-        v = root.velocity
-        if not math.isfinite(v) or abs(v) < DERIVATIVE_TOL:
-            raise DegenerateRoot(
-                f"band slope {v!r} at resonant k={root.k!r} is below "
-                f"{DERIVATIVE_TOL}; the delta-function weight diverges")
+        check_slope(root)
         pairs.append((root, mode_state(quench, root.k)))
     pairs = tuple(pairs)
     _last_resonance = (quench, epsilon0, len(rr.excluded), pairs)
@@ -273,7 +270,7 @@ def transition_rates_array(initial: ModelArrays, final: ModelArrays, epsilon0,
         mode, gapless = mode_state_array(initial.take(column), final.take(column),
                                          roots.k)
         v = roots.velocity
-        flat = ~np.isfinite(v) | (np.abs(v) < DERIVATIVE_TOL)
+        flat = van_hove(v)
         pref = 2.0 * (g_obs * g_obs) / (math.pi * L)
         weight, emission, absorption = _pair_rates(
             final.take(column), roots.k, v, mode.theta_f, mode.n_k,

@@ -16,7 +16,9 @@ writers format each column by its dtype, byte-reproducibly.
 A grid point that cannot be evaluated is not an error: the row keeps
 ``nan`` in the unavailable columns and carries exactly one flag naming
 the innermost reason (priority order in :data:`FLAG_PRIORITY`).  A scan
-whose rows are all flagged signals a domain problem to the CLI.
+whose rows are all flagged signals a domain problem to the CLI.  Monte
+Carlo samples every row the first passage leaves live, whatever its
+drift; ``passive`` flags only a chain that does not pump (lifetime).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .errors import (
     PassiveState,
     QuenchClockError,
     Raises,
-    VanHoveSingularity,
     ZeroRates,
 )
 from .oracle import discrete_rates
@@ -173,7 +174,6 @@ _FLAG_OF_ERROR = (
     (GaplessMode, "gapless"),
     (NoResonance, "no_resonance"),
     (DegenerateRoot, "van_hove"),
-    (VanHoveSingularity, "van_hove"),
     (ZeroRates, "zero_rates"),
     (PassiveState, "passive"),
     (NotReachable, "not_reachable"),
@@ -319,16 +319,11 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
     out.fail(raises)
     out.put(out.live, exact_N=fp.exact_N, exact_rate=fp.exact_rate)
     if "mc" in stages:
-        # Sampling needs upward drift: against the bias the mean number of
-        # jumps to the top grows exponentially with d, so passive points
-        # keep nan and the flag says why.
-        sample = out.live & (p_up > p_down)
-        out.flags["passive"] |= out.live & ~sample
-        accuracy = np.full(out.n, math.nan)
-        rate = np.full(out.n, math.nan)
+        accuracy = out.column("empirical_accuracy")
+        rate = out.column("empirical_rate")
         # One row at a time: each row draws from its own seed's streams.
         # The sampler refuses only the rows the first passage flagged.
-        for i in np.flatnonzero(sample).tolist():
+        for i in np.flatnonzero(out.live).tolist():
             gamma = float(pt.Gamma[i])
             ladder = LadderSpec(d=int(pt.d[i]), epsilon_w=float(pt.epsilon_w[i]),
                                 g=float(pt.g[i]), Gamma=None if math.isnan(gamma) else gamma)
@@ -337,7 +332,6 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
                 ladder, config.mc.n_trajectories, row_seed(config.mc.seed, i))
             accuracy[i] = stats.empirical_accuracy
             rate[i] = stats.empirical_rate
-        out.put(sample, empirical_accuracy=accuracy, empirical_rate=rate)
     if "lifetime" in stages:
         rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, pt.epsilon_w,
                                     fp.mean_tick_time)

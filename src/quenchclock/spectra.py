@@ -48,7 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DegenerateRoot, GaplessMode, OutOfBand, VanHoveSingularity
+from .errors import DegenerateRoot, GaplessMode, OutOfBand
 
 # A mode below this energy counts as gapless and has no well defined
 # Bogoliubov angle.
@@ -389,12 +389,12 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
 
     For the transverse-field chain the half zone is ``k in [0, pi]``
     (``u = cos k in [-1, 1]``); for the ring it is ``k in [0, pi/2]``.
-    Returns an empty tuple when ``eps`` lies outside the band.
+    Returns an empty tuple when ``eps`` lies outside the band; raises
+    :class:`DegenerateRoot` on a flat band or a root that does not polish.
     """
     eps = float(eps)
     if eps < 0.0:
         return ()
-    k_max = _domain_max(model)
     us: list[float] = []
     if model.kind is ModelKind.XX_RING:
         c2 = (eps * eps - model.V * model.V) / (4.0 * (model.t * model.t))
@@ -409,7 +409,7 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
             if abs(b) < 1e-12:
                 # Flat band (|kappa| = 1, h = 0): eps_k identically 2.
                 if abs(c) < 1e-12:
-                    raise VanHoveSingularity(
+                    raise DegenerateRoot(
                         "flat band: the density of states is not defined")
             else:
                 us.append(-c / b)
@@ -430,12 +430,10 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
         us = [min(1.0, max(-1.0, u)) for u in us if -1.0 - 1e-12 <= u <= 1.0 + 1e-12]
     roots = []
     for u in sorted(set(us)):
-        k0 = float(np.arccos(u))
-        if k0 > k_max + 1e-12:
-            continue
-        k = min(k0, k_max)
+        k = float(np.arccos(u))  # in the half zone: u is clipped to it
         if not abs(dispersion(model, k) - eps) <= _ROOT_RESIDUAL_TOL * max(1.0, eps):
-            polished, unpolished = _polish_roots(model, np.array([eps]), np.array([k]), k_max)
+            polished, unpolished = _polish_roots(model, np.array([eps]), np.array([k]),
+                                                 _domain_max(model))
             k1 = float(polished[0])
             if unpolished[0]:
                 raise DegenerateRoot(
@@ -506,10 +504,8 @@ def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
             u[:, 1] = np.where(np.isnan(u1) | np.isnan(u2), np.nan, np.fmax(u1, u2))
         # Both quadratics see eps only squared; no energy below zero is reached.
         u[eps < 0.0] = np.nan
-        k_max = _domain_max(model)
+        present = ~np.isnan(u)
         k0 = np.arccos(u)
-        present = k0 <= k_max + 1e-12
-        k0 = np.where(present, np.minimum(k0, k_max), np.nan)
         model2 = model.take((slice(None), None))
         eps2 = eps[:, None]
         residual = dispersion(model2, k0) - eps2
@@ -518,7 +514,7 @@ def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
         if rough.any():
             rows, cols = np.nonzero(rough)
             polished, unpolished = _polish_roots(model.take(rows), eps[rows],
-                                                 k0[rows, cols], k_max)
+                                                 k0[rows, cols], _domain_max(model))
             k = k0.copy()
             k[rows, cols] = polished
             degenerate[rows[unpolished]] = True
@@ -582,6 +578,20 @@ def _polish_roots(model, eps: np.ndarray, k0: np.ndarray,
     return k, bracketed & (np.abs(f(k)) > tol)
 
 
+def van_hove(velocity):
+    """Where a root of band slope ``velocity`` (scalar or array) is a van
+    Hove point: the slope is nan, infinite or below :data:`DERIVATIVE_TOL`."""
+    return ~(np.isfinite(velocity) & (np.abs(velocity) >= DERIVATIVE_TOL))
+
+
+def check_slope(root: EnergyRoot) -> float:
+    """``|d eps_k/dk|`` at ``root``; :class:`DegenerateRoot` at a van Hove point."""
+    if van_hove(root.velocity):
+        raise DegenerateRoot(f"band slope {root.velocity!r} at k={root.k!r} is below "
+                             f"{DERIVATIVE_TOL}; the density of states diverges")
+    return abs(root.velocity)
+
+
 def density_of_states(model: ModelSpec, eps: float) -> DensityOfStates:
     """Per-root ``1/|d eps_k/dk|`` at energy ``eps`` and their sum.
 
@@ -592,19 +602,13 @@ def density_of_states(model: ModelSpec, eps: float) -> DensityOfStates:
     ------
     OutOfBand
         If no momentum reaches ``eps``.
-    VanHoveSingularity
-        If any root has ``|d eps_k/dk| < 1e-6``.
+    DegenerateRoot
+        At a van Hove point (see :func:`check_slope`) or a flat band.
     """
     roots = energy_roots(model, eps)
     if not roots:
         lo, hi = band_edges(model)
         raise OutOfBand(f"eps={eps!r} outside the band [{lo:.6g}, {hi:.6g}]")
-    weights = []
-    for r in roots:
-        v = abs(r.velocity)
-        if not math.isfinite(v) or v < DERIVATIVE_TOL:
-            raise VanHoveSingularity(
-                f"group velocity {v!r} at k={r.k!r} is below tolerance {DERIVATIVE_TOL}")
-        weights.append(1.0 / v)
+    weights = [1.0 / check_slope(r) for r in roots]
     return DensityOfStates(eps=float(eps), roots=roots,
                            per_root=tuple(weights), total=sum(weights))

@@ -1,7 +1,9 @@
 """Config round-trips, scan tables, writers, and the command line."""
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
@@ -29,7 +31,6 @@ from quenchclock import (
     QuenchClockError,
     RunConfig,
     Table,
-    VanHoveSingularity,
     ZeroRates,
     apply_overrides,
     bias_condition,
@@ -191,6 +192,29 @@ output: {format: json, precision: 9}
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.yaml"))
 
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"model:\n  h_i: 0.5  # \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(str(path))
+        assert main(["rates", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e-30", 1.0e-30), ("2.5e0", 2.5), ("25e-1", 2.5), ("1.0e3", 1000.0),
+        ("-.5", -0.5), (".5E+1", 5.0), ("12", 12), ("1.5", 1.5), ("e3", "e3")])
+    def test_yaml_reads_yaml_1_2_floats(self, text, value):
+        # YAML 1.1 reads the exponent forms as strings; integers stay ints.
+        got = config_module._load_yaml(text)
+        assert got == value and type(got) is type(value)
+
+    def test_exponent_set_values_are_numbers(self):
+        c = apply_overrides(RunConfig(), ["ladder.gamma=1e-30", "coupling.epsilon0=2.5e0"])
+        assert c.ladder.gamma == 1.0e-30 and c.coupling.epsilon0 == 2.5
+        # So a string key given an exponent-looking value is refused.
+        with pytest.raises(ConfigError, match="output.path: expected a string"):
+            apply_overrides(RunConfig(), ["output.path=1e3"])
+
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
     def test_libyaml_loader_gives_the_pure_python_values(self, monkeypatch):
         # The README's config document and every --set value of the
@@ -274,7 +298,7 @@ _INTEGERS = {"d": (1, 12), "L": (0, 600)}
 
 
 def _num(x: float) -> str:
-    # Fixed-point text: YAML reads "1e-05" as a string, "0.000010" as a float.
+    # Fixed-point text with six decimals.
     return f"{x:.6f}"
 
 
@@ -394,15 +418,28 @@ class TestRunScan:
         for name in ("exact_N", "empirical_accuracy", "empirical_rate"):
             assert math.isnan(row[name])
 
-    def test_passive_point_skips_sampling(self):
+    def test_passive_point_is_sampled(self):
+        # The walk drifts down, yet the clock ticks: the sampler draws the
+        # same d stages per tick as at an active point, and its accuracy
+        # meets the exact one.
         c = apply_overrides(RunConfig(), ["coupling.epsilon0=4.0",
-                                          "mc.n_trajectories=20"])
-        table = run_scan(c, "clock")
-        row = dict(zip(table.columns, table.rows[0]))
-        assert row["flag"] == "passive"
-        assert math.isnan(row["empirical_accuracy"])
-        assert row["p_up"] < row["p_down"]  # exact columns still filled
-        assert math.isfinite(row["exact_N"])
+                                          "mc.n_trajectories=20000"])
+        row = _first_row(run_scan(c, "clock"))
+        assert row["flag"] == ""
+        assert row["p_up"] < row["p_down"]
+        assert row["empirical_accuracy"] == pytest.approx(row["exact_N"], rel=0.05)
+        assert row["empirical_rate"] == pytest.approx(row["exact_rate"], rel=0.05)
+
+    def test_flat_band_is_van_hove(self):
+        # kappa = 1, h_f = 0: every pair has energy 4 = epsilon0.  Both
+        # rates twins report one class, and the row one flag.
+        c = apply_overrides(RunConfig(), ["model.kappa=1.0", "model.h_f=0.0",
+                                          "coupling.epsilon0=4.0"])
+        quench, coupling, _ = c.point({})
+        with pytest.raises(DegenerateRoot, match="flat band"):
+            transition_rates(quench, coupling)
+        for command in ("rates", "clock", "lifetime", "scan"):
+            assert _first_row(run_scan(c, command))["flag"] == "van_hove"
 
     @pytest.mark.parametrize("v_i, v_f", [(-1.5, 0.5), (1.5, -0.5)])
     def test_ring_at_exact_balance_is_undefined(self, v_i, v_f):
@@ -451,8 +488,8 @@ class TestRunScan:
 
 
 _REFERENCE_FLAGS = ((GaplessMode, "gapless"), (NoResonance, "no_resonance"),
-                    (DegenerateRoot, "van_hove"), (VanHoveSingularity, "van_hove"),
-                    (ZeroRates, "zero_rates"), (NotReachable, "not_reachable"))
+                    (DegenerateRoot, "van_hove"), (ZeroRates, "zero_rates"),
+                    (NotReachable, "not_reachable"))
 
 
 class _SharedSampler:
@@ -529,13 +566,10 @@ def _reference_point(config, stages, index, values, sample):
         return cells, flags | {next(f for c, f in _REFERENCE_FLAGS if isinstance(exc, c))}
     cells.update(exact_N=fp.exact_N, exact_rate=fp.exact_rate)
     if "mc" in live:
-        if not lr.p_up > lr.p_down:
-            flags.add("passive")
-        else:
-            stats = sample(lr, ladder, config.mc.n_trajectories,
-                           row_seed(config.mc.seed, index))
-            cells.update(empirical_accuracy=stats.empirical_accuracy,
-                         empirical_rate=stats.empirical_rate)
+        stats = sample(lr, ladder, config.mc.n_trajectories,
+                       row_seed(config.mc.seed, index))
+        cells.update(empirical_accuracy=stats.empirical_accuracy,
+                     empirical_rate=stats.empirical_rate)
     if "lifetime" in live:
         rep = lifetime_report(rates, coupling, ladder, fp)
         cells.update(available_energy=rep.available_energy,
@@ -600,6 +634,77 @@ class TestColumnarScan:
         c = apply_overrides(RunConfig(), overrides)
         for command in ("rates", "clock", "lifetime", "scan"):
             _assert_matches_reference(c, command)
+
+
+def _clock_run(sets: list[str]) -> tuple[int, list[str], list[dict[str, str]]]:
+    """Exit code, columns and text cells of one in-process ``clock`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["clock", *(arg for item in sets for arg in ("--set", item))])
+    lines = out.getvalue().splitlines()[2:]
+    columns = lines[0].split(",") if lines else []
+    return code, columns, [dict(zip(columns, line.split(","))) for line in lines[1:]]
+
+
+@st.composite
+def mixed_drift_grids(draw):
+    """``--set`` assignments of a chain grid whose rows drift up, drift
+    down, or overflow the tick-time moments: small quenches into
+    ``h_f = 1.5`` pump hardly at all, and at large d their walks never
+    reach the top within the double range."""
+    h_lo = draw(st.floats(0.3, 1.0))
+    h_hi = draw(st.floats(1.45, 1.499))
+    d_lo, d_hi = sorted(draw(st.integers(2, 40)) for _ in range(2))
+    gamma = draw(st.sampled_from(["null", "1.0e-200", "2.0e-154", _num(draw(
+        st.floats(0.01, 50.0)))]))
+    return ["model.h_f=1.5", f"ladder.gamma={gamma}",
+            f"ladder.g={_num(draw(st.floats(0.001, 0.1)))}",
+            f"scan.axes=[{{name: h_i, min: {_num(h_lo)}, max: {_num(h_hi)}, "
+            f"steps: {draw(st.integers(1, 4))}}}, "
+            f"{{name: epsilon0, min: 1.5, max: {_num(draw(st.floats(2.5, 7.5)))}, "
+            f"steps: {draw(st.integers(1, 3))}}}, "
+            f"{{name: d, min: {d_lo}, max: {d_hi}, steps: {2 if d_hi > d_lo else 1}}}]"]
+
+
+_PINNED_GRID = ("scan.axes=[{name: h_i, min: 0.5, max: 1.499, steps: 3}, "
+                "{name: epsilon0, min: 1.5, max: 4.0, steps: 3}, "
+                "{name: d, min: 2, max: 40, steps: 3}]")
+
+
+class TestSamplingRule:
+    """Monte Carlo refuses exactly the rows the first passage refuses."""
+
+    @given(mixed_drift_grids(), st.sampled_from([2, 200]))
+    @example(["model.h_f=1.5", _PINNED_GRID], 2)
+    @example(["model.h_f=1.5", _PINNED_GRID], 200)
+    @example(["model.h_f=1.5", "ladder.gamma=1.0e-200", _PINNED_GRID], 200)
+    @example(["model.h_f=1.5", "ladder.gamma=2.0e-154", _PINNED_GRID], 2)
+    @example(["model.h_f=1.5", "ladder.gamma=2.0e-154", _PINNED_GRID], 200)
+    @settings(max_examples=60, deadline=None)
+    def test_sampling_keeps_the_flags_and_exact_columns(self, sets, n):
+        code, columns, rows = _clock_run(sets)
+        mc_code, mc_columns, mc_rows = _clock_run([*sets, f"mc.n_trajectories={n}"])
+        assert code != 1 and mc_code == code
+        assert mc_columns == [*columns[:-1], *_MC_COLS, "flag"]
+        assert len(mc_rows) == len(rows) > 0
+        for row, mc_row in zip(rows, mc_rows):
+            assert {name: mc_row[name] for name in columns} == row
+            for name in _MC_COLS:
+                if mc_row["flag"] == "":
+                    assert math.isfinite(float(mc_row[name])), mc_row
+                elif mc_row["flag"] == "not_reachable":
+                    assert mc_row[name] == "nan"
+
+    def test_pinned_grid_mixes_the_rows(self):
+        # The examples above are worth running: their rows drift both
+        # ways, and some overflow the moments.  At Gamma = 2e-154 every
+        # tick takes at least 5e153: the upward walks sample, and the
+        # downward ones return to the top too often to stay in range.
+        for gamma, want in (("null", {(True, ""), (False, ""), (False, "not_reachable")}),
+                            ("2.0e-154", {(True, ""), (False, "not_reachable")})):
+            _, _, rows = _clock_run(["model.h_f=1.5", f"ladder.gamma={gamma}", _PINNED_GRID])
+            drift = {(float(r["p_up"]) > float(r["p_down"]), r["flag"]) for r in rows}
+            assert want <= drift, gamma
 
 
 @pytest.fixture(scope="module")
@@ -851,9 +956,14 @@ class TestCli:
         assert sum(counts) == 400
 
     def test_histogram_guards(self, capsys):
-        # a passive point cannot be sampled
+        # a passive point is sampled like any other
         assert main(["clock", "--histogram", "8", "--set", "mc.n_trajectories=10",
-                     "--set", "coupling.epsilon0=4.0"]) == 3
+                     "--set", "coupling.epsilon0=4.0"]) == 0
+        counts = [int(line.split(",")[2]) for line in capsys.readouterr().out.splitlines()[3:]]
+        assert len(counts) == 8 and sum(counts) == 10
+        # an unreachable top cannot be
+        assert main(["clock", "--histogram", "8", "--set", "mc.n_trajectories=10",
+                     "--set", "ladder.gamma=1.0e-200"]) == 3
         assert "domain error" in capsys.readouterr().err
         # a grid cannot be histogrammed
         assert main(["clock", "--histogram", "8", "--set", "mc.n_trajectories=10",

@@ -399,6 +399,41 @@ class TestSampling:
         with pytest.raises(NotReachable, match="out of double range"):
             sample_tick_times(LadderRates(p_up=1e-8, p_down=1.0), lad, 100, seed=1)
 
+    def test_accuracy_where_the_squared_mean_overflows(self):
+        # A top that fires at 2e-154: the exact moments are in range, but
+        # a sample mean above 1.34e154 has no square in double range.
+        lr = LadderRates(p_up=72.7, p_down=27.0)
+        lad = LadderSpec(d=10, epsilon_w=1.0, g=0.01, Gamma=2.0e-154)
+        assert math.isfinite(solve_first_passage(lr, lad).exact_N)
+        squares_overflow = 0
+        for n in range(2, 21):
+            for seed in range(1, 41):
+                stats = simulate_ticks(lr, lad, n, seed)
+                assert math.isfinite(stats.empirical_accuracy), (n, seed)
+                assert stats.empirical_accuracy > 0.0
+                times = sample_tick_times(lr, lad, n, seed)
+                scaled = times / 1e154
+                want = scaled.mean() ** 2 / scaled.var(ddof=1)
+                assert stats.empirical_accuracy == pytest.approx(want, rel=1e-12)
+                squares_overflow += stats.mean_tick_time > 1.34e154
+        assert squares_overflow > 10
+
+    @pytest.mark.parametrize("n", [2, 200, 20000])
+    def test_passive_walk_at_the_moment_range_edge(self, n):
+        # Drift down at p_up/p_down = 1.13e-4 over 40 levels: the tick-time
+        # variance is 7e307, just inside the double range.
+        lr = LadderRates(p_up=1.13e-4, p_down=1.0)
+        lad = LadderSpec(d=40, epsilon_w=1.0, g=0.01)
+        fp = solve_first_passage(lr, lad)
+        assert 1e307 < fp.var_tick_time < 1.8e308
+        stats = simulate_ticks(lr, lad, n, seed=4)
+        assert math.isfinite(stats.empirical_accuracy) and stats.empirical_accuracy > 0.0
+        assert math.isfinite(stats.empirical_rate)
+        if n == 20000:
+            # One slow stage holds nearly all the time: N is about 1.
+            assert stats.empirical_accuracy == pytest.approx(fp.exact_N, rel=0.05)
+            assert stats.empirical_rate == pytest.approx(fp.exact_rate, rel=0.03)
+
     @pytest.mark.parametrize("p_up, p_down, gamma, d", [
         (3.0, 1.0, 40.0, 4),
         (1.5, 1.0, 50.0, 20),

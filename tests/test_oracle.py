@@ -30,7 +30,7 @@ from quenchclock import (
     kernel_density,
     transition_rates,
 )
-from quenchclock.oracle import _GRID_MEMO, _rung_grid, _rung_modes
+from quenchclock.oracle import _GRID_MEMO, _kernel_matrix, _rung_grid, _rung_modes
 from quenchclock.spectra import _check_gapped, _components, _energy, _mode_fields
 
 ISING = QuenchSpec.ising(h_i=0.5, h_f=1.5, kappa=1.0)
@@ -71,6 +71,32 @@ class TestKernels:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError):
             kernel_density("top_hat", self.ETA, 0.0)
+
+    def test_zero_width_cells_are_the_point_kernel(self):
+        # A cell collapsed to its mode takes the point form, in the density
+        # and in the dispersive part, bit for bit.
+        x = np.linspace(-1.0, 1.0, 41)
+        assert np.array_equal(kernel_density("lorentzian", self.ETA, x),
+                              kernel_density("lorentzian_point", self.ETA, x))
+        assert (kernel_density("lorentzian", self.ETA, 0.3)
+                == kernel_density("lorentzian_point", self.ETA, 0.3))
+        E = np.array([-0.4, 0.0, 0.05, 2.5])
+        omega = np.linspace(-1.0, 3.0, 17)
+        cells = _kernel_matrix("lorentzian", self.ETA, omega, E, E, E)
+        assert cells.shape == (17, 4)
+        assert np.array_equal(cells, _kernel_matrix("lorentzian_point", self.ETA, omega,
+                                                    E, E, E))
+
+    @pytest.mark.parametrize("x", [0.0, 0.015, -0.085, 0.2, 0.45])
+    def test_gaussian_dispersive_part_is_the_hilbert_transform(self, x):
+        # Re K(x) = (1/pi) P int rho(y) / (x - y) dy, with quad's Cauchy
+        # weight 1 / (y - x); the density is negligible beyond 14 eta.
+        X = 14.0 * self.ETA
+        val, _ = quad(lambda y: kernel_density("gaussian", self.ETA, y), -X, X,
+                      weight="cauchy", wvar=x)
+        k = _kernel_matrix("gaussian", self.ETA, np.array([0.0]), np.array([x]), None, None)
+        assert k.real[0, 0] == pytest.approx(-val / math.pi, rel=1e-12, abs=1e-12)
+        assert k.imag[0, 0] == kernel_density("gaussian", self.ETA, x)
 
 
 class TestDiscreteRates:

@@ -19,7 +19,6 @@ from quenchclock import (
     ModelSpec,
     OutOfBand,
     QuenchSpec,
-    VanHoveSingularity,
     band_edges,
     bogoliubov_angle,
     density_of_states,
@@ -240,8 +239,18 @@ class TestDensityOfStates:
 
     def test_van_hove_at_band_edge(self):
         m = ModelSpec.xx_ring(t=1.0, V=1.0)
-        with pytest.raises(VanHoveSingularity):
+        with pytest.raises(DegenerateRoot, match="density of states diverges"):
             density_of_states(m, math.sqrt(5.0))
+
+    def test_flat_band_is_a_degenerate_root(self):
+        # |kappa| = 1, h = 0: eps_k = 2 at every k, so each k is a root.
+        m = ModelSpec.ising(h=0.0, kappa=1.0)
+        for call in (energy_roots, density_of_states):
+            with pytest.raises(DegenerateRoot, match="flat band"):
+                call(m, 2.0)
+        rows = energy_roots_array(ModelArrays(ModelKind.ISING_XY, h=np.zeros(1),
+                                              kappa=np.ones(1)), np.array([2.0]))
+        assert rows.degenerate.tolist() == [True]
 
 
 class TestQuench:
@@ -305,7 +314,7 @@ def test_root_residuals_property(pair):
     model, eps = pair
     try:
         roots = energy_roots(model, eps)
-    except VanHoveSingularity:
+    except DegenerateRoot:
         return
     assert roots
     for r in roots:
@@ -360,7 +369,7 @@ def test_every_root_meets_the_residual_or_sits_at_an_extremum(kind):
     for i, (m, e, t) in enumerate(zip(specs[:2000], eps.tolist(), tol.tolist())):
         try:
             roots = energy_roots(m, e)
-        except (DegenerateRoot, VanHoveSingularity):
+        except DegenerateRoot:
             continue
         assert len(roots) == arr.present[i].sum(), (m, e)
         for r in roots:
