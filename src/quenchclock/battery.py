@@ -21,8 +21,7 @@ passive chain raises :class:`PassiveState`.  The renewal estimate
 the ladder, and their quotient ``formula_ratio`` exposes the clock-speed
 factor separating the two conventions.
 
-:func:`rung_matches` and :func:`lifetime_report_array` are the array
-twins the grid scan uses.
+:func:`lifetime_report_array` is the array twin the grid scan uses.
 """
 
 from __future__ import annotations
@@ -76,25 +75,11 @@ def check_rung(coupling: QubitCoupling, ladder: LadderSpec) -> None:
 
     Mismatched energies would make the golden-rule rates inapplicable.
     """
-    if not rung_matches(ladder.epsilon_w, coupling.epsilon0):
+    if not math.isclose(ladder.epsilon_w, coupling.epsilon0, rel_tol=_RUNG_RTOL,
+                        abs_tol=0.0):
         raise ValueError(
             f"ladder rung epsilon_w={ladder.epsilon_w!r} must equal the probe "
             f"gap epsilon0={coupling.epsilon0!r}")
-
-
-def rung_matches(epsilon_w, epsilon0) -> np.ndarray | bool:
-    """Whether each rung ``epsilon_w`` matches its probe gap ``epsilon0``
-    (scalars or arrays): the rule of :func:`check_rung`, which is
-    :func:`math.isclose` with ``rel_tol=_RUNG_RTOL, abs_tol=0``.  Two
-    Python numbers take that rule itself and give a ``bool``.
-    """
-    if isinstance(epsilon_w, (int, float)) and isinstance(epsilon0, (int, float)):
-        return math.isclose(epsilon_w, epsilon0, rel_tol=_RUNG_RTOL, abs_tol=0.0)
-    with np.errstate(invalid="ignore"):
-        diff = np.abs(epsilon0 - epsilon_w)
-        close = ((diff <= np.abs(_RUNG_RTOL * epsilon0))
-                 | (diff <= np.abs(_RUNG_RTOL * epsilon_w)))
-    return (epsilon_w == epsilon0) | (np.isfinite(epsilon_w) & np.isfinite(epsilon0) & close)
 
 
 def check_pumping(rates: Rates) -> None:
@@ -132,7 +117,7 @@ def _report(rates, dos, epsilon0, d, epsilon_w, mean_tick_time) -> LifetimeRepor
 def lifetime_report_array(rates: RateArrays, epsilon0, L, d, epsilon_w,
                           mean_tick_time) -> LifetimeReport:
     """Array twin of :func:`lifetime_report`: a report of arrays over rows
-    that passed :func:`rung_matches` and the pumping check."""
+    that passed the rung and pumping checks."""
     with np.errstate(all="ignore"):
         terms = np.where(rates.included, _root_dos(rates.weight, rates.n_k), 0.0)
         dos = L / (2.0 * math.pi) * (terms[:, 0] + terms[:, 1])

@@ -26,7 +26,7 @@ from .clock import ladder_rates, sample_tick_times
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, QuenchClockError
 from .rates import transition_rates
-from .scan import Table, oracle_table, render_table, run_scan, single_point
+from .scan import Table, oracle_table, render_table, run_scan, single_point, size_error
 
 
 @functools.cache
@@ -87,13 +87,17 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _histogram_table(config: RunConfig, bins: int) -> Table:
     if bins < 1:
         raise ConfigError(f"--histogram: bins must be >= 1, got {bins}")
-    if config.mc.n_trajectories < 1:
-        raise ConfigError("--histogram needs mc.n_trajectories >= 1")
+    if not config.mc.n_trajectories:
+        raise ConfigError("--histogram needs mc.n_trajectories >= 2")
+    too_large = size_error(f"--histogram: a histogram of {bins} bins", bins)
     quench, coupling, ladder = single_point(config, "--histogram")
     rates = transition_rates(quench, coupling)
     times = sample_tick_times(ladder_rates(rates, ladder), ladder,
                               config.mc.n_trajectories, config.mc.seed)
-    counts, edges = np.histogram(times, bins=bins)
+    try:
+        counts, edges = np.histogram(times, bins=bins)
+    except MemoryError:
+        raise too_large from None
     return Table(schema="quenchclock.histogram.v1", columns=("bin_lo", "bin_hi", "count"),
                  values=(edges[:-1], edges[1:], counts.astype(np.int64)))
 

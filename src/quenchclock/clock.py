@@ -84,10 +84,10 @@ class LadderSpec:
             raise ValueError(f"Gamma must be positive or None, got {self.Gamma!r}")
 
 
-def ladder_valid(d, epsilon_w, g, Gamma) -> np.ndarray:
-    """Rows the checks of :class:`LadderSpec` accept, for an integer ``d``
-    and ``Gamma`` nan where it is None."""
-    return ((d >= 2) & np.isfinite(epsilon_w) & (epsilon_w > 0.0) & np.isfinite(g)
+def ladder_valid(d, g, Gamma) -> np.ndarray:
+    """Rows the checks of :class:`LadderSpec` accept, for an integer ``d``,
+    ``Gamma`` nan where it is None and a rung that is a valid probe gap."""
+    return ((d >= 2) & np.isfinite(g)
             & (np.isnan(Gamma) | (np.isfinite(Gamma) & (Gamma > 0.0))))
 
 

@@ -60,13 +60,12 @@ class CouplingConfig:
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Register settings; ``gamma: null`` and ``epsilon_w: null`` defer to
-    the fast-reset default and the probe gap respectively."""
+    """Register settings; ``gamma: null`` defers to the fast-reset default.
+    The rung energy is the probe gap ``coupling.epsilon0``."""
 
     d: int = 10
     g: float = 0.01
     gamma: float | None = None
-    epsilon_w: float | None = None
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,6 @@ class PointArrays:
     g_obs: np.ndarray
     L: np.ndarray
     d: np.ndarray
-    epsilon_w: np.ndarray
     g: np.ndarray
     Gamma: np.ndarray
 
@@ -122,7 +120,7 @@ class PointArrays:
         """Rows whose point :meth:`RunConfig.point` builds without an error."""
         return (self.initial.valid() & self.final.valid()
                 & coupling_valid(self.epsilon0, self.g_obs, self.L)
-                & ladder_valid(self.d, self.epsilon_w, self.g, self.Gamma))
+                & ladder_valid(self.d, self.g, self.Gamma))
 
 
 @dataclass(frozen=True)
@@ -144,7 +142,7 @@ class RunConfig:
 
         ``values`` maps sweepable names (see :data:`SWEEPABLE`) to the
         point's coordinates; every other parameter comes from the config.
-        An unset ``ladder.epsilon_w`` follows the point's probe gap.
+        The ladder's rung is the point's probe gap.
         """
         m = self.model
         c = self.coupling
@@ -158,10 +156,7 @@ class RunConfig:
                                         t=get("t", m.t))
         coupling = QubitCoupling(epsilon0=get("epsilon0", c.epsilon0),
                                  g_obs=get("g_obs", c.g_obs), L=get("L", c.L))
-        eps_w = get("epsilon_w", lad.epsilon_w)
-        if eps_w is None:
-            eps_w = coupling.epsilon0
-        ladder = LadderSpec(d=get("d", lad.d), epsilon_w=eps_w,
+        ladder = LadderSpec(d=get("d", lad.d), epsilon_w=coupling.epsilon0,
                             g=get("g", lad.g), Gamma=get("gamma", lad.gamma))
         return quench, coupling, ladder
 
@@ -188,15 +183,11 @@ class RunConfig:
             t = get("t", m.t)
             initial = ModelArrays(ModelKind.XX_RING, t=t, V=get("v_i", m.v_i))
             final = ModelArrays(ModelKind.XX_RING, t=t, V=get("v_f", m.v_f))
-        epsilon0 = get("epsilon0", c.epsilon0)
-        if "epsilon_w" not in columns and lad.epsilon_w is None:
-            epsilon_w = epsilon0
-        else:
-            epsilon_w = get("epsilon_w", lad.epsilon_w)
-        return PointArrays(initial=initial, final=final, epsilon0=epsilon0,
+        return PointArrays(initial=initial, final=final,
+                           epsilon0=get("epsilon0", c.epsilon0),
                            g_obs=get("g_obs", c.g_obs), L=get("L", c.L, int),
-                           d=get("d", lad.d, int), epsilon_w=epsilon_w,
-                           g=get("g", lad.g), Gamma=get("gamma", lad.gamma))
+                           d=get("d", lad.d, int), g=get("g", lad.g),
+                           Gamma=get("gamma", lad.gamma))
 
 
 # Sweepable / settable leaf parameters: name -> (section, field, type, kind).
@@ -214,7 +205,6 @@ SWEEPABLE: dict[str, tuple[str, str, type, str | None]] = {
     "d": ("ladder", "d", int, None),
     "g": ("ladder", "g", float, None),
     "gamma": ("ladder", "gamma", float, None),
-    "epsilon_w": ("ladder", "epsilon_w", float, None),
 }
 
 _SECTIONS = {
@@ -258,7 +248,7 @@ def _need_str(where: str, value: Any) -> str:
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-_OPTIONAL_FLOATS = {("ladder", "gamma"), ("ladder", "epsilon_w")}
+_OPTIONAL_FLOATS = {("ladder", "gamma")}
 _OPTIONAL_STRS = {("output", "path")}
 
 
@@ -336,9 +326,9 @@ def _validate(config: RunConfig) -> None:
             f"output.precision: must be in [6, 17], got {config.output.precision}")
     if not (0 <= config.mc.seed < 2**64):
         raise ConfigError(f"mc.seed: must fit in a u64, got {config.mc.seed}")
-    if config.mc.n_trajectories < 0:
-        raise ConfigError(
-            f"mc.n_trajectories: must be >= 0, got {config.mc.n_trajectories}")
+    if config.mc.n_trajectories < 0 or config.mc.n_trajectories == 1:
+        raise ConfigError("mc.n_trajectories: must be 0 (no sampling) or >= 2, "
+                          f"got {config.mc.n_trajectories}")
     # The oracle's own rules; its eta bound depends on the band, so a bad
     # eta stays a domain error of the point.
     try:

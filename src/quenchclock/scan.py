@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .battery import lifetime_report_array, rung_matches
+from .battery import lifetime_report_array
 from .clock import (
     LadderRates,
     LadderSpec,
@@ -46,7 +46,6 @@ from .errors import (
     GaplessMode,
     NoResonance,
     NotReachable,
-    PassiveState,
     QuenchClockError,
     Raises,
     ZeroRates,
@@ -139,6 +138,16 @@ def _axis_values(axis: AxisSpec) -> np.ndarray:
     return rounded.astype(np.int64)
 
 
+def size_error(what: str, n: int) -> ConfigError:
+    """The config error of ``what``, ``n`` values that do not fit in
+    memory, for the caller to raise on a ``MemoryError``; raised at once
+    beyond :data:`_MAX_VALUES`, where numpy does not even try."""
+    error = ConfigError(f"{what} does not fit in memory")
+    if n > _MAX_VALUES:
+        raise error
+    return error
+
+
 def _grid_axes(config: RunConfig) -> tuple[int, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Row count, and for each swept parameter its axis values and the
     index into them of every row (row order, last axis fastest).
@@ -152,9 +161,7 @@ def _grid_axes(config: RunConfig) -> tuple[int, dict[str, tuple[np.ndarray, np.n
                 f"{_MAX_VALUES}, half the float64 values an i64 byte count holds")
     shape = tuple(axis.steps for axis in config.scan)
     n = math.prod(shape)
-    too_large = ConfigError(f"scan.axes: a grid of {n} rows does not fit in memory")
-    if n > _MAX_VALUES:
-        raise too_large
+    too_large = size_error(f"scan.axes: a grid of {n} rows", n)
     try:
         values = [_axis_values(axis) for axis in config.scan]
         index = np.unravel_index(np.arange(n), shape) if values else ()
@@ -175,7 +182,6 @@ _FLAG_OF_ERROR = (
     (NoResonance, "no_resonance"),
     (DegenerateRoot, "van_hove"),
     (ZeroRates, "zero_rates"),
-    (PassiveState, "passive"),
     (NotReachable, "not_reachable"),
 )
 
@@ -263,19 +269,12 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
     Each layer runs once over the whole grid.  The probe rates and the
     first passage are shared by every stage that needs them.  A row
     whose scalar twin would raise gets that error's flag and leaves the
-    later layers; a stage whose own check fails (rung, pumping) drops
-    out of that row while the others go on.
+    later layers; a stage whose own check fails (pumping) drops out of
+    that row while the others go on.
     """
     # Rows the lifetime stage still runs on.
     lifetime = np.full(out.n, "lifetime" in stages)
     out.fail(((ValueError, ~pt.valid()),))
-    if "lifetime" in stages:
-        mismatch = out.live & ~rung_matches(pt.epsilon_w, pt.epsilon0)
-        out.flags["invalid"] |= mismatch
-        lifetime &= ~mismatch
-    if not stages - {"lifetime"}:
-        out.live &= lifetime
-
     rates = transition_rates_array(pt.initial, pt.final, pt.epsilon0, pt.g_obs, pt.L)
     out.fail(rates.raises)
     _check_rates_twin(config, columns, rates, out.live)
@@ -325,7 +324,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
         # The sampler refuses only the rows the first passage flagged.
         for i in np.flatnonzero(out.live).tolist():
             gamma = float(pt.Gamma[i])
-            ladder = LadderSpec(d=int(pt.d[i]), epsilon_w=float(pt.epsilon_w[i]),
+            ladder = LadderSpec(d=int(pt.d[i]), epsilon_w=float(pt.epsilon0[i]),
                                 g=float(pt.g[i]), Gamma=None if math.isnan(gamma) else gamma)
             stats = simulate_ticks(
                 LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
@@ -333,7 +332,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
             accuracy[i] = stats.empirical_accuracy
             rate[i] = stats.empirical_rate
     if "lifetime" in stages:
-        rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, pt.epsilon_w,
+        rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, pt.epsilon0,
                                     fp.mean_tick_time)
         out.put(out.live & lifetime, available_energy=rep.available_energy,
                 tick_energy=rep.tick_energy, tick_budget=rep.tick_budget,
@@ -407,8 +406,13 @@ def single_point(config: RunConfig, command: str) -> tuple:
 def oracle_table(config: RunConfig) -> Table:
     """Refinement table of the finite-size check at the config's point."""
     quench, coupling, _ = single_point(config, "oracle")
-    report = discrete_rates(quench, coupling, L=config.oracle.L_oracle,
-                            eta=config.oracle.eta, kernel=config.oracle.kernel)
+    L = config.oracle.L_oracle
+    too_large = size_error(f"oracle.L_oracle: a chain of {L} sites", L)
+    try:
+        report = discrete_rates(quench, coupling, L=L, eta=config.oracle.eta,
+                                kernel=config.oracle.kernel)
+    except MemoryError:
+        raise too_large from None
     columns = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")
     return Table(schema="quenchclock.oracle.v1", columns=columns,
                  values=tuple(np.array([getattr(r, name) for r in report.convergence_table])

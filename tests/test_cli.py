@@ -66,7 +66,7 @@ class TestConfig:
         text = """
 model: {kind: xx_ring, v_i: -0.8, v_f: 1.2, t: 0.9}
 coupling: {epsilon0: 2.2, g_obs: 0.05, L: 256}
-ladder: {d: 14, g: 0.02, gamma: 3.5, epsilon_w: 2.2}
+ladder: {d: 14, g: 0.02, gamma: 3.5}
 scan:
   axes:
     - {name: epsilon0, min: 2.0, max: 3.0, steps: 4}
@@ -290,8 +290,7 @@ _RANGES = {
     "ising": {"h_i": (0.0, 2.5), "h_f": (0.0, 2.5), "kappa": (0.3, 1.5)},
     "xx_ring": {"v_i": (-2.0, 2.0), "v_f": (-2.0, 2.0), "t": (0.5, 1.5)},
 }
-_SHARED = {"epsilon0": (0.2, 8.0), "g": (0.001, 0.1), "gamma": (0.5, 50.0),
-           "epsilon_w": (0.2, 8.0)}
+_SHARED = {"epsilon0": (0.2, 8.0), "g": (0.001, 0.1), "gamma": (0.5, 50.0)}
 # Integer axes run from lo to lo + m (steps - 1), so every grid value is
 # an integer; d = 1 and L = 0 make invalid rows.
 _INTEGERS = {"d": (1, 12), "L": (0, 600)}
@@ -313,10 +312,9 @@ def scan_overrides(draw):
         sets.append(f"model.{name}={_num(draw(st.floats(*ranges[name])))}")
     sets.append(f"coupling.epsilon0={_num(draw(st.floats(*ranges['epsilon0'])))}")
     sets.append(f"ladder.g={_num(draw(st.floats(*ranges['g'])))}")
-    for name in ("gamma", "epsilon_w"):
-        value = draw(st.none() | st.floats(*ranges[name]))
-        if value is not None:
-            sets.append(f"ladder.{name}={_num(value)}")
+    gamma = draw(st.none() | st.floats(*ranges["gamma"]))
+    if gamma is not None:
+        sets.append(f"ladder.gamma={_num(gamma)}")
     axes = []
     for name in draw(st.lists(st.sampled_from(sorted(ranges) + sorted(_INTEGERS)),
                               min_size=1, max_size=2, unique=True)):
@@ -973,6 +971,38 @@ class TestCli:
         assert main(["clock", "--histogram", "8"]) == 2
         assert main(["clock", "--histogram", "0",
                      "--set", "mc.n_trajectories=10"]) == 2
+
+    def test_rung_is_no_config_key(self, tmp_path, capsys):
+        # The rung is the probe gap; the old key has no alias.
+        assert main(["lifetime", "--set", "ladder.epsilon_w=2.5"]) == 2
+        assert "unknown key ladder.epsilon_w" in capsys.readouterr().err
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("ladder: {epsilon_w: null}\n")
+        assert main(["rates", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: ladder.epsilon_w: unknown key\n"
+
+    @pytest.mark.parametrize("command", [["clock"], ["clock", "--histogram", "4"]])
+    def test_one_trajectory_is_a_config_error(self, command, capsys):
+        # One sample has no spread: both sampling paths refuse it by one rule.
+        assert main([*command, "--set", "mc.n_trajectories=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: mc.n_trajectories: must be 0")
+
+    # Sizes numpy refuses at once; sizes it could allocate are never tried.
+    @pytest.mark.parametrize("args, what", [
+        (["oracle", "--set", "oracle.L_oracle=1000000000000000"],
+         "oracle.L_oracle: a chain of 1000000000000000 sites"),
+        (["clock", "--histogram", "1000000000000000"],
+         "--histogram: a histogram of 1000000000000000 bins"),
+        (["clock", "--histogram", "1" + "0" * 21],
+         f"--histogram: a histogram of {10**21} bins"),
+    ])
+    def test_unallocatable_size_exits_2(self, args, what, capsys):
+        assert main([*args, "--set", "mc.n_trajectories=10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {what} does not fit in memory\n"
 
     @pytest.mark.parametrize("command, name", [(["oracle"], "oracle"),
                                                (["clock", "--histogram", "4"], "--histogram")])
