@@ -85,15 +85,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _histogram_table(config: RunConfig, bins: int) -> Table:
+    n = config.mc.n_trajectories
     if bins < 1:
         raise ConfigError(f"--histogram: bins must be >= 1, got {bins}")
-    if not config.mc.n_trajectories:
+    if not n:
         raise ConfigError("--histogram needs mc.n_trajectories >= 2")
     too_large = size_error(f"--histogram: a histogram of {bins} bins", bins)
+    too_many = size_error(f"mc.n_trajectories: a sample of {n} tick times", n)
     quench, coupling, ladder = single_point(config, "--histogram")
     rates = transition_rates(quench, coupling)
-    times = sample_tick_times(ladder_rates(rates, ladder), ladder,
-                              config.mc.n_trajectories, config.mc.seed)
+    try:
+        times = sample_tick_times(ladder_rates(rates, ladder), ladder, n, config.mc.seed)
+    except MemoryError:
+        raise too_many from None
     try:
         counts, edges = np.histogram(times, bins=bins)
     except MemoryError:

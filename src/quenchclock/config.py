@@ -82,7 +82,6 @@ class AxisSpec:
 class OracleConfig:
     L_oracle: int = 4096
     eta: float = 1e-3
-    kernel: str = "lorentzian"
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def _validate(config: RunConfig) -> None:
     # The oracle's own rules; its eta bound depends on the band, so a bad
     # eta stays a domain error of the point.
     try:
-        _check_settings(config.oracle.kernel, config.oracle.L_oracle)
+        _check_settings(config.oracle.L_oracle)
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from None
     # A grid holds the integer parameters in int64 arrays.

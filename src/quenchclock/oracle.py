@@ -7,7 +7,7 @@ slow way, twice over:
 * **Mode sums** (:func:`discrete_rates`, :func:`chi_spectrum`): the
   pre-continuum sums over the antiperiodic momentum grid
   ``k = (2n+1) pi / L`` of a finite chain, with the delta replaced by a
-  normalized broadening kernel.  These converge to the closed forms as
+  normalized broadening.  These converge to the closed forms as
   ``L`` grows and ``eta`` shrinks, as long as ``eta`` stays well above
   the local level spacing ``~ 2 pi |d(2 eps)/dk| / L``.  A refinement
   table sums all its rungs in one pass over their stacked momentum
@@ -19,16 +19,13 @@ slow way, twice over:
   steady state taken as the diagonal ensemble of the final Hamiltonian.
   Used for qualitative cross-checks (peak positions, sign structure).
 
-Kernels: ``"lorentzian"`` (default) averages the Lorentzian over the
-energy image of each momentum cell, which keeps the sum smooth even when
-``eta`` dips below the level spacing; ``"lorentzian_point"`` evaluates
-it at the mode energy only (the textbook comb, which needs
-``eta >> spacing``); ``"gaussian"`` is a point-evaluated cross-check.
-All kernels are unit normalized.  The rates need only the broadened
-density, a real function written once per kernel (:func:`_density`);
-for the cell-averaged Lorentzian it is the angle the cell subtends, one
-``atan2``.  Only the spectra build a complex kernel, whose real part is
-the density's dispersive (Kramers-Kronig) partner.
+Broadening: the Lorentzian averaged over the energy image of each
+momentum cell, which keeps the sum smooth even when ``eta`` dips below
+the level spacing, and is unit normalized.  A cell of zero width takes
+the point Lorentzian, its limit.  The rates need only the broadened
+density (:func:`_density`), the angle the cell subtends, one ``atan2``.
+Only the spectra build a complex kernel, whose real part is the
+density's dispersive (Kramers-Kronig) partner.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import dawsn
 
 from .errors import BadBroadening, TooLarge
 from .rates import QubitCoupling, transition_rates
@@ -54,8 +50,6 @@ from .spectra import (
     _occupation,
     band_edges,
 )
-
-KERNELS = ("lorentzian", "lorentzian_point", "gaussian")
 
 DENSE_MAX_SITES = 10
 
@@ -112,7 +106,6 @@ class OracleReport:
     chi2_oracle: float
     relative_error_vs_closed_form: float
     convergence_table: tuple[ConvergenceRow, ...]
-    kernel: str
 
 
 def _eta_cap(model: ModelSpec) -> float:
@@ -127,10 +120,8 @@ def _check_eta(eta: float, cap: float) -> None:
             f"eta={eta!r} outside (0, bandwidth/10) = (0, {cap:.6g})")
 
 
-def _check_settings(kernel: str, L: int) -> None:
-    """The rules on a kernel and a chain size, which hold at any point."""
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+def _check_settings(L: int) -> None:
+    """The rule on a chain size, which holds at any point."""
     if L % 2 or L < 64:
         raise ValueError(f"lattice size must be even and >= 64, got {L!r}")
 
@@ -219,62 +210,46 @@ def _cells(E, lo, hi):
     return width, width < 1e-12 * np.maximum(1.0, np.abs(E))
 
 
-def _density(kernel: str, eta, omega, E, lo, hi):
+def _density(eta, omega, E, lo, hi):
     """Broadened density of the modes at energies ``E`` (cells
     ``[lo, hi]``) seen at frequencies ``omega``; the arguments broadcast.
-
-    Each kernel's density is written here once; :func:`_kernel_matrix`
-    adds the dispersive part for the spectra.
+    :func:`_kernel_matrix` adds the dispersive part for the spectra.
     """
-    if kernel == "lorentzian":
-        width, narrow = _cells(E, lo, hi)
-        a, b = lo - omega, hi - omega
-        # Im[log(b - i eta) - log(a - i eta)], the angle the cell subtends,
-        # as one atan2: the difference of the two angles cancels in narrow
-        # cells.
-        val = np.arctan2(eta * width, a * b + eta * eta) / (np.pi * np.where(narrow, 1.0, width))
-        if narrow.any():
-            val = np.where(narrow, _density("lorentzian_point", eta, omega, E, lo, hi), val)
-        return val
-    x = E - omega
-    if kernel == "lorentzian_point":
-        return eta / (np.pi * (x * x + eta * eta))
-    if kernel == "gaussian":
-        return np.exp(-(x * x) / (2.0 * eta * eta)) / (eta * math.sqrt(2.0 * math.pi))
-    raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+    width, narrow = _cells(E, lo, hi)
+    a, b = lo - omega, hi - omega
+    # Im[log(b - i eta) - log(a - i eta)], the angle the cell subtends,
+    # as one atan2: the difference of the two angles cancels in narrow
+    # cells.
+    val = np.arctan2(eta * width, a * b + eta * eta) / (np.pi * np.where(narrow, 1.0, width))
+    if narrow.any():
+        x = E - omega
+        val = np.where(narrow, eta / (np.pi * (x * x + eta * eta)), val)
+    return val
 
 
-def _kernel_matrix(kernel: str, eta: float, omega: np.ndarray, E: np.ndarray,
+def _kernel_matrix(eta: float, omega: np.ndarray, E: np.ndarray,
                    lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Complex kernel values, shape ``(len(omega), len(E))``: the
     dispersive part plus ``1j`` times :func:`_density`."""
     w = np.asarray(omega, dtype=float)[:, None]
-    x = E - w
-    point = x / (np.pi * (x * x + eta * eta))
-    if kernel == "lorentzian":
-        width, narrow = _cells(E, lo, hi)
-        a, b = lo - w, hi - w
-        # Re[log(b - i eta) - log(a - i eta)] = log(|b - i eta| / |a - i eta|).
-        disp = (0.5 * np.log1p(width * (a + b) / (a * a + eta * eta))
-                / (np.pi * np.where(narrow, 1.0, width)))
-        if narrow.any():
-            disp = np.where(narrow, point, disp)
-    elif kernel == "gaussian":
-        disp = math.sqrt(2.0) / (math.pi * eta) * dawsn(x / (math.sqrt(2.0) * eta))
-    else:
-        disp = point
-    return disp + 1j * _density(kernel, eta, w, E, lo, hi)
+    width, narrow = _cells(E, lo, hi)
+    a, b = lo - w, hi - w
+    # Re[log(b - i eta) - log(a - i eta)] = log(|b - i eta| / |a - i eta|).
+    disp = (0.5 * np.log1p(width * (a + b) / (a * a + eta * eta))
+            / (np.pi * np.where(narrow, 1.0, width)))
+    if narrow.any():
+        x = E - w
+        disp = np.where(narrow, x / (np.pi * (x * x + eta * eta)), disp)
+    return disp + 1j * _density(eta, w, E, lo, hi)
 
 
-def kernel_density(kernel: str, eta: float, x, cell_width: float | None = None):
-    """Broadened density profile at offsets ``x`` from the resonance.
-
-    With ``cell_width`` the cell-averaging of the ``"lorentzian"`` kernel
-    is applied over ``[x - w/2, x + w/2]``; point kernels ignore it.
-    """
+def kernel_density(eta: float, x, cell_width: float | None = None):
+    """Broadened density profile at offsets ``x`` from the resonance,
+    averaged over the cell ``[x - w/2, x + w/2]`` of width ``cell_width``
+    (the point Lorentzian without one)."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     half = 0.5 * (cell_width or 0.0)
-    dens = _density(kernel, eta, 0.0, xa, xa - half, xa + half)
+    dens = _density(eta, 0.0, xa, xa - half, xa + half)
     return dens if np.ndim(x) else float(dens[0])
 
 
@@ -296,7 +271,7 @@ def _rel(value: float, ref: float) -> float:
 
 
 def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
-                   eta: float, kernel: str = "lorentzian",
+                   eta: float,
                    convergence: tuple[tuple[int, float], ...] | None = None,
                    ) -> OracleReport:
     """Finite-chain mode-sum rates with a refinement table.
@@ -314,17 +289,17 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     ``(0, bandwidth/10)``; domain failures of the closed forms (no
     resonance, degenerate root, gapless mode) propagate unchanged.
     """
-    _check_settings(kernel, L)
+    _check_settings(L)
     cap = _eta_cap(quench.final)
     _check_eta(eta, cap)
     rungs = convergence if convergence is not None else _default_convergence(L, eta, cap)
     for L_r, eta_r in rungs:
-        _check_settings(kernel, L_r)
+        _check_settings(L_r)
         _check_eta(eta_r, cap)
     sizes = [L_r for L_r, _ in rungs]
     E, lo, hi, weight, n_k, counts = _rung_modes(quench, sizes)
     eta_k = np.array([eta_r for _, eta_r in rungs]).repeat(counts)
-    base = weight * _density(kernel, eta_k, coupling.epsilon0, E, lo, hi)
+    base = weight * _density(eta_k, coupling.epsilon0, E, lo, hi)
     starts = np.cumsum(counts) - counts
     ups = np.add.reduceat(base * n_k, starts)
     downs = np.add.reduceat(base * (1.0 - n_k), starts)
@@ -346,13 +321,11 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
         gamma_down_oracle=last.gamma_down,
         chi2_oracle=last.gamma_down - last.gamma_up,
         relative_error_vs_closed_form=max(last.rel_err_up, last.rel_err_down),
-        convergence_table=tuple(rows),
-        kernel=kernel)
+        convergence_table=tuple(rows))
 
 
 def chi_spectrum(quench: QuenchSpec, coupling: QubitCoupling, L: int,
-                 eta: float, omega_grid, kernel: str = "lorentzian",
-                 ) -> SpectralFunction:
+                 eta: float, omega_grid) -> SpectralFunction:
     """Broadened response of the coupling operator over ``omega_grid``.
 
     Built as the manifestly odd extension of the positive-frequency mode
@@ -360,9 +333,9 @@ def chi_spectrum(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     flipped with ``sign(omega)``, so oddness holds exactly on symmetric
     grid pairs.  At ``omega = epsilon0`` the imaginary part reproduces
     ``gamma_down_oracle - gamma_up_oracle`` of :func:`discrete_rates` at
-    the same ``(L, eta, kernel)`` by construction.
+    the same ``(L, eta)`` by construction.
     """
-    _check_settings(kernel, L)
+    _check_settings(L)
     _check_eta(eta, _eta_cap(quench.final))
     grid = np.asarray(omega_grid, dtype=float)
     E, lo, hi, weight, n_k, _ = _rung_modes(quench, [L])
@@ -371,7 +344,7 @@ def chi_spectrum(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     values = np.empty(len(grid), dtype=complex)
     for start in range(0, len(grid), _OMEGA_CHUNK):
         block = grid[start:start + _OMEGA_CHUNK]
-        kc = _kernel_matrix(kernel, eta, np.abs(block), E, lo, hi)
+        kc = _kernel_matrix(eta, np.abs(block), E, lo, hi)
         raw = kc @ strength
         values[start:start + _OMEGA_CHUNK] = raw.real + 1j * np.sign(block) * raw.imag
     return SpectralFunction(omega_grid=grid, values=values, eta=eta, L=L)
@@ -440,8 +413,7 @@ def _group_starts(energies: np.ndarray) -> np.ndarray:
 
 
 def dense_ed_correlator(quench: QuenchSpec, coupling: QubitCoupling, L: int,
-                        omega_grid=None, eta: float = 0.05,
-                        kernel: str = "lorentzian_point") -> SpectralFunction:
+                        omega_grid=None, eta: float = 0.05) -> SpectralFunction:
     """Stationary correlator of the coupling operator by full diagonalization.
 
     The chain starts in the ground state of the initial Hamiltonian; the
@@ -458,9 +430,6 @@ def dense_ed_correlator(quench: QuenchSpec, coupling: QubitCoupling, L: int,
                        f"sites, got L={L!r}")
     if L < 2:
         raise ValueError(f"need at least 2 sites, got {L!r}")
-    if kernel not in ("lorentzian_point", "gaussian"):
-        raise ValueError("dense spectra support point kernels only "
-                         "('lorentzian_point' or 'gaussian')")
     if not (math.isfinite(eta) and eta > 0.0):
         raise BadBroadening(f"eta must be positive, got {eta!r}")
     if quench.kind is ModelKind.ISING_XY:
@@ -498,9 +467,8 @@ def dense_ed_correlator(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     else:
         grid = np.asarray(omega_grid, dtype=float)
     values = np.empty(len(grid), dtype=complex)
-    zeros = np.zeros_like(de_flat)
     for start in range(0, len(grid), _OMEGA_CHUNK):
         block = grid[start:start + _OMEGA_CHUNK]
-        kc = _kernel_matrix(kernel, eta, block, de_flat, zeros, zeros)
+        kc = _kernel_matrix(eta, block, de_flat, de_flat, de_flat)
         values[start:start + _OMEGA_CHUNK] = kc @ w_flat
     return SpectralFunction(omega_grid=grid, values=values, eta=eta, L=L)

@@ -320,15 +320,20 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
     if "mc" in stages:
         accuracy = out.column("empirical_accuracy")
         rate = out.column("empirical_rate")
+        n = config.mc.n_trajectories
+        too_large = size_error(f"mc.n_trajectories: a sample of {n} tick times", n)
         # One row at a time: each row draws from its own seed's streams.
         # The sampler refuses only the rows the first passage flagged.
         for i in np.flatnonzero(out.live).tolist():
             gamma = float(pt.Gamma[i])
             ladder = LadderSpec(d=int(pt.d[i]), epsilon_w=float(pt.epsilon0[i]),
                                 g=float(pt.g[i]), Gamma=None if math.isnan(gamma) else gamma)
-            stats = simulate_ticks(
-                LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
-                ladder, config.mc.n_trajectories, row_seed(config.mc.seed, i))
+            try:
+                stats = simulate_ticks(
+                    LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
+                    ladder, n, row_seed(config.mc.seed, i))
+            except MemoryError:
+                raise too_large from None
             accuracy[i] = stats.empirical_accuracy
             rate[i] = stats.empirical_rate
     if "lifetime" in stages:
@@ -409,8 +414,7 @@ def oracle_table(config: RunConfig) -> Table:
     L = config.oracle.L_oracle
     too_large = size_error(f"oracle.L_oracle: a chain of {L} sites", L)
     try:
-        report = discrete_rates(quench, coupling, L=L, eta=config.oracle.eta,
-                                kernel=config.oracle.kernel)
+        report = discrete_rates(quench, coupling, L=L, eta=config.oracle.eta)
     except MemoryError:
         raise too_large from None
     columns = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")

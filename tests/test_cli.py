@@ -245,7 +245,8 @@ output: {format: json, precision: 9}
             apply_overrides(RunConfig(), [item])
 
     @pytest.mark.parametrize("text, reason", [
-        ("oracle: {kernel: foo}", "unknown kernel 'foo'"),
+        # One broadening, so no kernel setting: the key is unknown.
+        ("oracle: {kernel: foo}", "unknown key"),
         ("oracle: {L_oracle: 65}", "even and >= 64"),
         ("oracle: {L_oracle: 62}", "even and >= 64"),
     ])
@@ -993,13 +994,19 @@ class TestCli:
     @pytest.mark.parametrize("args, what", [
         (["oracle", "--set", "oracle.L_oracle=1000000000000000"],
          "oracle.L_oracle: a chain of 1000000000000000 sites"),
-        (["clock", "--histogram", "1000000000000000"],
+        (["clock", "--histogram", "1000000000000000", "--set", "mc.n_trajectories=10"],
          "--histogram: a histogram of 1000000000000000 bins"),
-        (["clock", "--histogram", "1" + "0" * 21],
+        (["clock", "--histogram", "1" + "0" * 21, "--set", "mc.n_trajectories=10"],
          f"--histogram: a histogram of {10**21} bins"),
+        (["clock", "--set", "mc.n_trajectories=1000000000000000"],
+         "mc.n_trajectories: a sample of 1000000000000000 tick times"),
+        (["clock", "--histogram", "3", "--set", "mc.n_trajectories=1000000000000000"],
+         "mc.n_trajectories: a sample of 1000000000000000 tick times"),
+        (["clock", "--set", f"mc.n_trajectories={10**18}"],
+         f"mc.n_trajectories: a sample of {10**18} tick times"),
     ])
     def test_unallocatable_size_exits_2(self, args, what, capsys):
-        assert main([*args, "--set", "mc.n_trajectories=10"]) == 2
+        assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: {what} does not fit in memory\n"
@@ -1075,11 +1082,14 @@ class TestCli:
         assert main(["rates", "--threads", "0"]) == 2
 
     @pytest.mark.parametrize("command", ["rates", "oracle"])
-    @pytest.mark.parametrize("item", ["oracle.kernel=foo", "oracle.L_oracle=65",
-                                      "oracle.L_oracle=62"])
-    def test_bad_oracle_setting_exits_2(self, command, item, capsys):
+    @pytest.mark.parametrize("item, error", [
+        ("oracle.kernel=foo", "--set 'oracle.kernel=foo': unknown key oracle.kernel\n"),
+        ("oracle.L_oracle=65", "oracle: lattice size must be even and >= 64, got 65\n"),
+        ("oracle.L_oracle=62", "oracle: lattice size must be even and >= 64, got 62\n"),
+    ], ids=["oracle.kernel=foo", "oracle.L_oracle=65", "oracle.L_oracle=62"])
+    def test_bad_oracle_setting_exits_2(self, command, item, error, capsys):
         assert main([command, "--set", item]) == 2
-        assert capsys.readouterr().err.startswith("config error: oracle: ")
+        assert capsys.readouterr().err == f"config error: {error}"
 
     def test_bad_oracle_eta_is_a_domain_error(self, capsys):
         # Its bound is a tenth of the point's band, so only the oracle sees it.

@@ -30,7 +30,7 @@ from quenchclock import (
     kernel_density,
     transition_rates,
 )
-from quenchclock.oracle import _GRID_MEMO, _kernel_matrix, _rung_grid, _rung_modes
+from quenchclock.oracle import _GRID_MEMO, _density, _kernel_matrix, _rung_grid, _rung_modes
 from quenchclock.spectra import _check_gapped, _components, _energy, _mode_fields
 
 ISING = QuenchSpec.ising(h_i=0.5, h_f=1.5, kappa=1.0)
@@ -39,71 +39,83 @@ COUP = QubitCoupling(epsilon0=2.5, g_obs=0.25, L=128)
 RING_COUP = QubitCoupling(epsilon0=math.sqrt(6.0), g_obs=0.25, L=128)
 
 
+# The Lorentzian reference takes the difference of two complex logs.  In
+# the flat cells near a band extremum the two nearly equal angles cancel,
+# which costs up to 1.1e-11 of a ring rate in float64 (measured on the
+# draws below); in extended precision the reference is exact to ~5e-15.
+# Likewise the real part of a cell 1e-7 wide is good to 7.6e-14 of the
+# peak in extended precision and 2.7e-10 in float64.  The tolerances
+# leave a margin of about three over these maxima.
+_WIDE = np.finfo(np.longdouble).eps < np.finfo(float).eps
+_MODE_SUM_TOL = 1e-13 if _WIDE else 3e-11
+_CELL_TOL = 3e-13 if _WIDE else 1e-9
+
+
 class TestKernels:
     ETA = 0.05
 
     def test_point_lorentzian_mass(self):
         # integral over [-X, X] has the closed form (2/pi) atan(X/eta)
         X = 40.0
-        val, _ = quad(lambda x: kernel_density("lorentzian_point", self.ETA, x),
-                      -X, X, points=[0.0], limit=300)
+        val, _ = quad(lambda x: kernel_density(self.ETA, x), -X, X, points=[0.0], limit=300)
         assert val == pytest.approx(2.0 / math.pi * math.atan(X / self.ETA), abs=1e-8)
 
     def test_cell_averaged_lorentzian_normalized(self):
         # averaging over the cell preserves unit mass; the far tail is the
         # point tail up to O(w/X)
         X, w = 5e4 * self.ETA, 0.02
-        val, _ = quad(lambda x: kernel_density("lorentzian", self.ETA, x, w),
+        val, _ = quad(lambda x: kernel_density(self.ETA, x, w),
                       -X, X, points=[0.0], limit=500)
         tail = 1.0 - 2.0 / math.pi * math.atan(X / self.ETA)
         assert val + tail == pytest.approx(1.0, abs=1e-6)
 
-    def test_gaussian_normalized(self):
-        val, _ = quad(lambda x: kernel_density("gaussian", self.ETA, x),
-                      -12.0 * self.ETA, 12.0 * self.ETA, points=[0.0])
-        assert val == pytest.approx(1.0, abs=1e-9)
-
     def test_cell_average_flattens_the_peak(self):
-        peak_point = kernel_density("lorentzian_point", self.ETA, 0.0)
-        peak_cell = kernel_density("lorentzian", self.ETA, 0.0, cell_width=0.5)
+        peak_point = kernel_density(self.ETA, 0.0)
+        peak_cell = kernel_density(self.ETA, 0.0, cell_width=0.5)
         assert 0.0 < peak_cell < peak_point
-
-    def test_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            kernel_density("top_hat", self.ETA, 0.0)
 
     def test_zero_width_cells_are_the_point_kernel(self):
         # A cell collapsed to its mode takes the point form, in the density
         # and in the dispersive part, bit for bit.
+        eta = self.ETA
         x = np.linspace(-1.0, 1.0, 41)
-        assert np.array_equal(kernel_density("lorentzian", self.ETA, x),
-                              kernel_density("lorentzian_point", self.ETA, x))
-        assert (kernel_density("lorentzian", self.ETA, 0.3)
-                == kernel_density("lorentzian_point", self.ETA, 0.3))
+        assert np.array_equal(kernel_density(eta, x), eta / (np.pi * (x * x + eta * eta)))
+        assert kernel_density(eta, 0.3) == eta / (np.pi * (0.3 * 0.3 + eta * eta))
         E = np.array([-0.4, 0.0, 0.05, 2.5])
         omega = np.linspace(-1.0, 3.0, 17)
-        cells = _kernel_matrix("lorentzian", self.ETA, omega, E, E, E)
+        cells = _kernel_matrix(eta, omega, E, E, E)
         assert cells.shape == (17, 4)
-        assert np.array_equal(cells, _kernel_matrix("lorentzian_point", self.ETA, omega,
-                                                    E, E, E))
+        x = E - omega[:, None]
+        scale = np.pi * (x * x + eta * eta)
+        assert np.array_equal(cells.real, x / scale)
+        assert np.array_equal(cells.imag, eta / scale)
 
-    @pytest.mark.parametrize("x", [0.0, 0.015, -0.085, 0.2, 0.45])
-    def test_gaussian_dispersive_part_is_the_hilbert_transform(self, x):
-        # Re K(x) = (1/pi) P int rho(y) / (x - y) dy, with quad's Cauchy
-        # weight 1 / (y - x); the density is negligible beyond 14 eta.
-        X = 14.0 * self.ETA
-        val, _ = quad(lambda y: kernel_density("gaussian", self.ETA, y), -X, X,
-                      weight="cauchy", wvar=x)
-        k = _kernel_matrix("gaussian", self.ETA, np.array([0.0]), np.array([x]), None, None)
-        assert k.real[0, 0] == pytest.approx(-val / math.pi, rel=1e-12, abs=1e-12)
-        assert k.imag[0, 0] == kernel_density("gaussian", self.ETA, x)
-
+    def test_cell_average_is_the_complex_log_difference(self):
+        # Re and Im of [log(hi - w - i eta) - log(lo - w - i eta)] / (pi width),
+        # in extended precision where there is one; zero-width cells take
+        # the point form.
+        eta = self.ETA
+        E = np.array([0.3, -0.2, 1.0, 2.5, 0.7, 0.05])
+        lo = E - 0.3 * np.array([0.4, 0.05, 1e-3, 1e-5, 1e-7, 0.0])
+        hi = E + 0.7 * np.array([0.4, 0.05, 1e-3, 1e-5, 1e-7, 0.0])
+        width = hi - lo
+        omega = np.concatenate((np.linspace(-1.0, 3.0, 41), E, lo, hi))
+        got = _kernel_matrix(eta, omega, E, lo, hi)
+        ld = np.longdouble if _WIDE else np.float64
+        w, l, h = omega.astype(ld)[:, None], lo.astype(ld), hi.astype(ld)
+        diff = np.log(h - w - 1j * ld(eta)) - np.log(l - w - 1j * ld(eta))
+        x = E - omega[:, None]
+        point = x / (np.pi * (x * x + eta * eta))
+        wide = width > 0.0
+        ref = np.where(wide, diff.real / (np.pi * np.where(wide, width, 1.0)), point)
+        tol = _CELL_TOL * np.abs(ref).max()
+        assert np.abs(got.real - ref.astype(float)).max() <= tol
+        assert np.array_equal(got.imag, _density(eta, omega[:, None], E, lo, hi))
 
 class TestDiscreteRates:
     def test_chain_two_percent_at_reference_resolution(self):
         rep = discrete_rates(ISING, COUP, L=4096, eta=1e-3)
         assert rep.relative_error_vs_closed_form < 0.02
-        assert rep.kernel == "lorentzian"
 
     def test_ring_two_percent_at_reference_resolution(self):
         rep = discrete_rates(RING, RING_COUP, L=4096, eta=1e-3)
@@ -135,14 +147,6 @@ class TestDiscreteRates:
         assert row.rel_err_up == pytest.approx(
             abs(row.gamma_up - closed.gamma_up) / closed.gamma_up, rel=1e-12)
 
-    def test_cell_average_beats_point_comb(self):
-        # at eta below the level spacing the point comb falls apart while
-        # the cell average keeps converging; this is why it is the default
-        smooth = discrete_rates(ISING, COUP, L=4096, eta=1e-3)
-        comb = discrete_rates(ISING, COUP, L=4096, eta=1e-3, kernel="lorentzian_point")
-        assert (smooth.relative_error_vs_closed_form
-                < comb.relative_error_vs_closed_form)
-
     def test_broadening_window(self):
         for eta in (0.0, -1.0, 2.0, math.inf):
             with pytest.raises(BadBroadening):
@@ -153,27 +157,19 @@ class TestDiscreteRates:
             discrete_rates(ISING, COUP, L=63, eta=1e-2)
         with pytest.raises(ValueError):
             discrete_rates(ISING, COUP, L=32, eta=1e-2)
-        with pytest.raises(ValueError):
-            discrete_rates(ISING, COUP, L=256, eta=1e-2, kernel="nope")
-
-
-# The Lorentzian reference takes the difference of two complex logs.  In
-# the flat cells near a band extremum the two nearly equal angles cancel,
-# which costs up to 8e-12 of a ring rate in float64 (measured); in
-# extended precision the reference is exact to ~1e-15.
-_WIDE = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
 
 def _rel(value, ref):
     return abs(value - ref) / abs(ref) if ref else (0.0 if value == 0.0 else math.inf)
 
 
-def _complex_log_rates(quench, coupling, rungs, kernel):
+def _complex_log_rates(quench, coupling, rungs):
     """(gamma_up, gamma_down, rel_err_up, rel_err_down) of each rung, from
     its own momentum grid, the complex kernel's imaginary part and the
     closed forms at that rung's chain size."""
     final, initial = quench.final, quench.initial
     w, g = coupling.epsilon0, coupling.g_obs
+    ld = np.longdouble if _WIDE else np.float64
     rows = []
     for L, eta in rungs:
         n = np.arange((L + 2) // 4)
@@ -190,18 +186,12 @@ def _complex_log_rates(quench, coupling, rungs, kernel):
         if quench.kind is ModelKind.XX_RING:
             F = F * (final.t * np.sin(k)) ** 2
         point = 1.0 / (np.pi * (E - w - 1j * eta))
-        if kernel == "lorentzian":
-            width = hi - lo
-            narrow = width < 1e-12 * np.maximum(1.0, np.abs(E))
-            ld = np.longdouble
-            diff = (np.log(hi.astype(ld) - ld(w) - 1j * ld(eta))
-                    - np.log(lo.astype(ld) - ld(w) - 1j * ld(eta)))
-            dens = np.where(narrow, point.imag,
-                            diff.imag.astype(float) / (np.pi * np.where(narrow, 1.0, width)))
-        elif kernel == "lorentzian_point":
-            dens = point.imag
-        else:
-            dens = np.exp(-((E - w) ** 2) / (2.0 * eta**2)) / (eta * math.sqrt(2.0 * math.pi))
+        width = hi - lo
+        narrow = width < 1e-12 * np.maximum(1.0, np.abs(E))
+        diff = (np.log(hi.astype(ld) - ld(w) - 1j * ld(eta))
+                - np.log(lo.astype(ld) - ld(w) - 1j * ld(eta)))
+        dens = np.where(narrow, point.imag,
+                        diff.imag.astype(float) / (np.pi * np.where(narrow, 1.0, width)))
         base = 4.0 * g**2 / (math.pi * L) * (k_hi - k_lo) * F * dens
         up, down = float(np.sum(base * n_k)), float(np.sum(base * (1.0 - n_k)))
         closed = transition_rates(quench, QubitCoupling(w, g, L))
@@ -220,33 +210,26 @@ _CUSTOM_RUNGS = ((94, 0.02), (252, 0.01), (1030, 2e-3))
 
 
 class TestAgainstComplexLogModeSum:
-    @pytest.mark.parametrize("kernel", [
-        pytest.param("lorentzian", marks=pytest.mark.skipif(
-            not _WIDE, reason="the reference needs extended precision")),
-        "lorentzian_point",
-        "gaussian",
-    ])
     @pytest.mark.parametrize("draw, seed", [(_draw_chain_point, 11), (_draw_ring_point, 12)],
                              ids=["chain", "ring"])
-    def test_every_rung_matches(self, draw, seed, kernel):
+    def test_every_rung_matches(self, draw, seed):
         for quench, coup in _points(draw, seed):
             for rungs in (None, _CUSTOM_RUNGS):
-                rep = discrete_rates(quench, coup, L=4096, eta=1e-3, kernel=kernel,
-                                     convergence=rungs)
+                rep = discrete_rates(quench, coup, L=4096, eta=1e-3, convergence=rungs)
                 table = rep.convergence_table
-                expected = _complex_log_rates(quench, coup, [(r.L, r.eta) for r in table],
-                                              kernel)
+                expected = _complex_log_rates(quench, coup, [(r.L, r.eta) for r in table])
                 for row, (up, down, err_up, err_down) in zip(table, expected, strict=True):
-                    assert row.gamma_up == pytest.approx(up, rel=1e-13, abs=0.0)
-                    assert row.gamma_down == pytest.approx(down, rel=1e-13, abs=0.0)
-                    assert row.rel_err_up == pytest.approx(err_up, rel=0.0, abs=1e-13)
-                    assert row.rel_err_down == pytest.approx(err_down, rel=0.0, abs=1e-13)
+                    assert row.gamma_up == pytest.approx(up, rel=_MODE_SUM_TOL, abs=0.0)
+                    assert row.gamma_down == pytest.approx(down, rel=_MODE_SUM_TOL, abs=0.0)
+                    assert row.rel_err_up == pytest.approx(err_up, rel=0.0, abs=_MODE_SUM_TOL)
+                    assert row.rel_err_down == pytest.approx(err_down, rel=0.0,
+                                                             abs=_MODE_SUM_TOL)
 
     def test_gapless_mode_still_raises(self):
         # With V = 0 the ring's band closes at k = pi/2, a mode when L = 2 mod 4.
         ring = QuenchSpec.xx_ring(V_i=-1.0, V_f=0.0, t=1.0)
         with pytest.raises(GaplessMode):
-            _complex_log_rates(ring, RING_COUP, [(94, 0.02)], "lorentzian_point")
+            _complex_log_rates(ring, RING_COUP, [(94, 0.02)])
         with pytest.raises(GaplessMode):
             discrete_rates(ring, RING_COUP, L=96, eta=0.02,
                            convergence=((96, 0.02), (94, 0.02)))
@@ -349,8 +332,8 @@ class TestRungGridMemo:
 
 # Every ConvergenceRow field of discrete_rates, recorded before the mode
 # sums shared one cos and one sin per momentum, at two chain and two ring
-# points drawn as _draw_*_point draws them.  Keys are (point, rungs,
-# kernel); rows are (L, eta, gamma_up, gamma_down, rel_err_up,
+# points drawn as _draw_*_point draws them.  Keys are (point, rungs);
+# rows are (L, eta, gamma_up, gamma_down, rel_err_up,
 # rel_err_down), and every float literal is the recorded repr.
 _ANCHOR_POINTS = (
     (QuenchSpec.ising(0.6538580381869649, 1.403855201524476, 0.9263358498019613),
@@ -363,7 +346,7 @@ _ANCHOR_POINTS = (
      2.3408653202009333),
 )
 _ANCHORS = {
-    (0, 0, "lorentzian"): (
+    (0, 0): (
         (128, 0.04, 1.3461853685061242e-06, 1.0144510203799093e-05,
          0.002110187899848602, 0.014365539435117841),
         (512, 0.012649110640673518, 3.3736322307672545e-07, 2.561356026318172e-06,
@@ -371,23 +354,7 @@ _ANCHORS = {
         (1024, 0.004, 1.6860433966125899e-07, 1.284693542723201e-06,
          0.00014629925415998802, 0.0014396346122523597),
     ),
-    (0, 0, "lorentzian_point"): (
-        (128, 0.04, 1.3695772659576766e-06, 1.0385235825968154e-05,
-         0.01522957577511921, 0.009023216057669899),
-        (512, 0.012649110640673518, 2.816814655503866e-07, 2.1384586410734654e-06,
-         0.16478942259758547, 0.1689146201083564),
-        (1024, 0.004, 2.572302385646645e-07, 1.962302766671493e-06,
-         0.5254210329896476, 0.5252491761850955),
-    ),
-    (0, 0, "gaussian"): (
-        (128, 0.04, 1.5832924638689072e-06, 1.23796800303009e-05,
-         0.17365071425714418, 0.20280220567592455),
-        (512, 0.012649110640673518, 2.8005045132968043e-07, 2.1525697593177407e-06,
-         0.16962552470450193, 0.16343050933740766),
-        (1024, 0.004, 3.2550538587961793e-07, 2.487491314653368e-06,
-         0.9303047913138659, 0.9334651832949216),
-    ),
-    (0, 1, "lorentzian"): (
+    (0, 1): (
         (94, 0.02, 1.9061520176453118e-06, 1.3904051891499616e-05,
          0.037655374580318035, 0.007926018466172231),
         (510, 0.008, 3.4006153309075084e-07, 2.575618674814976e-06,
@@ -395,23 +362,7 @@ _ANCHORS = {
         (1030, 0.004, 1.6756924740395439e-07, 1.2772128339481345e-06,
          0.0004620290227793496, 0.001437333742682043),
     ),
-    (0, 1, "lorentzian_point"): (
-        (94, 0.02, 4.906840025686009e-07, 3.5446452779538893e-06,
-         0.7328854741004011, 0.747084491523318),
-        (510, 0.008, 1.8465797545564795e-07, 1.394018691096779e-06,
-         0.45461147140980745, 0.46034823820583987),
-        (1030, 0.004, 2.0229364354038648e-07, 1.5432854937321203e-06,
-         0.20666638502295628, 0.2065861197570519),
-    ),
-    (0, 1, "gaussian"): (
-        (94, 0.02, 1.1334158924074158e-11, 8.071015629230802e-11,
-         0.9999938300036854, 0.9999942412149546),
-        (510, 0.008, 6.570795235838777e-08, 4.956685938200973e-07,
-         0.8059311363888373, 0.8081170420243101),
-        (1030, 0.004, 2.594208416758875e-07, 1.9839317757437753e-06,
-         0.5474258298292046, 0.5510963803388842),
-    ),
-    (1, 0, "lorentzian"): (
+    (1, 0): (
         (128, 0.04, 2.6834968564252692e-06, 1.7241811380451584e-06,
          0.015159915278292697, 0.017990206358474564),
         (512, 0.012649110640673518, 6.77614346621278e-07, 4.368606318227833e-07,
@@ -419,23 +370,7 @@ _ANCHORS = {
         (1024, 0.004, 3.3981519161791176e-07, 2.1945732721274355e-07,
          0.0023059015660084913, 6.216352118537614e-05),
     ),
-    (1, 0, "lorentzian_point"): (
-        (128, 0.04, 3.2819253573268216e-06, 2.0951412333641967e-06,
-         0.20446261720824074, 0.19329063798860485),
-        (512, 0.012649110640673518, 8.737244378923427e-07, 5.6254201340178e-07,
-         0.28262322704350623, 0.28158638162970456),
-        (1024, 0.004, 2.294196357559426e-07, 1.4823882845005205e-07,
-         0.32642618015752367, 0.32456293309904244),
-    ),
-    (1, 0, "gaussian"): (
-        (128, 0.04, 3.884394316027007e-06, 2.452244617171996e-06,
-         0.4255679927960035, 0.39667937279368465),
-        (512, 0.012649110640673518, 9.047466290026669e-07, 5.811779409442795e-07,
-         0.32816365277300524, 0.3240428566635918),
-        (1024, 0.004, 1.7824804357918103e-07, 1.1545960034826413e-07,
-         0.4766654772270634, 0.4739185770679172),
-    ),
-    (1, 1, "lorentzian"): (
+    (1, 1): (
         (94, 0.02, 3.638683355882148e-06, 2.432040566315389e-06,
          0.019321228967283017, 0.017235780908694223),
         (510, 0.008, 6.809381916457401e-07, 4.402990825938353e-07,
@@ -443,23 +378,7 @@ _ANCHORS = {
         (1030, 0.004, 3.380637158923873e-07, 2.178442926469552e-07,
          0.001632484163905973, 0.001595865965287198),
     ),
-    (1, 1, "lorentzian_point"): (
-        (94, 0.02, 1.530479849977439e-06, 1.02028305550373e-06,
-         0.5875131327544884, 0.5732520069409675),
-        (510, 0.008, 7.919079467460601e-07, 5.126424299014095e-07,
-         0.15797593371465837, 0.16334274120432835),
-        (1030, 0.004, 1.7526368049527298e-07, 1.1299091505316416e-07,
-         0.4824124652050634, 0.482150322477035),
-    ),
-    (1, 1, "gaussian"): (
-        (94, 0.02, 7.52576022339022e-08, 5.1027321318537524e-08,
-         0.9797169674711308, 0.9786570924152873),
-        (510, 0.008, 1.001345143085273e-06, 6.488889619493515e-07,
-         0.46422773227534364, 0.47252786679512043),
-        (1030, 0.004, 3.6533045332902297e-08, 2.3474131922780534e-08,
-         0.8921108536636114, 0.8924154951694675),
-    ),
-    (2, 0, "lorentzian"): (
+    (2, 0): (
         (128, 0.04, 1.851899628689835e-07, 4.933015125232384e-06,
          0.06400623202976936, 0.028240513069121016),
         (512, 0.012649110640673518, 4.441207958233024e-08, 1.2102707795053859e-06,
@@ -467,23 +386,7 @@ _ANCHORS = {
         (1024, 0.004, 2.1889991515007963e-08, 6.012067898017725e-07,
          0.00614901715920801, 0.0025271154663931176),
     ),
-    (2, 0, "lorentzian_point"): (
-        (128, 0.04, 1.9245705135163142e-07, 5.13843604595937e-06,
-         0.10575918296976974, 0.07105856806413724),
-        (512, 0.012649110640673518, 4.5278314818077514e-08, 1.234118215114377e-06,
-         0.04058359094382962, 0.028961245390364678),
-        (1024, 0.004, 2.0944384608777987e-08, 5.7521863047951e-07,
-         0.03731474840095438, 0.040808779675807955),
-    ),
-    (2, 0, "gaussian"): (
-        (128, 0.04, 1.7409624857449398e-07, 4.7931261852882965e-06,
-         0.00026745827103490853, 0.0009180181190492437),
-        (512, 0.012649110640673518, 4.3523865892153783e-08, 1.1995144792809208e-06,
-         0.00026294803120152914, 0.00010995490434557001),
-        (1024, 0.004, 2.1441505113598793e-08, 5.911144687637551e-07,
-         0.014465159492150182, 0.014302078199134803),
-    ),
-    (2, 1, "lorentzian"): (
+    (2, 1): (
         (94, 0.02, 2.4763119061926656e-07, 6.6852808448005416e-06,
          0.0448404000573846, 0.02333965724403666),
         (510, 0.008, 4.429034208077048e-08, 1.2117642099440697e-06,
@@ -491,23 +394,7 @@ _ANCHORS = {
         (1030, 0.004, 2.1779396632860283e-08, 5.980845528179438e-07,
          0.006931265918646675, 0.0031643844953597776),
     ),
-    (2, 1, "lorentzian_point"): (
-        (94, 0.02, 1.4591395699270172e-07, 3.896200679399795e-06,
-         0.38433927964828507, 0.4035947388938861),
-        (510, 0.008, 4.407769193367608e-08, 1.2056135380454278e-06,
-         0.009033949941421199, 0.0012685767486447332),
-        (1030, 0.004, 2.163981498996984e-08, 5.941625594994539e-07,
-         0.0004779594867035747, 0.003413956300770905),
-    ),
-    (2, 1, "gaussian"): (
-        (94, 0.02, 5.554291074916928e-08, 1.5164424887879574e-06,
-         0.765645527357092, 0.7678727681405488),
-        (510, 0.008, 4.3934167356067186e-08, 1.2104628027612982e-06,
-         0.005748361129822507, 0.005295917374073304),
-        (1030, 0.004, 2.1683462042793185e-08, 5.975678100553885e-07,
-         0.002495902540585862, 0.0022976543099722706),
-    ),
-    (3, 0, "lorentzian"): (
+    (3, 0): (
         (128, 0.04, 5.161738515268622e-07, 2.364078345187971e-06,
          0.3185575023530381, 0.013763036455396364),
         (512, 0.012649110640673518, 1.0675633916898015e-07, 5.828342298387906e-07,
@@ -515,23 +402,7 @@ _ANCHORS = {
         (1024, 0.004, 5.042420034168844e-08, 2.917265628806743e-07,
          0.03046223614798299, 0.000784451336256121),
     ),
-    (3, 0, "lorentzian_point"): (
-        (128, 0.04, 4.3776730176290837e-07, 1.9036690078395615e-06,
-         0.11826927752517133, 0.18366949313601574),
-        (512, 0.012649110640673518, 1.0716074097652965e-07, 5.86369022488904e-07,
-         0.09496130851533877, 0.005786025546406756),
-        (1024, 0.004, 8.265382980433593e-08, 4.835033477418919e-07,
-         0.6891026473245775, 0.6586855437879209),
-    ),
-    (3, 0, "gaussian"): (
-        (128, 0.04, 3.2912171789412656e-07, 1.8826150034287654e-06,
-         0.15926405602892743, 0.19269786204962586),
-        (512, 0.012649110640673518, 1.0022033158292935e-07, 6.003339475059494e-07,
-         0.02404466794346021, 0.029739757567121525),
-        (1024, 0.004, 9.127560399064116e-08, 5.432142786152871e-07,
-         0.865296075229825, 0.8635272647571246),
-    ),
-    (3, 1, "lorentzian"): (
+    (3, 1): (
         (94, 0.02, 5.784754370312543e-07, 3.070967402658648e-06,
          0.08519024413081154, 0.03290825173972226),
         (510, 0.008, 1.0436023858571522e-07, 5.865693846659661e-07,
@@ -539,37 +410,21 @@ _ANCHORS = {
         (1030, 0.004, 5.016947111620986e-08, 2.9014361878307235e-07,
          0.03126398668320091, 0.0011862249679845207),
     ),
-    (3, 1, "lorentzian_point"): (
-        (94, 0.02, 2.773142597519453e-07, 1.222435731692048e-06,
-         0.4797726749028594, 0.6150374283118686),
-        (510, 0.008, 1.5429202065787404e-07, 8.827708573942731e-07,
-         0.57038720158836, 0.5082828090445735),
-        (1030, 0.004, 7.138447938802802e-08, 4.161913729908018e-07,
-         0.4673513824868087, 0.436133840670266),
-    ),
-    (3, 1, "gaussian"): (
-        (94, 0.02, 7.3320232962813036e-09, 4.655276262769235e-08,
-         0.9862455004283365, 0.9853398663375638),
-        (510, 0.008, 1.7314490320252086e-07, 1.027919666835067e-06,
-         0.7622722085700938, 0.7562808622189288),
-        (1030, 0.004, 8.217250951846147e-08, 4.885509880865822e-07,
-         0.6891059019833213, 0.6858220818996726),
-    ),
 }
 # Rungs 0: the default rungs of (L, eta) = (1024, 4e-3); rungs 1: custom
 # rungs with L % 4 = 2, whose last mode sits at pi/2.
 _ANCHOR_RUNGS = ((1024, None), (1030, ((94, 0.02), (510, 0.008), (1030, 0.004))))
 
 
-@pytest.mark.parametrize("point, rungs, kernel", list(_ANCHORS))
-def test_convergence_rows_match_frozen_anchors(point, rungs, kernel):
+@pytest.mark.parametrize("point, rungs", list(_ANCHORS))
+def test_convergence_rows_match_frozen_anchors(point, rungs):
     quench, epsilon0 = _ANCHOR_POINTS[point]
     L, convergence = _ANCHOR_RUNGS[rungs]
     rep = discrete_rates(quench, QubitCoupling(epsilon0, 0.1, 512), L=L, eta=4e-3,
-                         kernel=kernel, convergence=convergence)
+                         convergence=convergence)
     fields = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")
     got = [tuple(repr(getattr(row, f)) for f in fields) for row in rep.convergence_table]
-    assert got == [tuple(map(repr, row)) for row in _ANCHORS[point, rungs, kernel]]
+    assert got == [tuple(map(repr, row)) for row in _ANCHORS[point, rungs]]
 
 
 class TestChiSpectrum:
@@ -672,7 +527,5 @@ class TestDense:
         with pytest.raises(ValueError, match="L % 4 == 0"):
             # half filling at L = 2 mod 4 is odd: periodic fermions
             dense_ed_correlator(RING, RING_COUP, L=6)
-        with pytest.raises(ValueError):
-            dense_ed_correlator(ISING, COUP, L=4, kernel="lorentzian")
         with pytest.raises(BadBroadening):
             dense_ed_correlator(ISING, COUP, L=4, eta=0.0)
