@@ -210,8 +210,9 @@ _CUSTOM_RUNGS = ((94, 0.02), (252, 0.01), (1030, 2e-3))
 
 
 class TestAgainstComplexLogModeSum:
+    # The ids name the broadening too: the Lorentzian averaged over each cell.
     @pytest.mark.parametrize("draw, seed", [(_draw_chain_point, 11), (_draw_ring_point, 12)],
-                             ids=["chain", "ring"])
+                             ids=["chain-lorentzian", "ring-lorentzian"])
     def test_every_rung_matches(self, draw, seed):
         for quench, coup in _points(draw, seed):
             for rungs in (None, _CUSTOM_RUNGS):
@@ -416,7 +417,8 @@ _ANCHORS = {
 _ANCHOR_RUNGS = ((1024, None), (1030, ((94, 0.02), (510, 0.008), (1030, 0.004))))
 
 
-@pytest.mark.parametrize("point, rungs", list(_ANCHORS))
+@pytest.mark.parametrize("point, rungs", [
+    pytest.param(point, rungs, id=f"{point}-{rungs}-lorentzian") for point, rungs in _ANCHORS])
 def test_convergence_rows_match_frozen_anchors(point, rungs):
     quench, epsilon0 = _ANCHOR_POINTS[point]
     L, convergence = _ANCHOR_RUNGS[rungs]
