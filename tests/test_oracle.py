@@ -521,6 +521,17 @@ class TestDense:
         assert np.all(np.isfinite(spec.values))
         assert spec.omega_grid[0] == -spec.omega_grid[-1]
 
+    def test_default_grid_without_lines_is_zero(self):
+        # At L = 2 the initial ground state is a final eigenstate with zero
+        # magnetization, so no line survives: the grid spans 10 eta only.
+        eta = 0.05
+        quench = QuenchSpec.ising(h_i=0.3, h_f=1.7, kappa=0.8)
+        spec = dense_ed_correlator(quench, QubitCoupling(2.0, 1.0, 2), L=2, eta=eta)
+        assert spec.omega_grid[0] == -10.0 * eta
+        assert spec.omega_grid[-1] == 10.0 * eta
+        assert len(spec.omega_grid) == 1601
+        assert not np.any(spec.values)
+
     def test_size_and_input_guards(self):
         with pytest.raises(TooLarge):
             dense_ed_correlator(ISING, COUP, L=12)
