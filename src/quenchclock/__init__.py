@@ -30,12 +30,10 @@ from .clock import (
     LadderRates,
     LadderSpec,
     MasterTrajectory,
-    QubitSteadyState,
     TickStatistics,
     clock_metrics,
     evolve_master,
     ladder_rates,
-    qubit_steady_state,
     resolve_gamma,
     sample_tick_times,
     simulate_ticks,

@@ -23,16 +23,16 @@ come from :func:`solve_first_passage` (moments of the tick time),
 The sampler draws each tick interval exactly, as a sum of ``d``
 independent exponential stages whose rates are the passage-time spectrum
 of the walk (Keilson's theorem), in one numpy call per level chunk of
-each block of :data:`_STREAM_BLOCK` trajectories.  Block ``b`` of seed
-``s`` draws from ``numpy.random.Philox`` keyed by the uint64 words
-``(s, b)``, so a sample is fixed by its seed and is a prefix of any
+each block of :data:`_STREAM_BLOCK` trajectories.  The spectrum comes in
+O(d) from the roots of a boundary equation, with numpy alone.  Block
+``b`` of seed ``s`` draws from ``numpy.random.Philox`` keyed by the uint64
+words ``(s, b)``, so a sample is fixed by its seed and is a prefix of any
 larger one.
 
-Only the sampler's passage spectrum and :func:`evolve_master` use scipy,
-and each imports ``scipy.linalg`` when it runs: a process that never
-samples or solves the master equation does not load scipy, which on a
-2-core Xeon takes ``import quenchclock.cli`` from about 0.55 s and
-58 MiB to 0.23 s and 30 MiB.
+Only :func:`evolve_master` uses scipy, and it imports ``scipy.linalg``
+when it runs: no command of the command line loads scipy, which on a
+2-core Xeon keeps ``import quenchclock.cli`` at about 0.23 s and 30 MiB
+against 0.55 s and 58 MiB with it.
 
 The ``*_array`` functions are the array twins the grid scan uses; each
 shares its arithmetic with its scalar twin and reports the errors that
@@ -62,6 +62,21 @@ _LEVEL_CHUNK = 64
 # Largest share of the exact mean tick time by which the mean of the
 # sampled spectrum, sum(1/lambda), may differ from it.
 _SPECTRUM_RTOL = 1e-9
+# Steps for the band rates of the passage spectrum.  In t = m pi - d phi
+# the fixed-point start is within 0.61 of a root r and a Newton step takes
+# t to t' with |t' - r| <= 0.37 |t - r|**2, so five Newton steps reach
+# rounding, and one below 1e-8 leaves an error below 4e-17.
+_NEWTON_STEPS = 8
+# Steps for one scalar root: bisection alone narrows its bracket 2**200-fold.
+_BRACKET_STEPS = 200
+_EPS = float(np.finfo(float).eps)
+# Mantissas in [1/2, 1) multiplied at once: their product stays normal.
+_PROD_CHUNK = 1000
+# pi as a head of 30 bits, so m * _PI_HEAD is exact for m < 2**23, and a
+# tail: m pi comes out rounded once, without the bias of math.pi.
+_PI_HEAD = math.ldexp(math.floor(math.ldexp(math.pi, 28)), -28)
+_PI_TAIL = (math.pi - _PI_HEAD) + 1.2246467991473532e-16
+_SPLIT = 134217729.0  # 2**27 + 1
 
 
 @dataclass(frozen=True)
@@ -126,35 +141,6 @@ class LadderRates:
         if tot == 0.0:
             return math.nan
         return (self.p_up - self.p_down) / tot
-
-
-@dataclass(frozen=True)
-class QubitSteadyState:
-    """Stationary populations of the pumped probe qubit."""
-
-    p_excited: float
-    p_ground: float
-    magnetization: float  # p_excited - p_ground
-
-    @property
-    def inverted(self) -> bool:
-        return self.magnetization > 0.0
-
-
-def qubit_steady_state(rates: Rates) -> QubitSteadyState:
-    """Stationary state of the probe: populations and their imbalance.
-
-    Detailed balance of the pumped qubit gives ``p_excited = gamma_up /
-    (gamma_up + gamma_down)``; the magnetization is positive exactly for
-    an inverted (active) environment.  Raises :class:`ZeroRates` when
-    the environment neither pumps nor drains.
-    """
-    tot = rates.total
-    if not tot > 0.0:
-        raise ZeroRates(f"total rate {tot!r} is not positive")
-    p1 = rates.gamma_up / tot
-    return QubitSteadyState(p_excited=p1, p_ground=1.0 - p1,
-                            magnetization=(rates.gamma_up - rates.gamma_down) / tot)
 
 
 def ladder_rates(rates: Rates, ladder: LadderSpec) -> LadderRates:
@@ -450,21 +436,171 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     ``sum_j E_j / lambda_j`` with ``E_j`` iid standard exponentials, where
     the ``lambda_j`` are the eigenvalues of minus the walk generator on the
     ``d`` levels, killed from the top at rate ``gamma`` (J. Keilson 1971;
-    J. A. Fill, J. Theor. Probab. 22, 2009).  That matrix is similar to
-    ``B^T B`` for the upper bidiagonal ``B`` with diagonal ``sqrt(a_k)``
-    (``p_up``, ``gamma`` at the top) and superdiagonal ``sqrt(p_down)``,
-    so ``lambda_j = sigma_j(B)**2``.  The singular values come from
-    bisection on the zero-diagonal Golub-Kahan tridiagonal of ``B``, which
-    finds each to high relative accuracy, in O(d) memory and O(d**2) time.
+    J. A. Fill, J. Theor. Probab. 22, 2009).  With ``a = p_up``, ``q =
+    p_down`` and ``b = sqrt(a q)`` that matrix is similar to the symmetric
+    tridiagonal one with diagonal ``[a, a+q, ..., a+q, gamma+q]`` and every
+    off-diagonal entry ``-b``, whose eigenvectors are plane waves.  With
+    ``rho = sqrt(q/a)`` and ``sigma = (a - gamma)/b``, a rate in the band
+    is ``(sqrt(a) - sqrt(q))**2 + 4 b sin(phi/2)**2``, a sum of positive
+    terms, where ``phi`` in ``(0, pi)`` is a root of the boundary equation
+
+        sin((d+1) phi) - (rho+sigma) sin(d phi) + rho sigma sin((d-1) phi) = 0.
+
+    That is ``d phi + chi(phi) = m pi`` for the phase ``chi`` of
+    ``e^{i phi} - (rho+sigma) + rho sigma e^{-i phi}``, which stays in
+    ``(0, pi)`` because ``rho sigma = 1 - gamma/a < 1``.  So each bracket
+    ``((m-1) pi/d, m pi/d)``, ``m = 2 .. d-1``, holds one root, and there
+    ``|chi'| <= 1/sin(phi) <= d/2`` and ``|chi''| <= d**2/2``: Newton's
+    method on ``t = m pi - d phi``, kept in ``[0, pi]``, converges in every
+    bracket at once (see :data:`_NEWTON_STEPS`).  Of the two rates left,
+    one lies above these brackets: the root in ``((d-1) pi/d, pi)``, or a
+    bound state above the band when ``sigma < -1`` (a fast reset), solved
+    as a scalar.  The other lies below them and comes from the determinant
+    ``gamma a**(d-1)``, because as a bound state below the band (a passive
+    walk, or a top that rarely fires) it can lie tens of decades below
+    ``a + q``, where any direct formula loses its digits to cancellation.
+    The whole spectrum costs O(d) time and memory.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-    off = np.full(2 * d - 1, math.sqrt(p_down))
-    off[0::2] = math.sqrt(p_up)
-    off[-1] = math.sqrt(gamma)
-    sigma = eigvalsh_tridiagonal(np.zeros(2 * d), off, select="i",
-                                 select_range=(d, 2 * d - 1), lapack_driver="stebz",
-                                 tol=np.finfo(float).tiny)
-    return sigma * sigma
+    a, q = p_up, p_down
+    if d == 1:
+        return np.array([gamma], dtype=float)
+    if q == 0.0:
+        # A walk that only climbs: the matrix is bidiagonal.
+        return np.sort(np.append(np.full(d - 1, a, dtype=float), gamma))
+    # In units of a: rates r = lambda/a, and rho sigma = 1 - u.
+    floor, floor_lo, width, width_lo, rho, one_minus_rho = _band_constants(a, q)
+    u = gamma / a
+    sigma = (1.0 - u) / rho
+    # The coefficients (1-rho)(1-sigma) and 2 (1 + rho sigma) of chi's
+    # argument, and (1-rho)(1-sigma) u/d and 2 (rho + sigma) u/d of its slope.
+    k0 = one_minus_rho * (1.0 - sigma)
+    k = (k0, 2.0 * (2.0 - u), k0 * u / d, 2.0 * (rho + sigma) * u / d)
+    # The boundary equation over sin(phi) at phi = pi: with this sign its
+    # last root lies below pi, in the band; else one lies above the band.
+    top_in_band = d * (1.0 + rho) * (1.0 + sigma) + u > 0.0
+    m = np.arange(2.0, d + top_in_band)
+    mpi = m * _PI_HEAD + m * _PI_TAIL
+    t = np.empty(m.size)
+    with np.errstate(all="ignore"):
+        # One fixed-point step from pi/2, then Newton's method until no
+        # step exceeds 1e-8.
+        inner_mpi = mpi[:d - 2]
+        inner = _phase(0.5 * math.pi, inner_mpi, d, u, k, slope=False)
+        for _ in range(_NEWTON_STEPS):
+            gap, slope = _phase(inner, inner_mpi, d, u, k)
+            step = gap / slope
+            inner = np.minimum(np.maximum(inner - step, 0.0), math.pi)
+            if not step @ step > 1e-16:
+                break
+        t[:d - 2] = inner
+    r = np.empty(d)
+    if top_in_band:
+        t[-1] = _bracketed_root(
+            lambda x: _phase(x, mpi[-1], d, u, k, math.sin, math.atan2),
+            0.0, math.pi, 0.5 * math.pi)
+    else:
+        r[-1] = 1.0 + rho * rho + rho * _bound_state(rho, -sigma, d)
+    s2 = np.sin((mpi - t) / (2 * d)) ** 2
+    r[1:1 + t.size] = (floor + width * s2) + (floor_lo + width_lo * s2)
+    # The determinant: r_0 = u / prod(r_1 .. r_{d-1}), over mantissas and
+    # exact binary exponents, so the product neither leaves the double
+    # range nor loses digits however far the rates spread.
+    mant, expo = np.frexp(r[1:])
+    low, shift = math.frexp(u)
+    shift -= int(expo.sum())
+    for start in range(0, d - 1, _PROD_CHUNK):
+        low, e = math.frexp(low / float(mant[start:start + _PROD_CHUNK].prod()))
+        shift += e
+    r[0] = math.ldexp(low, shift)
+    return a * r
+
+
+def _band_constants(a, q):
+    # (1 - rho)**2 and 4 rho for rho = sqrt(q/a), each as a double plus a
+    # correction, good to about 2**-100, then rho and 1 - rho.  The first
+    # two scale every rate of the band alike, so a rounding of theirs would
+    # add up over the d - 1 rates in the determinant.  Exact products by
+    # Dekker's splitting.
+    ma, ea = math.frexp(a)
+    mq, eq = math.frexp(q)
+    if (eq - ea) % 2:
+        mq, eq = 2.0 * mq, eq - 1
+    x = mq / ma  # q/a = x 2**(eq - ea), x in (0.5, 4)
+    p, e = _two_prod(ma, x)
+    x_lo = ((mq - p) - e) / ma
+    root = math.sqrt(x)
+    p, e = _two_prod(root, root)
+    root_lo = ((x - p) - e + x_lo) / (2.0 * root)
+    rho = math.ldexp(root, (eq - ea) // 2)
+    rho_lo = math.ldexp(root_lo, (eq - ea) // 2)
+    f = 1.0 - rho
+    f_back = f - 1.0
+    f_lo = (1.0 - (f - f_back)) - (rho + f_back) - rho_lo
+    p, e = _two_prod(f, f)
+    return p, e + 2.0 * f * f_lo, 4.0 * rho, 4.0 * rho_lo, rho, f + f_lo
+
+
+def _two_prod(x, y):
+    # x y = p + e exactly, for |x|, |y| < 2**995 (T. J. Dekker 1971).
+    p = x * y
+    xh = _SPLIT * x
+    xh -= xh - x
+    yh = _SPLIT * y
+    yh -= yh - y
+    return p, ((xh * yh - p) + xh * (y - yh) + (x - xh) * yh) + (x - xh) * (y - yh)
+
+
+def _phase(t, mpi, d, u, k, sin=np.sin, atan2=np.arctan2, slope=True):
+    # t - chi(phi) at phi = (m pi - t)/d, and its slope in t: zero at a
+    # rate of the band, negative for smaller t and positive for larger.
+    # With s2 = sin(phi/2)**2 the real part of chi's argument is
+    # (1-rho)(1-sigma) - 2 (1 + rho sigma) s2, free of the cancellation of
+    # (1 + rho sigma) cos(phi) - (rho + sigma) at small phi.  Without the
+    # slope, chi itself: one fixed-point step.
+    phi = (mpi - t) / d
+    s2 = sin(0.5 * phi) ** 2
+    y = u * sin(phi)
+    x = k[0] - k[1] * s2
+    if not slope:
+        return atan2(y, x)
+    return t - atan2(y, x), 1.0 + (k[2] + k[3] * s2) / (x * x + y * y)
+
+
+def _bound_state(rho, s, d):
+    # w + 1/w for the rate a + q + b (w + 1/w) above the band, where w in
+    # (1, s) solves w**(2d) (w + rho)(s - w) = (1 + rho w)(s w - 1).  The
+    # start is one fixed-point step from w = s, exact to rounding when the
+    # state is deep, as it is for a fast reset.
+    z = s * math.exp(-2 * d * math.log(s) - math.log((s + rho) / (1.0 + rho * s)))
+    w = s - (s - 1.0 / s) * z / (1.0 + z)
+    if w < s:
+        w = _bracketed_root(lambda w: (
+            math.log(s) - 2 * d * math.log(w) - math.log((w + rho) / (1.0 + rho * w))
+            - math.log((s - w) / (w - 1.0 / s)),
+            1.0 / (s - w) + 1.0 / (w - 1.0 / s) + rho / (1.0 + rho * w)
+            - 2 * d / w - 1.0 / (w + rho)), 1.0, s, w)
+    return w + 1.0 / w
+
+
+def _bracketed_root(f, lo, hi, x):
+    # Newton's method on a scalar f(x) = (value, slope) that is negative on
+    # (lo, root) and positive on (root, hi), bisecting when a step would
+    # leave the bracket.
+    for _ in range(_BRACKET_STEPS):
+        value, slope = f(x)
+        if value < 0.0:
+            lo = x
+        else:
+            hi = x
+        new = x - value / slope if slope else math.nan
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:
+                return x
+        if abs(new - x) <= 2.0 * _EPS * new:
+            return new
+        x = new
+    return x
 
 
 def _simulate(rates: np.ndarray, seed: int, n: int) -> np.ndarray:

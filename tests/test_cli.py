@@ -839,18 +839,23 @@ for args in json.loads(sys.argv[1]):
 print(json.dumps(seen))
 """
 
-    def _scipy_after(self, *commands):
+    @staticmethod
+    def _probe(script, *args):
+        # Runs script in a fresh interpreter on this package; its printed JSON.
         src = str(Path(quenchclock.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", self._SCIPY_PROBE, json.dumps(commands)],
+        done = subprocess.run([sys.executable, "-c", script, *args],
                               env=env, capture_output=True, text=True, check=True)
         return json.loads(done.stdout)
 
+    def _scipy_after(self, *commands):
+        return self._probe(self._SCIPY_PROBE, json.dumps(commands))
+
     def test_import_leaves_out_scipy(self):
-        # Only the Monte Carlo sampler and the master equation need scipy,
-        # and importing scipy.linalg would add about 0.3 s and 28 MiB to
-        # the start of every run (0.23 s and 30 MiB without it).
+        # Only the library's master equation needs scipy, and importing
+        # scipy.linalg would add about 0.3 s and 28 MiB to the start of
+        # every run (0.23 s and 30 MiB without it).
         seen = self._scipy_after(
             ["rates"], ["scan", "--set", "scan.axes=[{name: h_f, min: 1.2, max: 1.8, steps: 3}]"],
             ["lifetime"], ["oracle", "--set", "oracle.L_oracle=512"], ["clock"])
@@ -862,11 +867,34 @@ print(json.dumps(seen))
         ["clock", "--set", "mc.n_trajectories=200"],
         ["clock", "--histogram", "8", "--set", "mc.n_trajectories=200"],
     ], ids=["mc", "histogram"])
-    def test_sampling_loads_scipy(self, args):
-        # The sampler's passage spectrum imports scipy.linalg when it runs.
+    def test_sampling_leaves_out_scipy(self, args):
+        # The sampler's passage spectrum is numpy alone.
         (_, _, before), (_, code, after) = self._scipy_after(args)
-        assert (before, code) == ([], 0)
+        assert (before, code, after) == ([], 0, [])
+
+    def test_only_the_master_equation_loads_scipy(self):
+        # Every other clock entry point runs without scipy; evolve_master
+        # imports scipy.linalg for expm when it runs.
+        probe = """\
+import json, sys
+from quenchclock import (LadderRates, LadderSpec, Rates, clock_metrics, evolve_master,
+                         ladder_rates, sample_tick_times, simulate_ticks, solve_first_passage)
+def scipy():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+lad = LadderSpec(d=6, epsilon_w=1.0, g=0.1)
+lr = ladder_rates(Rates(gamma_up=3.0, gamma_down=1.0), lad)
+clock_metrics(lr, lad.d)
+solve_first_passage(lr, lad)
+sample_tick_times(LadderRates(p_up=1.0, p_down=2.0), lad, 100, seed=1)
+simulate_ticks(lr, LadderSpec(d=300, epsilon_w=1.0, g=0.1, Gamma=1e-3), 100, seed=2)
+before = scipy()
+drift = evolve_master(lr, lad, t_max=10.0).probability_drift
+print(json.dumps([before, scipy(), drift]))
+"""
+        before, after, drift = self._probe(probe)
+        assert before == []
         assert "scipy.linalg" in after
+        assert drift < 1e-9
 
     def test_rates_to_stdout(self, capsys):
         assert main(["rates"]) == 0

@@ -20,7 +20,6 @@ from quenchclock import (
     clock_metrics,
     evolve_master,
     ladder_rates,
-    qubit_steady_state,
     resolve_gamma,
     sample_tick_times,
     simulate_ticks,
@@ -28,28 +27,38 @@ from quenchclock import (
 )
 from quenchclock import clock
 
+# Walks whose passage rates span up to 60 decades: (p_up, p_down, gamma, d).
+SPECTRUM_REGIMES = [
+    (3.0, 1.0, 40.0, 4),
+    (1.5, 1.0, 50.0, 20),
+    (1.0, 1.0, 7.0, 13),
+    (1.2, 1.0, 50.0, 20),
+    (3.0, 1.0, 50.0, 20),
+    (6940.0, 6346.0, 1.0, 12),
+    (0.1, 1.0, 36.0, 30),     # passive, p_up/p_down = 1/10
+    (1 / 30, 1.0, 36.0, 20),  # passive, p_up/p_down = 1/30
+    (1.0, 10.0, 5.0, 20),     # the symmetrized generator's spectrum is 100% off
+    (0.7, 0.0, 11.0, 2),      # no down rate: the stages are p_up and Gamma
+    (2.0, 1.0, 1e-30, 10),    # a top that almost never fires
+    (1.0, 1e-30, 1e-30, 10),
+    (100.0, 1.0, 1e-6, 20),   # Gamma far below p_up
+    (1.0, 100.0, 1e6, 20),    # Gamma far above p_down
+]
 
-class TestSteadyState:
-    def test_balanced(self):
-        ss = qubit_steady_state(Rates(gamma_up=0.4, gamma_down=0.4))
-        assert ss.p_excited == 0.5
-        assert ss.p_ground == 0.5
-        assert ss.magnetization == 0.0
 
-    def test_pumped_three_to_one(self):
-        ss = qubit_steady_state(Rates(gamma_up=3.0, gamma_down=1.0))
-        assert ss.p_excited == pytest.approx(0.75)
-        assert ss.magnetization == pytest.approx(0.5)
-        assert ss.inverted
-
-    def test_pure_decay(self):
-        ss = qubit_steady_state(Rates(gamma_up=0.0, gamma_down=2.0))
-        assert ss.p_excited == 0.0
-        assert ss.magnetization == -1.0
-
-    def test_zero_rates(self):
-        with pytest.raises(ZeroRates):
-            qubit_steady_state(Rates(gamma_up=0.0, gamma_down=0.0))
+def golub_kahan_spectrum(p_up, p_down, gamma, d):
+    """Reference passage spectrum: squared singular values of the upper
+    bidiagonal B with diagonal sqrt(p_up) (sqrt(gamma) at the top) and
+    superdiagonal sqrt(p_down), by LAPACK bisection on the zero-diagonal
+    Golub-Kahan tridiagonal of B, which keeps each one's relative
+    accuracy, in O(d**2) time."""
+    off = np.full(2 * d - 1, math.sqrt(p_down))
+    off[0::2] = math.sqrt(p_up)
+    off[-1] = math.sqrt(gamma)
+    sigma = eigvalsh_tridiagonal(np.zeros(2 * d), off, select="i",
+                                 select_range=(d, 2 * d - 1), lapack_driver="stebz",
+                                 tol=np.finfo(float).tiny)
+    return sigma * sigma
 
 
 class TestLadderRates:
@@ -434,22 +443,7 @@ class TestSampling:
             assert stats.empirical_accuracy == pytest.approx(fp.exact_N, rel=0.05)
             assert stats.empirical_rate == pytest.approx(fp.exact_rate, rel=0.03)
 
-    @pytest.mark.parametrize("p_up, p_down, gamma, d", [
-        (3.0, 1.0, 40.0, 4),
-        (1.5, 1.0, 50.0, 20),
-        (1.0, 1.0, 7.0, 13),
-        (1.2, 1.0, 50.0, 20),
-        (3.0, 1.0, 50.0, 20),
-        (6940.0, 6346.0, 1.0, 12),
-        (0.1, 1.0, 36.0, 30),     # passive, p_up/p_down = 1/10
-        (1 / 30, 1.0, 36.0, 20),  # passive, p_up/p_down = 1/30
-        (1.0, 10.0, 5.0, 20),     # the symmetrized generator's spectrum is 100% off
-        (0.7, 0.0, 11.0, 2),      # no down rate: the stages are p_up and Gamma
-        (2.0, 1.0, 1e-30, 10),    # a top that almost never fires
-        (1.0, 1e-30, 1e-30, 10),
-        (100.0, 1.0, 1e-6, 20),   # Gamma far below p_up
-        (1.0, 100.0, 1e6, 20),    # Gamma far above p_down
-    ])
+    @pytest.mark.parametrize("p_up, p_down, gamma, d", SPECTRUM_REGIMES)
     def test_spectrum_matches_first_passage_moments(self, p_up, p_down, gamma, d):
         # Sum of independent Exp(lambda_j): mean sum 1/lambda, variance
         # sum 1/lambda**2, over rates that span up to 60 decades.
@@ -534,3 +528,74 @@ class TestSampling:
             sample_tick_times(self.LR, self.LAD, 10, seed=2**64)
         with pytest.raises(NotReachable):
             sample_tick_times(LadderRates(p_up=0.0, p_down=1.0), self.LAD, 10, seed=0)
+
+
+def assert_same_spectrum(p_up, p_down, gamma, d):
+    got = clock._passage_spectrum(p_up, p_down, gamma, d)
+    want = golub_kahan_spectrum(p_up, p_down, gamma, d)
+    assert got.shape == want.shape == (d,)
+    # 1e-12 relative; a rate below the normal range keeps only its
+    # absolute accuracy.
+    off = np.abs(got - want) - 1e-12 * want
+    assert np.all(off <= np.finfo(float).tiny), (p_up, p_down, gamma, d, got, want)
+
+
+def random_walks(seed, n, d_max):
+    """n walks with p_up, p_down log-uniform in [1e-8, 1e8], gamma in
+    [1e-30, 1e6] and d log-uniform in [1, d_max]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        p_up, p_down = 10.0 ** rng.uniform(-8.0, 8.0, 2)
+        gamma = 10.0 ** rng.uniform(-30.0, 6.0)
+        yield p_up, p_down, gamma, int(round(d_max ** rng.uniform(0.0, 1.0)))
+
+
+class TestPassageSpectrum:
+    """The closed-form passage spectrum against Golub-Kahan bisection."""
+
+    @pytest.mark.parametrize("p_up, p_down, gamma, d", SPECTRUM_REGIMES + [
+        (2.0, 1.0, 3.0, 1),
+        (2.0, 1.0, 3.0, 2),
+        (1.0, 3.0, 0.5, 2),
+        (0.5, 1.0, 1e6, 2),
+        (2.0, 0.0, 3.0, 7),       # p_down = 0: p_up d - 1 times, and gamma
+        (2.0, 0.0, 0.5, 7),
+        (2.0, 1e-30, 3.0, 7),
+        (2.0, 1e-30, 1e-30, 40),
+    ])
+    def test_matches_golub_kahan(self, p_up, p_down, gamma, d):
+        assert_same_spectrum(p_up, p_down, gamma, d)
+
+    def test_matches_golub_kahan_on_random_walks(self):
+        for walk in random_walks(17, 200, 400):
+            assert_same_spectrum(*walk)
+
+    def test_band_rates_keep_their_brackets(self):
+        # Rate j = 1 .. d-2 solves d phi + chi(phi) = (j+1) pi with phi in
+        # (j pi/d, (j+1) pi/d), where the band's rate rises with phi.
+        for p_up, p_down, gamma, d in random_walks(5, 300, 2000):
+            if d < 3:
+                continue
+            rates = clock._passage_spectrum(p_up, p_down, gamma, d)
+            assert np.all(np.diff(rates) >= 0.0)
+            phi = np.arange(1, d) * math.pi / d
+            band = (((p_up - p_down) / (math.sqrt(p_up) + math.sqrt(p_down))) ** 2
+                    + 4.0 * math.sqrt(p_up * p_down) * np.sin(phi / 2.0) ** 2)
+            inner = rates[1:d - 1]
+            assert np.all(band[:-1] * (1.0 - 1e-13) <= inner), (p_up, p_down, gamma, d)
+            assert np.all(inner <= band[1:] * (1.0 + 1e-13)), (p_up, p_down, gamma, d)
+
+    @pytest.mark.parametrize("p_up, p_down, gamma", [
+        (3.0, 1.0, None),      # fast reset: the top rate is a bound state
+        (1.0, 1.0, 1.5),       # slow reset: the top rate is in the band
+        (1.0, 1.0005, 7.0),    # passive: the lowest rate is a bound state
+        (2.0, 1.0, 1e-30),     # a top that almost never fires
+    ])
+    def test_deep_ladder_moments(self, p_up, p_down, gamma):
+        # At d = 4000, where bisection takes about 11 s.
+        lr = LadderRates(p_up=p_up, p_down=p_down)
+        lad = LadderSpec(d=4000, epsilon_w=1.0, g=0.1, Gamma=gamma)
+        rates = clock._passage_spectrum(p_up, p_down, resolve_gamma(lad, lr), lad.d)
+        fp = solve_first_passage(lr, lad)
+        assert np.sum(1.0 / rates) == pytest.approx(fp.mean_tick_time, rel=1e-12)
+        assert np.sum(1.0 / rates**2) == pytest.approx(fp.var_tick_time, rel=1e-12)
