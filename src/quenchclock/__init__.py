@@ -46,7 +46,6 @@ from .errors import (
     GaplessMode,
     NoResonance,
     NotReachable,
-    OutOfBand,
     PassiveState,
     QuenchClockError,
     TooLarge,
@@ -83,7 +82,6 @@ from .rates import (
     transition_rates,
 )
 from .spectra import (
-    DensityOfStates,
     EnergyRoot,
     ModeState,
     ModelKind,
@@ -91,7 +89,6 @@ from .spectra import (
     QuenchSpec,
     band_edges,
     bogoliubov_angle,
-    density_of_states,
     dispersion,
     energy_roots,
     group_velocity,

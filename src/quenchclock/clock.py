@@ -29,11 +29,6 @@ O(d) from the roots of a boundary equation, with numpy alone.  Block
 words ``(s, b)``, so a sample is fixed by its seed and is a prefix of any
 larger one.
 
-Only :func:`evolve_master` uses scipy, and it imports ``scipy.linalg``
-when it runs: no command of the command line loads scipy, which on a
-2-core Xeon keeps ``import quenchclock.cli`` at about 0.23 s and 30 MiB
-against 0.55 s and 58 MiB with it.
-
 The ``*_array`` functions are the array twins the grid scan uses; each
 shares its arithmetic with its scalar twin and reports the errors that
 twin would raise as :data:`~quenchclock.errors.Raises`.
@@ -77,6 +72,21 @@ _PROD_CHUNK = 1000
 _PI_HEAD = math.ldexp(math.floor(math.ldexp(math.pi, 28)), -28)
 _PI_TAIL = (math.pi - _PI_HEAD) + 1.2246467991473532e-16
 _SPLIT = 134217729.0  # 2**27 + 1
+# Coefficients b_0 .. b_13 of the Pade-13 approximant of exp (Higham 2005).
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
+# The same, by row the weights of I, b**2, b**4 and b**6 in the four sums
+# of the odd and even parts (see :func:`_expm`).
+_PADE_13_TERMS = np.array([(0.0, *_PADE_13[9::2]), _PADE_13[1:8:2],
+                           (0.0, *_PADE_13[8:13:2]), _PADE_13[0:7:2]])
+# Largest eta for which the Pade-13 backward error stays below the unit
+# roundoff, and |c_27|, the first coefficient of that error's series
+# (Al-Mohy & Higham 2009).
+_THETA_13 = 4.25
+_C_27 = 1.0 / 113250775606021113483283660800000000.0
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -280,30 +290,96 @@ class MasterTrajectory:
 def _generator(lr: LadderRates, d: int, gamma: float) -> np.ndarray:
     # Column convention, dp/dt = G p; last row integrates the tick flux.
     g = np.zeros((d + 1, d + 1))
-    for j in range(d):
-        out = 0.0
-        if j < d - 1:
-            g[j + 1, j] += lr.p_up
-            out += lr.p_up
-        if j > 0:
-            g[j - 1, j] += lr.p_down
-            out += lr.p_down
-        if j == d - 1:
-            g[0, j] += gamma  # reset closes the probability loop
-            out += gamma
-        g[j, j] = -out
+    level = np.arange(d - 1)
+    g[level + 1, level] = lr.p_up
+    g[level, level + 1] = lr.p_down
+    g[0, d - 1] += gamma  # reset closes the probability loop
+    g[np.diag_indices(d)] = -g[:d, :d].sum(axis=0)
     g[d, d - 1] = gamma
     return g
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` by the Pade-13 approximant with scaling and squaring.
+
+    The approximant is Higham's (SIAM J. Matrix Anal. Appl. 26, 1179,
+    2005); the scaling is that of Al-Mohy and Higham (same journal, 31,
+    970, 2009).  ``s`` is the least power with ``2**-s eta <= theta_13``
+    for ``eta = min(max(d6, d8), max(d8, d10))``, where ``d_k =
+    ||a**k||_1**(1/k)`` is computed exactly, plus the squarings of
+    :func:`_pade_excess`.  On the ladder's generators ``eta`` is about
+    ``0.4 ||a||_1``, which saves one squaring over the ``||a||_1`` rule of
+    2005.  All nan, never zeros or a raise, when a power of ``a`` leaves
+    the double range or when the squarings would amplify rounding past
+    the result itself (``2**s u >= 1``).
+    """
+    n = a.shape[0]
+    powers = np.empty((6, n, n))
+    eye, a2, a4, a6, a8, a10 = powers
+    eye[...] = np.eye(n)
+    with np.errstate(all="ignore"):
+        np.matmul(a, a, out=a2)
+        np.matmul(a2, a2, out=a4)
+        np.matmul(a2, a4, out=a6)
+        np.matmul(a4, a4, out=a8)
+        np.matmul(a4, a6, out=a10)
+        d = np.abs(powers[3:]).sum(axis=1).max(axis=1) ** (1.0 / np.array([6.0, 8.0, 10.0]))
+    if not np.isfinite(d).all():
+        return np.full_like(a, np.nan)
+    d6, d8, d10 = d.tolist()
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if eta > 0.0 else 0
+    s += _pade_excess(a, s)
+    if math.ldexp(_UNIT_ROUNDOFF, s) >= 1.0:
+        return np.full_like(a, np.nan)
+    # b = 2**-s a, its even powers scaled exactly from those of a, and
+    # u = b (b6 u_high + u_low), v = b6 v_high + v_low for the odd and even
+    # parts of the approximant.
+    scale = np.ldexp(1.0, -s * np.arange(7))
+    terms = ((_PADE_13_TERMS * scale[::2]) @ powers[:4].reshape(4, -1)).reshape(4, n, n)
+    high = (scale[6] * a6) @ terms[0::2]
+    u = (scale[1] * a) @ (high[0] + terms[1])
+    v = high[1] + terms[3]
+    # (v - u)**-1 (v + u) as the identity plus a correction, which keeps
+    # the columns' mass to rounding of the correction, not of the whole.
+    r = np.linalg.solve(v - u, 2.0 * u)
+    r += eye
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _pade_excess(a: np.ndarray, s: int) -> int:
+    # Squarings beyond s that the bound |c_27| || |b|**27 ||_1 / ||b||_1 <= u
+    # asks for at b = 2**-s a (the ell of Al-Mohy & Higham).  With c =
+    # |a| / ||a||_1 the ratio is (2**-s ||a||_1)**26 ||c**27||_1, and the
+    # powers of the nonnegative c, taken as 1 c c**2 (c**8)**3, cannot
+    # overflow: the 1-norm of c**27 is its largest column sum.
+    c = np.abs(a)
+    column = c.sum(axis=0)
+    size = float(column.max())
+    if not size > 0.0:
+        return 0
+    c /= size
+    c2 = c @ c
+    c4 = c2 @ c2
+    c8 = c4 @ c4
+    top = float(((((column / size) @ c2) @ c8) @ c8 @ c8).max())
+    if not top > 0.0:
+        return 0
+    excess = math.log2(_C_27 / _UNIT_ROUNDOFF * top) / 26.0 + math.log2(size) - s
+    return max(math.ceil(excess), 0)
 
 
 def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
                   n_records: int = 201) -> MasterTrajectory:
     """Solve the ladder populations from the bottom level.
 
-    The exact propagator ``expm(G * dt)`` of the generator over one
-    record spacing ``dt = t_max / (n_records - 1)`` carries the state
-    from each of the ``n_records`` equally spaced record times to the
-    next, so the accuracy does not depend on the rates' stiffness.  The
+    The exact propagator ``exp(G * dt)`` of the generator over one
+    record spacing ``dt = t_max / (n_records - 1)``, by the Pade-13
+    scaling and squaring of :func:`_expm`, carries the state from each
+    of the ``n_records`` equally spaced record times to the next, so the
+    accuracy does not depend on the rates' stiffness.  The
     states go as rows into one ``(n_records, d + 1)`` array, of which
     ``populations`` and ``ticks`` are views.  ``probability_drift`` is
     the largest ``|sum(populations) - 1|`` over the records; it is nan
@@ -318,8 +394,7 @@ def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
     gamma = resolve_gamma(ladder, lr)
     if not max(lr.p_up, lr.p_down, gamma) > 0.0:
         raise ZeroRates("no process moves the ladder")
-    from scipy.linalg import expm
-    stride = expm(_generator(lr, d, gamma) * (t_max / (n_records - 1)))
+    stride = _expm(_generator(lr, d, gamma) * (t_max / (n_records - 1)))
     states = np.zeros((n_records, d + 1))
     states[0, 0] = 1.0
     for i in range(1, n_records):

@@ -25,10 +25,6 @@ class GaplessMode(QuenchClockError):
     """A requested mode sits at (or numerically below) zero energy."""
 
 
-class OutOfBand(QuenchClockError):
-    """An energy argument lies outside the single-particle band."""
-
-
 class NoResonance(QuenchClockError):
     """No momentum satisfies the resonance condition for the requested
     qubit frequency."""

@@ -48,7 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DegenerateRoot, GaplessMode, OutOfBand
+from .errors import DegenerateRoot, GaplessMode
 
 # A mode below this energy counts as gapless and has no well defined
 # Bogoliubov angle.
@@ -208,14 +208,6 @@ class EnergyRoot:
     k: float
     u: float  # cos(k)
     velocity: float  # d eps_k / dk at the root, signed
-
-
-@dataclass(frozen=True)
-class DensityOfStates:
-    eps: float
-    roots: tuple[EnergyRoot, ...]
-    per_root: tuple[float, ...]
-    total: float
 
 
 def dispersion(model: ModelSpec, k):
@@ -590,25 +582,3 @@ def check_slope(root: EnergyRoot) -> float:
         raise DegenerateRoot(f"band slope {root.velocity!r} at k={root.k!r} is below "
                              f"{DERIVATIVE_TOL}; the density of states diverges")
     return abs(root.velocity)
-
-
-def density_of_states(model: ModelSpec, eps: float) -> DensityOfStates:
-    """Per-root ``1/|d eps_k/dk|`` at energy ``eps`` and their sum.
-
-    Each root represents one ``+-k`` pair of the full zone; the reported
-    weight is per root, not doubled.
-
-    Raises
-    ------
-    OutOfBand
-        If no momentum reaches ``eps``.
-    DegenerateRoot
-        At a van Hove point (see :func:`check_slope`) or a flat band.
-    """
-    roots = energy_roots(model, eps)
-    if not roots:
-        lo, hi = band_edges(model)
-        raise OutOfBand(f"eps={eps!r} outside the band [{lo:.6g}, {hi:.6g}]")
-    weights = [1.0 / check_slope(r) for r in roots]
-    return DensityOfStates(eps=float(eps), roots=roots,
-                           per_root=tuple(weights), total=sum(weights))

@@ -853,9 +853,10 @@ print(json.dumps(seen))
         return self._probe(self._SCIPY_PROBE, json.dumps(commands))
 
     def test_import_leaves_out_scipy(self):
-        # Only the library's master equation needs scipy, and importing
-        # scipy.linalg would add about 0.3 s and 28 MiB to the start of
-        # every run (0.23 s and 30 MiB without it).
+        # The package runs on numpy alone; scipy.linalg, imported with it,
+        # once added about 0.3 s and 28 MiB to the start of every run
+        # (0.23 s and 30 MiB without it), and about 0.2 s and 26.5 MiB to
+        # the first master-equation solve.
         seen = self._scipy_after(
             ["rates"], ["scan", "--set", "scan.axes=[{name: h_f, min: 1.2, max: 1.8, steps: 3}]"],
             ["lifetime"], ["oracle", "--set", "oracle.L_oracle=512"], ["clock"])
@@ -872,28 +873,56 @@ print(json.dumps(seen))
         (_, _, before), (_, code, after) = self._scipy_after(args)
         assert (before, code, after) == ([], 0, [])
 
-    def test_only_the_master_equation_loads_scipy(self):
-        # Every other clock entry point runs without scipy; evolve_master
-        # imports scipy.linalg for expm when it runs.
+    def test_no_library_entry_point_loads_scipy(self):
+        # The master equation, the oracles and the sampler: numpy alone.
         probe = """\
 import json, sys
-from quenchclock import (LadderRates, LadderSpec, Rates, clock_metrics, evolve_master,
-                         ladder_rates, sample_tick_times, simulate_ticks, solve_first_passage)
-def scipy():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import numpy as np
+from quenchclock import (LadderRates, LadderSpec, QubitCoupling, QuenchSpec, Rates,
+                         chi_spectrum, dense_ed_correlator, discrete_rates, evolve_master,
+                         ladder_rates, simulate_ticks)
 lad = LadderSpec(d=6, epsilon_w=1.0, g=0.1)
 lr = ladder_rates(Rates(gamma_up=3.0, gamma_down=1.0), lad)
-clock_metrics(lr, lad.d)
-solve_first_passage(lr, lad)
-sample_tick_times(LadderRates(p_up=1.0, p_down=2.0), lad, 100, seed=1)
-simulate_ticks(lr, LadderSpec(d=300, epsilon_w=1.0, g=0.1, Gamma=1e-3), 100, seed=2)
-before = scipy()
+quench = QuenchSpec.ising(h_i=0.5, h_f=1.5, kappa=1.0)
+coupling = QubitCoupling(epsilon0=2.5, g_obs=0.1, L=512)
 drift = evolve_master(lr, lad, t_max=10.0).probability_drift
-print(json.dumps([before, scipy(), drift]))
+discrete_rates(quench, coupling, L=512, eta=0.01)
+chi_spectrum(quench, coupling, 256, 0.02, np.array([1.0, 2.5]))
+dense_ed_correlator(quench, coupling, 4)
+simulate_ticks(LadderRates(p_up=1.0, p_down=2.0), lad, 100, seed=1)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps([loaded, drift]))
 """
-        before, after, drift = self._probe(probe)
-        assert before == []
-        assert "scipy.linalg" in after
+        loaded, drift = self._probe(probe)
+        assert loaded == []
+        assert drift < 1e-9
+
+    def test_runs_where_scipy_cannot_be_imported(self):
+        # A finder ahead of every other makes ``import scipy`` fail, as on
+        # an install with numpy and PyYAML only.
+        probe = """\
+import contextlib, io, json, sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, NoScipy())
+import quenchclock.cli
+from quenchclock import LadderRates, LadderSpec, evolve_master
+lad = LadderSpec(d=6, epsilon_w=1.0, g=0.1)
+drift = evolve_master(LadderRates(p_up=3.0, p_down=1.0), lad, t_max=10.0).probability_drift
+codes = []
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(quenchclock.cli.main(args))
+print(json.dumps([codes, drift]))
+"""
+        commands = [["rates"], ["lifetime"], ["clock", "--set", "mc.n_trajectories=200"],
+                    ["clock", "--histogram", "8", "--set", "mc.n_trajectories=200"],
+                    ["scan", "--set", "scan.axes=[{name: h_f, min: 1.2, max: 1.8, steps: 3}]"],
+                    ["oracle", "--set", "oracle.L_oracle=512"]]
+        codes, drift = self._probe(probe, json.dumps(commands))
+        assert codes == [0] * len(commands)
         assert drift < 1e-9
 
     def test_rates_to_stdout(self, capsys):

@@ -1,8 +1,11 @@
 """Ladder clock: walk rates, metrics, master equation, sampling."""
 
+import importlib.util
 import math
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +27,12 @@ from quenchclock import (
     sample_tick_times,
     simulate_ticks,
     solve_first_passage,
+    transition_rates,
 )
 from quenchclock import clock
+from quenchclock.errors import QuenchClockError
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 # Walks whose passage rates span up to 60 decades: (p_up, p_down, gamma, d).
 SPECTRUM_REGIMES = [
@@ -304,7 +311,7 @@ class TestMaster:
     def _stepwise(lr, lad, t_max, n_records):
         # One record at a time, each state its own vector.
         gamma = resolve_gamma(lad, lr)
-        stride = expm(clock._generator(lr, lad.d, gamma) * (t_max / (n_records - 1)))
+        stride = clock._expm(clock._generator(lr, lad.d, gamma) * (t_max / (n_records - 1)))
         v = np.zeros(lad.d + 1)
         v[0] = 1.0
         populations, ticks, drift = [], [], 0.0
@@ -344,6 +351,98 @@ class TestMaster:
             tr = evolve_master(lr, lad, t_max)
         assert np.isnan(tr.populations[1:]).all()
         assert math.isnan(tr.probability_drift)
+
+
+class TestPropagator:
+    """The numpy Pade-13 propagator against ``scipy.linalg.expm``.
+
+    Each bound is five or more times the largest difference measured on
+    its set.  On the worst cases both propagators are off a 40-digit
+    mpmath expm by about as much as from each other (up to 5e-13 on the
+    points, 2e-11 on random draws), so the differences are roundings.
+    """
+
+    @staticmethod
+    def _differences(a):
+        # Largest population difference, and tick-row difference over
+        # the tick row's largest entry.
+        got, want = clock._expm(a), expm(a)
+        d = a.shape[0] - 1
+        return (float(np.abs(got[:d] - want[:d]).max()),
+                float(np.abs(got[d] - want[d]).max() / np.abs(want[d]).max()))
+
+    @staticmethod
+    def _pipeline_steps(monkeypatch, seed):
+        # Generator times record spacing at the active points of the
+        # point_pipeline benchmark workload, as its master solve sets them.
+        spec = importlib.util.spec_from_file_location("workloads", _ROOT / "bench/workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up while the module executes.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        steps = []
+        for pt in workloads.draw_points(seed, workloads.POINTS_PER_PASS):
+            lr = ladder_rates(transition_rates(pt.quench, pt.coupling), pt.ladder)
+            if not lr.p_up > lr.p_down:
+                continue
+            try:
+                rate = solve_first_passage(lr, pt.ladder).exact_rate
+            except QuenchClockError:
+                continue
+            g = clock._generator(lr, pt.ladder.d, resolve_gamma(pt.ladder, lr))
+            steps.append(g * (12.0 / rate / 50))
+        return steps
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_scipy_on_pipeline_points(self, monkeypatch, seed):
+        # Measured on seeds 1-3: populations 8.0e-14, tick row 3.6e-13,
+        # at norms up to 3.6e5.
+        steps = self._pipeline_steps(monkeypatch, seed)
+        assert len(steps) > 150
+        worst = np.max([self._differences(a) for a in steps], axis=0)
+        assert worst[0] <= 1e-12
+        assert worst[1] <= 2e-12
+
+    def test_matches_scipy_on_random_generators(self):
+        # Rates spread over nine decades make stiff, ill-conditioned
+        # walks.  Measured: populations 2.4e-13, tick row 1.7e-13 here,
+        # and 4.4e-12, 5.4e-12 over 4000 draws of other seeds.
+        rng = np.random.default_rng(18)
+        worst = np.zeros(2)
+        for _ in range(300):
+            d = int(rng.integers(2, 41))
+            p_up, p_down, gamma = 10.0 ** rng.uniform(-6.0, 3.0, size=3)
+            g = clock._generator(LadderRates(p_up=p_up, p_down=p_down), d, gamma)
+            worst = np.maximum(worst, self._differences(g * 10.0 ** rng.uniform(-3.0, 2.0)))
+        assert worst[0] <= 5e-11
+        assert worst[1] <= 5e-11
+
+    @pytest.mark.parametrize("a, s, excess", [
+        # A nilpotent a with large |a| powers: the bound asks for 6 more.
+        (100.0 * np.array([[1.0, 1.0], [-1.0, -1.0]]), 0, 6),
+        (100.0 * np.array([[1.0, 1.0], [-1.0, -1.0]]), 4, 2),
+        (clock._generator(LadderRates(p_up=3.0, p_down=1.0), 12, 500.0), 8, 0),
+    ], ids=["nilpotent", "nilpotent-scaled", "generator"])
+    def test_pade_excess_is_its_bound(self, a, s, excess):
+        # The least l >= 0 with |c_27| || |b|**27 ||_1 / ||b||_1 <= u for
+        # b = 2**(-s - l) a, each l tried in turn.
+        l = 0
+        while True:
+            b = np.abs(a) * 2.0 ** (-s - l)
+            bound = np.linalg.matrix_power(b, 27).sum(axis=0).max() / b.sum(axis=0).max()
+            if bound / 113250775606021113483283660800000000.0 <= 2.0 ** -53:
+                break
+            l += 1
+        assert l == excess
+        assert clock._pade_excess(a, s) == excess
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 1e300, 1e17])
+    def test_out_of_range_is_nan(self, scale):
+        # A non-finite step, powers past the double range, or so many
+        # squarings that rounding outgrows the result: nan, not zeros.
+        g = clock._generator(LadderRates(p_up=2.0, p_down=1.0), 5, 150.0)
+        with np.errstate(all="ignore"):
+            assert np.isnan(clock._expm(g * scale)).all()
 
 
 class TestSampling:

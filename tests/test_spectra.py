@@ -17,11 +17,9 @@ from quenchclock import (
     DegenerateRoot,
     GaplessMode,
     ModelSpec,
-    OutOfBand,
     QuenchSpec,
     band_edges,
     bogoliubov_angle,
-    density_of_states,
     dispersion,
     energy_roots,
     group_velocity,
@@ -161,10 +159,6 @@ class TestEnergyRoots:
         m = ModelSpec.xx_ring(t=1.0, V=1.0)
         assert energy_roots(m, 0.5) == ()
         assert energy_roots(m, 3.0) == ()
-        with pytest.raises(OutOfBand):
-            density_of_states(m, 0.5)
-        with pytest.raises(OutOfBand):
-            density_of_states(m, 3.0)
 
     def test_cancellation_prone_quadratic(self):
         # Roots stay accurate when b^2 >> 4ac, the regime where the naive
@@ -227,27 +221,11 @@ class TestEnergyRoots:
 
 
 class TestDensityOfStates:
-    def test_per_root_is_inverse_slope(self):
-        m = ModelSpec.ising(h=1.5, kappa=1.0)
-        dos = density_of_states(m, 2.0)
-        assert dos.total == pytest.approx(sum(dos.per_root), rel=1e-15)
-        for r, p in zip(dos.roots, dos.per_root):
-            assert p == pytest.approx(1.0 / abs(r.velocity), rel=1e-15)
-        # |v| at u = 0.75: 4 sin k * h / eps = 4*sqrt(1-0.5625)*1.5/2
-        v = 4.0 * math.sqrt(1.0 - 0.75**2) * 1.5 / 2.0
-        assert dos.total == pytest.approx(1.0 / v, rel=1e-12)
-
-    def test_van_hove_at_band_edge(self):
-        m = ModelSpec.xx_ring(t=1.0, V=1.0)
-        with pytest.raises(DegenerateRoot, match="density of states diverges"):
-            density_of_states(m, math.sqrt(5.0))
-
     def test_flat_band_is_a_degenerate_root(self):
         # |kappa| = 1, h = 0: eps_k = 2 at every k, so each k is a root.
         m = ModelSpec.ising(h=0.0, kappa=1.0)
-        for call in (energy_roots, density_of_states):
-            with pytest.raises(DegenerateRoot, match="flat band"):
-                call(m, 2.0)
+        with pytest.raises(DegenerateRoot, match="flat band"):
+            energy_roots(m, 2.0)
         rows = energy_roots_array(ModelArrays(ModelKind.ISING_XY, h=np.zeros(1),
                                               kappa=np.ones(1)), np.array([2.0]))
         assert rows.degenerate.tolist() == [True]
