@@ -54,11 +54,8 @@ from .errors import (
 from .oracle import (
     ConvergenceRow,
     OracleReport,
-    SpectralFunction,
-    chi_spectrum,
     dense_ed_correlator,
     discrete_rates,
-    kernel_density,
 )
 from .scan import (
     Table,

@@ -44,10 +44,6 @@ import numpy as np
 from .errors import NotReachable, Raises, ZeroRates
 from .rates import Rates
 
-# Validity margin for the second-order ladder rates: g should not exceed
-# this fraction of the total environment rate.
-WEAK_COUPLING_MARGIN = 0.1
-
 # Trajectories per Monte Carlo stream block.  It is part of the stream
 # format, not a tuning knob: every sampled value depends on it.
 _STREAM_BLOCK = 2048
@@ -123,34 +119,14 @@ def ladder_valid(d, g, Gamma) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LadderRates:
-    """Walk rates of the ladder, with a record of their validity margins.
-
-    The second-order rates are trustworthy only for a ladder coupling
-    small against both environment scales; ``g_over_bath`` (g against
-    the total qubit rate) and ``g_over_emission`` (g against the top
-    emission rate) record how far the inputs sit from that regime.
-    """
+    """Up and down walk rates of the ladder."""
 
     p_up: float
     p_down: float
-    g_over_bath: float = 0.0
-    g_over_emission: float = 0.0
-
-    @property
-    def weak_coupling(self) -> bool:
-        return (self.g_over_bath <= WEAK_COUPLING_MARGIN
-                and self.g_over_emission <= WEAK_COUPLING_MARGIN)
 
     @property
     def total(self) -> float:
         return self.p_up + self.p_down
-
-    @property
-    def bias(self) -> float:
-        tot = self.total
-        if tot == 0.0:
-            return math.nan
-        return (self.p_up - self.p_down) / tot
 
 
 def ladder_rates(rates: Rates, ladder: LadderSpec) -> LadderRates:
@@ -158,15 +134,7 @@ def ladder_rates(rates: Rates, ladder: LadderSpec) -> LadderRates:
     tot = rates.total
     if not tot > 0.0:
         raise ZeroRates(f"total rate {tot!r} is not positive")
-    walk = LadderRates(*_walk_rates(rates.gamma_up, rates.gamma_down, ladder.g))
-    g_abs = abs(ladder.g)
-    gamma = resolve_gamma(ladder, walk)
-    return LadderRates(
-        p_up=walk.p_up,
-        p_down=walk.p_down,
-        g_over_bath=g_abs / tot,
-        g_over_emission=g_abs / gamma if gamma > 0.0 else (0.0 if g_abs == 0.0 else math.inf),
-    )
+    return LadderRates(*_walk_rates(rates.gamma_up, rates.gamma_down, ladder.g))
 
 
 def _walk_rates(gamma_up, gamma_down, g):
@@ -199,7 +167,6 @@ class ClockMetrics:
     entropy_per_tick: float
     relative_bias: float
     tur_ratio: float
-    weak_bias: bool  # |relative_bias| < 0.1, where accuracy ~ entropy/2
 
 
 def clock_metrics(lr: LadderRates, d: int) -> ClockMetrics:
@@ -229,7 +196,7 @@ def clock_metrics(lr: LadderRates, d: int) -> ClockMetrics:
     else:
         tur = _tur(acc, entropy)
     return ClockMetrics(nu_tick=nu, accuracy_N=acc, entropy_per_tick=entropy,
-                        relative_bias=rel, tur_ratio=tur, weak_bias=abs(rel) < 0.1)
+                        relative_bias=rel, tur_ratio=tur)
 
 
 def _bias_terms(p_up, p_down, d):
@@ -259,8 +226,7 @@ def clock_metrics_array(p_up, p_down, d) -> tuple[ClockMetrics, Raises]:
             np.isinf(entropy), np.where(np.isfinite(acc), 0.0, np.nan),
             _tur(acc, entropy)))
     metrics = ClockMetrics(nu_tick=nu, accuracy_N=acc, entropy_per_tick=entropy,
-                           relative_bias=rel, tur_ratio=tur,
-                           weak_bias=np.abs(rel) < 0.1)
+                           relative_bias=rel, tur_ratio=tur)
     return metrics, ((ZeroRates, ~(p_up + p_down > 0.0)),)
 
 
@@ -496,12 +462,10 @@ def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
 class TickStatistics:
     """Sample statistics of simulated tick intervals."""
 
-    n_trajectories: int
     mean_tick_time: float
     var_tick_time: float
     empirical_accuracy: float
     empirical_rate: float
-    seed: int
 
 
 def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.ndarray:
@@ -739,7 +703,5 @@ def simulate_ticks(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
     times = sample_tick_times(lr, ladder, n_ticks, seed)
     mean = float(times.mean())
     rel_var = float((times / mean).var(ddof=1))
-    return TickStatistics(n_trajectories=n_ticks, mean_tick_time=mean,
-                          var_tick_time=mean * mean * rel_var,
-                          empirical_accuracy=1.0 / rel_var,
-                          empirical_rate=1.0 / mean, seed=seed)
+    return TickStatistics(mean_tick_time=mean, var_tick_time=mean * mean * rel_var,
+                          empirical_accuracy=1.0 / rel_var, empirical_rate=1.0 / mean)

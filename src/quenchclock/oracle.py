@@ -4,28 +4,25 @@ Everything in :mod:`quenchclock.rates` rests on resolving one delta
 function analytically.  This module recomputes the same quantities the
 slow way, twice over:
 
-* **Mode sums** (:func:`discrete_rates`, :func:`chi_spectrum`): the
-  pre-continuum sums over the antiperiodic momentum grid
-  ``k = (2n+1) pi / L`` of a finite chain, with the delta replaced by a
-  normalized broadening.  These converge to the closed forms as
-  ``L`` grows and ``eta`` shrinks, as long as ``eta`` stays well above
-  the local level spacing ``~ 2 pi |d(2 eps)/dk| / L``.  A refinement
-  table sums all its rungs in one pass over their stacked momentum
-  grids.
+* **Mode sums** (:func:`discrete_rates`): the pre-continuum sums over
+  the antiperiodic momentum grid ``k = (2n+1) pi / L`` of a finite
+  chain, with the delta replaced by a normalized broadening.  These
+  converge to the closed forms as ``L`` grows and ``eta`` shrinks, as
+  long as ``eta`` stays well above the local level spacing
+  ``~ 2 pi |d(2 eps)/dk| / L``.  A refinement table sums all its rungs
+  in one pass over their stacked momentum grids.  The broadening is the
+  Lorentzian averaged over the energy image of each momentum cell,
+  which keeps the sum smooth even when ``eta`` dips below the level
+  spacing, and is unit normalized; :func:`_density` evaluates it as the
+  angle the cell subtends, one ``atan2``.  A cell of zero width takes
+  the point Lorentzian, its limit.
 
 * **Dense diagonalization** (:func:`dense_ed_correlator`): for tiny
-  chains, the stationary correlator of the coupling operator evaluated
-  literally in the ``2**L``-dimensional many-body basis, with the
-  steady state taken as the diagonal ensemble of the final Hamiltonian.
-  Used for qualitative cross-checks (peak positions, sign structure).
-
-Broadening: the Lorentzian averaged over the energy image of each
-momentum cell, which keeps the sum smooth even when ``eta`` dips below
-the level spacing, and is unit normalized.  A cell of zero width takes
-the point Lorentzian, its limit.  The rates need only the broadened
-density (:func:`_density`), the angle the cell subtends, one ``atan2``.
-Only the spectra build a complex kernel, whose real part is the
-density's dispersive (Kramers-Kronig) partner.
+  chains, the exact lines of the stationary correlator of the coupling
+  operator, computed literally in the ``2**L``-dimensional many-body
+  basis, with the steady state taken as the diagonal ensemble of the
+  final Hamiltonian.  Each line is a frequency and its weight; nothing
+  is broadened.
 """
 
 from __future__ import annotations
@@ -55,35 +52,6 @@ DENSE_MAX_SITES = 10
 
 # Eigenvalues closer than this are merged into one degenerate level.
 DEGENERACY_TOL = 1e-9
-
-_OMEGA_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class SpectralFunction:
-    """A broadened spectral quantity sampled on a frequency grid.
-
-    ``values`` is complex: the imaginary part carries the broadened
-    spectral density (or response) and the real part its dispersive
-    partner.
-    """
-
-    omega_grid: np.ndarray
-    values: np.ndarray
-    eta: float
-    L: int
-
-    def __post_init__(self):
-        grid = np.asarray(self.omega_grid, dtype=float)
-        object.__setattr__(self, "omega_grid", grid)
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
-        if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0.0):
-            raise ValueError("omega_grid must be strictly increasing")
-        if self.values.shape != grid.shape:
-            raise ValueError("values and omega_grid must have the same length")
-
 
 @dataclass(frozen=True)
 class ConvergenceRow:
@@ -203,19 +171,13 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
             weight, n_k, g.counts)
 
 
-def _cells(E, lo, hi):
-    # Width of each cell, and the cells an extremum fold has collapsed,
-    # where the point form stands in for the cell average.
-    width = hi - lo
-    return width, width < 1e-12 * np.maximum(1.0, np.abs(E))
-
-
 def _density(eta, omega, E, lo, hi):
     """Broadened density of the modes at energies ``E`` (cells
     ``[lo, hi]``) seen at frequencies ``omega``; the arguments broadcast.
-    :func:`_kernel_matrix` adds the dispersive part for the spectra.
     """
-    width, narrow = _cells(E, lo, hi)
+    width = hi - lo
+    # Cells an extremum fold has collapsed take the point form, their limit.
+    narrow = width < 1e-12 * np.maximum(1.0, np.abs(E))
     a, b = lo - omega, hi - omega
     # Im[log(b - i eta) - log(a - i eta)], the angle the cell subtends,
     # as one atan2: the difference of the two angles cancels in narrow
@@ -225,32 +187,6 @@ def _density(eta, omega, E, lo, hi):
         x = E - omega
         val = np.where(narrow, eta / (np.pi * (x * x + eta * eta)), val)
     return val
-
-
-def _kernel_matrix(eta: float, omega: np.ndarray, E: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Complex kernel values, shape ``(len(omega), len(E))``: the
-    dispersive part plus ``1j`` times :func:`_density`."""
-    w = np.asarray(omega, dtype=float)[:, None]
-    width, narrow = _cells(E, lo, hi)
-    a, b = lo - w, hi - w
-    # Re[log(b - i eta) - log(a - i eta)] = log(|b - i eta| / |a - i eta|).
-    disp = (0.5 * np.log1p(width * (a + b) / (a * a + eta * eta))
-            / (np.pi * np.where(narrow, 1.0, width)))
-    if narrow.any():
-        x = E - w
-        disp = np.where(narrow, x / (np.pi * (x * x + eta * eta)), disp)
-    return disp + 1j * _density(eta, w, E, lo, hi)
-
-
-def kernel_density(eta: float, x, cell_width: float | None = None):
-    """Broadened density profile at offsets ``x`` from the resonance,
-    averaged over the cell ``[x - w/2, x + w/2]`` of width ``cell_width``
-    (the point Lorentzian without one)."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    half = 0.5 * (cell_width or 0.0)
-    dens = _density(eta, 0.0, xa, xa - half, xa + half)
-    return dens if np.ndim(x) else float(dens[0])
 
 
 def _default_convergence(L: int, eta: float, cap: float) -> tuple[tuple[int, float], ...]:
@@ -324,32 +260,6 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
         convergence_table=tuple(rows))
 
 
-def chi_spectrum(quench: QuenchSpec, coupling: QubitCoupling, L: int,
-                 eta: float, omega_grid) -> SpectralFunction:
-    """Broadened response of the coupling operator over ``omega_grid``.
-
-    Built as the manifestly odd extension of the positive-frequency mode
-    sum: the grid is evaluated at ``|omega|`` and the imaginary part is
-    flipped with ``sign(omega)``, so oddness holds exactly on symmetric
-    grid pairs.  At ``omega = epsilon0`` the imaginary part reproduces
-    ``gamma_down_oracle - gamma_up_oracle`` of :func:`discrete_rates` at
-    the same ``(L, eta)`` by construction.
-    """
-    _check_settings(L)
-    _check_eta(eta, _eta_cap(quench.final))
-    grid = np.asarray(omega_grid, dtype=float)
-    E, lo, hi, weight, n_k, _ = _rung_modes(quench, [L])
-    pref = 4.0 * coupling.g_obs**2 / (math.pi * L)
-    strength = pref * weight * (1.0 - 2.0 * n_k)
-    values = np.empty(len(grid), dtype=complex)
-    for start in range(0, len(grid), _OMEGA_CHUNK):
-        block = grid[start:start + _OMEGA_CHUNK]
-        kc = _kernel_matrix(eta, np.abs(block), E, lo, hi)
-        raw = kc @ strength
-        values[start:start + _OMEGA_CHUNK] = raw.real + 1j * np.sign(block) * raw.imag
-    return SpectralFunction(omega_grid=grid, values=values, eta=eta, L=L)
-
-
 # --- dense many-body cross-check ---------------------------------------
 
 
@@ -412,26 +322,28 @@ def _group_starts(energies: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(gaps) + 1))
 
 
-def dense_ed_correlator(quench: QuenchSpec, coupling: QubitCoupling, L: int,
-                        omega_grid=None, eta: float = 0.05) -> SpectralFunction:
-    """Stationary correlator of the coupling operator by full diagonalization.
+def dense_ed_correlator(quench: QuenchSpec, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact lines ``(omega, weight)`` of the stationary correlator of the
+    coupling operator, by full diagonalization.
 
     The chain starts in the ground state of the initial Hamiltonian; the
     steady state is its diagonal ensemble in the final eigenbasis, with
-    levels grouped to tolerance ``1e-9``.  The coupling operator is the
-    total transverse magnetization (chain) or the total current (ring),
-    which needs ``L % 4 == 0``.  Positive frequencies are emissions, the
-    processes feeding the upward probe rate.  Qualitative tool: peaks sit
-    at the pair energies ``2 eps_k``, but no continuum normalization is
-    attempted.
+    levels grouped to tolerance ``1e-9``.  Each pair of level groups
+    gives one line, at their energy difference, with weight
+    ``sum_n |sum_m <psi0|m><m|O|n>|**2`` over the levels ``m`` of the
+    first group and ``n`` of the second; lines lighter than ``1e-15`` of
+    the total weight are dropped, and a state with no line gives two
+    empty arrays.  The coupling operator ``O`` is the total transverse
+    magnetization (chain) or the total current (ring), which needs
+    ``L % 4 == 0``.  Positive frequencies are emissions, the processes
+    feeding the upward probe rate.  No continuum normalization is
+    attempted: the lines carry the weights of a chain of ``L`` sites.
     """
     if L > DENSE_MAX_SITES:
         raise TooLarge(f"dense diagonalization limited to {DENSE_MAX_SITES} "
                        f"sites, got L={L!r}")
     if L < 2:
         raise ValueError(f"need at least 2 sites, got {L!r}")
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise BadBroadening(f"eta must be positive, got {eta!r}")
     if quench.kind is ModelKind.ISING_XY:
         h_i = _dense_ising(L, quench.initial.h, quench.initial.kappa)
         h_f = _dense_ising(L, quench.final.h, quench.final.kappa)
@@ -459,16 +371,4 @@ def dense_ed_correlator(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     weight = np.add.reduceat(np.abs(rows) ** 2, starts, axis=1)
     delta_e = e_group[:, None] - e_group[None, :]
     keep = weight > weight.sum() * 1e-15
-    w_flat = weight[keep]
-    de_flat = delta_e[keep]
-    if omega_grid is None:
-        span = float(np.abs(de_flat).max(initial=0.0)) + 10.0 * eta
-        grid = np.linspace(-span, span, 1601)
-    else:
-        grid = np.asarray(omega_grid, dtype=float)
-    values = np.empty(len(grid), dtype=complex)
-    for start in range(0, len(grid), _OMEGA_CHUNK):
-        block = grid[start:start + _OMEGA_CHUNK]
-        kc = _kernel_matrix(eta, block, de_flat, de_flat, de_flat)
-        values[start:start + _OMEGA_CHUNK] = kc @ w_flat
-    return SpectralFunction(omega_grid=grid, values=values, eta=eta, L=L)
+    return delta_e[keep], weight[keep]

@@ -99,14 +99,6 @@ class Rates:
         return self.gamma_up + self.gamma_down
 
     @property
-    def bias(self) -> float:
-        """Normalized asymmetry ``(up - down) / (up + down)``; nan if both vanish."""
-        tot = self.total
-        if tot == 0.0:
-            return math.nan
-        return (self.gamma_up - self.gamma_down) / tot
-
-    @property
     def is_active(self) -> bool:
         """True when the environment pumps the probe faster than it drains it."""
         return self.gamma_up > self.gamma_down
@@ -304,7 +296,6 @@ class BiasCondition:
 
     epsilon0: float
     lhs_per_root: tuple[float, ...]
-    weighted_lhs: float
     active: bool
     defined: bool
     multi_root: bool
@@ -328,16 +319,9 @@ def bias_condition(quench: QuenchSpec, epsilon0: float) -> BiasCondition:
             lhs.append(num / (epsilon0 * math.sqrt(arg)))
         else:
             lhs.append(math.nan)
-    # Rate-weighted mean of cos(2 dtheta) over the roots; its sign is the
-    # inversion verdict and for a single root it reduces to the printed form.
-    weights = [c.weight * math.sin(2.0 * c.mode.theta_f) ** 2 for c in rates.roots]
-    cos2 = [1.0 - 2.0 * c.mode.n_k for c in rates.roots]
-    wsum = sum(weights)
-    weighted = math.nan if wsum <= 0.0 else sum(w * c for w, c in zip(weights, cos2)) / wsum
     return BiasCondition(
         epsilon0=float(epsilon0),
         lhs_per_root=tuple(lhs),
-        weighted_lhs=weighted,
         active=rates.is_active,
         defined=bool(lhs) and all(math.isfinite(x) for x in lhs),
         multi_root=len(rates.roots) > 1,

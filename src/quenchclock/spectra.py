@@ -141,10 +141,6 @@ class QuenchSpec:
     def kind(self) -> ModelKind:
         return self.initial.kind
 
-    @property
-    def is_null(self) -> bool:
-        return self.initial == self.final
-
 
 @dataclass(frozen=True)
 class ModelArrays:
@@ -189,16 +185,6 @@ class ModeState:
     theta_f: float
     dtheta: float
     n_k: float
-
-    @property
-    def cos_two_dtheta(self) -> float:
-        # Defined through n_k so that sin**2 + cos**2 = 1 holds exactly.
-        return 1.0 - 2.0 * self.n_k
-
-    @property
-    def inverted(self) -> bool:
-        """True when the mode carries more than half an excitation."""
-        return self.n_k > 0.5
 
 
 @dataclass(frozen=True)

@@ -877,9 +877,8 @@ print(json.dumps(seen))
         # The master equation, the oracles and the sampler: numpy alone.
         probe = """\
 import json, sys
-import numpy as np
 from quenchclock import (LadderRates, LadderSpec, QubitCoupling, QuenchSpec, Rates,
-                         chi_spectrum, dense_ed_correlator, discrete_rates, evolve_master,
+                         dense_ed_correlator, discrete_rates, evolve_master,
                          ladder_rates, simulate_ticks)
 lad = LadderSpec(d=6, epsilon_w=1.0, g=0.1)
 lr = ladder_rates(Rates(gamma_up=3.0, gamma_down=1.0), lad)
@@ -887,8 +886,7 @@ quench = QuenchSpec.ising(h_i=0.5, h_f=1.5, kappa=1.0)
 coupling = QubitCoupling(epsilon0=2.5, g_obs=0.1, L=512)
 drift = evolve_master(lr, lad, t_max=10.0).probability_drift
 discrete_rates(quench, coupling, L=512, eta=0.01)
-chi_spectrum(quench, coupling, 256, 0.02, np.array([1.0, 2.5]))
-dense_ed_correlator(quench, coupling, 4)
+dense_ed_correlator(quench, 4)
 simulate_ticks(LadderRates(p_up=1.0, p_down=2.0), lad, 100, seed=1)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps([loaded, drift]))

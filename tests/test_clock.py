@@ -75,17 +75,7 @@ class TestLadderRates:
         # scale = g^2/(gamma_up+gamma_down) = 0.01; m = 1/2
         assert lr.p_up == pytest.approx(0.015, rel=1e-14)
         assert lr.p_down == pytest.approx(0.005, rel=1e-14)
-        assert lr.bias == pytest.approx(0.5, rel=1e-14)
-
-    def test_validity_ratios_recorded(self):
-        lad = LadderSpec(d=4, epsilon_w=1.0, g=0.2, Gamma=8.0)
-        lr = ladder_rates(Rates(gamma_up=3.0, gamma_down=1.0), lad)
-        assert lr.g_over_bath == pytest.approx(0.05)
-        assert lr.g_over_emission == pytest.approx(0.025)
-        assert lr.weak_coupling
-        strong = ladder_rates(Rates(gamma_up=3.0, gamma_down=1.0),
-                              LadderSpec(d=4, epsilon_w=1.0, g=2.0, Gamma=8.0))
-        assert not strong.weak_coupling
+        assert (lr.p_up - lr.p_down) / lr.total == pytest.approx(0.5, rel=1e-14)
 
     def test_zero_environment(self):
         with pytest.raises(ZeroRates):
@@ -108,7 +98,6 @@ class TestMetrics:
         assert m.accuracy_N == pytest.approx(5.0, rel=1e-15)
         assert m.entropy_per_tick == pytest.approx(10.0 * math.log(3.0), rel=1e-15)
         assert m.relative_bias == pytest.approx(0.5, rel=1e-15)
-        assert not m.weak_bias
 
     def test_unidirectional_sentinels(self):
         m = clock_metrics(LadderRates(p_up=2.0, p_down=0.0), d=7)
@@ -120,8 +109,8 @@ class TestMetrics:
 
     def test_weak_bias_report(self):
         m = clock_metrics(LadderRates(p_up=1.02, p_down=1.0), d=10)
-        assert m.weak_bias
-        # in this regime accuracy approaches half the entropy cost
+        assert abs(m.relative_bias) < 0.1
+        # in this weak-bias regime accuracy approaches half the entropy cost
         assert m.accuracy_N == pytest.approx(m.entropy_per_tick / 2.0, rel=1e-3)
 
     def test_balanced_walk(self):
@@ -151,7 +140,7 @@ class TestMetrics:
             scalar = [clock_metrics(LadderRates(p_up=u, p_down=w), int(n))
                       for u, w, n in zip(p_up.tolist(), p_down.tolist(), d)]
         for name in ("nu_tick", "accuracy_N", "entropy_per_tick", "relative_bias",
-                     "tur_ratio", "weak_bias"):
+                     "tur_ratio"):
             got = [getattr(m, name) for m in scalar]
             assert all(type(v) is type(got[0]) for v in got), name
             assert list(map(repr, got)) == [repr(v) for v in getattr(twin, name).tolist()], name
@@ -471,8 +460,6 @@ class TestSampling:
         fp = solve_first_passage(self.LR, self.LAD)
         assert stats.mean_tick_time == pytest.approx(fp.mean_tick_time, rel=0.03)
         assert stats.empirical_accuracy == pytest.approx(fp.exact_N, rel=0.06)
-        assert stats.n_trajectories == 20000
-        assert stats.seed == 77
 
     def test_two_level_hand_distribution(self):
         lr = LadderRates(p_up=0.7, p_down=0.0)

@@ -2,7 +2,8 @@
 
 The dense cross-check rebuilds the two-spin problem with explicit Pauli
 matrices and the textbook Lehmann sum, so it shares no code with the
-module under test.  The differential test rebuilds the rung-by-rung
+module under test, and pins every line of larger chains to a pair
+energy.  The differential test rebuilds the rung-by-rung
 complex-log mode sum that the stacked real-arithmetic one replaced.
 """
 
@@ -20,17 +21,14 @@ from quenchclock import (
     ModelKind,
     QubitCoupling,
     QuenchSpec,
-    SpectralFunction,
     TooLarge,
     bogoliubov_angle,
-    chi_spectrum,
     dense_ed_correlator,
     discrete_rates,
     dispersion,
-    kernel_density,
     transition_rates,
 )
-from quenchclock.oracle import _GRID_MEMO, _density, _kernel_matrix, _rung_grid, _rung_modes
+from quenchclock.oracle import _GRID_MEMO, _density, _rung_grid, _rung_modes
 from quenchclock.spectra import _check_gapped, _components, _energy, _mode_fields
 
 ISING = QuenchSpec.ising(h_i=0.5, h_f=1.5, kappa=1.0)
@@ -43,12 +41,16 @@ RING_COUP = QubitCoupling(epsilon0=math.sqrt(6.0), g_obs=0.25, L=128)
 # the flat cells near a band extremum the two nearly equal angles cancel,
 # which costs up to 1.1e-11 of a ring rate in float64 (measured on the
 # draws below); in extended precision the reference is exact to ~5e-15.
-# Likewise the real part of a cell 1e-7 wide is good to 7.6e-14 of the
-# peak in extended precision and 2.7e-10 in float64.  The tolerances
-# leave a margin of about three over these maxima.
+# The tolerance leaves a margin of about three over these maxima.
 _WIDE = np.finfo(np.longdouble).eps < np.finfo(float).eps
 _MODE_SUM_TOL = 1e-13 if _WIDE else 3e-11
-_CELL_TOL = 3e-13 if _WIDE else 1e-9
+
+
+def _cell_density(eta, x, cell_width=0.0):
+    """Density seen at frequency 0 of a mode at offset ``x``, averaged
+    over the cell ``[x - w/2, x + w/2]`` of width ``cell_width``."""
+    half = 0.5 * cell_width
+    return _density(eta, 0.0, x, x - half, x + half)
 
 
 class TestKernels:
@@ -57,60 +59,36 @@ class TestKernels:
     def test_point_lorentzian_mass(self):
         # integral over [-X, X] has the closed form (2/pi) atan(X/eta)
         X = 40.0
-        val, _ = quad(lambda x: kernel_density(self.ETA, x), -X, X, points=[0.0], limit=300)
+        val, _ = quad(lambda x: _cell_density(self.ETA, x), -X, X, points=[0.0], limit=300)
         assert val == pytest.approx(2.0 / math.pi * math.atan(X / self.ETA), abs=1e-8)
 
     def test_cell_averaged_lorentzian_normalized(self):
         # averaging over the cell preserves unit mass; the far tail is the
         # point tail up to O(w/X)
         X, w = 5e4 * self.ETA, 0.02
-        val, _ = quad(lambda x: kernel_density(self.ETA, x, w),
+        val, _ = quad(lambda x: _cell_density(self.ETA, x, w),
                       -X, X, points=[0.0], limit=500)
         tail = 1.0 - 2.0 / math.pi * math.atan(X / self.ETA)
         assert val + tail == pytest.approx(1.0, abs=1e-6)
 
     def test_cell_average_flattens_the_peak(self):
-        peak_point = kernel_density(self.ETA, 0.0)
-        peak_cell = kernel_density(self.ETA, 0.0, cell_width=0.5)
+        peak_point = _cell_density(self.ETA, 0.0)
+        peak_cell = _cell_density(self.ETA, 0.0, cell_width=0.5)
         assert 0.0 < peak_cell < peak_point
 
     def test_zero_width_cells_are_the_point_kernel(self):
-        # A cell collapsed to its mode takes the point form, in the density
-        # and in the dispersive part, bit for bit.
+        # A cell collapsed to its mode takes the point form, bit for bit.
         eta = self.ETA
         x = np.linspace(-1.0, 1.0, 41)
-        assert np.array_equal(kernel_density(eta, x), eta / (np.pi * (x * x + eta * eta)))
-        assert kernel_density(eta, 0.3) == eta / (np.pi * (0.3 * 0.3 + eta * eta))
+        assert np.array_equal(_cell_density(eta, x), eta / (np.pi * (x * x + eta * eta)))
+        assert _cell_density(eta, 0.3) == eta / (np.pi * (0.3 * 0.3 + eta * eta))
         E = np.array([-0.4, 0.0, 0.05, 2.5])
-        omega = np.linspace(-1.0, 3.0, 17)
-        cells = _kernel_matrix(eta, omega, E, E, E)
+        omega = np.linspace(-1.0, 3.0, 17)[:, None]
+        cells = _density(eta, omega, E, E, E)
         assert cells.shape == (17, 4)
-        x = E - omega[:, None]
-        scale = np.pi * (x * x + eta * eta)
-        assert np.array_equal(cells.real, x / scale)
-        assert np.array_equal(cells.imag, eta / scale)
+        x = E - omega
+        assert np.array_equal(cells, eta / (np.pi * (x * x + eta * eta)))
 
-    def test_cell_average_is_the_complex_log_difference(self):
-        # Re and Im of [log(hi - w - i eta) - log(lo - w - i eta)] / (pi width),
-        # in extended precision where there is one; zero-width cells take
-        # the point form.
-        eta = self.ETA
-        E = np.array([0.3, -0.2, 1.0, 2.5, 0.7, 0.05])
-        lo = E - 0.3 * np.array([0.4, 0.05, 1e-3, 1e-5, 1e-7, 0.0])
-        hi = E + 0.7 * np.array([0.4, 0.05, 1e-3, 1e-5, 1e-7, 0.0])
-        width = hi - lo
-        omega = np.concatenate((np.linspace(-1.0, 3.0, 41), E, lo, hi))
-        got = _kernel_matrix(eta, omega, E, lo, hi)
-        ld = np.longdouble if _WIDE else np.float64
-        w, l, h = omega.astype(ld)[:, None], lo.astype(ld), hi.astype(ld)
-        diff = np.log(h - w - 1j * ld(eta)) - np.log(l - w - 1j * ld(eta))
-        x = E - omega[:, None]
-        point = x / (np.pi * (x * x + eta * eta))
-        wide = width > 0.0
-        ref = np.where(wide, diff.real / (np.pi * np.where(wide, width, 1.0)), point)
-        tol = _CELL_TOL * np.abs(ref).max()
-        assert np.abs(got.real - ref.astype(float)).max() <= tol
-        assert np.array_equal(got.imag, _density(eta, omega[:, None], E, lo, hi))
 
 class TestDiscreteRates:
     def test_chain_two_percent_at_reference_resolution(self):
@@ -235,7 +213,7 @@ class TestAgainstComplexLogModeSum:
             discrete_rates(ring, RING_COUP, L=96, eta=0.02,
                            convergence=((96, 0.02), (94, 0.02)))
         with pytest.raises(GaplessMode):
-            chi_spectrum(ring, RING_COUP, 94, 0.02, np.array([1.0, 2.0]))
+            discrete_rates(ring, RING_COUP, L=94, eta=0.02, convergence=((94, 0.02),))
         # L = 96 has no mode at pi/2.
         discrete_rates(ring, RING_COUP, L=96, eta=0.02, convergence=((96, 0.02),))
 
@@ -328,7 +306,7 @@ class TestRungGridMemo:
             with pytest.raises(GaplessMode):
                 discrete_rates(gapless, RING_COUP, L=510, eta=0.01, convergence=rungs)
             with pytest.raises(GaplessMode):
-                chi_spectrum(gapless, RING_COUP, 94, 0.02, np.array([1.0, 2.0]))
+                discrete_rates(gapless, RING_COUP, L=94, eta=0.02, convergence=((94, 0.02),))
 
 
 # Every ConvergenceRow field of discrete_rates, recorded before the mode
@@ -429,31 +407,6 @@ def test_convergence_rows_match_frozen_anchors(point, rungs):
     assert got == [tuple(map(repr, row)) for row in _ANCHORS[point, rungs]]
 
 
-class TestChiSpectrum:
-    def test_matches_rate_difference_at_the_gap(self):
-        L, eta = 1024, 5e-3
-        grid = np.array([-2.5, 1.0, 2.5])
-        spec = chi_spectrum(ISING, COUP, L, eta, grid)
-        rep = discrete_rates(ISING, COUP, L, eta, convergence=((L, eta),))
-        assert spec.values[2].imag == pytest.approx(rep.chi2_oracle, rel=1e-12)
-
-    def test_odd_imaginary_even_real(self):
-        # mirrored pairs must be exact bitwise negatives for exact oddness
-        pos = np.linspace(0.05, 6.0, 120)
-        grid = np.concatenate((-pos[::-1], [0.0], pos))
-        spec = chi_spectrum(ISING, COUP, 256, 0.02, grid)
-        assert np.array_equal(spec.values.imag, -spec.values.imag[::-1])
-        assert np.array_equal(spec.values.real, spec.values.real[::-1])
-        assert spec.values.imag[120] == 0.0
-
-    def test_grid_must_increase(self):
-        with pytest.raises(ValueError):
-            chi_spectrum(ISING, COUP, 256, 0.02, np.array([0.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            SpectralFunction(omega_grid=np.array([1.0]), values=np.array([0j]),
-                             eta=0.1, L=64)
-
-
 def _pauli_chain_hamiltonian(h, kappa):
     # two sites, periodic: the (0,1) bond appears twice
     I2 = np.eye(2)
@@ -469,76 +422,70 @@ def _pauli_chain_hamiltonian(h, kappa):
 
 class TestDense:
     def test_two_spins_against_explicit_lehmann_sum(self):
-        quench = QuenchSpec.ising(h_i=0.3, h_f=1.7, kappa=0.8)
-        h_i, _ = _pauli_chain_hamiltonian(0.3, 0.8)
-        h_f, mag = _pauli_chain_hamiltonian(1.7, 0.8)
-        w_i, v_i = np.linalg.eigh(h_i)
-        psi0 = v_i[:, 0]
-        w_f, v_f = np.linalg.eigh(h_f)
-        coeff = v_f.T @ psi0
-        op = v_f.T @ mag @ v_f
-        eta = 0.1
-        grid = np.linspace(-8.0, 8.0, 81)
-        expected = np.zeros(len(grid), dtype=complex)
-        for m in range(4):
-            for n in range(4):
-                w = (coeff[m] * op[m, n]) ** 2
-                expected += w / (math.pi * (w_f[m] - w_f[n] - grid - 1j * eta))
-        got = dense_ed_correlator(quench, QubitCoupling(2.0, 1.0, 2), L=2,
-                                  omega_grid=grid, eta=eta)
-        assert np.allclose(got.values, expected, rtol=1e-10, atol=1e-12)
+        # Quenches whose two-spin ground state is not a final eigenstate.
+        for h_i, h_f, kappa in ((0.5, 1.5, 1.0), (1.5, 0.5, 0.6)):
+            h_ini, _ = _pauli_chain_hamiltonian(h_i, kappa)
+            h_fin, mag = _pauli_chain_hamiltonian(h_f, kappa)
+            w_i, v_i = np.linalg.eigh(h_ini)
+            psi0 = v_i[:, 0]
+            w_f, v_f = np.linalg.eigh(h_fin)
+            coeff = v_f.T @ psi0
+            op = v_f.T @ mag @ v_f
+            eta = 0.1
+            grid = np.linspace(-8.0, 8.0, 81)
+            expected = np.zeros(len(grid), dtype=complex)
+            for m in range(4):
+                for n in range(4):
+                    w = (coeff[m] * op[m, n]) ** 2
+                    expected += w / (math.pi * (w_f[m] - w_f[n] - grid - 1j * eta))
+            omega, weight = dense_ed_correlator(QuenchSpec.ising(h_i, h_f, kappa), L=2)
+            assert len(omega) >= 1
+            # The lines broadened as the Lehmann sum is.
+            got = (weight / (math.pi * (omega - grid[:, None] - 1j * eta))).sum(axis=1)
+            assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+    @staticmethod
+    def _assert_lines_at_pair_energies(quench, L):
+        # The coupling operator is a fermion bilinear: it moves exactly one
+        # (k, -k) pair or none, so every line sits at 0 or +-2 eps_k.
+        omega, weight = dense_ed_correlator(quench, L)
+        # 2 eps_k at the antiperiodic modes k = (2n+1) pi/L: all L/2 of
+        # them on the chain, the L/4 with k < pi/2 on the ring.
+        count = L // 2 if quench.kind is ModelKind.ISING_XY else L // 4
+        pairs = 2.0 * dispersion(quench.final, (2 * np.arange(count) + 1) * math.pi / L)
+        targets = np.concatenate(([0.0], pairs, -pairs))
+        heavy = omega[weight > 1e-12 * weight.sum()]
+        offset = np.abs(heavy[:, None] - targets).min(axis=1)
+        assert offset.max() <= 1e-12, (L, offset.max())
+        # And each pair energy is an emission line.
+        found = np.abs(heavy[:, None] - pairs).min(axis=0)
+        assert found.max() <= 1e-12, (L, found.max())
 
     def test_chain_peaks_sit_at_pair_energies(self):
-        # the coupling operator is a fermion bilinear: it moves exactly one
-        # (k, -k) pair, so every emission line lands on 2 eps_k
-        L, eta = 8, 0.05
-        quench = QuenchSpec.ising(h_i=0.5, h_f=1.5, kappa=1.0)
-        for n in range(L // 2):
-            k = (2 * n + 1) * math.pi / L
-            e_pair = 2.0 * dispersion(quench.final, k)
-            window = np.linspace(e_pair - 3.0 * eta, e_pair + 3.0 * eta, 61)
-            spec = dense_ed_correlator(quench, QubitCoupling(2.0, 1.0, L), L,
-                                       omega_grid=window, eta=eta)
-            peak = window[np.argmax(spec.values.imag)]
-            assert abs(peak - e_pair) < 2.0 * (window[1] - window[0])
+        for L in (2, 4, 6, 8):
+            self._assert_lines_at_pair_energies(QuenchSpec.ising(0.5, 1.5, 1.0), L)
+        for h_i, h_f, kappa in ((1.5, 0.5, 0.6), (0.2, 2.0, 1.2)):
+            self._assert_lines_at_pair_energies(QuenchSpec.ising(h_i, h_f, kappa), 8)
 
     @pytest.mark.parametrize("L", [4, 8])
     def test_ring_peaks_sit_at_pair_energies(self, L):
-        # the current is a fermion bilinear too: its emission lines land on
-        # 2 eps_k of the antiperiodic modes k = (2n+1) pi/L, |k| < pi/2
-        eta = 0.05
-        for n in range(L // 4):
-            k = (2 * n + 1) * math.pi / L
-            e_pair = 2.0 * dispersion(RING.final, k)
-            window = np.linspace(e_pair - 3.0 * eta, e_pair + 3.0 * eta, 61)
-            spec = dense_ed_correlator(RING, QubitCoupling(2.0, 1.0, L), L,
-                                       omega_grid=window, eta=eta)
-            peak = window[np.argmax(spec.values.imag)]
-            assert abs(peak - e_pair) < 2.0 * (window[1] - window[0])
+        for V_i, V_f in ((-1.0, 1.0), (0.7, 1.3)):
+            self._assert_lines_at_pair_energies(QuenchSpec.xx_ring(V_i, V_f, 1.0), L)
 
-    def test_ring_smoke(self):
-        spec = dense_ed_correlator(RING, QubitCoupling(2.0, 1.0, 8), L=8)
-        assert np.all(np.isfinite(spec.values))
-        assert spec.omega_grid[0] == -spec.omega_grid[-1]
-
-    def test_default_grid_without_lines_is_zero(self):
+    def test_no_line_gives_empty_arrays(self):
         # At L = 2 the initial ground state is a final eigenstate with zero
-        # magnetization, so no line survives: the grid spans 10 eta only.
-        eta = 0.05
-        quench = QuenchSpec.ising(h_i=0.3, h_f=1.7, kappa=0.8)
-        spec = dense_ed_correlator(quench, QubitCoupling(2.0, 1.0, 2), L=2, eta=eta)
-        assert spec.omega_grid[0] == -10.0 * eta
-        assert spec.omega_grid[-1] == 10.0 * eta
-        assert len(spec.omega_grid) == 1601
-        assert not np.any(spec.values)
+        # magnetization, so no line survives.
+        omega, weight = dense_ed_correlator(QuenchSpec.ising(0.3, 1.7, 0.8), 2)
+        for a in (omega, weight):
+            assert a.dtype == np.float64 and a.shape == (0,)
 
     def test_size_and_input_guards(self):
         with pytest.raises(TooLarge):
-            dense_ed_correlator(ISING, COUP, L=12)
+            dense_ed_correlator(ISING, L=12)
         with pytest.raises(ValueError):
-            dense_ed_correlator(RING, RING_COUP, L=5)  # ring needs even sites
+            dense_ed_correlator(ISING, L=1)
+        with pytest.raises(ValueError):
+            dense_ed_correlator(RING, L=5)  # ring needs even sites
         with pytest.raises(ValueError, match="L % 4 == 0"):
             # half filling at L = 2 mod 4 is odd: periodic fermions
-            dense_ed_correlator(RING, RING_COUP, L=6)
-        with pytest.raises(BadBroadening):
-            dense_ed_correlator(ISING, COUP, L=4, eta=0.0)
+            dense_ed_correlator(RING, L=6)

@@ -63,7 +63,7 @@ class TestFrozenAnchors:
         r = transition_rates(RING_UP, QubitCoupling(epsilon0=2.0 * math.sqrt(2.0), g_obs=1.0, L=2))
         assert r.gamma_up == pytest.approx(0.04873105007710476, rel=1e-12)
         assert r.gamma_down == pytest.approx(r.gamma_up, rel=1e-14)
-        assert abs(r.bias) < 1e-13
+        assert abs((r.gamma_up - r.gamma_down) / r.total) < 1e-13
 
     def test_ring_small_coupling(self):
         r = transition_rates(RING_UP, QubitCoupling(epsilon0=2.0 * math.sqrt(2.0), g_obs=0.7, L=64))
@@ -116,8 +116,8 @@ class TestBiasCondition:
         assert cond.lhs_per_root[0] == pytest.approx(-0.4588314677411235, rel=1e-13)
         assert cond.active
         r = transition_rates(ISING, QubitCoupling(epsilon0=2.5, g_obs=1.0, L=2))
-        assert cond.lhs_per_root[0] == pytest.approx(-r.bias, rel=1e-12)
-        assert cond.weighted_lhs == pytest.approx(-r.bias, rel=1e-12)
+        bias = (r.gamma_up - r.gamma_down) / r.total
+        assert cond.lhs_per_root[0] == pytest.approx(-bias, rel=1e-12)
 
     def test_passive_side_of_the_window(self):
         # same quench, eps0 = 4: cos(2 dtheta) = +1/(2 sqrt 2)
@@ -299,6 +299,6 @@ def test_rates_nonnegative_and_bias_bounded(h_i, h_f, frac):
         return
     assert r.gamma_up >= 0.0
     assert r.gamma_down >= 0.0
-    assert abs(r.bias) <= 1.0 + 1e-12
+    assert abs((r.gamma_up - r.gamma_down) / r.total) <= 1.0 + 1e-12
     cond = bias_condition(q, eps0)
     assert cond.active == r.is_active
