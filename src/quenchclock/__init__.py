@@ -9,7 +9,7 @@ the closed forms against brute-force finite-size sums, and
 :mod:`quenchclock.cli` wires everything into a command line.
 """
 
-from .battery import LifetimeReport, available_energy, lifetime
+from .battery import LifetimeReport, lifetime
 from .config import (
     AxisSpec,
     CouplingConfig,
@@ -71,11 +71,9 @@ from .rates import (
     BiasCondition,
     QubitCoupling,
     Rates,
-    ResonanceRoots,
     RootContribution,
     SYMMETRY_FACTOR,
     bias_condition,
-    resonance_roots,
     transition_rates,
 )
 from .spectra import (
@@ -85,7 +83,6 @@ from .spectra import (
     ModelSpec,
     QuenchSpec,
     band_edges,
-    bogoliubov_angle,
     dispersion,
     energy_roots,
     group_velocity,

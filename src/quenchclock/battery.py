@@ -7,9 +7,10 @@ mode density times the absorption weight ``cos(dtheta)**2``,
 
     E_av = epsilon0 * (L / 2 pi) * sum_roots 2 * cos(dtheta)**2 / |v|,
 
-an extensive quantity (the sum runs over the same reduced-zone roots
-that feed the rates, with the same factor 2 standing for the +-k pair;
-``v`` is the band slope there).  A tick costs ``(d - 1) * epsilon0``,
+an extensive quantity (the sum runs over the coupled roots that feed
+the rates, ``rates.roots``, with the same factor 2 standing for the +-k
+pair; ``v`` is the band slope there), reported as
+:attr:`LifetimeReport.available_energy`.  A tick costs ``(d - 1) * epsilon0``,
 so the battery holds ``E_av / E_ph`` ticks.  The
 closed-form lifetime rescales the drain by the pumping asymmetry,
 
@@ -64,12 +65,6 @@ def _root_dos(weight, n_k):
     return SYMMETRY_FACTOR * 2.0 * weight * (1.0 - n_k)
 
 
-def available_energy(quench: QuenchSpec, coupling: QubitCoupling) -> float:
-    """Extractable energy stored in the resonant modes, ``epsilon0 * dos_term``."""
-    rates = transition_rates(quench, coupling)
-    return coupling.epsilon0 * _dos_term(rates, coupling.L)
-
-
 def check_rung(coupling: QubitCoupling, ladder: LadderSpec) -> None:
     """Reject a ladder whose rung is not resonant with the probe gap.
 
@@ -114,14 +109,14 @@ def _report(rates, dos, epsilon0, d, epsilon_w, mean_tick_time) -> LifetimeRepor
                           mean_tick_time=mean_tick_time)
 
 
-def lifetime_report_array(rates: RateArrays, epsilon0, L, d, epsilon_w,
+def lifetime_report_array(rates: RateArrays, epsilon0, L, d,
                           mean_tick_time) -> LifetimeReport:
     """Array twin of :func:`lifetime_report`: a report of arrays over rows
-    that passed the rung and pumping checks."""
+    that passed the pumping check, each with its rung at ``epsilon0``."""
     with np.errstate(all="ignore"):
         terms = np.where(rates.included, _root_dos(rates.weight, rates.n_k), 0.0)
         dos = L / (2.0 * math.pi) * (terms[:, 0] + terms[:, 1])
-        return _report(rates, dos, epsilon0, d, epsilon_w, mean_tick_time)
+        return _report(rates, dos, epsilon0, d, epsilon0, mean_tick_time)
 
 
 def lifetime(quench: QuenchSpec, coupling: QubitCoupling,

@@ -121,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _resolve_config(args)
+        # Checked, then ignored: the grid is evaluated in one thread.
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
         if args.command == "oracle":
@@ -128,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "clock" and args.histogram is not None:
             table = _histogram_table(config, args.histogram)
         else:
-            table = run_scan(config, args.command, args.threads)
+            table = run_scan(config, args.command)
         _emit(render_table(table, config.output), config.output.path)
         return 3 if table.all_flagged else 0
     except ConfigError as exc:

@@ -99,11 +99,12 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class PointArrays:
-    """Array twin of the ``(quench, probe, ladder)`` of :meth:`RunConfig.point`.
+    """The quench, probe and ladder of every grid row, as arrays.
 
     Every parameter is a 1-D array over grid rows; ``Gamma`` is nan
     where the ladder leaves it None.  Both endpoints of the quench share
-    the parameters a quench keeps fixed.
+    the parameters a quench keeps fixed.  :meth:`point` builds the specs
+    of one row.
     """
 
     initial: ModelArrays
@@ -116,10 +117,31 @@ class PointArrays:
     Gamma: np.ndarray
 
     def valid(self) -> np.ndarray:
-        """Rows whose point :meth:`RunConfig.point` builds without an error."""
+        """Rows whose specs :meth:`point` builds without an error."""
         return (self.initial.valid() & self.final.valid()
                 & coupling_valid(self.epsilon0, self.g_obs, self.L)
                 & ladder_valid(self.d, self.g, self.Gamma))
+
+    def point(self, i: int) -> tuple[QuenchSpec, QubitCoupling, LadderSpec]:
+        """The quench, probe and ladder of row ``i``.
+
+        The ladder's rung is the row's probe gap.  A row :meth:`valid`
+        rejects raises the ``ValueError`` of the first spec that rejects it.
+        """
+        def at(values):
+            return values[i].item()
+
+        a, b = self.initial, self.final
+        if a.kind is ModelKind.ISING_XY:
+            quench = QuenchSpec.ising(h_i=at(a.h), h_f=at(b.h), kappa=at(a.kappa))
+        else:
+            quench = QuenchSpec.xx_ring(V_i=at(a.V), V_f=at(b.V), t=at(a.t))
+        coupling = QubitCoupling(epsilon0=at(self.epsilon0), g_obs=at(self.g_obs),
+                                 L=at(self.L))
+        gamma = at(self.Gamma)
+        ladder = LadderSpec(d=at(self.d), epsilon_w=coupling.epsilon0, g=at(self.g),
+                            Gamma=None if math.isnan(gamma) else gamma)
+        return quench, coupling, ladder
 
 
 @dataclass(frozen=True)
@@ -135,35 +157,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         _validate(self)
 
-    def point(self, values: Mapping[str, float | int]
-              ) -> tuple[QuenchSpec, QubitCoupling, LadderSpec]:
-        """Build the quench, probe and ladder at one grid point.
-
-        ``values`` maps sweepable names (see :data:`SWEEPABLE`) to the
-        point's coordinates; every other parameter comes from the config.
-        The ladder's rung is the point's probe gap.
-        """
-        m = self.model
-        c = self.coupling
-        lad = self.ladder
-        get = values.get
-        if m.kind == "ising":
-            quench = QuenchSpec.ising(h_i=get("h_i", m.h_i), h_f=get("h_f", m.h_f),
-                                      kappa=get("kappa", m.kappa))
-        else:
-            quench = QuenchSpec.xx_ring(V_i=get("v_i", m.v_i), V_f=get("v_f", m.v_f),
-                                        t=get("t", m.t))
-        coupling = QubitCoupling(epsilon0=get("epsilon0", c.epsilon0),
-                                 g_obs=get("g_obs", c.g_obs), L=get("L", c.L))
-        ladder = LadderSpec(d=get("d", lad.d), epsilon_w=coupling.epsilon0,
-                            g=get("g", lad.g), Gamma=get("gamma", lad.gamma))
-        return quench, coupling, ladder
-
     def point_arrays(self, columns: Mapping[str, np.ndarray], n: int) -> PointArrays:
-        """Array twin of :meth:`point` for ``n`` rows.
+        """The quench, probe and ladder parameters of ``n`` grid rows.
 
-        ``columns`` maps sweepable names to their values on every row;
-        every other parameter comes from the config.
+        ``columns`` maps sweepable names (see :data:`SWEEPABLE`) to their
+        values on every row; every other parameter comes from the config.
+        This is the one place where config keys and scan axes become
+        model, probe and ladder parameters.
         """
         m = self.model
         c = self.coupling

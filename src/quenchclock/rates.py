@@ -17,6 +17,9 @@ contributes ``1 / |d(2 eps_k)/dk|`` and a squared matrix element:
   with ``cos k < 0`` are excluded (and counted);
 * ring: ``(t sin k)**2 sin(2 theta_f)**2`` times ``2 g**2 / (pi L)``.
 
+One predicate, :func:`_coupled`, says which roots couple, for the
+scalar functions and their array twins alike.
+
 Emission carries an extra ``sin(dtheta)**2`` (the pair must be there to
 be consumed) and absorption ``cos(dtheta)**2``.
 
@@ -34,7 +37,6 @@ import numpy as np
 
 from .errors import DegenerateRoot, GaplessMode, NoResonance, Raises
 from .spectra import (
-    EnergyRoot,
     ModeState,
     ModelArrays,
     ModelKind,
@@ -79,7 +81,6 @@ class RootContribution:
     """One resonant pair and its additive share of the two rates."""
 
     mode: ModeState
-    velocity: float  # d eps_k/dk on the final band at k*
     weight: float  # delta-function weight 1/|d(2 eps_k)/dk|
     emission: float  # share of gamma_up
     absorption: float  # share of gamma_down
@@ -113,32 +114,12 @@ class Rates:
         return self.gamma_down - self.gamma_up
 
 
-@dataclass(frozen=True)
-class ResonanceRoots:
-    """Solutions of ``2 eps_k = epsilon0`` split by the integration domain."""
-
-    epsilon0: float
-    included: tuple[EnergyRoot, ...]
-    excluded: tuple[EnergyRoot, ...]
-
-
-def resonance_roots(quench: QuenchSpec, epsilon0: float) -> ResonanceRoots:
-    """Momenta on the final band where a pair matches the probe gap.
-
-    For the transverse-field chain the rate integral runs over
-    ``|k| < pi/2`` only; roots with ``cos k < 0`` exist on the band but
-    do not couple, and are reported separately.  The ring's reduced zone
-    ``[0, pi/2]`` is already the integration domain.
-    """
-    if not (math.isfinite(epsilon0) and epsilon0 > 0.0):
-        raise ValueError(f"epsilon0 must be positive, got {epsilon0!r}")
-    roots = energy_roots(quench.final, 0.5 * epsilon0)
-    if quench.kind is ModelKind.ISING_XY:
-        included = tuple(r for r in roots if r.u >= 0.0)
-        excluded = tuple(r for r in roots if r.u < 0.0)
-    else:
-        included, excluded = roots, ()
-    return ResonanceRoots(epsilon0=float(epsilon0), included=included, excluded=excluded)
+def _coupled(kind: ModelKind, u):
+    """Whether a resonant root at ``u = cos k`` couples to the probe
+    (scalars or arrays): on the transverse-field chain only where
+    ``u >= 0``, since its rate integral runs over ``|k| < pi/2``; on the
+    ring every root, since its reduced zone is the integration domain."""
+    return u >= 0.0 if kind is ModelKind.ISING_XY else True
 
 
 def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
@@ -160,11 +141,10 @@ def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
     down = 0.0
     contribs = []
     for root, ms in pairs:
-        v = root.velocity
         weight, emission, absorption = map(float, _pair_rates(
-            quench.final, root.k, v, ms.theta_f, ms.n_k, pref))
-        contribs.append(RootContribution(mode=ms, velocity=v, weight=weight,
-                                         emission=emission, absorption=absorption))
+            quench.final, root.k, root.velocity, ms.theta_f, ms.n_k, pref))
+        contribs.append(RootContribution(mode=ms, weight=weight, emission=emission,
+                                         absorption=absorption))
         up += emission
         down += absorption
     return Rates(gamma_up=up, gamma_down=down, roots=tuple(contribs),
@@ -191,19 +171,22 @@ def _resonance(quench: QuenchSpec, epsilon0):
     memo = _last_resonance
     if memo is not None and memo[0] is quench and memo[1] == epsilon0:
         return memo[2], memo[3]
-    rr = resonance_roots(quench, epsilon0)
-    if not rr.included:
-        lo, hi = band_edges(quench.final, reduced=quench.kind is ModelKind.ISING_XY)
+    roots = energy_roots(quench.final, 0.5 * epsilon0)
+    included = [root for root in roots if _coupled(quench.kind, root.u)]
+    if not included:
+        # The coupled pair band: reduced where the roots at cos k < 0 do not couple.
+        lo, hi = band_edges(quench.final, reduced=not _coupled(quench.kind, -1.0))
         raise NoResonance(
             f"no resonant pair at epsilon0={epsilon0!r}; the coupled "
             f"pair band is [{2.0 * lo:.6g}, {2.0 * hi:.6g}]")
     pairs = []
-    for root in rr.included:
+    for root in included:
         check_slope(root)
         pairs.append((root, mode_state(quench, root.k)))
+    excluded = len(roots) - len(included)
     pairs = tuple(pairs)
-    _last_resonance = (quench, epsilon0, len(rr.excluded), pairs)
-    return len(rr.excluded), pairs
+    _last_resonance = (quench, epsilon0, excluded, pairs)
+    return excluded, pairs
 
 
 def _pair_rates(final, k, velocity, theta_f, n_k, pref):
@@ -254,9 +237,7 @@ def transition_rates_array(initial: ModelArrays, final: ModelArrays, epsilon0,
     """Array twin of :func:`transition_rates` for the quench ``initial`` to
     ``final`` and the probe ``(epsilon0, g_obs, L)`` of every row."""
     roots = energy_roots_array(final, 0.5 * np.asarray(epsilon0, dtype=float))
-    included = roots.present
-    if final.kind is ModelKind.ISING_XY:
-        included = included & (roots.u >= 0.0)
+    included = roots.present & _coupled(final.kind, roots.u)
     column = (slice(None), None)
     with np.errstate(all="ignore"):
         mode, gapless = mode_state_array(initial.take(column), final.take(column),
@@ -294,7 +275,6 @@ class BiasCondition:
     where no single-root inequality applies.
     """
 
-    epsilon0: float
     lhs_per_root: tuple[float, ...]
     active: bool
     defined: bool
@@ -320,7 +300,6 @@ def bias_condition(quench: QuenchSpec, epsilon0: float) -> BiasCondition:
         else:
             lhs.append(math.nan)
     return BiasCondition(
-        epsilon0=float(epsilon0),
         lhs_per_root=tuple(lhs),
         active=rates.is_active,
         defined=bool(lhs) and all(math.isfinite(x) for x in lhs),

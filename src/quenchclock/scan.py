@@ -33,7 +33,6 @@ import numpy as np
 from .battery import lifetime_report_array
 from .clock import (
     LadderRates,
-    LadderSpec,
     clock_metrics_array,
     first_passage_array,
     ladder_rates_array,
@@ -231,8 +230,7 @@ class _Rows:
         return picked
 
 
-def _check_rates_twin(config: RunConfig, columns: dict[str, np.ndarray],
-                      rates: RateArrays, rows: np.ndarray) -> None:
+def _check_rates_twin(pt: PointArrays, rates: RateArrays, rows: np.ndarray) -> None:
     """Recompute the rates of the first of ``rows`` with the scalar
     :func:`transition_rates` and stop the scan if they differ.
 
@@ -244,7 +242,7 @@ def _check_rates_twin(config: RunConfig, columns: dict[str, np.ndarray],
     if not first:
         return
     i = first[0]
-    quench, coupling, _ = config.point({name: col[i].item() for name, col in columns.items()})
+    quench, coupling, _ = pt.point(i)
     up, down = float(rates.gamma_up[i]), float(rates.gamma_down[i])
     try:
         ref = transition_rates(quench, coupling)
@@ -262,8 +260,8 @@ def _check_rates_twin(config: RunConfig, columns: dict[str, np.ndarray],
             f"({ref.gamma_up!r}, {ref.gamma_down!r})")
 
 
-def _evaluate_layers(config: RunConfig, stages: frozenset[str],
-                     columns: dict[str, np.ndarray], pt: PointArrays, out: _Rows) -> None:
+def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
+                     out: _Rows) -> None:
     """Run the pipeline layers for the requested ``stages`` over all rows.
 
     Each layer runs once over the whole grid.  The probe rates and the
@@ -277,7 +275,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
     out.fail(((ValueError, ~pt.valid()),))
     rates = transition_rates_array(pt.initial, pt.final, pt.epsilon0, pt.g_obs, pt.L)
     out.fail(rates.raises)
-    _check_rates_twin(config, columns, rates, out.live)
+    _check_rates_twin(pt, rates, out.live)
     chi = rates.chi_second
     if "rates" in stages:
         live = out.live.copy()
@@ -325,9 +323,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
         # One row at a time: each row draws from its own seed's streams.
         # The sampler refuses only the rows the first passage flagged.
         for i in np.flatnonzero(out.live).tolist():
-            gamma = float(pt.Gamma[i])
-            ladder = LadderSpec(d=int(pt.d[i]), epsilon_w=float(pt.epsilon0[i]),
-                                g=float(pt.g[i]), Gamma=None if math.isnan(gamma) else gamma)
+            _, _, ladder = pt.point(i)
             try:
                 stats = simulate_ticks(
                     LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
@@ -337,8 +333,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str],
             accuracy[i] = stats.empirical_accuracy
             rate[i] = stats.empirical_rate
     if "lifetime" in stages:
-        rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, pt.epsilon0,
-                                    fp.mean_tick_time)
+        rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, fp.mean_tick_time)
         out.put(out.live & lifetime, available_energy=rep.available_energy,
                 tick_energy=rep.tick_energy, tick_budget=rep.tick_budget,
                 t_star=rep.lifetime, renewal_lifetime=rep.renewal_lifetime,
@@ -366,13 +361,11 @@ _MC_COLS = ("empirical_accuracy", "empirical_rate")
 _UNSET = {"verdict": "", "excluded_roots": 0}
 
 
-def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
+def run_scan(config: RunConfig, command: str) -> Table:
     """Evaluate ``command`` over the config's grid, one row per point.
 
     Rows follow grid order, and every Monte Carlo row draws from a seed
-    fixed by its grid index.  ``threads`` is accepted for compatibility;
-    the grid is evaluated in one thread, so it changes neither the
-    result nor the speed.
+    fixed by its grid index.
     """
     if command not in _COMMANDS:
         raise ValueError(f"unknown scan command {command!r}")
@@ -385,7 +378,7 @@ def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
     columns = {name: values[index] for name, (values, index) in axes.items()}
     # Flagged rows go on through the arithmetic, with meaningless values.
     with np.errstate(all="ignore"):
-        _evaluate_layers(config, stages, columns, config.point_arrays(columns, n), out)
+        _evaluate_layers(config, stages, config.point_arrays(columns, n), out)
     axis_names = tuple(a.name for a in config.scan)
     return Table(schema=f"quenchclock.{command}.v1",
                  columns=axis_names + value_cols + ("flag",),
@@ -394,7 +387,8 @@ def run_scan(config: RunConfig, command: str, threads: int = 1) -> Table:
 
 
 def single_point(config: RunConfig, command: str) -> tuple:
-    """``config.point({})`` for a ``command`` without a grid.
+    """The quench, probe and ladder of the config's one point, for a
+    ``command`` without a grid.
 
     Scan axes are a config error, since the command would ignore them; a
     point the spec constructors reject is a domain error, as it is an
@@ -403,7 +397,7 @@ def single_point(config: RunConfig, command: str) -> tuple:
     if config.scan:
         raise ConfigError(f"{command} needs a single point; remove scan axes")
     try:
-        return config.point({})
+        return config.point_arrays({}, 1).point(0)
     except ValueError as exc:
         raise QuenchClockError(str(exc)) from exc
 

@@ -254,26 +254,6 @@ def group_velocity(model: ModelSpec, k):
     return v if v.ndim else float(v)
 
 
-def bogoliubov_angle(model: ModelSpec, k):
-    """Rotation angle ``theta_k`` diagonalizing the two-level mode problem.
-
-    The half angle is taken from ``atan2`` so that
-    ``cos(2 theta_k) = 2 (h - cos k) / eps_k`` (transverse-field chain)
-    and ``cos(2 theta_k) = 2 t cos k / eps_k`` (ring) hold with the
-    matching ``sin`` branch.
-
-    Raises
-    ------
-    GaplessMode
-        If any requested mode has ``eps_k < 1e-10``.
-    """
-    karr = np.asarray(k, dtype=float)
-    x, y = _components(model, np.cos(karr), np.sin(karr))
-    _check_gapped(karr, _energy(model, x, y))
-    theta = _half_angle(x, y)
-    return theta if theta.ndim else float(theta)
-
-
 def _check_gapped(k, eps) -> None:
     """Raise :class:`GaplessMode` unless every mode at momenta ``k``, of
     energies ``eps``, is gapped."""

@@ -148,7 +148,7 @@ def test_criterion_3_bias_condition_equivalence():
     failures = []
 
     def check(config, command_label, necessary):
-        table = run_scan(config, "rates", threads=4)
+        table = run_scan(config, "rates")
         cols = table.columns
         idx = {name: cols.index(name) for name in
                ("verdict", "condition_lhs", "chi_second", "flag")}

@@ -9,7 +9,6 @@ from quenchclock import (
     PassiveState,
     QubitCoupling,
     QuenchSpec,
-    available_energy,
     energy_roots,
     group_velocity,
     ladder_rates,
@@ -18,7 +17,7 @@ from quenchclock import (
     solve_first_passage,
     transition_rates,
 )
-from quenchclock.battery import check_rung
+from quenchclock.battery import check_rung, lifetime_report
 
 RING = QuenchSpec.xx_ring(V_i=-1.0, V_f=1.0, t=1.0)
 EPS_BOUNDARY = 2.0 * math.sqrt(2.0)  # |V|=1 rings: bias changes sign here
@@ -28,38 +27,52 @@ def ring_coupling(L, epsilon0=math.sqrt(6.0)):
     return QubitCoupling(epsilon0=epsilon0, g_obs=0.1, L=L)
 
 
+def make_ladder(epsilon0, d=6, g=0.02, Gamma=None):
+    return LadderSpec(d=d, epsilon_w=epsilon0, g=g, Gamma=Gamma)
+
+
+def stored_energy(quench, coupling):
+    """``available_energy`` of the lifetime report, which :func:`lifetime`
+    gives at a pumping chain, here without its pumping check."""
+    rates = transition_rates(quench, coupling)
+    lad = make_ladder(coupling.epsilon0)
+    fp = solve_first_passage(ladder_rates(rates, lad), lad)
+    return lifetime_report(rates, coupling, lad, fp).available_energy
+
+
+def band_energy(quench, coupling):
+    # E_av = eps0 (L/2pi) sum_roots 2 (1 - n_k)/|v|, straight from the
+    # dispersion, bypassing the rates module
+    total = 0.0
+    for root in energy_roots(quench.final, coupling.epsilon0 / 2.0):
+        st = mode_state(quench, root.k)
+        total += 2.0 * (1.0 - st.n_k) / abs(group_velocity(quench.final, root.k))
+    return coupling.epsilon0 * coupling.L / (2.0 * math.pi) * total
+
+
 class TestAvailableEnergy:
     def test_frozen_ring_value(self):
         # eps0 = 2 sqrt 2 resonates the |V|=1 ring at u^2 = 1/4;
         # assembled by hand: E_av = 94.09346481865254 at L = 256
-        e = available_energy(RING, ring_coupling(256, EPS_BOUNDARY))
+        e = stored_energy(RING, ring_coupling(256, EPS_BOUNDARY))
         assert e == pytest.approx(94.09346481865254, rel=1e-12)
 
     def test_composed_from_band_quantities(self):
-        # E_av = eps0 (L/2pi) sum_roots 2 (1 - n_k)/|v|, straight from the
-        # dispersion, bypassing the rates module
         coup = ring_coupling(128)
-        quench = RING
-        total = 0.0
-        for root in energy_roots(quench.final, coup.epsilon0 / 2.0):
-            st = mode_state(quench, root.k)
-            total += 2.0 * (1.0 - st.n_k) / abs(group_velocity(quench.final, root.k))
-        expected = coup.epsilon0 * coup.L / (2.0 * math.pi) * total
-        assert available_energy(quench, coup) == pytest.approx(expected, rel=1e-12)
+        assert stored_energy(RING, coup) == pytest.approx(band_energy(RING, coup), rel=1e-12)
 
     def test_extensive_in_chain_length(self):
-        e1 = available_energy(RING, ring_coupling(256))
-        e2 = available_energy(RING, ring_coupling(512))
+        e1 = stored_energy(RING, ring_coupling(256))
+        e2 = stored_energy(RING, ring_coupling(512))
         assert e2 / e1 == pytest.approx(2.0, rel=1e-12)
 
     def test_works_on_passive_chains_too(self):
         # the stored energy is a property of the quench, not of the pumping sign
         passive = QuenchSpec.xx_ring(V_i=0.5, V_f=1.0, t=1.0)
-        assert available_energy(passive, ring_coupling(64)) > 0.0
-
-
-def make_ladder(epsilon0, d=6, g=0.02, Gamma=None):
-    return LadderSpec(d=d, epsilon_w=epsilon0, g=g, Gamma=Gamma)
+        coup = ring_coupling(64)
+        assert stored_energy(passive, coup) == pytest.approx(band_energy(passive, coup),
+                                                             rel=1e-12)
+        assert stored_energy(passive, coup) > 0.0
 
 
 class TestLifetime:
@@ -70,8 +83,7 @@ class TestLifetime:
         assert rep.tick_energy == pytest.approx(5.0 * coup.epsilon0, rel=1e-15)
         assert rep.tick_budget == pytest.approx(rep.available_energy / rep.tick_energy,
                                                 rel=1e-15)
-        assert rep.available_energy == pytest.approx(available_energy(RING, coup),
-                                                     rel=1e-15)
+        assert rep.available_energy == pytest.approx(band_energy(RING, coup), rel=1e-12)
         fp = solve_first_passage(ladder_rates(transition_rates(RING, coup), lad), lad)
         assert rep.mean_tick_time == pytest.approx(fp.mean_tick_time, rel=1e-15)
         assert rep.renewal_lifetime == pytest.approx(

@@ -25,10 +25,13 @@ from quenchclock import (
     ConfigError,
     DegenerateRoot,
     GaplessMode,
+    LadderSpec,
     NoResonance,
     NotReachable,
     PassiveState,
     QuenchClockError,
+    QubitCoupling,
+    QuenchSpec,
     RunConfig,
     Table,
     ZeroRates,
@@ -368,7 +371,7 @@ class TestRunScan:
         assert table.columns == ("gamma_up", "gamma_down", "chi_second",
                                  "verdict", "condition_lhs", "excluded_roots",
                                  "flag")
-        quench, coupling, _ = c.point({})
+        quench, coupling, _ = _reference_specs(c, {})
         r = transition_rates(quench, coupling)
         row = table.rows[0]
         assert row[0] == r.gamma_up and row[1] == r.gamma_down
@@ -434,7 +437,7 @@ class TestRunScan:
         # rates twins report one class, and the row one flag.
         c = apply_overrides(RunConfig(), ["model.kappa=1.0", "model.h_f=0.0",
                                           "coupling.epsilon0=4.0"])
-        quench, coupling, _ = c.point({})
+        quench, coupling, _ = _reference_specs(c, {})
         with pytest.raises(DegenerateRoot, match="flat band"):
             transition_rates(quench, coupling)
         for command in ("rates", "clock", "lifetime", "scan"):
@@ -456,14 +459,6 @@ class TestRunScan:
                             ["scan.axes=[{name: epsilon0, min: 20, max: 50, steps: 3}]"])
         table = run_scan(c, "rates")
         assert table.all_flagged
-
-    def test_threads_do_not_change_rows(self):
-        c = apply_overrides(RunConfig(), [
-            "scan.axes=[{name: epsilon0, min: 2.2, max: 3.0, steps: 5}]",
-            "mc.n_trajectories=40"])
-        t1 = run_scan(c, "clock", threads=1)
-        t4 = run_scan(c, "clock", threads=4)
-        assert write_csv(t1, precision=17) == write_csv(t4, precision=17)
 
     def test_unknown_command(self):
         with pytest.raises(ValueError):
@@ -511,11 +506,31 @@ class _SharedSampler:
         return self.results[key]
 
 
+def _reference_specs(config, values):
+    """The quench, probe and ladder at a grid point, built here from the
+    config's keys and the point's axis ``values`` (see ``SWEEPABLE``), so
+    that the scan's own mapping is checked against an independent one.
+    The ladder's rung is the probe gap."""
+    m, c, lad = config.model, config.coupling, config.ladder
+    get = values.get
+    if m.kind == "ising":
+        quench = QuenchSpec.ising(h_i=get("h_i", m.h_i), h_f=get("h_f", m.h_f),
+                                  kappa=get("kappa", m.kappa))
+    else:
+        quench = QuenchSpec.xx_ring(V_i=get("v_i", m.v_i), V_f=get("v_f", m.v_f),
+                                    t=get("t", m.t))
+    coupling = QubitCoupling(epsilon0=get("epsilon0", c.epsilon0),
+                             g_obs=get("g_obs", c.g_obs), L=get("L", c.L))
+    ladder = LadderSpec(d=get("d", lad.d), epsilon_w=coupling.epsilon0,
+                        g=get("g", lad.g), Gamma=get("gamma", lad.gamma))
+    return quench, coupling, ladder
+
+
 def _reference_point(config, stages, index, values, sample):
     """Cells and flags of one grid point, from the public scalar functions."""
     cells, flags, live = {}, set(), set(stages)
     try:
-        quench, coupling, ladder = config.point(values)
+        quench, coupling, ladder = _reference_specs(config, values)
     except ValueError:
         return cells, {"invalid"}
     if "lifetime" in live:
@@ -633,6 +648,31 @@ class TestColumnarScan:
         c = apply_overrides(RunConfig(), overrides)
         for command in ("rates", "clock", "lifetime", "scan"):
             _assert_matches_reference(c, command)
+
+    @given(scan_overrides())
+    @example(["model.kind=xx_ring", "scan.axes=[{name: t, min: -1, max: 1, steps: 3}, "
+              "{name: gamma, min: -1, max: 1, steps: 3}]"])
+    @example(["scan.axes=[{name: epsilon0, min: -1, max: 1, steps: 3}, "
+              "{name: L, min: 0, max: 2, steps: 3}]"])
+    @_with_edge_rows
+    @settings(max_examples=100, deadline=None)
+    def test_point_builder_matches_reference_specs(self, overrides):
+        # Row i of the one config-to-point mapping builds the specs the
+        # reference builds, or raises the same ValueError text.
+        c = apply_overrides(RunConfig(), overrides)
+        points = grid_points(c)
+        columns = {name: np.array([p[name] for p in points]) for name in points[0]}
+        pt = c.point_arrays(columns, len(points))
+        valid = pt.valid()
+        for i, values in enumerate(points):
+            try:
+                want = _reference_specs(c, values)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    pt.point(i)
+                assert str(got.value) == str(exc) and not valid[i]
+            else:
+                assert pt.point(i) == want and valid[i]
 
 
 def _clock_run(sets: list[str]) -> tuple[int, list[str], list[dict[str, str]]]:

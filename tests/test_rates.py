@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_acceptance import _draw_chain_point, _draw_ring_point
+from test_claims import _CHAIN_DISORDERED, _RING_ACROSS
 
 from quenchclock import (
     DegenerateRoot,
@@ -24,10 +25,13 @@ from quenchclock import (
     QuenchClockError,
     QubitCoupling,
     QuenchSpec,
+    RunConfig,
+    apply_overrides,
     bias_condition,
     discrete_rates,
+    energy_roots,
     lifetime,
-    resonance_roots,
+    run_scan,
     transition_rates,
 )
 
@@ -90,20 +94,108 @@ class TestDomains:
 
     def test_chain_excluded_root_reported(self):
         # h_f = 0.3: eps0 = 4.4 solves only at u = (h^2+1-eps0^2/16)/(2h) < 0,
-        # outside the coupled domain cos k >= 0.
+        # outside the coupled domain cos k >= 0: no rate, and the row says so.
         q = QuenchSpec.ising(h_i=0.1, h_f=0.3, kappa=1.0)
-        rr = resonance_roots(q, 4.4)
-        assert len(rr.included) == 0
-        assert len(rr.excluded) == 1
-        assert rr.excluded[0].u == pytest.approx(-0.2, abs=1e-12)
+        (root,) = energy_roots(q.final, 2.2)
+        assert root.u == pytest.approx(-0.2, abs=1e-12)
         with pytest.raises(NoResonance):
             transition_rates(q, QubitCoupling(epsilon0=4.4, g_obs=1.0, L=8))
+        row = _rates_row(["model.h_i=0.1", "model.h_f=0.3", "coupling.epsilon0=4.4"])
+        assert row["flag"] == "no_resonance" and row["excluded_roots"] == 0
+        # At kappa = 0.5, eps0 = 2.5 solves at u = 0.4 -+ 0.47697 (their sum is
+        # 2 h_f / (1 - kappa^2)): one root couples and one is counted.
+        q = QuenchSpec.ising(h_i=0.1, h_f=0.3, kappa=0.5)
+        low, high = sorted(energy_roots(q.final, 1.25), key=lambda r: r.u)
+        assert low.u < 0.0 <= high.u
+        assert low.u + high.u == pytest.approx(0.8, abs=1e-12)
+        r = transition_rates(q, QubitCoupling(epsilon0=2.5, g_obs=1.0, L=8))
+        assert [c.mode.k for c in r.roots] == [high.k]
+        assert r.excluded_roots == 1
+        row = _rates_row(["model.h_i=0.1", "model.h_f=0.3", "model.kappa=0.5",
+                          "coupling.epsilon0=2.5"])
+        assert row["flag"] == "" and row["excluded_roots"] == 1
 
     def test_degenerate_root_at_band_extremum(self):
         # resonance exactly at the upper band edge: zero slope
         q = QuenchSpec.xx_ring(V_i=-1.0, V_f=1.0, t=1.0)
         with pytest.raises((DegenerateRoot, NoResonance)):
             transition_rates(q, QubitCoupling(epsilon0=2.0 * math.sqrt(5.0), g_obs=1.0, L=8))
+
+
+def _rates_row(sets):
+    """The one row of the ``rates`` table of the default config with ``sets``."""
+    table = run_scan(apply_overrides(RunConfig(), sets), "rates")
+    return dict(zip(table.columns, table.rows[0]))
+
+
+_FLAG_OF = {NoResonance: "no_resonance", DegenerateRoot: "van_hove", GaplessMode: "gapless"}
+
+
+def _check_zone_rows(config, rows):
+    """The ``rates`` table rows of ``config`` that ``rows(columns)`` picks,
+    one by one, against the scalar rates and against the zone rule applied
+    to ``energy_roots``: the chain couples the roots with ``u = cos k >= 0``,
+    the ring every root.  Returns the table's columns.
+    """
+    table = run_scan(config, "rates")
+    cols = dict(zip(table.columns, table.values))
+    ring = config.model.kind == "xx_ring"
+    probe = config.coupling
+    for i in rows(cols).tolist():
+        if ring:
+            quench = QuenchSpec.xx_ring(V_i=float(cols["v_i"][i]), V_f=float(cols["v_f"][i]),
+                                        t=config.model.t)
+        else:
+            quench = QuenchSpec.ising(h_i=float(cols["h_i"][i]), h_f=float(cols["h_f"][i]),
+                                      kappa=float(cols["kappa"][i]))
+        eps0 = float(cols["epsilon0"][i])
+        roots = energy_roots(quench.final, 0.5 * eps0)
+        coupled = [r.k for r in roots if ring or r.u >= 0.0]
+        where = f"row {i}: {quench}, epsilon0={eps0!r}"
+        try:
+            rates = transition_rates(quench, QubitCoupling(eps0, probe.g_obs, probe.L))
+        except QuenchClockError as exc:
+            assert cols["flag"][i] == _FLAG_OF[type(exc)], where
+            assert cols["excluded_roots"][i] == 0, where
+            if isinstance(exc, NoResonance):
+                assert not coupled, where
+            continue
+        assert [c.mode.k for c in rates.roots] == coupled, where
+        assert rates.excluded_roots == len(roots) - len(coupled), where
+        assert cols["excluded_roots"][i] == rates.excluded_roots, where
+        assert cols["flag"][i] in ("", "multi_root", "condition_undefined"), where
+        tol = 1e-12 * rates.total
+        assert abs(cols["gamma_up"][i] - rates.gamma_up) <= tol, where
+        assert abs(cols["gamma_down"][i] - rates.gamma_down) <= tol, where
+    return cols
+
+
+class TestCoupledZone:
+    """One rule says which resonant roots couple to the probe.  The scalar
+    rates and their array twin in the scan must apply it alike, row by
+    row, on grids with roots on both sides of cos k = 0."""
+
+    def test_chain_couples_the_roots_with_cos_k_nonnegative(self):
+        # The disorder-circle grid of the claims (110 000 rows): every row
+        # with a root at cos k < 0, and 1000 other rows.
+        rng = np.random.default_rng(41)
+
+        def rows(cols):
+            excluded = cols["excluded_roots"] > 0
+            return np.r_[np.flatnonzero(excluded),
+                         rng.choice(np.flatnonzero(~excluded), 1000, replace=False)]
+
+        cols = _check_zone_rows(apply_overrides(RunConfig(), list(_CHAIN_DISORDERED)), rows)
+        excluded = cols["excluded_roots"] > 0
+        assert excluded.sum() == 6275
+        assert (excluded & (cols["verdict"] == "active")).sum() == 1241
+
+    def test_ring_couples_every_root(self):
+        rng = np.random.default_rng(42)
+        cols = _check_zone_rows(apply_overrides(RunConfig(), list(_RING_ACROSS)),
+                                lambda cols: rng.choice(len(cols["flag"]), 1000,
+                                                        replace=False))
+        assert not cols["excluded_roots"].any()
 
 
 class TestBiasCondition:

@@ -19,7 +19,6 @@ from quenchclock import (
     ModelSpec,
     QuenchSpec,
     band_edges,
-    bogoliubov_angle,
     dispersion,
     energy_roots,
     group_velocity,
@@ -87,18 +86,23 @@ class TestDispersion:
             assert math.isnan(scalar[0])
 
     def test_gapless_angle_raises(self):
-        # critical chain: gap closes at k = 0 for h = 1
+        # critical chain: gap closes at k = 0 for h = 1, at either end of
+        # the quench
         m = ModelSpec.ising(h=1.0, kappa=1.0)
         assert dispersion(m, 0.0) == 0.0
-        with pytest.raises(GaplessMode):
-            bogoliubov_angle(m, 0.0)
+        for quench in (QuenchSpec.ising(h_i=0.5, h_f=1.0), QuenchSpec.ising(h_i=1.0, h_f=0.5)):
+            with pytest.raises(GaplessMode):
+                mode_state(quench, 0.0)
 
     def test_angle_frozen(self):
-        # 2 theta = atan2(kappa sin k, h - cos k)
-        m = ModelSpec.ising(h=2.0, kappa=1.0)
-        assert bogoliubov_angle(m, math.pi / 2) == pytest.approx(0.5 * math.atan2(1.0, 2.0), rel=1e-15)
-        r = ModelSpec.xx_ring(t=1.0, V=1.0)
-        assert bogoliubov_angle(r, math.pi / 3) == pytest.approx(math.pi / 8, rel=1e-14)
+        # chain: 2 theta = atan2(kappa sin k, h - cos k) at k = pi/2
+        st = mode_state(QuenchSpec.ising(h_i=0.5, h_f=2.0, kappa=1.0), math.pi / 2)
+        assert st.theta_f == pytest.approx(0.5 * math.atan2(1.0, 2.0), rel=1e-15)
+        assert st.theta_i == pytest.approx(0.5 * math.atan2(1.0, 0.5), rel=1e-15)
+        # ring: 2 theta = atan2(V, 2 t cos k), here atan2(+-1, 1) at k = pi/3
+        st = mode_state(QuenchSpec.xx_ring(V_i=-1.0, V_f=1.0, t=1.0), math.pi / 3)
+        assert st.theta_f == pytest.approx(math.pi / 8, rel=1e-14)
+        assert st.theta_i == pytest.approx(-math.pi / 8, rel=1e-14)
 
 
 class TestBandEdges:
