@@ -3,9 +3,9 @@
 The package follows the pipeline of the underlying physics: quench a
 chain (:mod:`quenchclock.spectra`), read off golden-rule rates of an
 attached probe (:mod:`quenchclock.rates`), run a ladder clock on the
-rate imbalance (:mod:`quenchclock.clock`), and budget the chain as a
-battery (:mod:`quenchclock.battery`).  :mod:`quenchclock.oracle` checks
-the closed forms against brute-force finite-size sums, and
+rate imbalance (:mod:`quenchclock.clock`), and read off how long the
+chain powers it (:mod:`quenchclock.battery`).  :mod:`quenchclock.oracle`
+checks the closed forms against brute-force finite-size sums, and
 :mod:`quenchclock.cli` wires everything into a command line.
 """
 

@@ -1,26 +1,21 @@
 """How long the quenched chain can keep the clock running.
 
 The chain is a battery: the quench loads every resonant mode pair with
-occupation ``n_k``, and each climb of the ladder drains one quantum
-``epsilon0`` from it.  The extractable energy near resonance is the
-mode density times the absorption weight ``cos(dtheta)**2``,
+occupation ``n_k``, and the probe drains the loaded pairs near its gap.
+Their density per unit energy is
 
-    E_av = epsilon0 * (L / 2 pi) * sum_roots 2 * cos(dtheta)**2 / |v|,
+    dos = (L / 2 pi) * sum_roots 2 * (1 - n_k) / |v|,
 
 an extensive quantity (the sum runs over the coupled roots that feed
 the rates, ``rates.roots``, with the same factor 2 standing for the +-k
-pair; ``v`` is the band slope there), reported as
-:attr:`LifetimeReport.available_energy`.  A tick costs ``(d - 1) * epsilon0``,
-so the battery holds ``E_av / E_ph`` ticks.  The
-closed-form lifetime rescales the drain by the pumping asymmetry,
+pair; ``v`` is the band slope there).  The closed-form lifetime is the
+number of loaded pairs in a window of width ``gamma_up + gamma_down``,
+divided by the net pump rate ``|chi_second|``:
 
-    T_star = -(gamma_up + gamma_down) / chi_second * dos_term,
+    T_star = -(gamma_up + gamma_down) / chi_second * dos,
 
 defined only while the chain actually pumps (``chi_second < 0``); a
-passive chain raises :class:`PassiveState`.  The renewal estimate
-``n_ticks * mean_tick_time`` instead uses the exact tick interval of
-the ladder, and their quotient ``formula_ratio`` exposes the clock-speed
-factor separating the two conventions.
+passive chain raises :class:`PassiveState`.
 
 :func:`lifetime_report_array` is the array twin the grid scan uses.
 """
@@ -32,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import FirstPassage, LadderSpec, ladder_rates, solve_first_passage
+from .clock import LadderSpec, ladder_rates, solve_first_passage
 from .errors import PassiveState
 from .rates import SYMMETRY_FACTOR, QubitCoupling, RateArrays, Rates, transition_rates
 from .spectra import QuenchSpec
@@ -43,19 +38,11 @@ _RUNG_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class LifetimeReport:
-    """Energy budget and lifetime of the chain-powered clock."""
+    """Closed-form lifetime of the chain-powered clock, and the mean tick
+    interval of its ladder."""
 
-    available_energy: float
-    tick_energy: float
-    tick_budget: float
     lifetime: float
-    renewal_lifetime: float
-    formula_ratio: float
     mean_tick_time: float
-
-
-def _dos_term(rates: Rates, L: int) -> float:
-    return L / (2.0 * math.pi) * sum(_root_dos(c.weight, c.mode.n_k) for c in rates.roots)
 
 
 def _root_dos(weight, n_k):
@@ -63,6 +50,11 @@ def _root_dos(weight, n_k):
     # 1/(2|v|) per root, so the single-particle density 1/|v| is twice that;
     # the symmetry factor counts the +-k partner as the rates do.
     return SYMMETRY_FACTOR * 2.0 * weight * (1.0 - n_k)
+
+
+def _t_star(rates, dos):
+    # The loaded pairs in a window of width total, over the net pump rate.
+    return -(rates.total / rates.chi_second) * dos
 
 
 def check_rung(coupling: QubitCoupling, ladder: LadderSpec) -> None:
@@ -84,39 +76,13 @@ def check_pumping(rates: Rates) -> None:
                            "does not pump at this gap")
 
 
-def lifetime_report(rates: Rates, coupling: QubitCoupling, ladder: LadderSpec,
-                    first_passage: FirstPassage) -> LifetimeReport:
-    """Energy budget and lifetime from already evaluated pipeline stages.
-
-    ``rates`` are the probe rates at ``coupling`` and ``first_passage``
-    the tick interval of ``ladder`` driven by them; the inputs must have
-    passed :func:`check_rung` and :func:`check_pumping`.
-    """
-    return _report(rates, _dos_term(rates, coupling.L), coupling.epsilon0,
-                   ladder.d, ladder.epsilon_w, first_passage.mean_tick_time)
-
-
-def _report(rates, dos, epsilon0, d, epsilon_w, mean_tick_time) -> LifetimeReport:
-    e_av = epsilon0 * dos
-    e_ph = (d - 1) * epsilon_w
-    budget = e_av / e_ph
-    t_star = -(rates.total / rates.chi_second) * dos
-    renewal = budget * mean_tick_time
-    return LifetimeReport(available_energy=e_av, tick_energy=e_ph,
-                          tick_budget=budget, lifetime=t_star,
-                          renewal_lifetime=renewal,
-                          formula_ratio=renewal / t_star,
-                          mean_tick_time=mean_tick_time)
-
-
-def lifetime_report_array(rates: RateArrays, epsilon0, L, d,
-                          mean_tick_time) -> LifetimeReport:
-    """Array twin of :func:`lifetime_report`: a report of arrays over rows
-    that passed the pumping check, each with its rung at ``epsilon0``."""
+def lifetime_report_array(rates: RateArrays, L, mean_tick_time) -> LifetimeReport:
+    """Array twin of :func:`lifetime`: a report of arrays over rows that
+    passed the pumping check."""
     with np.errstate(all="ignore"):
         terms = np.where(rates.included, _root_dos(rates.weight, rates.n_k), 0.0)
         dos = L / (2.0 * math.pi) * (terms[:, 0] + terms[:, 1])
-        return _report(rates, dos, epsilon0, d, epsilon0, mean_tick_time)
+        return LifetimeReport(lifetime=_t_star(rates, dos), mean_tick_time=mean_tick_time)
 
 
 def lifetime(quench: QuenchSpec, coupling: QubitCoupling,
@@ -130,4 +96,6 @@ def lifetime(quench: QuenchSpec, coupling: QubitCoupling,
     rates = transition_rates(quench, coupling)
     check_pumping(rates)
     fp = solve_first_passage(ladder_rates(rates, ladder), ladder)
-    return lifetime_report(rates, coupling, ladder, fp)
+    dos = coupling.L / (2.0 * math.pi) * sum(_root_dos(c.weight, c.mode.n_k)
+                                             for c in rates.roots)
+    return LifetimeReport(lifetime=_t_star(rates, dos), mean_tick_time=fp.mean_tick_time)

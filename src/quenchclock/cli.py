@@ -3,10 +3,11 @@
 Subcommands map one-to-one onto the library layers: ``rates`` (probe
 rates and the inversion condition), ``clock`` (ladder metrics, with
 optional Monte Carlo columns and tick histograms), ``oracle`` (the
-finite-size refinement table), ``lifetime`` (battery budget) and
-``scan`` (the full phase-diagram row set).  All of them read the same
-config document, honor repeatable ``--set section.key=value``
-overrides, and write CSV or JSON chosen by ``output.format``.
+finite-size refinement table), ``lifetime`` (the battery lifetime
+``t_star`` and the mean tick interval) and ``scan`` (the full
+phase-diagram row set).  All of them read the same config document,
+honor repeatable ``--set section.key=value`` overrides, and write CSV or
+JSON chosen by ``output.format``.
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when the
 requested point or the whole grid is outside the model's domain (every
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("oracle", parents=[common],
                    help="finite-size refinement table at the configured point")
     sub.add_parser("lifetime", parents=[common],
-                   help="battery energy budget and lifetime over the grid")
+                   help="battery lifetime t_star and mean tick interval over the grid")
     sub.add_parser("scan", parents=[common],
                    help="full row set: rates, condition, clock and lifetime")
     return parser

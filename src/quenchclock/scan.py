@@ -11,7 +11,10 @@ point; every scan checks this on its first row that has rates, against
 the scalar :func:`~quenchclock.rates.transition_rates`.  A finished
 :class:`Table` keeps those arrays as its typed columns (float64, int64,
 or an object array of str), rows in grid order, and the CSV and JSON
-writers format each column by its dtype, byte-reproducibly.
+writers format each column by its dtype, byte-reproducibly.  Its schema
+tag ``quenchclock.<command>.v<n>`` counts the changes to the command's
+columns: ``lifetime`` is at v2 (``t_star``, ``mean_tick_time``), every
+other command at v1.
 
 A grid point that cannot be evaluated is not an error: the row keeps
 ``nan`` in the unavailable columns and carries exactly one flag naming
@@ -333,11 +336,8 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
             accuracy[i] = stats.empirical_accuracy
             rate[i] = stats.empirical_rate
     if "lifetime" in stages:
-        rep = lifetime_report_array(rates, pt.epsilon0, pt.L, pt.d, fp.mean_tick_time)
-        out.put(out.live & lifetime, available_energy=rep.available_energy,
-                tick_energy=rep.tick_energy, tick_budget=rep.tick_budget,
-                t_star=rep.lifetime, renewal_lifetime=rep.renewal_lifetime,
-                formula_ratio=rep.formula_ratio, mean_tick_time=rep.mean_tick_time)
+        rep = lifetime_report_array(rates, pt.L, fp.mean_tick_time)
+        out.put(out.live & lifetime, t_star=rep.lifetime, mean_tick_time=rep.mean_tick_time)
 
 
 # Stages each command runs, and the value columns it writes.
@@ -348,15 +348,15 @@ _COMMANDS: dict[str, tuple[frozenset[str], tuple[str, ...]]] = {
     "clock": (frozenset({"clock"}),
               ("p_up", "p_down", "nu_tick", "accuracy_N", "entropy_per_tick",
                "relative_bias", "tur_ratio", "exact_N", "exact_rate")),
-    "lifetime": (frozenset({"lifetime"}),
-                 ("available_energy", "tick_energy", "tick_budget", "t_star",
-                  "renewal_lifetime", "formula_ratio", "mean_tick_time")),
+    "lifetime": (frozenset({"lifetime"}), ("t_star", "mean_tick_time")),
     "scan": (frozenset({"rates", "clock", "lifetime"}),
              ("gamma_up", "gamma_down", "verdict", "condition_lhs",
               "chi_second", "nu_tick", "accuracy_N", "entropy_per_tick",
               "exact_N", "t_star")),
 }
 _MC_COLS = ("empirical_accuracy", "empirical_rate")
+# Schema version of each command's table where it is not 1.
+_SCHEMA_VERSION = {"lifetime": 2}
 # Value of a cell its row could not compute; every other column gets nan.
 _UNSET = {"verdict": "", "excluded_roots": 0}
 
@@ -380,7 +380,7 @@ def run_scan(config: RunConfig, command: str) -> Table:
     with np.errstate(all="ignore"):
         _evaluate_layers(config, stages, config.point_arrays(columns, n), out)
     axis_names = tuple(a.name for a in config.scan)
-    return Table(schema=f"quenchclock.{command}.v1",
+    return Table(schema=f"quenchclock.{command}.v{_SCHEMA_VERSION.get(command, 1)}",
                  columns=axis_names + value_cols + ("flag",),
                  values=(*(columns[name] for name in axis_names),
                          *(out.column(name) for name in value_cols), out.flag_column()))

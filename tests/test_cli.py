@@ -41,6 +41,7 @@ from quenchclock import (
     emit_config,
     grid_points,
     ladder_rates,
+    lifetime,
     load_config,
     parse_config,
     row_seed,
@@ -51,7 +52,7 @@ from quenchclock import (
     write_csv,
     write_json,
 )
-from quenchclock.battery import check_pumping, check_rung, lifetime_report
+from quenchclock.battery import check_pumping, check_rung
 from quenchclock.cli import _histogram_table, main
 from quenchclock.scan import _BALANCE_TOL, _COMMANDS, _MC_COLS, FLAG_PRIORITY, oracle_table
 
@@ -585,12 +586,8 @@ def _reference_point(config, stages, index, values, sample):
         cells.update(empirical_accuracy=stats.empirical_accuracy,
                      empirical_rate=stats.empirical_rate)
     if "lifetime" in live:
-        rep = lifetime_report(rates, coupling, ladder, fp)
-        cells.update(available_energy=rep.available_energy,
-                     tick_energy=rep.tick_energy, tick_budget=rep.tick_budget,
-                     t_star=rep.lifetime, renewal_lifetime=rep.renewal_lifetime,
-                     formula_ratio=rep.formula_ratio,
-                     mean_tick_time=rep.mean_tick_time)
+        rep = lifetime(quench, coupling, ladder)
+        cells.update(t_star=rep.lifetime, mean_tick_time=rep.mean_tick_time)
     return cells, flags
 
 
@@ -1062,7 +1059,10 @@ print(json.dumps([codes, drift]))
 
     def test_lifetime_command(self, capsys):
         assert main(["lifetime"]) == 0
-        header, row = capsys.readouterr().out.splitlines()[2:4]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["# schema: quenchclock.lifetime.v2",
+                             "# columns: t_star,mean_tick_time,flag"]
+        header, row = lines[2:4]
         cells = dict(zip(header.split(","), row.split(",")))
         assert float(cells["t_star"]) > 0.0
         assert cells["flag"] == ""

@@ -25,6 +25,7 @@ from quenchclock import (
     dense_ed_correlator,
     discrete_rates,
     dispersion,
+    mode_state,
     transition_rates,
 )
 from quenchclock.oracle import _GRID_MEMO, _density, _rung_grid, _rung_modes
@@ -481,6 +482,28 @@ class TestDense:
     def test_ring_peaks_sit_at_pair_energies(self, L):
         for V_i, V_f in ((-1.0, 1.0), (0.7, 1.3)):
             self._assert_lines_at_pair_energies(QuenchSpec.xx_ring(V_i, V_f, 1.0), L)
+
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_ring_line_weights(self, L):
+        # The current moves one pair at a time, and its matrix element at
+        # mode k is m = sin(2 theta_f) t sin k, odd in k.  In the diagonal
+        # ensemble the degenerate +-k pair interferes: the emission lines at
+        # 2 eps_k carry 8 m^2 n_k^2 in all, the absorption lines at -2 eps_k
+        # 8 m^2 (1 - n_k)^2, and their difference is the generalized Gibbs
+        # ensemble's 8 m^2 (1 - 2 n_k).  Lines of several level groups can
+        # share a frequency, so the weights at one frequency add up.
+        for V_i, V_f, t in ((-1.0, 1.0, 1.0), (0.7, 1.3, 1.0), (-0.5, 1.5, 0.8)):
+            quench = QuenchSpec.xx_ring(V_i, V_f, t)
+            omega, weight = dense_ed_correlator(quench, L)
+            for k in (2 * np.arange(L // 4) + 1) * math.pi / L:
+                st = mode_state(quench, k)
+                m2 = math.sin(2.0 * st.theta_f) ** 2 * (t * math.sin(k)) ** 2
+                emission = weight[np.abs(omega - 2.0 * st.eps_f) <= 1e-9].sum()
+                absorption = weight[np.abs(omega + 2.0 * st.eps_f) <= 1e-9].sum()
+                where = (V_i, V_f, t, L, k)
+                assert abs(emission - 8.0 * m2 * st.n_k**2) <= 1e-12, where
+                assert abs(absorption - 8.0 * m2 * (1.0 - st.n_k) ** 2) <= 1e-12, where
+                assert abs(absorption - emission - 8.0 * m2 * (1.0 - 2.0 * st.n_k)) <= 1e-12, where
 
     def test_no_line_gives_empty_arrays(self):
         # At L = 2 the initial ground state is a final eigenstate with zero
