@@ -41,6 +41,36 @@ def band_energy(quench, coupling):
     return coupling.epsilon0 * coupling.L / (2.0 * math.pi) * total
 
 
+def loaded_pair_density(quench, coupling):
+    """The density of loaded pairs that ``t_star`` holds, read back from it
+    by undoing the rate factor: dos = -t_star * chi_second / total."""
+    r = transition_rates(quench, coupling)
+    rep = lifetime(quench, coupling, make_ladder(coupling.epsilon0))
+    return -rep.lifetime * r.chi_second / r.total
+
+
+class TestAvailableEnergy:
+    """The energy the quench leaves to the probe enters the lifetime only as
+    the density of loaded pairs, band_energy / eps0; these check that
+    density as ``t_star`` carries it."""
+
+    def test_composed_from_band_quantities(self):
+        for eps0 in (2.2, math.sqrt(6.0), 2.7):
+            coup = ring_coupling(128, eps0)
+            assert loaded_pair_density(RING, coup) == pytest.approx(
+                band_energy(RING, coup) / eps0, rel=1e-12)
+
+    def test_extensive_in_chain_length(self):
+        # the rate factor total/chi_second does not depend on L, so the
+        # doubling sits in the pair density
+        r1 = transition_rates(RING, ring_coupling(256))
+        r2 = transition_rates(RING, ring_coupling(512))
+        assert r2.total / r2.chi_second == pytest.approx(r1.total / r1.chi_second, rel=1e-12)
+        d1 = loaded_pair_density(RING, ring_coupling(256))
+        d2 = loaded_pair_density(RING, ring_coupling(512))
+        assert d2 / d1 == pytest.approx(2.0, rel=1e-12)
+
+
 class TestLifetime:
     def test_report_wiring(self):
         coup = ring_coupling(256)
