@@ -25,9 +25,9 @@ independent exponential stages whose rates are the passage-time spectrum
 of the walk (Keilson's theorem), in one numpy call per level chunk of
 each block of :data:`_STREAM_BLOCK` trajectories.  The spectrum comes in
 O(d) from the roots of a boundary equation, with numpy alone.  Block
-``b`` of seed ``s`` draws from ``numpy.random.Philox`` keyed by the uint64
-words ``(s, b)``, so a sample is fixed by its seed and is a prefix of any
-larger one.
+``b`` of seed ``s`` draws from ``numpy.random.PCG64`` seeded by
+``SeedSequence(s, spawn_key=(b,))``, so a sample is fixed by its seed and
+is a prefix of any larger one.
 
 The ``*_array`` functions are the array twins the grid scan uses; each
 shares its arithmetic with its scalar twin and reports the errors that
@@ -37,6 +37,7 @@ twin would raise as :data:`~quenchclock.errors.Raises`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ from .rates import Rates
 # format, not a tuning knob: every sampled value depends on it.
 _STREAM_BLOCK = 2048
 # Levels a block draws per numpy call.  The stream is consumed level-major,
-# so the chunk changes no sampled bit; it only bounds a block's memory.
+# so the chunk changes no sampled bit; it bounds the one reused buffer.
 _LEVEL_CHUNK = 64
 # Largest share of the exact mean tick time by which the mean of the
 # sampled spectrum, sum(1/lambda), may differ from it.
@@ -644,21 +645,21 @@ def _bracketed_root(f, lo, hi, x):
 
 def _simulate(rates: np.ndarray, seed: int, n: int) -> np.ndarray:
     # Trajectory j is lane j % _STREAM_BLOCK of block j // _STREAM_BLOCK,
-    # and block b draws from numpy's Philox keyed by (seed, b).  The key
-    # is built as uint64 words: a plain list goes through float64 for
-    # seeds >= 2**63 and merges neighbouring seeds.  A block draws its
-    # exponentials level-major, a (levels, _STREAM_BLOCK) array in the
-    # order of ``rates``, and adds the stages level by level, so no sum
-    # depends on the chunking or on a BLAS.
+    # and block b draws from numpy's PCG64 seeded by SeedSequence(seed,
+    # spawn_key=(b,)).  A block draws its exponentials level-major, in the
+    # order of ``rates``, into rows 1... of one reused buffer whose row 0
+    # holds the running lanes; one reduction over the rows adds the stages
+    # level by level, so no sum depends on the chunking or on a BLAS.
     times = np.zeros((-(-n // _STREAM_BLOCK), _STREAM_BLOCK))
+    buf = np.empty((min(rates.size, _LEVEL_CHUNK) + 1, _STREAM_BLOCK))
     for b, lanes in enumerate(times):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
         for start in range(0, rates.size, _LEVEL_CHUNK):
-            chunk = rates[start:start + _LEVEL_CHUNK]
-            stages = rng.standard_exponential((chunk.size, _STREAM_BLOCK))
-            stages /= chunk[:, None]
-            for stage in stages:
-                lanes += stage
+            chunk = rates[start:start + _LEVEL_CHUNK, None]
+            part = buf[:chunk.size + 1]
+            part[0] = lanes
+            np.divide(rng.standard_exponential(out=part[1:]), chunk, out=part[1:])
+            np.add.reduce(part, axis=0, out=lanes)
     return times.reshape(-1)[:n]
 
 
@@ -670,10 +671,10 @@ def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
     one interval per trajectory suffices.  Each interval is drawn exactly,
     as ``d`` exponential stages over the passage-time spectrum, at a
     cost of O(d) per interval whatever the bias or the emission rate.
-    Trajectories come in blocks of :data:`_STREAM_BLOCK`; block ``b``
-    draws from numpy's Philox keyed by ``(seed, b)``, always for the whole
-    block.  So the sample is reproducible bit for bit for a given
-    ``seed``, and a shorter sample is a prefix of a longer one.
+    Trajectories come in blocks of :data:`_STREAM_BLOCK`; block ``b`` draws,
+    always whole, from numpy's PCG64 seeded by ``SeedSequence(seed,
+    spawn_key=(b,))``.  So the sample is reproducible bit for bit for a
+    given integer ``seed``, and a shorter sample is a prefix of a longer one.
 
     Raises :class:`NotReachable` exactly where :func:`solve_first_passage`
     does, and :class:`RuntimeError` when the spectrum's mean tick time
@@ -681,6 +682,10 @@ def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
     """
     if n_ticks < 1:
         raise ValueError(f"need at least 1 tick sample, got {n_ticks!r}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must fit in an unsigned 64-bit word, got {seed!r}")
     mean = solve_first_passage(lr, ladder).mean_tick_time

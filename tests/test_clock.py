@@ -554,21 +554,38 @@ class TestSampling:
         with pytest.raises(RuntimeError, match="passage spectrum"):
             sample_tick_times(LadderRates(p_up=1.0, p_down=10.0), lad, 10, seed=1)
 
-    def test_level_chunks_keep_the_bits(self):
-        # A block draws its exponentials level-major, so a ladder deeper
-        # than one chunk gets the bits of one (d, block) draw, summed level
-        # by level.
-        d = 2 * clock._LEVEL_CHUNK + 5
-        block = clock._STREAM_BLOCK
-        lad = LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=40.0)
-        got = sample_tick_times(self.LR, lad, block + 10, seed=31)
-        rates = clock._passage_spectrum(self.LR.p_up, self.LR.p_down, 40.0, d)
-        expected = np.zeros((2, block))
-        for b, times in enumerate(expected):
-            rng = np.random.Generator(np.random.Philox(key=np.array([31, b], dtype=np.uint64)))
-            for stage in rng.standard_exponential((d, block)) / rates[:, None]:
-                times += stage
-        assert np.array_equal(got, expected.reshape(-1)[:block + 10])
+    def test_stream_matches_slow_reference(self):
+        # The slow path of the stream format: per block of 2048 lanes a
+        # fresh PCG64 under SeedSequence(seed, spawn_key=(b,)), one (d, 2048)
+        # draw in ascending rates, added level by level.  Depths on both
+        # sides of a level chunk, sizes on both sides of a block; a ladder
+        # has d >= 2, so one stage goes to the block loop directly.
+        block, chunk = clock._STREAM_BLOCK, clock._LEVEL_CHUNK
+        for d in (1, 2, chunk, chunk + 1, 2 * chunk + 5):
+            lad = LadderSpec(d=max(d, 2), epsilon_w=1.0, g=0.1, Gamma=40.0)
+            rates = (clock._passage_spectrum(self.LR.p_up, self.LR.p_down, 40.0, d)
+                     if d > 1 else np.array([0.7]))
+            for n in (1, block - 1, block, block + 1):
+                expected = np.zeros((-(-n // block), block))
+                for b, times in enumerate(expected):
+                    seq = np.random.SeedSequence(31, spawn_key=(b,))
+                    rng = np.random.Generator(np.random.PCG64(seq))
+                    for stage in rng.standard_exponential((d, block)) / rates[:, None]:
+                        times += stage
+                got = (sample_tick_times(self.LR, lad, n, seed=31) if d > 1
+                       else clock._simulate(rates, 31, n))
+                assert np.array_equal(got, expected.reshape(-1)[:n]), (d, n)
+
+    @pytest.mark.parametrize("seed", [3.7, 2.0])
+    def test_non_integer_seed_refused(self, seed):
+        # A float key would be truncated and run another seed's stream.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_tick_times(self.LR, self.LAD, 100, seed=seed)
+
+    def test_numpy_integer_seeds(self):
+        for seed in (np.int64(3), np.uint64(2**64 - 1)):
+            assert np.array_equal(sample_tick_times(self.LR, self.LAD, 100, seed=seed),
+                                  sample_tick_times(self.LR, self.LAD, 100, seed=int(seed)))
 
     @staticmethod
     def _phase_type_cdf(p_up, p_down, gamma, d, t_max, points=20001):
