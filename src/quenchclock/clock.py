@@ -397,10 +397,13 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
         s_k = (2/r + 2q (m_{k-1} + m_k)/r + q (s_{k-1} + 2 m_{k-1} m_k)) / a
 
     All terms are positive, so the sums stay accurate on walks that
-    drift downward.  Raises :class:`NotReachable` when the top is never
-    reached, or when the moments leave the double range.
+    drift downward.  Raises :class:`ZeroRates` when both walk rates
+    vanish, as :func:`clock_metrics` does, and :class:`NotReachable` when
+    the top is never reached, or when the moments leave the double range.
     """
     d = ladder.d
+    if not lr.p_up + lr.p_down > 0.0:
+        raise ZeroRates("both walk rates vanish")
     if not lr.p_up > 0.0:
         raise NotReachable(f"upward rate {lr.p_up!r} is not positive; the top "
                            "level is never reached")
@@ -456,7 +459,8 @@ def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
         passage = FirstPassage(mean_tick_time=mean, var_tick_time=var,
                                exact_N=exact_N, exact_rate=1.0 / mean)
     in_range = np.isfinite(mean) & np.isfinite(var) & np.isfinite(exact_N)
-    return passage, ((NotReachable, ~(p_up > 0.0) | ~(gamma > 0.0) | ~in_range),)
+    return passage, ((ZeroRates, ~(p_up + p_down > 0.0)),
+                     (NotReachable, ~(p_up > 0.0) | ~(gamma > 0.0) | ~in_range))
 
 
 @dataclass(frozen=True)
@@ -676,9 +680,9 @@ def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
     spawn_key=(b,))``.  So the sample is reproducible bit for bit for a
     given integer ``seed``, and a shorter sample is a prefix of a longer one.
 
-    Raises :class:`NotReachable` exactly where :func:`solve_first_passage`
-    does, and :class:`RuntimeError` when the spectrum's mean tick time
-    misses the exact one, which only a wrong spectrum can do.
+    Raises what :func:`solve_first_passage` raises, where it does, and
+    :class:`RuntimeError` when the spectrum's mean tick time misses the
+    exact one, which only a wrong spectrum can do.
     """
     if n_ticks < 1:
         raise ValueError(f"need at least 1 tick sample, got {n_ticks!r}")

@@ -4,26 +4,28 @@ A run is described by seven sections: ``model`` (which chain and which
 quench), ``coupling`` (the probe qubit), ``ladder`` (the clock
 register), ``scan`` (grid axes to sweep), ``oracle`` (finite-size
 check settings), ``mc`` (trajectory sampling) and ``output``.  Every
-key has a default, so a config file only states what differs; command
-line ``--set section.key=value`` assignments override file values.
+section key has a default, so a config file only states what differs;
+command line ``--set section.key=value`` assignments override file values.
 
-Every config is built one way: a mapping of sections goes through one
-builder that type-checks each key, and :class:`RunConfig` checks the
-cross-field rules whenever it is constructed, so a config changed with
+Every config is built one way: one builder reads each section and axis
+from a mapping, typing each key by its field's annotation (resolved
+once, at import), and :class:`RunConfig` checks the cross-field rules
+whenever it is constructed, so a config changed with
 :func:`dataclasses.replace` is checked too.  :func:`parse_config` builds
 from a YAML document, :func:`apply_overrides` from the mapping of an
 existing config with the assignments written into it.  Integers stay
 exact.  :func:`parse_config` and :func:`emit_config` are exact inverses:
-the emitted document always lists every key, so ``parse(emit(c)) == c``
-for any config object.
+the emitted document lists every key, so ``parse(emit(c)) == c`` for
+any config object.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
+from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -36,6 +38,9 @@ from .spectra import ModelArrays, ModelKind, QuenchSpec
 
 FORMATS = ("csv", "json")
 MODEL_KINDS = ("ising", "xx_ring")
+# The chain that reads each model key but the kind; the other chain ignores it.
+_CHAIN_OF = {"h_i": "ising", "h_f": "ising", "kappa": "ising",
+             "v_i": "xx_ring", "v_f": "xx_ring", "t": "xx_ring"}
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,13 @@ class AxisSpec:
     min: float
     max: float
     steps: int
+
+
+@dataclass(frozen=True)
+class _ScanSection:
+    """The ``scan`` section of a document: its axes and no other key."""
+
+    axes: tuple[AxisSpec, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -165,54 +177,40 @@ class RunConfig:
         This is the one place where config keys and scan axes become
         model, probe and ladder parameters.
         """
-        m = self.model
-        c = self.coupling
-        lad = self.ladder
-
-        def get(name, default, dtype=float):
+        def get(name):
+            section, kind, _ = SWEEPABLE[name]
             if name in columns:
-                return np.asarray(columns[name], dtype=dtype)
-            return np.full(n, np.nan if default is None else default, dtype=dtype)
+                return np.asarray(columns[name], dtype=kind)
+            default = getattr(getattr(self, section), name)
+            return np.full(n, np.nan if default is None else default, dtype=kind)
 
-        if m.kind == "ising":
-            kappa = get("kappa", m.kappa)
-            initial = ModelArrays(ModelKind.ISING_XY, h=get("h_i", m.h_i), kappa=kappa)
-            final = ModelArrays(ModelKind.ISING_XY, h=get("h_f", m.h_f), kappa=kappa)
+        if self.model.kind == "ising":
+            kappa = get("kappa")
+            initial = ModelArrays(ModelKind.ISING_XY, h=get("h_i"), kappa=kappa)
+            final = ModelArrays(ModelKind.ISING_XY, h=get("h_f"), kappa=kappa)
         else:
-            t = get("t", m.t)
-            initial = ModelArrays(ModelKind.XX_RING, t=t, V=get("v_i", m.v_i))
-            final = ModelArrays(ModelKind.XX_RING, t=t, V=get("v_f", m.v_f))
-        return PointArrays(initial=initial, final=final,
-                           epsilon0=get("epsilon0", c.epsilon0),
-                           g_obs=get("g_obs", c.g_obs), L=get("L", c.L, int),
-                           d=get("d", lad.d, int), g=get("g", lad.g),
-                           Gamma=get("gamma", lad.gamma))
+            t = get("t")
+            initial = ModelArrays(ModelKind.XX_RING, t=t, V=get("v_i"))
+            final = ModelArrays(ModelKind.XX_RING, t=t, V=get("v_f"))
+        return PointArrays(initial=initial, final=final, epsilon0=get("epsilon0"),
+                           g_obs=get("g_obs"), L=get("L"), d=get("d"), g=get("g"),
+                           Gamma=get("gamma"))
 
 
-# Sweepable / settable leaf parameters: name -> (section, field, type, kind).
-# ``kind`` restricts model parameters to the matching chain.
-SWEEPABLE: dict[str, tuple[str, str, type, str | None]] = {
-    "h_i": ("model", "h_i", float, "ising"),
-    "h_f": ("model", "h_f", float, "ising"),
-    "kappa": ("model", "kappa", float, "ising"),
-    "v_i": ("model", "v_i", float, "xx_ring"),
-    "v_f": ("model", "v_f", float, "xx_ring"),
-    "t": ("model", "t", float, "xx_ring"),
-    "epsilon0": ("coupling", "epsilon0", float, None),
-    "g_obs": ("coupling", "g_obs", float, None),
-    "L": ("coupling", "L", int, None),
-    "d": ("ladder", "d", int, None),
-    "g": ("ladder", "g", float, None),
-    "gamma": ("ladder", "gamma", float, None),
-}
+def _value_type(hint: Any) -> Any:
+    """The type a field annotated ``hint`` holds when it is not None."""
+    args = get_args(hint)
+    return next(a for a in args if a is not type(None)) if type(None) in args else hint
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "coupling": CouplingConfig,
-    "ladder": LadderConfig,
-    "oracle": OracleConfig,
-    "mc": McConfig,
-    "output": OutputConfig,
+
+# Sweepable / settable leaf parameters, the model, coupling and ladder
+# keys but the chain kind: name -> (section, type, chain).  ``chain``
+# restricts a model key to the chain that reads it.
+SWEEPABLE: dict[str, tuple[str, type, str | None]] = {
+    key: (section, _value_type(hint), _CHAIN_OF.get(key))
+    for section, cls in (("model", ModelConfig), ("coupling", CouplingConfig),
+                         ("ladder", LadderConfig))
+    for key, hint in get_type_hints(cls).items() if key != "kind"
 }
 
 
@@ -247,70 +245,50 @@ def _need_str(where: str, value: Any) -> str:
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-_OPTIONAL_FLOATS = {("ladder", "gamma")}
-_OPTIONAL_STRS = {("output", "path")}
+def _reader(hint: Any) -> Callable[[str, Any], Any]:
+    """``read(where, value)``: ``value`` type-checked as a field annotated
+    ``hint`` holds it, with ``where`` naming it in errors.  A dataclass is
+    read from a mapping, a ``tuple[X, ...]`` from a list; null is empty."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        readers = {f.name: _reader(hints[f.name]) for f in fields(hint)}
+        required = [f.name for f in fields(hint)
+                    if f.default is MISSING and f.default_factory is MISSING]
+        return partial(_build_mapping, hint, readers, required)
+    if get_origin(hint) is tuple:
+        item = _reader(get_args(hint)[0])
+
+        def read_list(where: str, raw: Any) -> tuple[Any, ...]:
+            if raw is not None and not isinstance(raw, list):
+                raise ConfigError(f"{where}: expected a list, got {raw!r}")
+            return tuple(item(f"{where}[{i}]", value) for i, value in enumerate(raw or ()))
+        return read_list
+    if type(None) in get_args(hint):
+        read = _reader(_value_type(hint))
+        return lambda where, value: None if value is None else read(where, value)
+    return {int: _need_int, float: _need_number, str: _need_str}[hint]
 
 
-def _build_section(name: str, cls: type, raw: Any) -> Any:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name}: expected a mapping, got {raw!r}")
-    defaults = cls()
-    valid = {f.name for f in fields(cls)}
-    kwargs: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key not in valid:
-            raise ConfigError(f"{name}.{key}: unknown key")
-        where = f"{name}.{key}"
-        if (name, key) in _OPTIONAL_FLOATS:
-            kwargs[key] = None if value is None else _need_number(where, value)
-        elif (name, key) in _OPTIONAL_STRS:
-            kwargs[key] = None if value is None else _need_str(where, value)
-        else:
-            # The default value carries the target type (int before float:
-            # bool is excluded inside the numeric checks).
-            d = getattr(defaults, key)
-            if isinstance(d, int):
-                kwargs[key] = _need_int(where, value)
-            elif isinstance(d, float):
-                kwargs[key] = _need_number(where, value)
-            else:
-                kwargs[key] = _need_str(where, value)
+def _build_mapping(cls: type, readers: dict[str, Callable], required: list[str],
+                   where: str, raw: Any) -> Any:
+    if raw is not None and not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a mapping, got {raw!r}")
+    kwargs = {}
+    for key, value in (raw or {}).items():
+        if key not in readers:
+            raise ConfigError(f"{where}.{key}: unknown key")
+        kwargs[key] = readers[key](f"{where}.{key}", value)
+    for key in required:
+        if key not in kwargs:
+            raise ConfigError(f"{where}: missing key {key!r}")
     return cls(**kwargs)
 
 
-def _build_axes(raw: Any) -> tuple[AxisSpec, ...]:
-    if raw is None:
-        return ()
-    if isinstance(raw, dict):
-        raw = raw.get("axes", [])
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        raise ConfigError(f"scan.axes: expected a list, got {raw!r}")
-    axes = []
-    for i, entry in enumerate(raw):
-        where = f"scan.axes[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: expected a mapping, got {entry!r}")
-        extra = set(entry) - {"name", "min", "max", "steps"}
-        if extra:
-            raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-        try:
-            name = entry["name"]
-            lo = entry["min"]
-            hi = entry["max"]
-            steps = entry["steps"]
-        except KeyError as exc:
-            raise ConfigError(f"{where}: missing key {exc.args[0]!r}") from None
-        if not isinstance(name, str):
-            raise ConfigError(f"{where}.name: expected a string, got {name!r}")
-        axes.append(AxisSpec(name=name,
-                             min=_need_number(f"{where}.min", lo),
-                             max=_need_number(f"{where}.max", hi),
-                             steps=_need_int(f"{where}.steps", steps)))
-    return tuple(axes)
+# The readers of a document's sections, in the order they are built and emitted.
+_SECTIONS = {name: _reader(cls) for name, cls in (
+    ("model", ModelConfig), ("coupling", CouplingConfig), ("ladder", LadderConfig),
+    ("oracle", OracleConfig), ("mc", McConfig), ("output", OutputConfig),
+    ("scan", _ScanSection))}
 
 
 def _validate(config: RunConfig) -> None:
@@ -335,25 +313,25 @@ def _validate(config: RunConfig) -> None:
     except ValueError as exc:
         raise ConfigError(f"oracle: {exc}") from None
     # A grid holds the integer parameters in int64 arrays.
-    for name, (section, key, kind, _) in SWEEPABLE.items():
-        value = getattr(getattr(config, section), key)
+    for name, (section, kind, _) in SWEEPABLE.items():
+        value = getattr(getattr(config, section), name)
         if kind is int and not _INT64_MIN <= value <= _INT64_MAX:
-            raise ConfigError(f"{section}.{key}: must fit in an i64, got {value}")
+            raise ConfigError(f"{section}.{name}: must fit in an i64, got {value}")
     for axis in config.scan:
         if axis.name not in SWEEPABLE:
             raise ConfigError(
                 f"scan.axes: unknown parameter {axis.name!r}; "
                 f"choose from {sorted(SWEEPABLE)}")
-        if SWEEPABLE[axis.name][2] is int and not all(
+        _, kind, chain = SWEEPABLE[axis.name]
+        if kind is int and not all(
                 _INT64_MIN <= v < 2.0**63 for v in (axis.min, axis.max)):
             raise ConfigError(
                 f"scan.axes: {axis.name!r} values must fit in an i64, "
                 f"got min {axis.min!r}, max {axis.max!r}")
-        kind = SWEEPABLE[axis.name][3]
-        if kind is not None and kind != config.model.kind:
+        if chain is not None and chain != config.model.kind:
             raise ConfigError(
                 f"scan.axes: parameter {axis.name!r} belongs to the "
-                f"{kind!r} model, but model.kind is {config.model.kind!r}")
+                f"{chain!r} model, but model.kind is {config.model.kind!r}")
         if axis.steps < 1:
             raise ConfigError(
                 f"scan.axes: steps must be >= 1 for {axis.name!r}, got {axis.steps}")
@@ -368,12 +346,12 @@ def _build(raw: Any) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"top level: expected a mapping, got {raw!r}")
-    unknown = set(raw) - set(_SECTIONS) - {"scan"}
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
-    sections = {name: _build_section(name, cls, raw.get(name))
-                for name, cls in _SECTIONS.items()}
-    return RunConfig(scan=_build_axes(raw.get("scan")), **sections)
+    sections = {name: read(name, raw.get(name)) for name, read in _SECTIONS.items()}
+    scan = sections.pop("scan").axes
+    return RunConfig(scan=scan, **sections)
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -416,13 +394,9 @@ def load_config(path: str) -> RunConfig:
 
 
 def _to_raw(config: RunConfig) -> dict[str, Any]:
-    raw: dict[str, Any] = {}
-    for name, cls in _SECTIONS.items():
-        section = getattr(config, name)
-        raw[name] = {f.name: getattr(section, f.name) for f in fields(cls)}
-    raw["scan"] = {"axes": [
-        {"name": a.name, "min": a.min, "max": a.max, "steps": a.steps}
-        for a in config.scan]}
+    # The mapping _build reads; a section's __dict__ holds its fields in order.
+    raw = {name: dict(vars(getattr(config, name))) for name in _SECTIONS if name != "scan"}
+    raw["scan"] = {"axes": [dict(vars(axis)) for axis in config.scan]}
     return raw
 
 
@@ -450,13 +424,10 @@ def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
         except yaml.YAMLError as exc:
             raise ConfigError(f"--set {item!r}: bad value: {exc}") from exc
         parts = path.strip().split(".")
-        if parts == ["scan", "axes"] or parts == ["scan"]:
-            raw["scan"] = {"axes": value} if parts == ["scan", "axes"] else value
-            continue
         if len(parts) != 2:
             raise ConfigError(f"--set {item!r}: expected section.key=value")
         section, key = parts
-        if section not in raw or not isinstance(raw[section], dict):
+        if section not in raw:
             raise ConfigError(f"--set {item!r}: unknown section {section!r}")
         if key not in raw[section]:
             raise ConfigError(f"--set {item!r}: unknown key {section}.{key}")

@@ -129,7 +129,7 @@ def _axis_values(axis: AxisSpec) -> np.ndarray:
         values = np.array([float(axis.min)])
     else:
         values = np.linspace(axis.min, axis.max, axis.steps)
-    if SWEEPABLE[axis.name][2] is not int:
+    if SWEEPABLE[axis.name][1] is not int:
         return values
     rounded = np.round(values)
     off = np.abs(values - rounded) > 1e-9

@@ -46,6 +46,7 @@ from quenchclock import (
     parse_config,
     row_seed,
     run_scan,
+    sample_tick_times,
     simulate_ticks,
     solve_first_passage,
     transition_rates,
@@ -183,6 +184,60 @@ output: {format: json, precision: 9}
         for item in bad:
             with pytest.raises(ConfigError):
                 apply_overrides(RunConfig(), [item])
+
+    _AXIS = "{name: h_f, min: 1, max: 2, steps: 2}"
+
+    @pytest.mark.parametrize("text, error", [
+        # A misspelt axes key is an unknown key, not a single point.
+        (f"scan: {{axis: [{_AXIS}]}}", "scan.axis: unknown key"),
+        # The scan section is a mapping, never a bare list of axes.
+        (f"scan: [{_AXIS}]", "scan: expected a mapping, got "
+                             "[{'name': 'h_f', 'min': 1, 'max': 2, 'steps': 2}]"),
+        ("scan: {axes: [{name: h_f, min: 1, max: 2, steps: 2, extra: 1}]}",
+         "scan.axes[0].extra: unknown key"),
+        ("scan: {axes: [{name: h_f, min: 1, max: 2}]}", "scan.axes[0]: missing key 'steps'"),
+        (f"scan: {{axes: [{_AXIS}, {{name: h_f, min: 1, max: two, steps: 2}}]}}",
+         "scan.axes[1].max: expected a number, got 'two'"),
+        ("scan: {axes: [{name: d, min: 2, max: 4, steps: 2.5}]}",
+         "scan.axes[0].steps: expected an integer, got 2.5"),
+        ("scan: {axes: [{name: 7, min: 2, max: 4, steps: 2}]}",
+         "scan.axes[0].name: expected a string, got 7"),
+        ("scan: {axes: [h_f]}", "scan.axes[0]: expected a mapping, got 'h_f'"),
+        ("scan: {axes: h_f}", "scan.axes: expected a list, got 'h_f'"),
+    ])
+    def test_scan_errors_name_their_place(self, text, error):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == error
+
+    def test_scan_is_set_only_through_its_axes(self, tmp_path, capsys):
+        item = f"scan=[{self._AXIS}]"
+        with pytest.raises(ConfigError, match="expected section.key=value"):
+            apply_overrides(RunConfig(), [item])
+        assert main(["scan", "--set", item]) == 2
+        assert capsys.readouterr().err.startswith("config error: --set 'scan=[")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"scan: {{axis: [{self._AXIS}]}}\n")
+        assert main(["scan", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: scan.axis: unknown key\n"
+
+    def test_sweepable_names_types_and_chains(self):
+        # Derived from the annotations of the model, coupling and ladder
+        # sections; the same table as when it was written out by hand.
+        assert config_module.SWEEPABLE == {
+            "h_i": ("model", float, "ising"),
+            "h_f": ("model", float, "ising"),
+            "kappa": ("model", float, "ising"),
+            "v_i": ("model", float, "xx_ring"),
+            "v_f": ("model", float, "xx_ring"),
+            "t": ("model", float, "xx_ring"),
+            "epsilon0": ("coupling", float, None),
+            "g_obs": ("coupling", float, None),
+            "L": ("coupling", int, None),
+            "d": ("ladder", int, None),
+            "g": ("ladder", float, None),
+            "gamma": ("ladder", float, None),
+        }
 
     def test_not_yaml_and_not_mapping(self):
         with pytest.raises(ConfigError):
@@ -1037,6 +1092,19 @@ print(json.dumps([codes, drift]))
             assert main([command, "--set", "ladder.g=0", "--set", f"ladder.d={d}"]) == 3
             header, row = capsys.readouterr().out.splitlines()[2:4]
             assert dict(zip(header.split(","), row.split(",")))["flag"] == "zero_rates"
+
+    def test_zero_ladder_coupling_is_zero_rates_off_the_grid_too(self, capsys):
+        # The library calls and the histogram stop on the row's flag.
+        quench, coupling, ladder = apply_overrides(RunConfig(), ["ladder.g=0"]).point_arrays(
+            {}, 1).point(0)
+        with pytest.raises(ZeroRates, match="both walk rates vanish"):
+            lifetime(quench, coupling, ladder)
+        walk = ladder_rates(transition_rates(quench, coupling), ladder)
+        with pytest.raises(ZeroRates, match="both walk rates vanish"):
+            sample_tick_times(walk, ladder, 10, seed=0)
+        assert main(["clock", "--histogram", "4", "--set", "mc.n_trajectories=10",
+                     "--set", "ladder.g=0"]) == 3
+        assert capsys.readouterr().err == "domain error: both walk rates vanish\n"
 
     def test_json_format(self, capsys):
         assert main(["rates", "--format", "json",

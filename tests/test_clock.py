@@ -222,6 +222,16 @@ class TestFirstPassage:
         with pytest.raises(NotReachable):
             solve_first_passage(LadderRates(p_up=0.0, p_down=1.0), lad)
 
+    def test_vanishing_walk_rates_are_zero_rates(self):
+        # As in clock_metrics, before the reachability checks, in both twins.
+        lad = LadderSpec(d=3, epsilon_w=1.0, g=0.0)
+        with pytest.raises(ZeroRates, match="both walk rates vanish"):
+            solve_first_passage(LadderRates(p_up=0.0, p_down=0.0), lad)
+        _, raises = clock.first_passage_array(np.zeros(2), np.array([0.0, 1.0]),
+                                              np.full(2, np.nan), np.array([3, 3]))
+        assert [(error, rows.tolist()) for error, rows in raises] == [
+            (ZeroRates, [True, False]), (NotReachable, [True, True])]
+
     @staticmethod
     def _exact_moments(p_up, p_down, gamma, d):
         # Q m = -1 and Q s = -2 m on the tridiagonal generator restricted
