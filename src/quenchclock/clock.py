@@ -511,17 +511,28 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     if q == 0.0:
         # A walk that only climbs: the matrix is bidiagonal.
         return np.sort(np.append(np.full(d - 1, a, dtype=float), gamma))
-    # In units of a: rates r = lambda/a, and rho sigma = 1 - u.
+    # In units of a: rates r = lambda/a, and rho sigma = 1 - u.  Once u =
+    # gamma/a = m 2**u_exp, m in [1/2, 1), exceeds 1, chi's argument, which
+    # grows like u, and its slope constants, like u**2, are taken in units
+    # of c = 2**-u_exp, and so is a top stage above the band: an exact
+    # scaling that keeps them in the double range whatever the ratio.
     floor, floor_lo, width, width_lo, rho, one_minus_rho = _band_constants(a, q)
-    u = gamma / a
-    sigma = (1.0 - u) / rho
+    u, u_exp = gamma / a, 0
+    if u > 1.0:
+        # From the exponents of gamma and a, as the ratio may overflow.
+        mg, eg = math.frexp(gamma)
+        ma, ea = math.frexp(a)
+        u, u_exp = math.frexp(mg / ma)
+        u_exp += eg - ea
+    c = math.ldexp(1.0, -u_exp)
+    sigma = (c - u) / rho  # sigma c
     # The coefficients (1-rho)(1-sigma) and 2 (1 + rho sigma) of chi's
     # argument, and (1-rho)(1-sigma) u/d and 2 (rho + sigma) u/d of its slope.
-    k0 = one_minus_rho * (1.0 - sigma)
-    k = (k0, 2.0 * (2.0 - u), k0 * u / d, 2.0 * (rho + sigma) * u / d)
+    k0 = one_minus_rho * (c - sigma)
+    k = (k0, 2.0 * (2.0 * c - u), k0 * u / d, 2.0 * (rho * c + sigma) * u / d)
     # The boundary equation over sin(phi) at phi = pi: with this sign its
     # last root lies below pi, in the band; else one lies above the band.
-    top_in_band = d * (1.0 + rho) * (1.0 + sigma) + u > 0.0
+    top_in_band = d * (1.0 + rho) * (c + sigma) + u > 0.0
     m = np.arange(2.0, d + top_in_band)
     mpi = m * _PI_HEAD + m * _PI_TAIL
     t = np.empty(m.size)
@@ -538,12 +549,18 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
                 break
         t[:d - 2] = inner
     r = np.empty(d)
+    top_exp = 0  # r[-1] is the top rate over a 2**top_exp
     if top_in_band:
         t[-1] = _bracketed_root(
             lambda x: _phase(x, mpi[-1], d, u, k, math.sin, math.atan2),
             0.0, math.pi, 0.5 * math.pi)
     else:
-        r[-1] = 1.0 + rho * rho + rho * _bound_state(rho, -sigma, d)
+        # w + 1/w of the bound state is -sigma to rounding from -sigma =
+        # 2**54 on, the exact limit of the root.
+        s = -sigma
+        bound = s if s >= 2.0**54 * c else c * _bound_state(rho, s / c, d)
+        r[-1] = c * (1.0 + rho * rho) + rho * bound
+        top_exp = u_exp
     s2 = np.sin((mpi - t) / (2 * d)) ** 2
     r[1:1 + t.size] = (floor + width * s2) + (floor_lo + width_lo * s2)
     # The determinant: r_0 = u / prod(r_1 .. r_{d-1}), over mantissas and
@@ -551,12 +568,14 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     # range nor loses digits however far the rates spread.
     mant, expo = np.frexp(r[1:])
     low, shift = math.frexp(u)
-    shift -= int(expo.sum())
+    shift += u_exp - top_exp - int(expo.sum())
     for start in range(0, d - 1, _PROD_CHUNK):
         low, e = math.frexp(low / float(mant[start:start + _PROD_CHUNK].prod()))
         shift += e
     r[0] = math.ldexp(low, shift)
-    return a * r
+    rates = a * r
+    rates[-1] = np.ldexp(rates[-1], top_exp)
+    return rates
 
 
 def _band_constants(a, q):

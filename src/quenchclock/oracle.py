@@ -38,7 +38,6 @@ from .errors import BadBroadening, TooLarge
 from .rates import QubitCoupling, transition_rates
 from .spectra import (
     ModelKind,
-    ModelSpec,
     QuenchSpec,
     _check_gapped,
     _components,
@@ -74,18 +73,6 @@ class OracleReport:
     convergence_table: tuple[ConvergenceRow, ...]
 
 
-def _eta_cap(model: ModelSpec) -> float:
-    # A tenth of the pair band's width.
-    lo, hi = band_edges(model)
-    return (2.0 * hi - 2.0 * lo) / 10.0
-
-
-def _check_eta(eta: float, cap: float) -> None:
-    if not (math.isfinite(eta) and 0.0 < eta < cap):
-        raise BadBroadening(
-            f"eta={eta!r} outside (0, bandwidth/10) = (0, {cap:.6g})")
-
-
 def _check_settings(L: int) -> None:
     """The rule on a chain size, which holds at any point."""
     if L % 2 or L < 64:
@@ -107,8 +94,8 @@ class _RungGrid(NamedTuple):
     counts: tuple[int, ...]  # modes per rung
 
 
-# Distinct rung sets a process keeps; one entry at the default rungs
-# (512, 2048, 4096) holds about 145 KiB.
+# Chain sizes L whose rung grids a process keeps (the rungs follow from
+# L); one entry at L = 4096, rungs (512, 2048, 4096), holds about 145 KiB.
 _GRID_MEMO = 8
 
 
@@ -187,17 +174,6 @@ def _density(eta, omega, E, lo, hi):
     return val
 
 
-def _default_convergence(L: int, eta: float, cap: float) -> tuple[tuple[int, float], ...]:
-    rungs = []
-    for div, factor in ((8, 10.0), (2, math.sqrt(10.0))):
-        L_r = max(64, L // div)
-        L_r += L_r % 2
-        eta_r = max(eta, min(eta * factor, 0.999 * cap))
-        rungs.append((L_r, eta_r))
-    rungs.append((L, eta))
-    return tuple(rungs)
-
-
 def _rel(value: float, ref: float) -> float:
     if ref == 0.0:
         return 0.0 if value == 0.0 else math.inf
@@ -205,31 +181,35 @@ def _rel(value: float, ref: float) -> float:
 
 
 def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
-                   eta: float,
-                   convergence: tuple[tuple[int, float], ...] | None = None,
-                   ) -> OracleReport:
+                   eta: float) -> OracleReport:
     """Finite-chain mode-sum rates with a refinement table.
 
     Each rung evaluates the discrete sums for a chain of the given size
     and compares them against the closed forms at that same size, so the
-    reported errors are pure quadrature errors.  The last rung is
-    ``(L, eta)``; the default two coarser rungs shrink the chain and
-    widen the kernel, giving a monotone refinement path.  All rungs'
-    modes are summed in one pass, and the closed forms are evaluated
-    once: they depend on the chain size only through the ``1/L`` of
-    their prefactor.
+    reported errors are pure quadrature errors.  The rungs follow from
+    ``(L, eta)``: chains of ``max(64, L//8)`` and ``max(64, L//2)`` sites,
+    each rounded up to even, with widths ``max(eta, min(f eta, 0.999
+    cap))`` for ``f = 10`` and ``sqrt(10)``, where ``cap`` is a tenth of
+    the pair band's width, then ``(L, eta)`` itself: a monotone refinement
+    path.  All rungs' modes are summed in one pass, and the closed forms
+    are evaluated once: they depend on the chain size only through the
+    ``1/L`` of their prefactor.
 
     Raises :class:`BadBroadening` for ``eta`` outside
-    ``(0, bandwidth/10)``; domain failures of the closed forms (no
-    resonance, degenerate root, gapless mode) propagate unchanged.
+    ``(0, bandwidth/10)`` and :class:`ValueError` for an odd ``L`` or one
+    below 64; domain failures of the closed forms (no resonance,
+    degenerate root, gapless mode) propagate unchanged.
     """
     _check_settings(L)
-    cap = _eta_cap(quench.final)
-    _check_eta(eta, cap)
-    rungs = convergence if convergence is not None else _default_convergence(L, eta, cap)
-    for L_r, eta_r in rungs:
-        _check_settings(L_r)
-        _check_eta(eta_r, cap)
+    band_lo, band_hi = band_edges(quench.final)
+    cap = (2.0 * band_hi - 2.0 * band_lo) / 10.0
+    if not (math.isfinite(eta) and 0.0 < eta < cap):
+        raise BadBroadening(f"eta={eta!r} outside (0, bandwidth/10) = (0, {cap:.6g})")
+    rungs = []
+    for div, factor in ((8, 10.0), (2, math.sqrt(10.0))):
+        L_r = max(64, L // div)
+        rungs.append((L_r + L_r % 2, max(eta, min(eta * factor, 0.999 * cap))))
+    rungs.append((L, eta))
     sizes = [L_r for L_r, _ in rungs]
     E, lo, hi, weight, n_k, counts = _rung_modes(quench, sizes)
     eta_k = np.array([eta_r for _, eta_r in rungs]).repeat(counts)
@@ -242,7 +222,7 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
         quench, QubitCoupling(coupling.epsilon0, coupling.g_obs, L_ref))
     rows = []
     for (L_r, eta_r), up, down in zip(rungs, ups.tolist(), downs.tolist()):
-        pref = 4.0 * coupling.g_obs**2 / (math.pi * L_r)
+        pref = 4.0 * (coupling.g_obs * coupling.g_obs) / (math.pi * L_r)
         up, down = pref * up, pref * down
         scale = L_ref / L_r
         rows.append(ConvergenceRow(
@@ -258,58 +238,47 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
 # --- dense many-body cross-check ---------------------------------------
 
 
-def _bits(states: np.ndarray, L: int) -> np.ndarray:
-    return (states[:, None] >> np.arange(L)) & 1
+def _bits(L: int) -> np.ndarray:
+    """Row ``s``: the ``L`` bits of basis state ``s``, lowest first."""
+    return (np.arange(1 << L)[:, None] >> np.arange(L)) & 1
+
+
+def _add_bond_flips(mat: np.ndarray, bits: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """Add to ``mat``, for each bond ``(j, j+1)`` of the ring, the operator
+    flipping both spins, with amplitude ``amp[b_j, b_{j+1}]`` set by the
+    two bits of the state it acts on."""
+    L = bits.shape[1]
+    s = np.arange(len(mat))
+    for j in range(L):
+        l = (j + 1) % L
+        np.add.at(mat, (s ^ ((1 << j) | (1 << l)), s), amp[bits[:, j], bits[:, l]])
+    return mat
 
 
 def _dense_ising(L: int, h: float, kappa: float) -> np.ndarray:
     """Transverse-field chain on ``L`` spins, periodic, real symmetric."""
-    dim = 1 << L
-    s = np.arange(dim)
-    bits = _bits(s, L)
-    ham = np.zeros((dim, dim))
-    ham[s, s] = -h * (L - 2.0 * bits.sum(axis=1))
+    bits = _bits(L)
     jx = (1.0 + kappa) / 2.0
     jy = (1.0 - kappa) / 2.0
-    for j in range(L):
-        l = (j + 1) % L
-        flipped = s ^ ((1 << j) | (1 << l))
-        parity = bits[:, j] ^ bits[:, l]  # (-1)**(b_j+b_l) = 1 - 2*parity
-        amp = -jx + jy * (1.0 - 2.0 * parity)
-        np.add.at(ham, (flipped, s), amp)
-    return ham
+    # -jx XX - jy YY on a bond: YY flips both spins with -(-1)**(b_j + b_l).
+    amp = -jx + jy * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return _add_bond_flips(np.diag(-h * (L - 2.0 * bits.sum(axis=1))), bits, amp)
 
 
 def _dense_xx(L: int, t: float, V: float) -> np.ndarray:
     """Hard-core bosons on an ``L``-site ring with staggered potential."""
-    dim = 1 << L
-    s = np.arange(dim)
-    bits = _bits(s, L)
+    bits = _bits(L)
     stag = ((-1.0) ** np.arange(L) * bits).sum(axis=1)
-    ham = np.zeros((dim, dim))
-    ham[s, s] = V * stag
-    for j in range(L):
-        l = (j + 1) % L
-        movable = bits[:, j] != bits[:, l]
-        target = s[movable] ^ ((1 << j) | (1 << l))
-        np.add.at(ham, (target, s[movable]), t)
-    return ham
+    # A hop moves a particle across the bond: the two bits differ.
+    return _add_bond_flips(np.diag(V * stag), bits, np.array([[0.0, t], [t, 0.0]]))
 
 
 def _dense_xx_current(L: int, t: float) -> np.ndarray:
     """Ĵ = -i t Σ_j (b†_j b_{j+1} - b†_{j+1} b_j), complex Hermitian."""
     dim = 1 << L
-    s = np.arange(dim)
-    bits = _bits(s, L)
-    cur = np.zeros((dim, dim), dtype=complex)
-    for j in range(L):
-        l = (j + 1) % L
-        # b†_j b_l moves a particle from l to j, amplitude -i t.
-        src = s[(bits[:, l] == 1) & (bits[:, j] == 0)]
-        np.add.at(cur, (src ^ ((1 << j) | (1 << l)), src), -1j * t)
-        src = s[(bits[:, j] == 1) & (bits[:, l] == 0)]
-        np.add.at(cur, (src ^ ((1 << j) | (1 << l)), src), 1j * t)
-    return cur
+    # b†_j b_l moves a particle from l to j, amplitude -i t; its partner +i t.
+    amp = np.array([[0.0, -1j * t], [1j * t, 0.0]])
+    return _add_bond_flips(np.zeros((dim, dim), dtype=complex), _bits(L), amp)
 
 
 def _group_starts(energies: np.ndarray) -> np.ndarray:
@@ -342,10 +311,7 @@ def dense_ed_correlator(quench: QuenchSpec, L: int) -> tuple[np.ndarray, np.ndar
     if quench.kind is ModelKind.ISING_XY:
         h_i = _dense_ising(L, quench.initial.h, quench.initial.kappa)
         h_f = _dense_ising(L, quench.final.h, quench.final.kappa)
-        dim = 1 << L
-        s = np.arange(dim)
-        op = np.zeros((dim, dim))
-        op[s, s] = L - 2.0 * _bits(s, L).sum(axis=1)
+        op = np.diag(L - 2.0 * _bits(L).sum(axis=1))
     else:
         if L % 4:
             # At L = 2 mod 4 half filling is odd, so the fermions are periodic.

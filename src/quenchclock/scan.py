@@ -288,7 +288,9 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
                 excluded_roots=rates.excluded_roots)
         lhs, defined, multi = bias_condition_array(pt.initial, pt.final, pt.epsilon0,
                                                    rates)
-        undefined = ~multi & (~defined | (np.abs(chi) <= _BALANCE_TOL * rates.total))
+        # Written so that a nan chi, the difference of two infinite rates, is
+        # undefined too.
+        undefined = ~multi & (~defined | ~(np.abs(chi) > _BALANCE_TOL * rates.total))
         out.flags["multi_root"] |= live & multi
         out.flags["condition_undefined"] |= live & undefined
         out.put(live & ~multi & ~undefined, condition_lhs=lhs)

@@ -406,6 +406,11 @@ _EDGE_ROWS = (
     ["ladder.gamma=0.01", "mc.n_trajectories=20",
      "scan.axes=[{name: d, min: 2, max: 12, steps: 3},"
      " {name: epsilon0, min: 2.2, max: 3.0, steps: 3}]"],
+    # Infinite rates, and so a nan chi_second.
+    ["coupling.g_obs=1e160"],
+    # An emission rate whose square over p_up leaves the double range.
+    ["ladder.gamma=1e160", "mc.n_trajectories=20",
+     "scan.axes=[{name: d, min: 3, max: 133, steps: 3}]"],
 )
 
 
@@ -609,7 +614,7 @@ def _reference_point(config, stages, index, values, sample):
             if cond.multi_root:
                 flags.add("multi_root")
             elif (not cond.defined
-                  or abs(rates.chi_second) <= _BALANCE_TOL * rates.total):
+                  or not abs(rates.chi_second) > _BALANCE_TOL * rates.total):
                 flags.add("condition_undefined")
             else:
                 cells["condition_lhs"] = cond.lhs_per_root[0]
@@ -1124,6 +1129,17 @@ print(json.dumps([codes, drift]))
         assert lines[2] == "L,eta,gamma_up,gamma_down,rel_err_up,rel_err_down"
         assert len(lines) == 6  # two header comments, one title row, 3 rungs
         assert capsys.readouterr().out == ""
+
+    def test_oracle_with_infinite_rates(self, capsys):
+        # g_obs**2 overflows: every rung's rates are inf and their errors
+        # against the infinite closed forms nan.
+        code = main(["oracle", "--set", "oracle.L_oracle=512",
+                     "--set", "coupling.g_obs=1e160"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:] == ["64,0.01,inf,inf,nan,nan",
+                             "256,0.00316227766017,inf,inf,nan,nan",
+                             "512,0.001,inf,inf,nan,nan"]
 
     def test_lifetime_command(self, capsys):
         assert main(["lifetime"]) == 0

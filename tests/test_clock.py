@@ -539,6 +539,21 @@ class TestSampling:
             assert stats.empirical_accuracy == pytest.approx(fp.exact_N, rel=0.05)
             assert stats.empirical_rate == pytest.approx(fp.exact_rate, rel=0.03)
 
+    @pytest.mark.parametrize("decades", [155, 200, 300, 320])
+    @pytest.mark.parametrize("d", [3, 10, 133])
+    def test_top_far_above_the_walk(self, decades, d):
+        # gamma/p_up = 10**decades, from where its square leaves the double
+        # range to beyond the range itself.
+        lr = LadderRates(p_up=1e-20, p_down=4e-21)
+        lad = LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=10.0 ** (decades - 20))
+        fp = solve_first_passage(lr, lad)
+        rates = clock._passage_spectrum(lr.p_up, lr.p_down, lad.Gamma, d)
+        assert np.sum(1.0 / rates) == pytest.approx(fp.mean_tick_time,
+                                                    rel=clock._SPECTRUM_RTOL)
+        times = sample_tick_times(lr, lad, 2000, seed=5)
+        assert np.all(np.isfinite(times)) and np.all(times > 0.0)
+        assert times.mean() == pytest.approx(fp.mean_tick_time, rel=0.1)
+
     @pytest.mark.parametrize("p_up, p_down, gamma, d", SPECTRUM_REGIMES)
     def test_spectrum_matches_first_passage_moments(self, p_up, p_down, gamma, d):
         # Sum of independent Exp(lambda_j): mean sum 1/lambda, variance

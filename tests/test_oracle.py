@@ -112,11 +112,6 @@ class TestDiscreteRates:
         assert (last.L, last.eta) == (512, 5e-3)
         assert rep.relative_error_vs_closed_form == max(last.rel_err_up, last.rel_err_down)
 
-    def test_explicit_convergence_ladder(self):
-        rungs = ((128, 0.05), (512, 0.01))
-        rep = discrete_rates(ISING, COUP, L=512, eta=0.01, convergence=rungs)
-        assert [(r.L, r.eta) for r in rep.convergence_table] == list(rungs)
-
     def test_errors_measured_against_matching_chain(self):
         rep = discrete_rates(ISING, COUP, L=1024, eta=3e-3)
         row = rep.convergence_table[-1]
@@ -193,19 +188,17 @@ def _points(draw, seed, count=50):
     return [draw(rng)[:2] for _ in range(count)]
 
 
-# 94 and 1030 are 2 mod 4, so their last mode sits at k = pi/2; 252 is
-# not a multiple of 8.
-_CUSTOM_RUNGS = ((94, 0.02), (252, 0.01), (1030, 2e-3))
-
-
 class TestAgainstComplexLogModeSum:
     # The ids name the broadening too: the Lorentzian averaged over each cell.
     @pytest.mark.parametrize("draw, seed", [(_draw_chain_point, 11), (_draw_ring_point, 12)],
                              ids=["chain-lorentzian", "ring-lorentzian"])
     def test_every_rung_matches(self, draw, seed):
         for quench, coup in _points(draw, seed):
-            for rungs in (None, _CUSTOM_RUNGS):
-                rep = discrete_rates(quench, coup, L=4096, eta=1e-3, convergence=rungs)
+            # The rungs of 1030 are (128, 516, 1030): the last is 2 mod 4,
+            # so its last mode sits at k = pi/2, and 516 is not a multiple
+            # of 8.
+            for L in (4096, 1030):
+                rep = discrete_rates(quench, coup, L=L, eta=1e-3)
                 table = rep.convergence_table
                 expected = _complex_log_rates(quench, coup, [(r.L, r.eta) for r in table])
                 for row, (up, down, err_up, err_down) in zip(table, expected, strict=True):
@@ -220,13 +213,16 @@ class TestAgainstComplexLogModeSum:
         ring = QuenchSpec.xx_ring(V_i=-1.0, V_f=0.0, t=1.0)
         with pytest.raises(GaplessMode):
             _complex_log_rates(ring, RING_COUP, [(94, 0.02)])
+        # The last rung has the mode: the rungs of 94 are (64, 64, 94), and
+        # those of 510 (64, 256, 510).
+        for L in (94, 510):
+            with pytest.raises(GaplessMode):
+                discrete_rates(ring, RING_COUP, L=L, eta=0.02)
+        # Only the middle rung has it: the rungs of 1028 are (128, 514, 1028).
         with pytest.raises(GaplessMode):
-            discrete_rates(ring, RING_COUP, L=96, eta=0.02,
-                           convergence=((96, 0.02), (94, 0.02)))
-        with pytest.raises(GaplessMode):
-            discrete_rates(ring, RING_COUP, L=94, eta=0.02, convergence=((94, 0.02),))
-        # L = 96 has no mode at pi/2.
-        discrete_rates(ring, RING_COUP, L=96, eta=0.02, convergence=((96, 0.02),))
+            discrete_rates(ring, RING_COUP, L=1028, eta=0.02)
+        # No rung of 96, (64, 64, 96), has a mode at pi/2.
+        discrete_rates(ring, RING_COUP, L=96, eta=0.02)
 
 
 
@@ -310,21 +306,23 @@ class TestRungGridMemo:
         assert _rung_grid.cache_info().hits == 1
 
     def test_warm_memo_still_raises(self):
+        # Grids a gapped ring left in the memo still refuse a gapless one:
+        # at the last rung (94, 510) or at the middle one only (1028).
         gapless = QuenchSpec.xx_ring(V_i=-1.0, V_f=0.0, t=1.0)
-        rungs = ((94, 0.02), (510, 0.01))
         for _ in range(2):
-            discrete_rates(RING, RING_COUP, L=510, eta=0.01, convergence=rungs)
-            with pytest.raises(GaplessMode):
-                discrete_rates(gapless, RING_COUP, L=510, eta=0.01, convergence=rungs)
-            with pytest.raises(GaplessMode):
-                discrete_rates(gapless, RING_COUP, L=94, eta=0.02, convergence=((94, 0.02),))
+            for L in (94, 510, 1028):
+                discrete_rates(RING, RING_COUP, L=L, eta=0.01)
+                with pytest.raises(GaplessMode):
+                    discrete_rates(gapless, RING_COUP, L=L, eta=0.01)
+            discrete_rates(gapless, RING_COUP, L=96, eta=0.01)
 
 
-# Every ConvergenceRow field of discrete_rates, recorded before the mode
-# sums shared one cos and one sin per momentum, at two chain and two ring
-# points drawn as _draw_*_point draws them.  Keys are (point, rungs);
-# rows are (L, eta, gamma_up, gamma_down, rel_err_up,
-# rel_err_down), and every float literal is the recorded repr.
+# Every ConvergenceRow field of discrete_rates at two chain and two ring
+# points drawn as _draw_*_point draws them: rungs 0 recorded before the
+# mode sums shared one cos and one sin per momentum, rungs 1 before the
+# rungs came to follow from (L, eta) alone, each through this same call.
+# Keys are (point, rungs); rows are (L, eta, gamma_up, gamma_down,
+# rel_err_up, rel_err_down), and every float literal is the recorded repr.
 _ANCHOR_POINTS = (
     (QuenchSpec.ising(0.6538580381869649, 1.403855201524476, 0.9263358498019613),
      4.639605624604286),
@@ -345,10 +343,10 @@ _ANCHORS = {
          0.00014629925415998802, 0.0014396346122523597),
     ),
     (0, 1): (
-        (94, 0.02, 1.9061520176453118e-06, 1.3904051891499616e-05,
-         0.037655374580318035, 0.007926018466172231),
-        (510, 0.008, 3.4006153309075084e-07, 2.575618674814976e-06,
-         0.004373944341416866, 0.0029278915333094176),
+        (128, 0.04, 1.3461853685061242e-06, 1.0144510203799093e-05,
+         0.0021101878998487584, 0.014365539435117841),
+        (516, 0.012649110640673518, 3.359101575309088e-07, 2.5414248511120895e-06,
+         0.0037847453342483408, 0.004590456497096366),
         (1030, 0.004, 1.6756924740395439e-07, 1.2772128339481345e-06,
          0.0004620290227793496, 0.001437333742682043),
     ),
@@ -361,10 +359,10 @@ _ANCHORS = {
          0.0023059015660084913, 6.216352118537614e-05),
     ),
     (1, 1): (
-        (94, 0.02, 3.638683355882148e-06, 2.432040566315389e-06,
-         0.019321228967283017, 0.017235780908694223),
-        (510, 0.008, 6.809381916457401e-07, 4.402990825938353e-07,
-         0.004290787189439362, 0.0008264790080440225),
+        (128, 0.04, 2.6834968564252692e-06, 1.7241811380451584e-06,
+         0.015159915278292697, 0.017990206358474682),
+        (516, 0.012649110640673518, 6.71885556759794e-07, 4.341546349824216e-07,
+         0.005969607220296553, 0.003179173382190155),
         (1030, 0.004, 3.380637158923873e-07, 2.178442926469552e-07,
          0.001632484163905973, 0.001595865965287198),
     ),
@@ -377,10 +375,10 @@ _ANCHORS = {
          0.00614901715920801, 0.0025271154663931176),
     ),
     (2, 1): (
-        (94, 0.02, 2.4763119061926656e-07, 6.6852808448005416e-06,
-         0.0448404000573846, 0.02333965724403666),
-        (510, 0.008, 4.429034208077048e-08, 1.2117642099440697e-06,
-         0.013901972935936176, 0.006376743091887196),
+        (128, 0.04, 1.851899628689835e-07, 4.933015125232384e-06,
+         0.06400623202976968, 0.02824051306912138),
+        (516, 0.012649110640673518, 4.4057817026724413e-08, 1.2006640523846402e-06,
+         0.020444605166765006, 0.008889272698118964),
         (1030, 0.004, 2.1779396632860283e-08, 5.980845528179438e-07,
          0.006931265918646675, 0.0031643844953597776),
     ),
@@ -393,26 +391,26 @@ _ANCHORS = {
          0.03046223614798299, 0.000784451336256121),
     ),
     (3, 1): (
-        (94, 0.02, 5.784754370312543e-07, 3.070967402658648e-06,
-         0.08519024413081154, 0.03290825173972226),
-        (510, 0.008, 1.0436023858571522e-07, 5.865693846659661e-07,
-         0.06218054783995894, 0.002199508278953116),
+        (128, 0.04, 5.161738515268622e-07, 2.364078345187971e-06,
+         0.3185575023530385, 0.01376303645539655),
+        (516, 0.012649110640673518, 1.0641566821636625e-07, 5.797847668147101e-07,
+         0.09584311256403412, 0.0022616653283048815),
         (1030, 0.004, 5.016947111620986e-08, 2.9014361878307235e-07,
          0.03126398668320091, 0.0011862249679845207),
     ),
 }
-# Rungs 0: the default rungs of (L, eta) = (1024, 4e-3); rungs 1: custom
-# rungs with L % 4 = 2, whose last mode sits at pi/2.
-_ANCHOR_RUNGS = ((1024, None), (1030, ((94, 0.02), (510, 0.008), (1030, 0.004))))
+# Rungs 0: those of (L, eta) = (1024, 4e-3); rungs 1: those of (1030,
+# 4e-3), whose last mode sits at pi/2 and whose middle chain, 516, is not
+# a multiple of 8.
+_ANCHOR_L = (1024, 1030)
 
 
 @pytest.mark.parametrize("point, rungs", [
     pytest.param(point, rungs, id=f"{point}-{rungs}-lorentzian") for point, rungs in _ANCHORS])
 def test_convergence_rows_match_frozen_anchors(point, rungs):
     quench, epsilon0 = _ANCHOR_POINTS[point]
-    L, convergence = _ANCHOR_RUNGS[rungs]
-    rep = discrete_rates(quench, QubitCoupling(epsilon0, 0.1, 512), L=L, eta=4e-3,
-                         convergence=convergence)
+    rep = discrete_rates(quench, QubitCoupling(epsilon0, 0.1, 512), L=_ANCHOR_L[rungs],
+                         eta=4e-3)
     fields = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")
     got = [tuple(repr(getattr(row, f)) for f in fields) for row in rep.convergence_table]
     assert got == [tuple(map(repr, row)) for row in _ANCHORS[point, rungs]]
