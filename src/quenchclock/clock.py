@@ -31,7 +31,10 @@ is a prefix of any larger one.
 
 The ``*_array`` functions are the array twins the grid scan uses; each
 shares its arithmetic with its scalar twin and reports the errors that
-twin would raise as :data:`~quenchclock.errors.Raises`.
+twin would raise as :data:`~quenchclock.errors.Raises`.  The two twins
+of :func:`clock_metrics` evaluate one float64 expression per figure of
+merit, without branches: IEEE arithmetic gives its limits, an infinite
+entropy where a rate vanishes and a nan TUR ratio on a balanced walk.
 """
 
 from __future__ import annotations
@@ -181,54 +184,26 @@ def clock_metrics(lr: LadderRates, d: int) -> ClockMetrics:
     p_up, p_down = float(lr.p_up), float(lr.p_down)
     if not p_up + p_down > 0.0:
         raise ZeroRates("both walk rates vanish")
-    nu, acc, rel = map(float, _bias_terms(p_up, p_down, d))
-    # The branches of clock_metrics_array, on floats.
-    if p_down == 0.0:
-        entropy = math.inf
-    elif p_up / p_down > 0.0:
-        entropy = float(_entropy(p_up, p_down, d))
-    else:
-        # p_up = 0 or an underflowed ratio (log 0), or rates of opposite sign.
-        entropy = -math.inf if p_up / p_down == 0.0 else math.nan
-    if entropy == 0.0:
-        tur = math.nan
-    elif math.isinf(entropy):
-        tur = 0.0 if math.isfinite(acc) else math.nan
-    else:
-        tur = _tur(acc, entropy)
-    return ClockMetrics(nu_tick=nu, accuracy_N=acc, entropy_per_tick=entropy,
-                        relative_bias=rel, tur_ratio=tur)
+    return ClockMetrics(*map(float, _metrics(np.float64(p_up), np.float64(p_down), d)))
 
 
-def _bias_terms(p_up, p_down, d):
-    # nu_tick, accuracy_N and relative_bias of walk rates (scalars or arrays).
-    rel = (p_up - p_down) / (p_up + p_down)
-    return (p_up - p_down) / d, d * rel, rel
-
-
-def _entropy(p_up, p_down, d):
-    return d * np.log(p_up / p_down)
-
-
-def _tur(acc, entropy):
-    return 2.0 * acc / entropy
+def _metrics(p_up, p_down, d):
+    # nu_tick, accuracy_N, entropy_per_tick, relative_bias and tur_ratio of
+    # float64 walk rates (numpy scalars or arrays).  IEEE arithmetic gives
+    # the limits: a vanishing rate or ratio makes the entropy infinite and
+    # the TUR ratio 0, and a balanced walk makes the TUR ratio 0/0, nan.
+    with np.errstate(all="ignore"):
+        rel = (p_up - p_down) / (p_up + p_down)
+        acc = d * rel
+        entropy = d * np.log(p_up / p_down)
+        return (p_up - p_down) / d, acc, entropy, rel, 2.0 * acc / entropy
 
 
 def clock_metrics_array(p_up, p_down, d) -> tuple[ClockMetrics, Raises]:
     """Array twin of :func:`clock_metrics` over rows with ``d >= 2``."""
     p_up = np.asarray(p_up, dtype=float)
     p_down = np.asarray(p_down, dtype=float)
-    with np.errstate(all="ignore"):
-        nu, acc, rel = _bias_terms(p_up, p_down, d)
-        # A vanishing rate makes the entropy infinite and the TUR ratio 0.
-        entropy = np.where(p_down == 0.0, np.inf, np.where(
-            p_up == 0.0, -np.inf, _entropy(p_up, p_down, d)))
-        tur = np.where(entropy == 0.0, np.nan, np.where(
-            np.isinf(entropy), np.where(np.isfinite(acc), 0.0, np.nan),
-            _tur(acc, entropy)))
-    metrics = ClockMetrics(nu_tick=nu, accuracy_N=acc, entropy_per_tick=entropy,
-                           relative_bias=rel, tur_ratio=tur)
-    return metrics, ((ZeroRates, ~(p_up + p_down > 0.0)),)
+    return ClockMetrics(*_metrics(p_up, p_down, d)), ((ZeroRates, ~(p_up + p_down > 0.0)),)
 
 
 def resolve_gamma(ladder: LadderSpec, lr: LadderRates) -> float:
@@ -441,7 +416,8 @@ def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
     the ladder leaves it None.
 
     One loop over the levels up to ``max(d)`` runs the recursion on
-    every row at once; row ``i`` stops at its own ``d[i]``.
+    every row at once; the moments of row ``i`` add up its first
+    ``d[i]`` levels, and its recursion runs on past them unread.
     """
     with np.errstate(all="ignore"):
         gamma = np.where(np.isnan(Gamma), _default_gamma(p_up, p_down, d), Gamma)
@@ -449,10 +425,8 @@ def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
         for k in range(int(np.max(d, initial=0))):
             a = np.where(k == d - 1, gamma, p_up)
             q = p_down if k > 0 else 0.0
-            m_next, s_next = _passage_step(a, q, m, s)
+            m, s = _passage_step(a, q, m, s)
             level = k < d
-            m = np.where(level, m_next, m)
-            s = np.where(level, s_next, s)
             mean = np.where(level, mean + m, mean)
             var = np.where(level, var + (s - m * m), var)
         exact_N = np.where(var > 0.0, mean * mean / var, np.nan)

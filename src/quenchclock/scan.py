@@ -284,7 +284,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
         live = out.live.copy()
         out.put(live, gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
                 chi_second=chi,
-                verdict=np.where(rates.gamma_up > rates.gamma_down, "active", "passive"),
+                verdict=np.select([chi < 0.0, chi >= 0.0], ["active", "passive"], ""),
                 excluded_roots=rates.excluded_roots)
         lhs, defined, multi = bias_condition_array(pt.initial, pt.final, pt.epsilon0,
                                                    rates)

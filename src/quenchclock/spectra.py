@@ -27,6 +27,7 @@ Two models are supported:
 
 Every mode quantity comes from one path: ``cos k`` and ``sin k`` give
 the pair components ``(x, y)``, which give the energy and the angle.
+The chain's band edges take the same path at their candidate ``cos k``.
 
 Units: ``hbar = k_B = 1`` everywhere.
 
@@ -324,21 +325,24 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
 
     With ``reduced=True`` the transverse-field chain is restricted to
     ``cos k >= 0``, the domain the rate integrals live on; the ring's
-    zone is already reduced.
+    zone is already reduced.  The chain's candidates, the zone ends and
+    the stationary ``cos k``, go through the dispersion's own
+    :func:`_components` and :func:`_energy`, so they overflow to inf as
+    the band does, and ``sin k`` is exactly 0 at the zone ends.
     """
     if model.kind is ModelKind.XX_RING:
         lo = abs(model.V)
         hi = math.hypot(2.0 * model.t, model.V)
         return lo, hi
-    h, kap = model.h, model.kappa
     us = [1.0, 0.0 if reduced else -1.0]
-    a = 1.0 - kap**2
+    a = 1.0 - model.kappa * model.kappa
     if abs(a) > 1e-12:
-        u_star = h / a
+        u_star = model.h / a
         lo_u = 0.0 if reduced else -1.0
         if lo_u < u_star < 1.0:
             us.append(u_star)
-    vals = [2.0 * math.sqrt((h - u) ** 2 + kap**2 * (1.0 - u**2)) for u in us]
+    vals = [float(_energy(model, *_components(model, u, math.sqrt(1.0 - u * u))))
+            for u in us]
     return min(vals), max(vals)
 
 
@@ -355,7 +359,10 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
         return ()
     us: list[float] = []
     if model.kind is ModelKind.XX_RING:
-        c2 = (eps * eps - model.V * model.V) / (4.0 * (model.t * model.t))
+        # numpy's division, as in energy_roots_array: where t*t underflows
+        # to 0 it gives inf or nan, and no root.
+        with np.errstate(all="ignore"):
+            c2 = np.divide(eps * eps - model.V * model.V, 4.0 * (model.t * model.t))
         if -1e-14 <= c2 <= 1.0 + 1e-12:
             us.append(math.sqrt(min(max(c2, 0.0), 1.0)))
     else:

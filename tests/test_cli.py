@@ -53,8 +53,10 @@ from quenchclock import (
     write_csv,
     write_json,
 )
-from quenchclock.battery import check_pumping, check_rung
+from quenchclock.battery import check_pumping, check_rung, lifetime_report_array
+from quenchclock.clock import clock_metrics_array, first_passage_array, ladder_rates_array
 from quenchclock.cli import _histogram_table, main
+from quenchclock.rates import transition_rates_array
 from quenchclock.scan import _BALANCE_TOL, _COMMANDS, _MC_COLS, FLAG_PRIORITY, oracle_table
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -587,6 +589,11 @@ def _reference_specs(config, values):
     return quench, coupling, ladder
 
 
+def _verdict(chi):
+    # Below 0 active, at or above 0 passive, and none where chi is nan.
+    return "active" if chi < 0.0 else "passive" if chi >= 0.0 else ""
+
+
 def _reference_point(config, stages, index, values, sample):
     """Cells and flags of one grid point, from the public scalar functions."""
     cells, flags, live = {}, set(), set(stages)
@@ -608,7 +615,7 @@ def _reference_point(config, stages, index, values, sample):
             live.discard("rates")
             cells.update(gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
                          chi_second=rates.chi_second,
-                         verdict="active" if rates.is_active else "passive",
+                         verdict=_verdict(rates.chi_second),
                          excluded_roots=rates.excluded_roots)
             cond = bias_condition(quench, coupling.epsilon0)
             if cond.multi_root:
@@ -732,14 +739,20 @@ class TestColumnarScan:
                 assert pt.point(i) == want and valid[i]
 
 
-def _clock_run(sets: list[str]) -> tuple[int, list[str], list[dict[str, str]]]:
-    """Exit code, columns and text cells of one in-process ``clock`` run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["clock", *(arg for item in sets for arg in ("--set", item))])
+def _cli_run(args: list[str], sets: list[str]) -> tuple[int, str, list[dict[str, str]]]:
+    """Exit code, stderr and text cells of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*args, *(arg for item in sets for arg in ("--set", item))])
     lines = out.getvalue().splitlines()[2:]
     columns = lines[0].split(",") if lines else []
-    return code, columns, [dict(zip(columns, line.split(","))) for line in lines[1:]]
+    return code, err.getvalue(), [dict(zip(columns, line.split(","))) for line in lines[1:]]
+
+
+def _clock_run(sets: list[str]) -> tuple[int, list[str], list[dict[str, str]]]:
+    """Exit code, columns and text cells of one in-process ``clock`` run."""
+    code, _, rows = _cli_run(["clock"], sets)
+    return code, list(rows[0]) if rows else [], rows
 
 
 @st.composite
@@ -801,6 +814,135 @@ class TestSamplingRule:
             _, _, rows = _clock_run(["model.h_f=1.5", f"ladder.gamma={gamma}", _PINNED_GRID])
             drift = {(float(r["p_up"]) > float(r["p_down"]), r["flag"]) for r in rows}
             assert want <= drift, gamma
+
+
+# Keys and values of the whole-range draws: each float key log-uniform
+# over 1e-300..1e300 or 1e-8..1e8, or uniform over 0..5.
+_WIDE_MODEL_KEYS = {"ising": ("h_i", "h_f", "kappa"), "xx_ring": ("v_i", "v_f", "t")}
+_WIDE_L = (2, 4, 64, 512, 10**6, 10**12)
+_WIDE_D = (2, 3, 10, 50)
+_WIDE_FLOATS = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+                         st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
+                         st.floats(0.0, 5.0))
+# Points found at the ends of the double range; the draws reshuffle
+# whenever the library changes (see conftest.py), these do not.
+_WIDE_PINS = (
+    # kappa**2 overflows in the band edges of the NoResonance message.
+    ["model.kappa=1e160"],
+    # 4 t**2 underflows to 0 in the ring's root equation.
+    ["model.kind=xx_ring", "model.t=1e-170"],
+    # Both rates are inf, and chi_second nan.
+    ["coupling.g_obs=1e160"],
+)
+# Flags of a rates row on which the oracle stops with a domain error.
+_ORACLE_STOPS = {"invalid", "gapless", "no_resonance", "van_hove"}
+
+
+@st.composite
+def wide_points(draw):
+    """``--set`` assignments of one point drawn from the whole double range."""
+    kind = draw(st.sampled_from(sorted(_WIDE_MODEL_KEYS)))
+    sets = [f"model.kind={kind}", f"coupling.L={draw(st.sampled_from(_WIDE_L))}",
+            f"ladder.d={draw(st.sampled_from(_WIDE_D))}"]
+    for key in (*(f"model.{name}" for name in _WIDE_MODEL_KEYS[kind]),
+                "coupling.epsilon0", "coupling.g_obs", "ladder.g"):
+        sets.append(f"{key}={draw(_WIDE_FLOATS)!r}")
+    gamma = draw(st.none() | _WIDE_FLOATS)
+    if gamma is not None:
+        sets.append(f"ladder.gamma={gamma!r}")
+    return sets
+
+
+def _with_wide_pins(test):
+    for sets in _WIDE_PINS:
+        test = example(sets)(test)
+    return test
+
+
+def _first_raise(raises):
+    """The error class the scalar twin raises at the one row of ``raises``."""
+    return next((error for error, rows in raises if np.any(rows)), None)
+
+
+def _assert_twin(call, raises, values):
+    """``call()`` raises exactly the class ``raises`` names for the one row,
+    or returns an object whose attributes equal ``values``, one-row arrays."""
+    error = _first_raise(raises)
+    if error is not None:
+        with pytest.raises(error) as got:
+            call()
+        assert got.type is error
+        return
+    result = call()
+    for name, want in values.items():
+        have, want = getattr(result, name), want.item()
+        assert have == want or (math.isnan(have) and math.isnan(want)), (name, have, want)
+
+
+class TestWholeDoubleRange:
+    """Both twins fail the same way at every point of the double range."""
+
+    @given(wide_points())
+    @_with_wide_pins
+    @settings(max_examples=40, deadline=None)
+    def test_every_command_exits_as_its_rows_are_flagged(self, sets):
+        runs = {command: _cli_run(args, sets) for command, args in (
+            ("rates", ["rates"]), ("lifetime", ["lifetime"]), ("scan", ["scan"]),
+            ("clock", ["clock", "--set", "mc.n_trajectories=12"]),
+            ("histogram", ["clock", "--histogram", "3", "--set", "mc.n_trajectories=12"]),
+            ("oracle", ["oracle", "--set", "oracle.L_oracle=64"]))}
+        for command, (code, err, rows) in runs.items():
+            assert code in (0, 2, 3), (command, err)
+            assert code != 3 or rows or err.startswith("domain error: "), (command, err)
+            for row in rows if command != "oracle" else ():
+                bad = [name for name, cell in row.items()
+                       if cell in ("nan", "inf", "-inf")]
+                assert not bad or row.get("flag", "") != "", (command, row)
+        if runs["rates"][0] == 2:
+            assert {code for code, _, _ in runs.values()} == {2}
+            return
+        # The histogram samples where the clock row has its exact columns.
+        clock_row = runs["clock"][2][0]
+        assert (runs["histogram"][0] == 3) == (clock_row["exact_N"] == "nan"), clock_row
+        if runs["rates"][2][0]["flag"] in _ORACLE_STOPS:
+            assert runs["oracle"][0] == 3
+
+    @given(wide_points())
+    @_with_wide_pins
+    @settings(max_examples=150, deadline=None)
+    # numpy warns where the twins overflow; the results are checked.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scalar_twins_raise_the_row_flag_or_match(self, sets):
+        try:
+            pt = apply_overrides(RunConfig(), sets).point_arrays({}, 1)
+        except ConfigError:
+            return
+        if not pt.valid()[0]:
+            return
+        quench, coupling, ladder = pt.point(0)
+        rates = transition_rates_array(pt.initial, pt.final, pt.epsilon0, pt.g_obs, pt.L)
+        p_up, p_down, walk = ladder_rates_array(rates.gamma_up, rates.gamma_down, pt.g)
+        metrics, zero = clock_metrics_array(p_up, p_down, pt.d)
+        fp, passage = first_passage_array(p_up, p_down, pt.Gamma, pt.d)
+        report = lifetime_report_array(rates, pt.L, fp.mean_tick_time)
+        _assert_twin(lambda: transition_rates(quench, coupling), rates.raises,
+                     {"gamma_up": rates.gamma_up, "gamma_down": rates.gamma_down})
+        pumping = ((PassiveState, rates.chi_second >= 0.0),)
+        _assert_twin(lambda: lifetime(quench, coupling, ladder),
+                     rates.raises + pumping + walk + passage,
+                     {"lifetime": report.lifetime, "mean_tick_time": report.mean_tick_time})
+        _assert_twin(lambda: ladder_rates(transition_rates(quench, coupling), ladder),
+                     rates.raises + walk, {"p_up": p_up, "p_down": p_down})
+        if _first_raise(rates.raises + walk) is not None:
+            return
+        lr = ladder_rates(transition_rates(quench, coupling), ladder)
+        _assert_twin(lambda: clock_metrics(lr, ladder.d), zero,
+                     {name: getattr(metrics, name) for name in (
+                         "nu_tick", "accuracy_N", "entropy_per_tick", "relative_bias",
+                         "tur_ratio")})
+        _assert_twin(lambda: solve_first_passage(lr, ladder), passage,
+                     {name: getattr(fp, name) for name in (
+                         "mean_tick_time", "var_tick_time", "exact_N", "exact_rate")})
 
 
 @pytest.fixture(scope="module")
@@ -1129,6 +1271,12 @@ print(json.dumps([codes, drift]))
         assert lines[2] == "L,eta,gamma_up,gamma_down,rel_err_up,rel_err_down"
         assert len(lines) == 6  # two header comments, one title row, 3 rungs
         assert capsys.readouterr().out == ""
+
+    def test_rates_with_infinite_rates(self, capsys):
+        # chi_second is inf - inf, nan: the row has no verdict and no balance.
+        assert main(["rates", "--set", "coupling.g_obs=1e160"]) == 3
+        assert capsys.readouterr().out.splitlines()[3] == (
+            "inf,inf,nan,,nan,0,condition_undefined")
 
     def test_oracle_with_infinite_rates(self, capsys):
         # g_obs**2 overflows: every rung's rates are inf and their errors

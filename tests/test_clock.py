@@ -127,14 +127,18 @@ class TestMetrics:
 
     def test_scalar_matches_array_twin_bits(self):
         # Random rates, then p_down = 0, p_up = 0, p_up = p_down, a ratio
-        # that underflows to 0 and rates of opposite sign.
+        # that underflows to 0 and rates of opposite sign, then every pair
+        # of the extremes but (0, 0): subnormal, huge and infinite rates.
         rng = np.random.default_rng(23)
+        extremes = [0.0, 5e-324, 1e-300, 1e300, 1.7e308, math.inf]
+        ends = [(u, w) for u in extremes for w in extremes if u or w]
         p_up = np.concatenate([10.0 ** rng.uniform(-6.0, 3.0, 300),
-                               [2.0, 0.0, 1.5, 1e-200, -1.0]])
+                               [2.0, 0.0, 1.5, 1e-200, -1.0], [u for u, _ in ends]])
         p_down = np.concatenate([10.0 ** rng.uniform(-6.0, 3.0, 300),
-                                 [0.0, 2.0, 1.5, 1e200, 2.0]])
+                                 [0.0, 2.0, 1.5, 1e200, 2.0], [w for _, w in ends]])
         d = rng.integers(2, 60, p_up.size)
-        twin, _ = clock.clock_metrics_array(p_up, p_down, d)
+        with np.errstate(over="ignore"):  # the ZeroRates guard adds 1.7e308 twice
+            twin, _ = clock.clock_metrics_array(p_up, p_down, d)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the scalar path stays silent
             scalar = [clock_metrics(LadderRates(p_up=u, p_down=w), int(n))
@@ -144,7 +148,7 @@ class TestMetrics:
             got = [getattr(m, name) for m in scalar]
             assert all(type(v) is type(got[0]) for v in got), name
             assert list(map(repr, got)) == [repr(v) for v in getattr(twin, name).tolist()], name
-        inf_up, inf_down, balanced = scalar[-5:-2]
+        inf_up, inf_down, balanced = scalar[300:303]
         assert (inf_up.entropy_per_tick, inf_up.tur_ratio) == (math.inf, 0.0)
         assert (inf_down.entropy_per_tick, inf_down.tur_ratio) == (-math.inf, 0.0)
         assert balanced.entropy_per_tick == 0.0 and math.isnan(balanced.tur_ratio)
@@ -231,6 +235,38 @@ class TestFirstPassage:
                                               np.full(2, np.nan), np.array([3, 3]))
         assert [(error, rows.tolist()) for error, rows in raises] == [
             (ZeroRates, [True, False]), (NotReachable, [True, True])]
+
+    def test_array_twin_on_rows_of_mixed_depth(self):
+        # One loop runs rows of depth 2 to 60 together, with d = 0 rows as
+        # the scan passes for flagged rows; half the walks are moderate and
+        # half span the double range.
+        rng = np.random.default_rng(26)
+        n = 600
+        decades = np.where(np.arange(n) < n // 2, 3.0, 300.0)
+        p_up = 10.0 ** rng.uniform(-decades, decades)
+        p_down = p_up * 10.0 ** rng.uniform(-2.0, 2.0, n)
+        p_down[::7] = 0.0
+        explicit = rng.random(n) < 0.5
+        gamma = np.where(explicit, p_up * 10.0 ** rng.uniform(-3.0, 3.0, n), np.nan)
+        d = rng.integers(2, 61, n)
+        d[::5] = 0
+        fp, raises = clock.first_passage_array(p_up, p_down, gamma, d)
+        flagged = np.logical_or.reduce([rows for _, rows in raises])
+        returned = 0
+        for i in np.flatnonzero(d).tolist():
+            ladder = LadderSpec(d=int(d[i]), epsilon_w=1.0, g=0.1,
+                                Gamma=float(gamma[i]) if explicit[i] else None)
+            try:
+                want = solve_first_passage(LadderRates(float(p_up[i]), float(p_down[i])),
+                                           ladder)
+            except NotReachable:
+                assert flagged[i], i
+                continue
+            assert not flagged[i], i
+            returned += 1
+            for name in ("mean_tick_time", "var_tick_time", "exact_N", "exact_rate"):
+                assert getattr(fp, name)[i].item().hex() == getattr(want, name).hex(), (i, name)
+        assert returned > n // 2
 
     @staticmethod
     def _exact_moments(p_up, p_down, gamma, d):
