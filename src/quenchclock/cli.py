@@ -125,15 +125,12 @@ def main(argv: list[str] | None = None) -> int:
         # Checked, then ignored: the grid is evaluated in one thread.
         if args.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {args.threads}")
-        # A point at the ends of the double range overflows to inf or nan,
-        # which its table or domain error reports without numpy's warnings.
-        with np.errstate(all="ignore"):
-            if args.command == "oracle":
-                table = oracle_table(config)
-            elif args.command == "clock" and args.histogram is not None:
-                table = _histogram_table(config, args.histogram)
-            else:
-                table = run_scan(config, args.command)
+        if args.command == "oracle":
+            table = oracle_table(config)
+        elif args.command == "clock" and args.histogram is not None:
+            table = _histogram_table(config, args.histogram)
+        else:
+            table = run_scan(config, args.command)
         _emit(render_table(table, config.output), config.output.path)
         return 3 if table.all_flagged else 0
     except ConfigError as exc:

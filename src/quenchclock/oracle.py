@@ -211,12 +211,16 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
         rungs.append((L_r + L_r % 2, max(eta, min(eta * factor, 0.999 * cap))))
     rungs.append((L, eta))
     sizes = [L_r for L_r, _ in rungs]
-    E, lo, hi, weight, n_k, counts = _rung_modes(quench, sizes)
-    eta_k = np.array([eta_r for _, eta_r in rungs]).repeat(counts)
-    base = weight * _density(eta_k, coupling.epsilon0, E, lo, hi)
-    starts = np.cumsum(counts) - counts
-    ups = np.add.reduceat(base * n_k, starts)
-    downs = np.add.reduceat(base * (1.0 - n_k), starts)
+    # At the ends of the double range the mode grid overflows to inf and
+    # nan; the closed forms below then raise their domain error, or the
+    # table carries the non-finite rates, without numpy's warnings.
+    with np.errstate(all="ignore"):
+        E, lo, hi, weight, n_k, counts = _rung_modes(quench, sizes)
+        eta_k = np.array([eta_r for _, eta_r in rungs]).repeat(counts)
+        base = weight * _density(eta_k, coupling.epsilon0, E, lo, hi)
+        starts = np.cumsum(counts) - counts
+        ups = np.add.reduceat(base * n_k, starts)
+        downs = np.add.reduceat(base * (1.0 - n_k), starts)
     L_ref = sizes[-1]
     closed = transition_rates(
         quench, QubitCoupling(coupling.epsilon0, coupling.g_obs, L_ref))

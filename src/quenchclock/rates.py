@@ -102,7 +102,7 @@ class Rates:
     @property
     def is_active(self) -> bool:
         """True when the environment pumps the probe faster than it drains it."""
-        return self.gamma_up > self.gamma_down
+        return self.chi_second < 0.0
 
     @property
     def chi_second(self) -> float:

@@ -346,6 +346,14 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
+def _ring_cos2(model, eps):
+    """``cos**2 k`` at the ring's energy ``eps`` (scalars or arrays), by
+    numpy's division: where ``t*t`` underflows to 0 it is inf or nan,
+    which no root's range admits."""
+    with np.errstate(all="ignore"):
+        return np.divide(eps * eps - model.V * model.V, 4.0 * (model.t * model.t))
+
+
 def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
     """All momenta in the half zone with ``eps_k == eps``.
 
@@ -359,10 +367,7 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
         return ()
     us: list[float] = []
     if model.kind is ModelKind.XX_RING:
-        # numpy's division, as in energy_roots_array: where t*t underflows
-        # to 0 it gives inf or nan, and no root.
-        with np.errstate(all="ignore"):
-            c2 = np.divide(eps * eps - model.V * model.V, 4.0 * (model.t * model.t))
+        c2 = _ring_cos2(model, eps)
         if -1e-14 <= c2 <= 1.0 + 1e-12:
             us.append(math.sqrt(min(max(c2, 0.0), 1.0)))
     else:
@@ -442,7 +447,7 @@ def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
     u = np.full((n, 2), np.nan)
     with np.errstate(all="ignore"):
         if model.kind is ModelKind.XX_RING:
-            c2 = (eps * eps - model.V * model.V) / (4.0 * (model.t * model.t))
+            c2 = _ring_cos2(model, eps)
             hit = (c2 >= -1e-14) & (c2 <= 1.0 + 1e-12)
             u[:, 0] = np.where(hit, np.sqrt(np.clip(c2, 0.0, 1.0)), np.nan)
         else:

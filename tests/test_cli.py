@@ -589,11 +589,6 @@ def _reference_specs(config, values):
     return quench, coupling, ladder
 
 
-def _verdict(chi):
-    # Below 0 active, at or above 0 passive, and none where chi is nan.
-    return "active" if chi < 0.0 else "passive" if chi >= 0.0 else ""
-
-
 def _reference_point(config, stages, index, values, sample):
     """Cells and flags of one grid point, from the public scalar functions."""
     cells, flags, live = {}, set(), set(stages)
@@ -615,7 +610,8 @@ def _reference_point(config, stages, index, values, sample):
             live.discard("rates")
             cells.update(gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
                          chi_second=rates.chi_second,
-                         verdict=_verdict(rates.chi_second),
+                         verdict="" if math.isnan(rates.chi_second)
+                         else "active" if rates.is_active else "passive",
                          excluded_roots=rates.excluded_roots)
             cond = bias_condition(quench, coupling.epsilon0)
             if cond.multi_root:
@@ -739,20 +735,22 @@ class TestColumnarScan:
                 assert pt.point(i) == want and valid[i]
 
 
-def _cli_run(args: list[str], sets: list[str]) -> tuple[int, str, list[dict[str, str]]]:
-    """Exit code, stderr and text cells of one in-process run."""
+def _cli_run(args: list[str], sets: list[str]
+             ) -> tuple[int, str, list[str], list[dict[str, str]]]:
+    """Exit code, stderr, header and text cells of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*args, *(arg for item in sets for arg in ("--set", item))])
     lines = out.getvalue().splitlines()[2:]
     columns = lines[0].split(",") if lines else []
-    return code, err.getvalue(), [dict(zip(columns, line.split(","))) for line in lines[1:]]
+    return (code, err.getvalue(), columns,
+            [dict(zip(columns, line.split(","))) for line in lines[1:]])
 
 
 def _clock_run(sets: list[str]) -> tuple[int, list[str], list[dict[str, str]]]:
     """Exit code, columns and text cells of one in-process ``clock`` run."""
-    code, _, rows = _cli_run(["clock"], sets)
-    return code, list(rows[0]) if rows else [], rows
+    code, _, columns, rows = _cli_run(["clock"], sets)
+    return code, columns, rows
 
 
 @st.composite
@@ -891,7 +889,7 @@ class TestWholeDoubleRange:
             ("clock", ["clock", "--set", "mc.n_trajectories=12"]),
             ("histogram", ["clock", "--histogram", "3", "--set", "mc.n_trajectories=12"]),
             ("oracle", ["oracle", "--set", "oracle.L_oracle=64"]))}
-        for command, (code, err, rows) in runs.items():
+        for command, (code, err, _, rows) in runs.items():
             assert code in (0, 2, 3), (command, err)
             assert code != 3 or rows or err.startswith("domain error: "), (command, err)
             for row in rows if command != "oracle" else ():
@@ -899,12 +897,12 @@ class TestWholeDoubleRange:
                        if cell in ("nan", "inf", "-inf")]
                 assert not bad or row.get("flag", "") != "", (command, row)
         if runs["rates"][0] == 2:
-            assert {code for code, _, _ in runs.values()} == {2}
+            assert {code for code, *_ in runs.values()} == {2}
             return
         # The histogram samples where the clock row has its exact columns.
-        clock_row = runs["clock"][2][0]
+        clock_row = runs["clock"][3][0]
         assert (runs["histogram"][0] == 3) == (clock_row["exact_N"] == "nan"), clock_row
-        if runs["rates"][2][0]["flag"] in _ORACLE_STOPS:
+        if runs["rates"][3][0]["flag"] in _ORACLE_STOPS:
             assert runs["oracle"][0] == 3
 
     @given(wide_points())
