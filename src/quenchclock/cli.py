@@ -27,7 +27,15 @@ from .clock import ladder_rates, sample_tick_times
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, QuenchClockError
 from .rates import transition_rates
-from .scan import Table, oracle_table, render_table, run_scan, single_point, size_error
+from .scan import (
+    Table,
+    oracle_table,
+    render_table,
+    run_scan,
+    sample_error,
+    single_point,
+    size_error,
+)
 
 
 @functools.cache
@@ -94,11 +102,14 @@ def _histogram_table(config: RunConfig, bins: int) -> Table:
     too_large = size_error(f"--histogram: a histogram of {bins} bins", bins)
     too_many = size_error(f"mc.n_trajectories: a sample of {n} tick times", n)
     quench, coupling, ladder = single_point(config, "--histogram")
-    rates = transition_rates(quench, coupling)
-    try:
-        times = sample_tick_times(ladder_rates(rates, ladder), ladder, n, config.mc.seed)
-    except MemoryError:
-        raise too_many from None
+    # The scalar calls overflow quietly at the ends of the double range, as
+    # the grid's array twins do.
+    with np.errstate(all="ignore"):
+        rates = transition_rates(quench, coupling)
+        try:
+            times = sample_tick_times(ladder_rates(rates, ladder), ladder, n, config.mc.seed)
+        except MemoryError:
+            raise sample_error(n, ladder.d, too_many) from None
     try:
         counts, edges = np.histogram(times, bins=bins)
     except MemoryError:

@@ -87,6 +87,9 @@ _PADE_13_TERMS = np.array([(0.0, *_PADE_13[9::2]), _PADE_13[1:8:2],
 _THETA_13 = 4.25
 _C_27 = 1.0 / 113250775606021113483283660800000000.0
 _UNIT_ROUNDOFF = 2.0 ** -53
+# Terms of the power series of the first-passage sums (see
+# :func:`_series_sums`).
+_SERIES_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -360,21 +363,42 @@ class FirstPassage:
 
 
 def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
-    """First two moments of the tick interval, from the bottom level.
+    """First two moments of the tick interval, from the bottom level, in
+    closed form.
 
     The interval is the sum of independent passages from each level k to
-    the next (from the top, to the tick).  Level k is left upward at rate
-    ``a`` (``p_up``, or ``Gamma`` at the top) and downward at rate ``q``
-    (``p_down``, none at the bottom); a step down costs a passage back
-    from k-1 and a fresh try.  With ``r = a + q`` the passage moments are
+    the next (from the top, to the tick).  Level k is left upward at
+    ``p_up`` (``Gamma`` at the top) and downward at ``p_down`` (not at the
+    bottom); a step down costs a passage back from k-1 and a fresh try.
+    Below the top these rates are the same on every level, so with ``r =
+    p_down/p_up``, ``delta = r - 1`` and ``[n] = (r**n - 1)/delta``, in
+    units of ``1/p_up``, the passage out of level k has mean ``[k+1]`` and
+    second moment ``s_k = 2 [k+1]**2 + r s_{k-1}``.  Over the ``L = d - 1``
+    lower levels, with ``w = r**L``, the sums of the means and of the
+    variances, and the second moment of the last passage, are
 
-        m_k = (1 + q m_{k-1}) / a
-        s_k = (2/r + 2q (m_{k-1} + m_k)/r + q (s_{k-1} + 2 m_{k-1} m_k)) / a
+        S1 = (r (w - 1) - L delta) / delta**2
+        P  = (r**2 (w**2 - 1) - L delta (2 + delta) + 4 r (w - 1)
+              - 4 L r w delta) / delta**4
+        s  = 2 ((r w + 1)(w - 1)/delta - 2 L w) / delta**2,
 
-    All terms are positive, so the sums stay accurate on walks that
-    drift downward.  Raises :class:`ZeroRates` when both walk rates
-    vanish, as :func:`clock_metrics` does, and :class:`NotReachable` when
-    the top is never reached, or when the moments leave the double range.
+    and the top, left at ``Gamma`` with ``g = p_up/Gamma``, adds its own:
+
+        mean = (S1 + g [d]) / p_up
+        var  = (P + g**2 [d]**2 + r g s) / p_up**2.
+
+    Each sum is taken where it loses no digits: as a power series in
+    ``delta`` where ``|L delta| < 1`` (:func:`_series_sums`), as above on a
+    walk that drifts up (:func:`_sums_drift_up`), and over
+    ``r**(L+1)/delta**2``, the growth of the mean, on one that drifts down
+    (:func:`_sums_drift_down`).  They are combined in units of
+    ``min(p_up, Gamma)`` and scaled back only at the end, so
+    ``exact_N``, their squared mean over their variance, does not depend
+    on the scale of the rates, and a mean or a variance leaves the double
+    range only where its own value does.  The cost does not grow with
+    ``d``.  Raises :class:`ZeroRates` when both walk rates vanish, as
+    :func:`clock_metrics` does, and :class:`NotReachable` when the top is
+    never reached, or when the moments leave the double range.
     """
     d = ladder.d
     if not lr.p_up + lr.p_down > 0.0:
@@ -383,58 +407,146 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
         raise NotReachable(f"upward rate {lr.p_up!r} is not positive; the top "
                            "level is never reached")
     gamma = resolve_gamma(ladder, lr)
-    if not gamma > 0.0:
-        raise NotReachable(f"emission rate {gamma!r} is not positive")
-    mean = var = 0.0
-    m = s = 0.0  # moments of the passage into the level below
-    for k in range(d):
-        a = gamma if k == d - 1 else lr.p_up
-        q = lr.p_down if k > 0 else 0.0
-        m, s = _passage_step(a, q, m, s)
-        mean += m
-        var += s - m * m
-    # Float products overflow to inf, where ** raises OverflowError.
-    exact_N = mean * mean / var if var > 0.0 else math.nan
-    if not (math.isfinite(mean) and math.isfinite(var) and math.isfinite(exact_N)):
+    if not 0.0 < gamma < math.inf:
+        # The default overflows where the walk rates near the double's top.
+        raise NotReachable(f"emission rate {gamma!r} is not a positive double")
+    # Python floats, with numpy's exp and logs: the bits of the array twin.
+    p_up, p_down, gamma = float(lr.p_up), float(lr.p_down), float(gamma)
+    L = d - 1
+    delta = (p_down - p_up) / p_up
+    r = p_down / p_up
+    mu = min(p_up, gamma)
+    series = abs(L * delta) < 1.0
+    drifts_down = not series and delta > 0.0
+    if series:
+        sums = _series_sums(np.array([float(d)]), np.array([delta]))[:, 0].tolist()
+    elif drifts_down:
+        ell = float(np.log1p(delta))
+        x = L * ell
+        sums = _sums_drift_down(L, delta, r, float(np.exp(-x)))
+        log_scale = x + ell - 2.0 * float(np.log(delta)) - float(np.log(mu))
+    else:
+        # w = 0 where delta rounds to -1, at which log1p would warn.
+        sums = _sums_drift_up(L, delta, r, float(np.exp(L * float(np.log1p(delta))))
+                              if delta > -1.0 else 0.0)
+    M, V = _combine(*sums, r, mu / p_up, mu / gamma)
+    if drifts_down:
+        # Beyond 1400 the mean overflows whatever M is, and np.exp may warn.
+        half = float(np.exp(0.5 * log_scale)) if log_scale <= 1400.0 else math.inf
+        mean, var = M * half * half, V * half * half * half * half
+    else:
+        mean, var = M / mu, V / mu / mu
+    exact_N = M * M / V if V > 0.0 else math.nan
+    if not (0.0 < mean < math.inf and var < math.inf and math.isfinite(exact_N)
+            and 1.0 / mean < math.inf):
         raise NotReachable(f"tick-time moments out of double range (mean {mean!r}, "
                            f"variance {var!r})")
     return FirstPassage(mean_tick_time=mean, var_tick_time=var,
                         exact_N=exact_N, exact_rate=1.0 / mean)
 
 
-def _passage_step(a, q, m, s):
-    # Moments of the passage out of a level left upward at rate a and
-    # downward at rate q, from the moments (m, s) of the one below.
-    r = a + q
-    m_next = (1.0 + q * m) / a
-    s_next = (2.0 / r + 2.0 * q * (m + m_next) / r + q * (s + 2.0 * m * m_next)) / a
-    return m_next, s_next
+def _sums_drift_up(L, delta, r, w):
+    # (S1, [d], s, P) of :func:`solve_first_passage` for delta <= -1/L, with
+    # w = r**L <= 1/e: no term cancels more than a few digits.
+    W = w - 1.0
+    rW = r * W
+    Ld = L * delta
+    dd = delta * delta
+    return ((rW - Ld) / dd,
+            rW / delta + 1.0,
+            2.0 / dd * ((r * w + 1.0) * W / delta - 2.0 * L * w),
+            (rW * (r * (w + 1.0) + 4.0) - Ld * (2.0 + delta + 4.0 * r * w)) / (dd * dd))
+
+
+def _sums_drift_down(L, delta, r, z):
+    # The same for delta >= 1/L, divided by K = r**(L+1)/delta**2 (the
+    # second moments by K**2), with z = r**-L <= 1/2 and rho = delta/r, so
+    # that no sum overflows where its scale K does.
+    Z = 1.0 - z
+    rho = delta / r
+    return (Z - L * rho * z,
+            delta * (1.0 - z / r),
+            2.0 * rho * ((1.0 + z / r) * Z - 2.0 * L * z * rho),
+            Z * (1.0 + z) - L * rho * (1.0 + 1.0 / r) * z * z + 4.0 * Z * z / r
+            - 4.0 * L * rho * z)
+
+
+def _series_sums(d, delta):
+    # (S1, [d], s, P) of :func:`solve_first_passage` for |(d-1) delta| < 1,
+    # from float arrays d and delta, as power series in delta whose
+    # coefficients are binomials:
+    #   [d] = sum_i C(d, i+1) delta**i,   S1 = sum_i C(d, i+2) delta**i,
+    #   s   = 2 sum_i (C(2d-1, i+3) - (2d-1) C(d-1, i+2)) delta**i,
+    #   P   = sum_i (C(2d, i+4) + 4 C(d, i+4) - 4 (d-1) C(d, i+3)) delta**i.
+    # Four series sum_i C(n, k+i) delta**i, each term from the one before.
+    # The i-th term is at most 2.2**i 4!/(i+4)! of the first, so
+    # _SERIES_TERMS of them reach rounding; at small d they end by
+    # themselves, where the binomials vanish.
+    n = np.stack([d, 2.0 * d, 2.0 * d - 1.0, d - 1.0])[..., None]
+    k = np.array([4.0, 4.0, 3.0, 2.0])[:, None, None]
+    j = np.arange(4.0)
+    i = np.arange(1.0, _SERIES_TERMS)
+    terms = np.empty(n.shape[:2] + (_SERIES_TERMS,))
+    terms[..., 0] = np.where(j < k, (n - j) / (j + 1.0), 1.0).prod(axis=-1)
+    terms[..., 1:] = delta[:, None] * (n - (k - 1.0) - i) / (k + i)
+    a, b, c, e = np.cumprod(terms, axis=-1).sum(axis=-1)
+    c2 = d * (d - 1.0) / 2.0
+    a3 = c2 * (d - 2.0) / 3.0 + delta * a
+    s1 = c2 + delta * a3
+    return np.stack([s1, d + delta * s1, 2.0 * (c - (2.0 * d - 1.0) * e),
+                     b + 4.0 * a - 4.0 * (d - 1.0) * a3])
+
+
+def _combine(s1, u, s, p, r, alpha, beta):
+    # Mean and variance of the tick interval in units of mu = min(p_up,
+    # Gamma), from the sums in units of 1/p_up: alpha = mu/p_up, beta =
+    # mu/Gamma, one of them 1.
+    top = u * beta
+    return s1 * alpha + top, p * alpha * alpha + top * top + r * s * alpha * beta
 
 
 def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
     """Array twin of :func:`solve_first_passage`, with ``Gamma`` nan where
     the ladder leaves it None.
 
-    One loop over the levels up to ``max(d)`` runs the recursion on
-    every row at once; the moments of row ``i`` add up its first
-    ``d[i]`` levels, and its recursion runs on past them unread.
+    The same closed form in ``r = p_down/p_up`` and ``w = r**(d-1)``:
+    ``mean = (S1 + g [d])/p_up`` and ``var = (P + g**2 [d]**2 + r g
+    s)/p_up**2`` with ``g = p_up/Gamma`` and the sums ``S1``, ``P``, ``s``
+    and ``[d] = (r**d - 1)/(r - 1)`` given there.  Every row takes the form
+    its scalar twin takes: each closed form runs over the whole grid where
+    some row needs it, the series only on its own rows.  The cost does not
+    grow with ``d``.
     """
     with np.errstate(all="ignore"):
         gamma = np.where(np.isnan(Gamma), _default_gamma(p_up, p_down, d), Gamma)
-        mean, var, m, s = (np.zeros(np.shape(p_up)) for _ in range(4))
-        for k in range(int(np.max(d, initial=0))):
-            a = np.where(k == d - 1, gamma, p_up)
-            q = p_down if k > 0 else 0.0
-            m, s = _passage_step(a, q, m, s)
-            level = k < d
-            mean = np.where(level, mean + m, mean)
-            var = np.where(level, var + (s - m * m), var)
-        exact_N = np.where(var > 0.0, mean * mean / var, np.nan)
+        L = d - 1
+        delta = (p_down - p_up) / p_up
+        r = p_down / p_up
+        mu = np.minimum(p_up, gamma)
+        ell = np.log1p(delta)
+        x = L * ell
+        series = np.abs(L * delta) < 1.0
+        drifts_down = ~series & (delta > 0.0)
+        any_down = drifts_down.any()
+        sums = np.array(_sums_drift_up(L, delta, r, np.exp(x)))
+        if any_down:
+            sums = np.where(drifts_down, _sums_drift_down(L, delta, r, np.exp(-x)), sums)
+        if series.any():
+            d = np.broadcast_to(d, series.shape)[series].astype(float)
+            sums[:, series] = _series_sums(d, delta[series])
+        M, V = _combine(*sums, r, mu / p_up, mu / gamma)
+        mean, var = M / mu, V / mu / mu
+        if any_down:
+            half = np.exp(0.5 * (x + ell - 2.0 * np.log(delta) - np.log(mu)))
+            mean = np.where(drifts_down, M * half * half, mean)
+            var = np.where(drifts_down, V * half * half * half * half, var)
         passage = FirstPassage(mean_tick_time=mean, var_tick_time=var,
-                               exact_N=exact_N, exact_rate=1.0 / mean)
-    in_range = np.isfinite(mean) & np.isfinite(var) & np.isfinite(exact_N)
+                               exact_N=M * M / V, exact_rate=1.0 / mean)
+        in_range = ((0.0 < mean) & (mean < np.inf) & (var < np.inf)
+                    & np.isfinite(passage.exact_N) & (passage.exact_rate < np.inf))
     return passage, ((ZeroRates, ~(p_up + p_down > 0.0)),
-                     (NotReachable, ~(p_up > 0.0) | ~(gamma > 0.0) | ~in_range))
+                     (NotReachable, ~(p_up > 0.0) | ~((0.0 < gamma) & (gamma < np.inf))
+                      | ~in_range))
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,16 @@ def size_error(what: str, n: int) -> ConfigError:
     return error
 
 
+def sample_error(n: int, d: int, too_many: ConfigError) -> ConfigError:
+    """The config error to raise when a Monte Carlo sample of ``n`` tick
+    times on a ladder of ``d`` levels runs out of memory: ``too_many``, the
+    :func:`size_error` of ``n``, unless the passage spectrum, about ten
+    float arrays of ``d`` rates, is the larger of the two."""
+    if 10 * d <= n:
+        return too_many
+    return size_error(f"ladder.d: a passage spectrum of {d} levels", d)
+
+
 def _grid_axes(config: RunConfig) -> tuple[int, dict[str, tuple[np.ndarray, np.ndarray]]]:
     """Row count, and for each swept parameter its axis values and the
     index into them of every row (row order, last axis fastest).
@@ -316,8 +326,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
                 relative_bias=metrics.relative_bias, tur_ratio=metrics.tur_ratio)
         out.flags["zero_down_rate"] |= live & (p_down == 0.0)
 
-    # Flagged rows get d = 0, so the recursion runs to the largest live d.
-    fp, raises = first_passage_array(p_up, p_down, pt.Gamma, np.where(out.live, pt.d, 0))
+    fp, raises = first_passage_array(p_up, p_down, pt.Gamma, pt.d)
     out.fail(raises)
     out.put(out.live, exact_N=fp.exact_N, exact_rate=fp.exact_rate)
     if "mc" in stages:
@@ -334,7 +343,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
                     LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
                     ladder, n, row_seed(config.mc.seed, i))
             except MemoryError:
-                raise too_large from None
+                raise sample_error(n, ladder.d, too_large) from None
             accuracy[i] = stats.empirical_accuracy
             rate[i] = stats.empirical_rate
     if "lifetime" in stages:
@@ -410,7 +419,10 @@ def oracle_table(config: RunConfig) -> Table:
     L = config.oracle.L_oracle
     too_large = size_error(f"oracle.L_oracle: a chain of {L} sites", L)
     try:
-        report = discrete_rates(quench, coupling, L=L, eta=config.oracle.eta)
+        # The scalar calls overflow quietly at the ends of the double range,
+        # as the grid's array twins do.
+        with np.errstate(all="ignore"):
+            report = discrete_rates(quench, coupling, L=L, eta=config.oracle.eta)
     except MemoryError:
         raise too_large from None
     columns = ("L", "eta", "gamma_up", "gamma_down", "rel_err_up", "rel_err_down")

@@ -409,6 +409,8 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
                 raise DegenerateRoot(
                     f"root of eps_k={eps!r} near k={k!r} did not polish: "
                     f"residual {dispersion(model, k1) - eps!r} at k={k1!r}")
+            if math.isnan(k1):
+                continue
             k = k1
         roots.append(EnergyRoot(k=k, u=float(np.cos(k)), velocity=group_velocity(model, k)))
     return tuple(roots)
@@ -488,6 +490,12 @@ def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
             k = k0.copy()
             k[rows, cols] = polished
             degenerate[rows[unpolished]] = True
+            # A root that is no root leaves its column; the one left of two
+            # moves to column 0.
+            present = ~np.isnan(k)
+            order = np.argsort(~present, axis=1, kind="stable")
+            present = np.take_along_axis(present, order, axis=1)
+            k = np.take_along_axis(k, order, axis=1)
         velocity = np.where(present, group_velocity(model2, k), np.nan)
     return RootArrays(k=k, u=np.cos(k), velocity=velocity, present=present,
                       degenerate=degenerate)
@@ -501,8 +509,13 @@ def _polish_roots(model, eps: np.ndarray, k0: np.ndarray,
     Each root gets the first bracket of :data:`_BRACKET_DELTAS` around it
     with a sign change, and Newton steps inside it, with a bisection
     whenever a step leaves the bracket.  Returns the roots and the mask
-    of those still off the bound, on which :func:`energy_roots` raises
-    :class:`DegenerateRoot`.
+    of the bracketed ones still off the bound, on which
+    :func:`energy_roots` raises :class:`DegenerateRoot`.  A root with no
+    sign change nearby that misses the bound is no root: ``eps_k`` does not
+    reach ``eps`` there, as where the ring's quadratic admits a ``cos**2 k``
+    just below 0, and its ``k`` is nan.  One that touches ``eps`` at an
+    extremum of the band meets the bound, and the van Hove guard
+    downstream sees its slope.
     """
 
     def f(k):
@@ -525,8 +538,6 @@ def _polish_roots(model, eps: np.ndarray, k0: np.ndarray,
                         np.where(found, fa, f_lo))
         bracketed |= found
         searching &= ~(at_a | at_b | found)
-    # Roots without a sign change nearby keep k0: it sits at an extremum
-    # touching eps, and the velocity guard downstream classifies it.
     x = k0
     fx = f(x)
     going = bracketed.copy()
@@ -545,7 +556,8 @@ def _polish_roots(model, eps: np.ndarray, k0: np.ndarray,
         fx = f(x)
         going &= ~settled
     k = np.where(bracketed, x, k)
-    return k, bracketed & (np.abs(f(k)) > tol)
+    off = np.abs(f(k)) > tol
+    return np.where(off & ~bracketed, np.nan, k), off & bracketed
 
 
 def van_hove(velocity):

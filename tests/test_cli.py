@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -778,6 +779,53 @@ _PINNED_GRID = ("scan.axes=[{name: h_i, min: 0.5, max: 1.499, steps: 3}, "
                 "{name: d, min: 2, max: 40, steps: 3}]")
 
 
+class TestLadderScale:
+    """A clock row at any ladder depth and any scale of its rates."""
+
+    @given(st.integers(-78, 150))
+    @example(-2)
+    @example(78)
+    @example(80)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_N_ignores_the_ladder_coupling(self, exponent):
+        # The walk rates grow as g**2, from 1e-151 to 1e305; the walk and
+        # its accuracy stay those of g = 0.01.
+        code, _, rows = _clock_run([f"ladder.g=1.0e{exponent}"])
+        assert code == 0
+        assert (rows[0]["exact_N"], rows[0]["flag"]) == ("4.5627995546", "")
+
+    def test_deep_ladder_in_process(self):
+        # The first passage of 10**15 levels takes what that of 10 does.
+        start = time.perf_counter()
+        code, _, rows = _clock_run(["ladder.d=1000000000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and rows[0]["flag"] == ""
+        assert math.isfinite(float(rows[0]["exact_N"]))
+
+    @pytest.mark.parametrize("t", ["1e7", "2e7"])
+    def test_ring_gap_below_the_band_has_no_resonance(self, t):
+        # eps_k >= |V_f| = 3 everywhere, so a gap of 1 has no pair: at
+        # t = 2e7 the quadratic admits cos**2 k = -5e-15, whose k = pi/2
+        # misses eps = 0.5 by 2.5.
+        code, _, _, rows = _cli_run(["rates"], ["model.kind=xx_ring", f"model.t={t}",
+                                                "model.v_f=3.0", "coupling.epsilon0=1.0"])
+        assert code == 3
+        assert [row["flag"] for row in rows] == ["no_resonance"]
+
+    def test_scalar_overflow_leaves_stderr_empty(self):
+        # The histogram's scalar calls overflow at h_i = 1e155, quietly, as
+        # the grid's array twins do.
+        src = str(Path(quenchclock.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "quenchclock", "clock", "--histogram", "3",
+             "--set", "mc.n_trajectories=12", "--set", "model.h_i=1e155",
+             "--set", "model.h_f=1.0", "--set", "coupling.epsilon0=1.0"],
+            env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+
+
 class TestSamplingRule:
     """Monte Carlo refuses exactly the rows the first passage refuses."""
 
@@ -1363,6 +1411,13 @@ print(json.dumps([codes, drift]))
          "mc.n_trajectories: a sample of 1000000000000000 tick times"),
         (["clock", "--set", f"mc.n_trajectories={10**18}"],
          f"mc.n_trajectories: a sample of {10**18} tick times"),
+        # The first passage is O(1) at any depth; the sampler's passage
+        # spectrum is not.
+        (["clock", "--set", "ladder.d=1000000000000000", "--set", "mc.n_trajectories=10"],
+         "ladder.d: a passage spectrum of 1000000000000000 levels"),
+        (["clock", "--histogram", "3", "--set", "ladder.d=1000000000000000",
+          "--set", "mc.n_trajectories=10"],
+         "ladder.d: a passage spectrum of 1000000000000000 levels"),
     ])
     def test_unallocatable_size_exits_2(self, args, what, capsys):
         assert main(args) == 2

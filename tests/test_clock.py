@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal, expm
+from scipy.signal import lfilter
 from scipy.stats import kstest
 
 from quenchclock import (
@@ -237,9 +238,8 @@ class TestFirstPassage:
             (ZeroRates, [True, False]), (NotReachable, [True, True])]
 
     def test_array_twin_on_rows_of_mixed_depth(self):
-        # One loop runs rows of depth 2 to 60 together, with d = 0 rows as
-        # the scan passes for flagged rows; half the walks are moderate and
-        # half span the double range.
+        # Rows of depth 2 to 60 in one call, with rows of d = 0 among them;
+        # half the walks are moderate and half span the double range.
         rng = np.random.default_rng(26)
         n = 600
         decades = np.where(np.arange(n) < n // 2, 3.0, 300.0)
@@ -312,6 +312,125 @@ class TestFirstPassage:
         lad = LadderSpec(d=200, epsilon_w=1.0, g=0.1)
         with pytest.raises(NotReachable):
             solve_first_passage(LadderRates(p_up=1e-3, p_down=1.0), lad)
+
+
+def _passage_step(a, q, m, s):
+    # Moments of the passage out of a level left upward at rate a and
+    # downward at rate q, from the moments (m, s) of the one below.
+    r = a + q
+    m_next = (1.0 + q * m) / a
+    s_next = (2.0 / r + 2.0 * q * (m + m_next) / r + q * (s + 2.0 * m * m_next)) / a
+    return m_next, s_next
+
+
+def _recursion(p_up, p_down, gamma, d):
+    """Mean and variance of the tick interval level by level, by the
+    positive-term recursion of :func:`_passage_step`, in numpy's long
+    double: near a balanced walk of 10**6 levels the recursion in doubles
+    is off by 1e-10, as each level adds its rounding to all the levels
+    above.
+
+    Below the top every level has the same rates, so the two linear
+    recursions there, m_k = (1 + q m_{k-1})/a and s_k = q s_{k-1}/a +
+    (the rest of the step), run as first-order filters over the d - 1
+    levels; the top is one more step.
+    """
+    a, q, gamma = (np.longdouble(x) for x in (p_up, p_down, gamma))
+    one = np.longdouble(1.0)
+    with np.errstate(all="ignore"):
+        m = lfilter([one / a], [one, -q / a], np.ones(d - 1, dtype=np.longdouble))
+        if d > 1 and not np.isfinite(m[-1]):
+            return math.inf, math.inf
+        below = np.concatenate(([0.0], m[:-1])).astype(np.longdouble)
+        r = a + q
+        rest = (2.0 / r + 2.0 * q * (below + m) / r + 2.0 * q * below * m) / a
+        s = lfilter([one], [one, -q / a], rest)
+        top = _passage_step(gamma, q, m[-1], s[-1]) if d > 1 else (1.0 / gamma, 2.0 / gamma**2)
+        return (float(np.sum(m) + top[0]),
+                float(np.sum(s - m * m) + (top[1] - top[0] * top[0])))
+
+
+class TestClosedForm:
+    """The O(1) moments of :func:`solve_first_passage` and its array twin
+    against the level-by-level recursion, and their scale."""
+
+    @staticmethod
+    def _draws(rng, n):
+        # p_down/p_up = 1 + delta: below and above 1, and within 1e-12 of it.
+        delta = np.concatenate([
+            -(10.0 ** rng.uniform(-12.0, 0.0, n)), 10.0 ** rng.uniform(-12.0, 1.0, n),
+            10.0 ** rng.uniform(-6.0, 6.0, n) - 1.0, [-1e-12, 1e-12, 0.0, -1.0]])
+        p_up = 10.0 ** rng.uniform(-4.0, 4.0, delta.size)
+        explicit = np.arange(delta.size) % 2 == 1
+        gamma = np.where(explicit, p_up * 10.0 ** rng.uniform(-3.0, 3.0, delta.size),
+                         np.nan)
+        return p_up, p_up * (1.0 + delta), gamma
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 37, 1000, 10**6])
+    def test_matches_the_recursion(self, d):
+        rng = np.random.default_rng(d)
+        p_up, p_down, gamma = self._draws(rng, 1 if d == 10**6 else 12)
+        fp, raises = clock.first_passage_array(p_up, p_down, gamma, np.full(p_up.size, d))
+        flagged = np.logical_or.reduce([rows for _, rows in raises])
+        compared = 0
+        for i in range(p_up.size):
+            g = float(gamma[i]) if gamma[i] == gamma[i] else 10.0 * (p_up[i] + p_down[i]) * d
+            mean, var = _recursion(p_up[i], p_down[i], g, d)
+            if not (np.isfinite(mean) and np.isfinite(var)):
+                continue
+            assert not flagged[i], i
+            assert fp.mean_tick_time[i] == pytest.approx(mean, rel=1e-12), i
+            assert fp.var_tick_time[i] == pytest.approx(var, rel=1e-12), i
+            assert fp.exact_N[i] == pytest.approx(mean * mean / var, rel=1e-12), i
+            compared += 1
+            if d < 2:
+                continue
+            ladder = LadderSpec(d=d, epsilon_w=1.0, g=0.1,
+                                Gamma=float(gamma[i]) if gamma[i] == gamma[i] else None)
+            want = solve_first_passage(LadderRates(float(p_up[i]), float(p_down[i])), ladder)
+            for name in ("mean_tick_time", "var_tick_time", "exact_N", "exact_rate"):
+                assert getattr(fp, name)[i].item().hex() == getattr(want, name).hex(), (i, name)
+        assert compared >= p_up.size // 2
+
+    @given(exponents=st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=3),
+           explicit=st.booleans(), d=st.sampled_from([2, 3, 7, 10, 33, 60, 1000, 10**15]),
+           k=st.integers(-664, 664))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_N_ignores_the_rate_scale(self, exponents, explicit, d, k):
+        # Every rate times 2**k, from about 1e-200 to 1e200: the mean and
+        # the variance scale by 2**-k and 2**-2k, and exact_N not at all,
+        # wherever the scaled moments are normal doubles.
+        p_up, p_down, gamma = (10.0 ** e for e in exponents)
+        gamma = gamma if explicit else None
+        base = clock.first_passage_array(np.array([p_up]), np.array([p_down]),
+                                         np.array([np.nan if gamma is None else gamma]),
+                                         np.array([d]))[0]
+        c = math.ldexp(1.0, k)
+        lr = LadderRates(p_up * c, p_down * c)
+        ladder = LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=None if gamma is None else gamma * c)
+        mean, var = base.mean_tick_time[0].item() / c, base.var_tick_time[0].item() / c / c
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        if not (tiny < mean < huge and tiny < var < huge and np.isfinite(base.exact_N[0])):
+            return
+        fp = solve_first_passage(lr, ladder)
+        assert fp.exact_N == base.exact_N[0]
+        # A walk that drifts down scales its sums by exp and log, whose
+        # rounding moves with the scale.
+        assert fp.mean_tick_time == pytest.approx(mean, rel=1e-12)
+        assert fp.var_tick_time == pytest.approx(var, rel=1e-12)
+
+    def test_deep_ladder_in_constant_time(self):
+        # A ladder of 10**15 levels costs what one of 10 does.
+        lad = LadderSpec(d=10**15, epsilon_w=1.0, g=0.1)
+        fp = solve_first_passage(LadderRates(p_up=3.0, p_down=1.0), lad)
+        # Drift 2 per unit time over 10**15 levels, nearly deterministic.
+        assert fp.mean_tick_time == pytest.approx(0.5e15, rel=1e-9)
+        assert fp.exact_N == pytest.approx(0.5e15, rel=1e-6)
+        # Balanced to 1e-16: the unbiased walk's d**2 mean and its
+        # accuracy 3/2.
+        fp = solve_first_passage(LadderRates(p_up=1.0, p_down=1.0), lad)
+        assert fp.mean_tick_time == pytest.approx(0.5e30, rel=1e-9)
+        assert fp.exact_N == pytest.approx(1.5, rel=1e-6)
 
 
 class TestMaster:
