@@ -67,11 +67,6 @@ _BRACKET_STEPS = 200
 _EPS = float(np.finfo(float).eps)
 # Mantissas in [1/2, 1) multiplied at once: their product stays normal.
 _PROD_CHUNK = 1000
-# pi as a head of 30 bits, so m * _PI_HEAD is exact for m < 2**23, and a
-# tail: m pi comes out rounded once, without the bias of math.pi.
-_PI_HEAD = math.ldexp(math.floor(math.ldexp(math.pi, 28)), -28)
-_PI_TAIL = (math.pi - _PI_HEAD) + 1.2246467991473532e-16
-_SPLIT = 134217729.0  # 2**27 + 1
 # Coefficients b_0 .. b_13 of the Pade-13 approximant of exp (Higham 2005).
 _PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
             1187353796428800.0, 129060195264000.0, 10559470521600.0,
@@ -81,12 +76,8 @@ _PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 # of the odd and even parts (see :func:`_expm`).
 _PADE_13_TERMS = np.array([(0.0, *_PADE_13[9::2]), _PADE_13[1:8:2],
                            (0.0, *_PADE_13[8:13:2]), _PADE_13[0:7:2]])
-# Largest eta for which the Pade-13 backward error stays below the unit
-# roundoff, and |c_27|, the first coefficient of that error's series
-# (Al-Mohy & Higham 2009).
+# Largest eta for which the Pade-13 backward error stays below 2**-53 (Al-Mohy & Higham 2009).
 _THETA_13 = 4.25
-_C_27 = 1.0 / 113250775606021113483283660800000000.0
-_UNIT_ROUNDOFF = 2.0 ** -53
 # Terms of the power series of the first-passage sums (see
 # :func:`_series_sums`).
 _SERIES_TERMS = 20
@@ -245,18 +236,20 @@ def _generator(lr: LadderRates, d: int, gamma: float) -> np.ndarray:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """``exp(a)`` by the Pade-13 approximant with scaling and squaring.
+    """``exp(a)`` of a :func:`_generator` matrix times a step, by the
+    Pade-13 approximant with scaling and squaring.
 
     The approximant is Higham's (SIAM J. Matrix Anal. Appl. 26, 1179,
-    2005); the scaling is that of Al-Mohy and Higham (same journal, 31,
-    970, 2009).  ``s`` is the least power with ``2**-s eta <= theta_13``
-    for ``eta = min(max(d6, d8), max(d8, d10))``, where ``d_k =
-    ||a**k||_1**(1/k)`` is computed exactly, plus the squarings of
-    :func:`_pade_excess`.  On the ladder's generators ``eta`` is about
-    ``0.4 ||a||_1``, which saves one squaring over the ``||a||_1`` rule of
-    2005.  All nan, never zeros or a raise, when a power of ``a`` leaves
-    the double range or when the squarings would amplify rounding past
-    the result itself (``2**s u >= 1``).
+    2005); the squarings come from the eta rule of Al-Mohy and Higham
+    (same journal, 31, 970, 2009) alone: ``s`` is the least power with
+    ``2**-s eta <= theta_13`` for ``eta = min(max(d6, d8), max(d8,
+    d10))``, where ``d_k = ||a**k||_1**(1/k)`` is computed exactly.  Their
+    excess term is not computed: it is zero on every ladder generator, as
+    a test pins, though not on every matrix, so the function is meant for
+    those alone.  On them ``eta`` is about ``0.4 ||a||_1``, one squaring
+    fewer than the ``||a||_1`` rule of 2005.  All nan, never zeros or a
+    raise, when a power of ``a`` leaves the double range or the squarings
+    would amplify rounding past the result (``2**s u >= 1``).
     """
     n = a.shape[0]
     powers = np.empty((6, n, n))
@@ -274,8 +267,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     d6, d8, d10 = d.tolist()
     eta = min(max(d6, d8), max(d8, d10))
     s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if eta > 0.0 else 0
-    s += _pade_excess(a, s)
-    if math.ldexp(_UNIT_ROUNDOFF, s) >= 1.0:
+    if s >= 53:  # 2**s u >= 1
         return np.full_like(a, np.nan)
     # b = 2**-s a, its even powers scaled exactly from those of a, and
     # u = b (b6 u_high + u_low), v = b6 v_high + v_low for the odd and even
@@ -292,28 +284,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def _pade_excess(a: np.ndarray, s: int) -> int:
-    # Squarings beyond s that the bound |c_27| || |b|**27 ||_1 / ||b||_1 <= u
-    # asks for at b = 2**-s a (the ell of Al-Mohy & Higham).  With c =
-    # |a| / ||a||_1 the ratio is (2**-s ||a||_1)**26 ||c**27||_1, and the
-    # powers of the nonnegative c, taken as 1 c c**2 (c**8)**3, cannot
-    # overflow: the 1-norm of c**27 is its largest column sum.
-    c = np.abs(a)
-    column = c.sum(axis=0)
-    size = float(column.max())
-    if not size > 0.0:
-        return 0
-    c /= size
-    c2 = c @ c
-    c4 = c2 @ c2
-    c8 = c4 @ c4
-    top = float(((((column / size) @ c2) @ c8) @ c8 @ c8).max())
-    if not top > 0.0:
-        return 0
-    excess = math.log2(_C_27 / _UNIT_ROUNDOFF * top) / 26.0 + math.log2(size) - s
-    return max(math.ceil(excess), 0)
 
 
 def evolve_master(lr: LadderRates, ladder: LadderSpec, t_max: float,
@@ -423,7 +393,7 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
     elif drifts_down:
         ell = float(np.log1p(delta))
         x = L * ell
-        sums = _sums_drift_down(L, delta, r, float(np.exp(-x)))
+        *sums, t = map(float, _sums_drift_down(L, delta, r, float(np.exp(-x)), mu / gamma))
         log_scale = x + ell - 2.0 * float(np.log(delta)) - float(np.log(mu))
     else:
         # w = 0 where delta rounds to -1, at which log1p would warn.
@@ -432,7 +402,7 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
     M, V = _combine(*sums, r, mu / p_up, mu / gamma)
     if drifts_down:
         # Beyond 1400 the mean overflows whatever M is, and np.exp may warn.
-        half = float(np.exp(0.5 * log_scale)) if log_scale <= 1400.0 else math.inf
+        half = t * float(np.exp(0.5 * log_scale)) if log_scale <= 1400.0 else math.inf
         mean, var = M * half * half, V * half * half * half * half
     else:
         mean, var = M / mu, V / mu / mu
@@ -458,17 +428,23 @@ def _sums_drift_up(L, delta, r, w):
             (rW * (r * (w + 1.0) + 4.0) - Ld * (2.0 + delta + 4.0 * r * w)) / (dd * dd))
 
 
-def _sums_drift_down(L, delta, r, z):
-    # The same for delta >= 1/L, divided by K = r**(L+1)/delta**2 (the
-    # second moments by K**2), with z = r**-L <= 1/2 and rho = delta/r, so
-    # that no sum overflows where its scale K does.
+def _sums_drift_down(L, delta, r, z, beta):
+    # The same for delta >= 1/L, divided by K = t**2 r**(L+1)/delta**2 (the
+    # second moments by K**2), with z = r**-L <= 1/2, rho = delta/r, beta =
+    # mu/Gamma and t, returned last, the least power of two for which the
+    # top's share [d] beta/K, of order delta beta/t**2, is below 1: so that
+    # no sum nor that share's square overflows where K does.
     Z = 1.0 - z
     rho = delta / r
-    return (Z - L * rho * z,
-            delta * (1.0 - z / r),
-            2.0 * rho * ((1.0 + z / r) * Z - 2.0 * L * z * rho),
-            Z * (1.0 + z) - L * rho * (1.0 + 1.0 / r) * z * z + 4.0 * Z * z / r
-            - 4.0 * L * rho * z)
+    u = delta * (1.0 - z / r)
+    j = (np.maximum(np.frexp(u * beta)[1], 0) + 1) // 2
+    c = np.ldexp(1.0, -2 * j)
+    return ((Z - L * rho * z) * c,
+            u * c,
+            2.0 * rho * ((1.0 + z / r) * Z - 2.0 * L * z * rho) * c * c,
+            (Z * (1.0 + z) - L * rho * (1.0 + 1.0 / r) * z * z + 4.0 * Z * z / r
+             - 4.0 * L * rho * z) * c * c,
+            np.ldexp(1.0, j))
 
 
 def _series_sums(d, delta):
@@ -530,14 +506,15 @@ def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
         any_down = drifts_down.any()
         sums = np.array(_sums_drift_up(L, delta, r, np.exp(x)))
         if any_down:
-            sums = np.where(drifts_down, _sums_drift_down(L, delta, r, np.exp(-x)), sums)
+            *down, t = _sums_drift_down(L, delta, r, np.exp(-x), mu / gamma)
+            sums = np.where(drifts_down, down, sums)
         if series.any():
             d = np.broadcast_to(d, series.shape)[series].astype(float)
             sums[:, series] = _series_sums(d, delta[series])
         M, V = _combine(*sums, r, mu / p_up, mu / gamma)
         mean, var = M / mu, V / mu / mu
         if any_down:
-            half = np.exp(0.5 * (x + ell - 2.0 * np.log(delta) - np.log(mu)))
+            half = t * np.exp(0.5 * (x + ell - 2.0 * np.log(delta) - np.log(mu)))
             mean = np.where(drifts_down, M * half * half, mean)
             var = np.where(drifts_down, V * half * half * half * half, var)
         passage = FirstPassage(mean_tick_time=mean, var_tick_time=var,
@@ -589,7 +566,11 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     ``gamma a**(d-1)``, because as a bound state below the band (a passive
     walk, or a top that rarely fires) it can lie tens of decades below
     ``a + q``, where any direct formula loses its digits to cancellation.
-    The whole spectrum costs O(d) time and memory.
+    The whole spectrum costs O(d) time and memory.  The constants ``(1 -
+    rho)**2``, ``4 rho`` and ``m pi`` are plain doubles, whose roundings
+    add up over the determinant: measured, the rates agree with Golub-Kahan
+    bisection to 4e-14 at ``d <= 400``, and ``sum(1/lambda)`` with the
+    exact mean to 5e-13 at ``d = 4000`` and 2e-10 at ``4 10**6``.
     """
     a, q = p_up, p_down
     if d == 1:
@@ -597,30 +578,34 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     if q == 0.0:
         # A walk that only climbs: the matrix is bidiagonal.
         return np.sort(np.append(np.full(d - 1, a, dtype=float), gamma))
+    # rho = sqrt(q/a) from the mantissas and an even exponent: q/a may
+    # leave the double range.
+    ma, ea = math.frexp(a)
+    mq, eq = math.frexp(q)
+    half_exp, odd = divmod(eq - ea, 2)
+    rho = math.ldexp(math.sqrt(math.ldexp(mq, odd) / ma), half_exp)
     # In units of a: rates r = lambda/a, and rho sigma = 1 - u.  Once u =
     # gamma/a = m 2**u_exp, m in [1/2, 1), exceeds 1, chi's argument, which
     # grows like u, and its slope constants, like u**2, are taken in units
     # of c = 2**-u_exp, and so is a top stage above the band: an exact
     # scaling that keeps them in the double range whatever the ratio.
-    floor, floor_lo, width, width_lo, rho, one_minus_rho = _band_constants(a, q)
     u, u_exp = gamma / a, 0
     if u > 1.0:
         # From the exponents of gamma and a, as the ratio may overflow.
         mg, eg = math.frexp(gamma)
-        ma, ea = math.frexp(a)
         u, u_exp = math.frexp(mg / ma)
         u_exp += eg - ea
     c = math.ldexp(1.0, -u_exp)
     sigma = (c - u) / rho  # sigma c
     # The coefficients (1-rho)(1-sigma) and 2 (1 + rho sigma) of chi's
     # argument, and (1-rho)(1-sigma) u/d and 2 (rho + sigma) u/d of its slope.
-    k0 = one_minus_rho * (c - sigma)
+    k0 = (1.0 - rho) * (c - sigma)
     k = (k0, 2.0 * (2.0 * c - u), k0 * u / d, 2.0 * (rho * c + sigma) * u / d)
     # The boundary equation over sin(phi) at phi = pi: with this sign its
     # last root lies below pi, in the band; else one lies above the band.
     top_in_band = d * (1.0 + rho) * (c + sigma) + u > 0.0
     m = np.arange(2.0, d + top_in_band)
-    mpi = m * _PI_HEAD + m * _PI_TAIL
+    mpi = m * math.pi
     t = np.empty(m.size)
     with np.errstate(all="ignore"):
         # One fixed-point step from pi/2, then Newton's method until no
@@ -648,7 +633,7 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
         r[-1] = c * (1.0 + rho * rho) + rho * bound
         top_exp = u_exp
     s2 = np.sin((mpi - t) / (2 * d)) ** 2
-    r[1:1 + t.size] = (floor + width * s2) + (floor_lo + width_lo * s2)
+    r[1:1 + t.size] = (1.0 - rho) * (1.0 - rho) + 4.0 * rho * s2
     # The determinant: r_0 = u / prod(r_1 .. r_{d-1}), over mantissas and
     # exact binary exponents, so the product neither leaves the double
     # range nor loses digits however far the rates spread.
@@ -662,41 +647,6 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     rates = a * r
     rates[-1] = np.ldexp(rates[-1], top_exp)
     return rates
-
-
-def _band_constants(a, q):
-    # (1 - rho)**2 and 4 rho for rho = sqrt(q/a), each as a double plus a
-    # correction, good to about 2**-100, then rho and 1 - rho.  The first
-    # two scale every rate of the band alike, so a rounding of theirs would
-    # add up over the d - 1 rates in the determinant.  Exact products by
-    # Dekker's splitting.
-    ma, ea = math.frexp(a)
-    mq, eq = math.frexp(q)
-    if (eq - ea) % 2:
-        mq, eq = 2.0 * mq, eq - 1
-    x = mq / ma  # q/a = x 2**(eq - ea), x in (0.5, 4)
-    p, e = _two_prod(ma, x)
-    x_lo = ((mq - p) - e) / ma
-    root = math.sqrt(x)
-    p, e = _two_prod(root, root)
-    root_lo = ((x - p) - e + x_lo) / (2.0 * root)
-    rho = math.ldexp(root, (eq - ea) // 2)
-    rho_lo = math.ldexp(root_lo, (eq - ea) // 2)
-    f = 1.0 - rho
-    f_back = f - 1.0
-    f_lo = (1.0 - (f - f_back)) - (rho + f_back) - rho_lo
-    p, e = _two_prod(f, f)
-    return p, e + 2.0 * f * f_lo, 4.0 * rho, 4.0 * rho_lo, rho, f + f_lo
-
-
-def _two_prod(x, y):
-    # x y = p + e exactly, for |x|, |y| < 2**995 (T. J. Dekker 1971).
-    p = x * y
-    xh = _SPLIT * x
-    xh -= xh - x
-    yh = _SPLIT * y
-    yh -= yh - y
-    return p, ((xh * yh - p) + xh * (y - yh) + (x - xh) * yh) + (x - xh) * (y - yh)
 
 
 def _phase(t, mpi, d, u, k, sin=np.sin, atan2=np.arctan2, slope=True):

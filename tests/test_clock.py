@@ -419,6 +419,26 @@ class TestClosedForm:
         assert fp.mean_tick_time == pytest.approx(mean, rel=1e-12)
         assert fp.var_tick_time == pytest.approx(var, rel=1e-12)
 
+    def test_drift_down_moments_near_the_double_top(self):
+        # Mean 1e110 and variance 1e220, though the top's share of the mean
+        # is 1e160 in units of the sums' scale, whose square overflowed.  At
+        # d = 2 a tick takes K cycles, each Exp(a) then Exp(Gamma + q), K
+        # geometric with success chance p = Gamma/(Gamma + q), so var =
+        # E[K] var(cycle) + var(K) E[cycle]**2; exact rationals here.
+        a, q, gamma = (Fraction(x) for x in (1e100, 1e260, 1e50))
+        p = gamma / (gamma + q)
+        cycle = 1 / a + 1 / (gamma + q)
+        var = (1 / a**2 + 1 / (gamma + q) ** 2) / p + (1 - p) / p**2 * cycle**2
+        fp = solve_first_passage(LadderRates(1e100, 1e260),
+                                 LadderSpec(d=2, epsilon_w=1.0, g=0.1, Gamma=1e50))
+        assert fp.mean_tick_time == pytest.approx(float(cycle / p), rel=1e-12)
+        assert fp.var_tick_time == pytest.approx(float(var), rel=1e-12)
+        array, raises = clock.first_passage_array(np.array([1e100]), np.array([1e260]),
+                                                  np.array([1e50]), np.array([2]))
+        assert not np.logical_or.reduce([rows for _, rows in raises]).any()
+        for name in ("mean_tick_time", "var_tick_time", "exact_N", "exact_rate"):
+            assert getattr(array, name)[0].item().hex() == getattr(fp, name).hex(), name
+
     def test_deep_ladder_in_constant_time(self):
         # A ladder of 10**15 levels costs what one of 10 does.
         lad = LadderSpec(d=10**15, epsilon_w=1.0, g=0.1)
@@ -571,24 +591,43 @@ class TestPropagator:
         assert worst[0] <= 5e-11
         assert worst[1] <= 5e-11
 
-    @pytest.mark.parametrize("a, s, excess", [
-        # A nilpotent a with large |a| powers: the bound asks for 6 more.
-        (100.0 * np.array([[1.0, 1.0], [-1.0, -1.0]]), 0, 6),
-        (100.0 * np.array([[1.0, 1.0], [-1.0, -1.0]]), 4, 2),
-        (clock._generator(LadderRates(p_up=3.0, p_down=1.0), 12, 500.0), 8, 0),
-    ], ids=["nilpotent", "nilpotent-scaled", "generator"])
-    def test_pade_excess_is_its_bound(self, a, s, excess):
-        # The least l >= 0 with |c_27| || |b|**27 ||_1 / ||b||_1 <= u for
-        # b = 2**(-s - l) a, each l tried in turn.
-        l = 0
-        while True:
-            b = np.abs(a) * 2.0 ** (-s - l)
-            bound = np.linalg.matrix_power(b, 27).sum(axis=0).max() / b.sum(axis=0).max()
-            if bound / 113250775606021113483283660800000000.0 <= 2.0 ** -53:
-                break
-            l += 1
-        assert l == excess
-        assert clock._pade_excess(a, s) == excess
+    @staticmethod
+    def _random_steps(seed, n):
+        # Ladder generators with d from 2 to 300, rates log-uniform over
+        # +-150 decades and no down rate in a fifth of them, times a step
+        # that puts their 1-norm log-uniform in [1e-6, 1e15], where _expm
+        # takes from 0 to about 48 squarings.
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            d = int(rng.integers(2, 301))
+            p_up, p_down, gamma = 10.0 ** rng.uniform(-150.0, 150.0, size=3)
+            g = clock._generator(LadderRates(p_up, 0.0 if i % 5 == 0 else p_down), d, gamma)
+            yield g * (10.0 ** rng.uniform(-6.0, 15.0) / np.abs(g).sum(axis=0).max())
+
+    @staticmethod
+    def _needs_no_excess(a):
+        # Al-Mohy and Higham's bound |c_27| || |b|**27 ||_1 / ||b||_1 <= u
+        # at b = 2**-s a, for the s of the eta rule of _expm: where it
+        # holds, their excess term asks for no further squaring.
+        d6, d8, d10 = (np.abs(np.linalg.matrix_power(a, k)).sum(axis=0).max() ** (1.0 / k)
+                       for k in (6, 8, 10))
+        eta = min(max(d6, d8), max(d8, d10))
+        s = max(math.ceil(math.log2(eta / 4.25)), 0) if eta > 0.0 else 0
+        b = np.abs(a) * 2.0 ** -s
+        bound = np.linalg.matrix_power(b, 27).sum(axis=0).max() / b.sum(axis=0).max()
+        return bound / 113250775606021113483283660800000000.0 <= 2.0 ** -53
+
+    @pytest.mark.parametrize("source, seed", [
+        ("pipeline", 1), ("pipeline", 2), ("pipeline", 3), ("random", 28), ("random", 29),
+    ])
+    def test_eta_rule_needs_no_excess_squaring(self, monkeypatch, source, seed):
+        # Why _expm computes no excess term: on the ladder's generators it
+        # is zero.  A nilpotent 100 [[1, 1], [-1, -1]], which is no
+        # generator, fails the check.
+        steps = (self._pipeline_steps(monkeypatch, seed) if source == "pipeline"
+                 else self._random_steps(seed, 150))
+        for a in steps:
+            assert self._needs_no_excess(a), np.diag(a)
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 1e300, 1e17])
     def test_out_of_range_is_nan(self, scale):
@@ -868,17 +907,29 @@ class TestPassageSpectrum:
             assert np.all(band[:-1] * (1.0 - 1e-13) <= inner), (p_up, p_down, gamma, d)
             assert np.all(inner <= band[1:] * (1.0 + 1e-13)), (p_up, p_down, gamma, d)
 
-    @pytest.mark.parametrize("p_up, p_down, gamma", [
+    DEEP_WALKS = pytest.mark.parametrize("p_up, p_down, gamma", [
         (3.0, 1.0, None),      # fast reset: the top rate is a bound state
         (1.0, 1.0, 1.5),       # slow reset: the top rate is in the band
         (1.0, 1.0005, 7.0),    # passive: the lowest rate is a bound state
         (2.0, 1.0, 1e-30),     # a top that almost never fires
     ])
-    def test_deep_ladder_moments(self, p_up, p_down, gamma):
-        # At d = 4000, where bisection takes about 11 s.
+
+    @staticmethod
+    def _assert_moments(p_up, p_down, gamma, d, rel):
         lr = LadderRates(p_up=p_up, p_down=p_down)
-        lad = LadderSpec(d=4000, epsilon_w=1.0, g=0.1, Gamma=gamma)
+        lad = LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=gamma)
         rates = clock._passage_spectrum(p_up, p_down, resolve_gamma(lad, lr), lad.d)
         fp = solve_first_passage(lr, lad)
-        assert np.sum(1.0 / rates) == pytest.approx(fp.mean_tick_time, rel=1e-12)
-        assert np.sum(1.0 / rates**2) == pytest.approx(fp.var_tick_time, rel=1e-12)
+        assert np.sum(1.0 / rates) == pytest.approx(fp.mean_tick_time, rel=rel)
+        assert np.sum(1.0 / rates**2) == pytest.approx(fp.var_tick_time, rel=rel)
+
+    @DEEP_WALKS
+    def test_deep_ladder_moments(self, p_up, p_down, gamma):
+        # At d = 4000, where bisection takes about 11 s.
+        self._assert_moments(p_up, p_down, gamma, 4000, 1e-12)
+
+    @DEEP_WALKS
+    def test_deeper_ladder_moments(self, p_up, p_down, gamma):
+        # At d = 10**5, where the plain-double roundings of the band's
+        # constants add up over the determinant; measured: 3.1e-11.
+        self._assert_moments(p_up, p_down, gamma, 10**5, 1e-10)
