@@ -542,7 +542,7 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     The time from the bottom level to the tick is distributed as
     ``sum_j E_j / lambda_j`` with ``E_j`` iid standard exponentials, where
     the ``lambda_j`` are the eigenvalues of minus the walk generator on the
-    ``d`` levels, killed from the top at rate ``gamma`` (J. Keilson 1971;
+    ``d >= 2`` levels, killed from the top at rate ``gamma`` (J. Keilson 1971;
     J. A. Fill, J. Theor. Probab. 22, 2009).  With ``a = p_up``, ``q =
     p_down`` and ``b = sqrt(a q)`` that matrix is similar to the symmetric
     tridiagonal one with diagonal ``[a, a+q, ..., a+q, gamma+q]`` and every
@@ -573,8 +573,6 @@ def _passage_spectrum(p_up: float, p_down: float, gamma: float, d: int) -> np.nd
     exact mean to 5e-13 at ``d = 4000`` and 2e-10 at ``4 10**6``.
     """
     a, q = p_up, p_down
-    if d == 1:
-        return np.array([gamma], dtype=float)
     if q == 0.0:
         # A walk that only climbs: the matrix is bidiagonal.
         return np.sort(np.append(np.full(d - 1, a, dtype=float), gamma))

@@ -31,9 +31,8 @@ class NoResonance(QuenchClockError):
 
 
 class DegenerateRoot(QuenchClockError):
-    """A root sits at a van Hove point, where the band is flat and the
-    density of states diverges, or cannot be polished to the root
-    residual bound."""
+    """A root sits at a van Hove point, where the band's slope vanishes
+    and the density of states diverges, or the whole band is flat."""
 
 
 class ZeroRates(QuenchClockError):

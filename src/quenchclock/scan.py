@@ -3,7 +3,7 @@
 Each command expands the config's scan axes into a cartesian grid (last
 axis fastest, matching C order) and evaluates it as columns: one array
 per parameter over all rows, and one pass per pipeline layer (row
-validation; resonance roots, their polish and guards, and the rates;
+validation; resonance roots and their guards, and the rates;
 the inversion condition; walk rates and clock metrics; first passage;
 Monte Carlo; lifetime).  Each pass runs the array twin of a public
 scalar function, so a row gets the values the scalar pipeline gives its

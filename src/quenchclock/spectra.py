@@ -62,15 +62,6 @@ DERIVATIVE_TOL = 1e-6
 # energy 2 eps_k used by the resonance solvers.
 _ROOT_RESIDUAL_TOL = 5e-13
 
-# Polishing of a root that misses the residual bound (:func:`_polish_roots`):
-# the half-widths of the brackets tried around it (1e-9, growing 4x, up to
-# 1e-3), the step tolerances of the solve inside a bracket, and its most
-# Newton or bisection steps.
-_BRACKET_DELTAS = tuple(1e-9 * 4.0**i for i in range(10))
-_POLISH_XTOL = 1e-15
-_POLISH_RTOL = 8.9e-16
-_POLISH_STEPS = 100
-
 
 class ModelKind(Enum):
     ISING_XY = "ising_xy"
@@ -315,11 +306,6 @@ def mode_state_array(initial: ModelArrays, final: ModelArrays,
     return state, (eps_i < GAPLESS_TOL) | (eps_f < GAPLESS_TOL)
 
 
-def _domain_max(model: ModelSpec) -> float:
-    # Half zone carrying one representative of each +-k pair.
-    return math.pi if model.kind is ModelKind.ISING_XY else 0.5 * math.pi
-
-
 def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
     """Extrema of ``eps_k`` over the model's momentum domain.
 
@@ -354,13 +340,59 @@ def _ring_cos2(model, eps):
         return np.divide(eps * eps - model.V * model.V, 4.0 * (model.t * model.t))
 
 
+def _meets(model, k, eps):
+    # Whether eps_k at momenta k meets eps within the residual bound; never
+    # at a nan k.
+    return np.abs(dispersion(model, k) - eps) <= _ROOT_RESIDUAL_TOL * np.maximum(1.0, eps)
+
+
+def _half_angle_roots(h, kappa, eps):
+    """The chain's roots ``k`` of ``eps_k = eps`` (scalars or arrays),
+    along a last axis of two in ascending ``cos k``, nan where absent.
+
+    With ``sigma = +-1``, ``g = h - sigma`` and ``e = eps/2``, the roots
+    with ``sigma cos k >= 0`` solve
+
+        4 (1 - kappa**2) x**2 + 4 sigma (g + sigma kappa**2) x + (g - e)(g + e) = 0
+
+    in ``x = sin(k/2)**2`` for ``sigma = +1`` and ``x = cos(k/2)**2`` for
+    ``sigma = -1``, which is small where ``cos k`` nears ``sigma``.  There
+    ``arccos`` of the root in ``cos k`` keeps none of a small ``x``'s
+    digits, and the stable quadratic formula keeps them all.  The
+    discriminant over 16, ``(1 - kappa**2) e**2 + kappa**2 ((h - 1)(h + 1)
+    + kappa**2)``, is the same for both signs and cancels only at the
+    band's interior extremum, where the van Hove guard takes over.
+    """
+    h, kappa, e = (np.asarray(v, dtype=float) for v in (h, kappa, 0.5 * eps))
+    kap2 = kappa * kappa
+    a = 4.0 * (1.0 - kap2)
+    ks = []
+    with np.errstate(all="ignore"):
+        sq = np.sqrt((1.0 - kap2) * (e * e) + kap2 * ((h - 1.0) * (h + 1.0) + kap2))
+        for sigma in (1.0, -1.0):
+            g = h - sigma
+            b = sigma * (g + sigma * kap2)
+            q = -2.0 * (b + np.copysign(sq, b))
+            for x in ((g - e) * (g + e) / q, q / a):
+                inside = (x >= 0.0) & ((x <= 0.5) if sigma > 0.0 else (x < 0.5))
+                half = 2.0 * np.arcsin(np.sqrt(np.where(inside, x, np.nan)))
+                ks.append(half if sigma > 0.0 else math.pi - half)
+    # Descending k is ascending cos k; nan sorts last.
+    return -np.sort(-np.stack(ks, axis=-1), axis=-1)[..., :2]
+
+
 def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
     """All momenta in the half zone with ``eps_k == eps``.
 
     For the transverse-field chain the half zone is ``k in [0, pi]``
     (``u = cos k in [-1, 1]``); for the ring it is ``k in [0, pi/2]``.
     Returns an empty tuple when ``eps`` lies outside the band; raises
-    :class:`DegenerateRoot` on a flat band or a root that does not polish.
+    :class:`DegenerateRoot` on a flat band.  The roots come from a
+    quadratic in ``cos k``; where one of them misses the residual bound,
+    as ``arccos`` makes it near the zone ends of a chain at a critical
+    field, the chain's roots are solved again in the half angle
+    (:func:`_half_angle_roots`), and a candidate that still misses the
+    bound is no root.
     """
     eps = float(eps)
     if eps < 0.0:
@@ -398,22 +430,13 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
                         if abs(u2 - u1) > 1e-12:
                             us.append(u2)
         us = [min(1.0, max(-1.0, u)) for u in us if -1.0 - 1e-12 <= u <= 1.0 + 1e-12]
-    roots = []
-    for u in sorted(set(us)):
-        k = float(np.arccos(u))  # in the half zone: u is clipped to it
-        if not abs(dispersion(model, k) - eps) <= _ROOT_RESIDUAL_TOL * max(1.0, eps):
-            polished, unpolished = _polish_roots(model, np.array([eps]), np.array([k]),
-                                                 _domain_max(model))
-            k1 = float(polished[0])
-            if unpolished[0]:
-                raise DegenerateRoot(
-                    f"root of eps_k={eps!r} near k={k!r} did not polish: "
-                    f"residual {dispersion(model, k1) - eps!r} at k={k1!r}")
-            if math.isnan(k1):
-                continue
-            k = k1
-        roots.append(EnergyRoot(k=k, u=float(np.cos(k)), velocity=group_velocity(model, k)))
-    return tuple(roots)
+    ks = [float(np.arccos(u)) for u in sorted(set(us))]  # u is clipped to the zone
+    if not all(_meets(model, k, eps) for k in ks):
+        if model.kind is ModelKind.ISING_XY:
+            ks = _half_angle_roots(model.h, model.kappa, eps).tolist()
+        ks = [k for k in ks if _meets(model, k, eps)]
+    return tuple(EnergyRoot(k=k, u=float(np.cos(k)), velocity=group_velocity(model, k))
+                 for k in ks)
 
 
 @dataclass(frozen=True)
@@ -423,8 +446,7 @@ class RootArrays:
     Row ``i`` holds at most two roots, in the ascending ``u`` order of
     the scalar twin, with the single root of a row in column 0; absent
     roots are nan.  ``degenerate`` marks the rows on which
-    :func:`energy_roots` raises (a flat band, or a root that cannot be
-    polished to the residual bound).
+    :func:`energy_roots` raises: a flat band.
     """
 
     k: np.ndarray  # (n, 2)
@@ -476,88 +498,22 @@ def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
             u[:, 1] = np.where(np.isnan(u1) | np.isnan(u2), np.nan, np.fmax(u1, u2))
         # Both quadratics see eps only squared; no energy below zero is reached.
         u[eps < 0.0] = np.nan
-        present = ~np.isnan(u)
-        k0 = np.arccos(u)
+        k = np.arccos(u)
         model2 = model.take((slice(None), None))
         eps2 = eps[:, None]
-        residual = dispersion(model2, k0) - eps2
-        rough = present & ~(np.abs(residual) <= _ROOT_RESIDUAL_TOL * np.maximum(1.0, eps2))
-        k = k0
+        rough = ~np.isnan(k) & ~_meets(model2, k, eps2)
         if rough.any():
-            rows, cols = np.nonzero(rough)
-            polished, unpolished = _polish_roots(model.take(rows), eps[rows],
-                                                 k0[rows, cols], _domain_max(model))
-            k = k0.copy()
-            k[rows, cols] = polished
-            degenerate[rows[unpolished]] = True
-            # A root that is no root leaves its column; the one left of two
-            # moves to column 0.
-            present = ~np.isnan(k)
-            order = np.argsort(~present, axis=1, kind="stable")
-            present = np.take_along_axis(present, order, axis=1)
-            k = np.take_along_axis(k, order, axis=1)
+            rows = rough.any(axis=1)
+            if model.kind is ModelKind.ISING_XY:
+                chain = model.take(rows)
+                k[rows] = _half_angle_roots(chain.h, chain.kappa, eps[rows])
+            # A candidate that misses the bound is no root; the one left of
+            # two moves to column 0 (descending k is ascending u).
+            k = -np.sort(-np.where(_meets(model2, k, eps2), k, np.nan), axis=1)
+        present = ~np.isnan(k)
         velocity = np.where(present, group_velocity(model2, k), np.nan)
     return RootArrays(k=k, u=np.cos(k), velocity=velocity, present=present,
                       degenerate=degenerate)
-
-
-def _polish_roots(model, eps: np.ndarray, k0: np.ndarray,
-                  k_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Polish the roots ``k0`` of ``eps_k = eps`` that miss the residual
-    bound, for a :class:`ModelSpec` or a :class:`ModelArrays` of rows.
-
-    Each root gets the first bracket of :data:`_BRACKET_DELTAS` around it
-    with a sign change, and Newton steps inside it, with a bisection
-    whenever a step leaves the bracket.  Returns the roots and the mask
-    of the bracketed ones still off the bound, on which
-    :func:`energy_roots` raises :class:`DegenerateRoot`.  A root with no
-    sign change nearby that misses the bound is no root: ``eps_k`` does not
-    reach ``eps`` there, as where the ring's quadratic admits a ``cos**2 k``
-    just below 0, and its ``k`` is nan.  One that touches ``eps`` at an
-    extremum of the band meets the bound, and the van Hove guard
-    downstream sees its slope.
-    """
-
-    def f(k):
-        return dispersion(model, k) - eps
-
-    tol = _ROOT_RESIDUAL_TOL * np.maximum(1.0, eps)
-    k = k0.copy()
-    lo, hi, f_lo = k0.copy(), k0.copy(), np.zeros_like(k0)
-    searching = np.ones(k0.shape, dtype=bool)
-    bracketed = np.zeros(k0.shape, dtype=bool)
-    for delta in _BRACKET_DELTAS:
-        a = np.maximum(0.0, k0 - delta)
-        b = np.minimum(k_max, k0 + delta)
-        fa, fb = f(a), f(b)
-        at_a = searching & (fa == 0.0)
-        at_b = searching & ~at_a & (fb == 0.0)
-        k = np.where(at_a, a, np.where(at_b, b, k))
-        found = searching & ~at_a & ~at_b & (fa * fb < 0.0)
-        lo, hi, f_lo = (np.where(found, a, lo), np.where(found, b, hi),
-                        np.where(found, fa, f_lo))
-        bracketed |= found
-        searching &= ~(at_a | at_b | found)
-    x = k0
-    fx = f(x)
-    going = bracketed.copy()
-    for _ in range(_POLISH_STEPS):
-        going &= fx != 0.0
-        if not going.any():
-            break
-        left = np.sign(fx) == np.sign(f_lo)
-        lo = np.where(going & left, x, lo)
-        f_lo = np.where(going & left, fx, f_lo)
-        hi = np.where(going & ~left, x, hi)
-        x_next = x - fx / group_velocity(model, x)
-        x_next = np.where((x_next > lo) & (x_next < hi), x_next, 0.5 * (lo + hi))
-        settled = np.abs(x_next - x) <= _POLISH_XTOL + _POLISH_RTOL * np.abs(x_next)
-        x = np.where(going, x_next, x)
-        fx = f(x)
-        going &= ~settled
-    k = np.where(bracketed, x, k)
-    off = np.abs(f(k)) > tol
-    return np.where(off & ~bracketed, np.nan, k), off & bracketed
 
 
 def van_hove(velocity):

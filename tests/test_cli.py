@@ -879,6 +879,13 @@ _WIDE_PINS = (
     ["model.kind=xx_ring", "model.t=1e-170"],
     # Both rates are inf, and chi_second nan.
     ["coupling.g_obs=1e160"],
+    # Resonant roots near k = 0 at the critical field, solved in the half angle.
+    ["model.h_f=1.0", "coupling.epsilon0=1e-8"],
+    # Two roots flank the band minimum of a near-XX chain.
+    ["model.kappa=1e-12", "model.h_i=0.1", "model.h_f=0.3", "coupling.epsilon0=1e-9"],
+    # The one root lies near k = pi, outside the coupled zone cos k >= 0.
+    ["model.h_i=-0.5", "model.h_f=-1.000003432137425", "model.kappa=95.63723028640165",
+     "coupling.epsilon0=0.02333020375365726"],
 )
 # Flags of a rates row on which the oracle stops with a domain error.
 _ORACLE_STOPS = {"invalid", "gapless", "no_resonance", "van_hove"}

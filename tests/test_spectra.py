@@ -64,8 +64,8 @@ class TestDispersion:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_group_velocity_scalar_matches_array_bits(self, kind):
         # Random rows, each through the scalar path (a ModelSpec and a float
-        # momentum) and through the array twin (ModelArrays, as the scan and
-        # the root polish call it); row 0 of the chain is gapless, k = 0 at h = 1.
+        # momentum) and through the array twin (ModelArrays, as the scan
+        # calls it); row 0 of the chain is gapless, k = 0 at h = 1.
         rng = np.random.default_rng(17)
         n = 400
         k = rng.uniform(-4.0, 4.0, n)
@@ -173,33 +173,15 @@ class TestEnergyRoots:
         for r in energy_roots(m, eps):
             assert abs(dispersion(m, r.k) - eps) <= 1e-12 * max(1.0, eps)
 
-    def test_unpolished_root_raises(self, monkeypatch):
-        # At h = 1 the root k ~ eps/(2 kappa) = 5e-9 comes from acos(u) with u
-        # rounded to 1, so its start k = 0 misses the residual bound by the
-        # whole of eps.  The polish finds it; a polish that cannot move it
-        # must not be accepted.
-        m = ModelSpec.ising(h=1.0, kappa=0.3)
-        (root,) = energy_roots(m, 3e-9)
-        assert abs(dispersion(m, root.k) - 3e-9) <= spectra._ROOT_RESIDUAL_TOL
-        assert root.k == pytest.approx(5e-9, rel=1e-6)
-        monkeypatch.setattr(spectra, "_POLISH_STEPS", 0)
-        with pytest.raises(DegenerateRoot, match="did not polish"):
-            energy_roots(m, 3e-9)
-
-    def test_array_twin_polishes_critical_roots_like_the_scalar(self, monkeypatch):
+    def test_array_twin_polishes_critical_roots_like_the_scalar(self):
         # At the critical field h = 1 a root near k = 0 comes from acos(u)
         # with u close to 1 and misses the residual bound, so both twins
-        # polish it, with the one polish of _polish_roots.
+        # solve it again in the half angle.
         kappa = np.repeat([0.3, 0.5, 0.7, 0.9], 7)
         eps = np.tile(4.0 * 10.0 ** -np.arange(6.0, 13.0), 4)
-        polish = spectra._polish_roots
-        calls = []
-        monkeypatch.setattr(spectra, "_polish_roots",
-                            lambda *a: calls.append(a) or polish(*a))
         roots = energy_roots_array(
             ModelArrays(ModelKind.ISING_XY, h=np.ones(kappa.size), kappa=kappa), eps)
         assert not roots.degenerate.any()
-        calls.clear()
         for i, (kap, e) in enumerate(zip(kappa, eps)):
             m = ModelSpec.ising(1.0, kap)
             (root,) = energy_roots(m, e)
@@ -209,19 +191,51 @@ class TestEnergyRoots:
             ref = brentq(lambda k: dispersion(m, k) - e, 0.0, 1e-3,
                          xtol=1e-300, rtol=8.9e-16, maxiter=1000)
             assert root.k == pytest.approx(ref, rel=1e-12)
-        assert len(calls) >= 20
 
-    def test_array_twin_flags_unpolished_root(self, monkeypatch):
-        # The start of test_unpolished_root_raises, through the array twin.
-        m = ModelArrays(ModelKind.ISING_XY, h=np.array([0.5]), kappa=np.array([1.0]))
-        k_root = math.acos(0.75)
-        start = (m, np.array([SQRT2]), np.array([k_root + 1e-7]), math.pi)
-        k, unpolished = spectra._polish_roots(*start)
-        assert k[0] == pytest.approx(k_root, abs=1e-14)
-        assert not unpolished[0]
-        monkeypatch.setattr(spectra, "_POLISH_STEPS", 0)
-        k, unpolished = spectra._polish_roots(*start)
-        assert unpolished[0]
+    # A momentum just above the chain's interior band minimum at k = acos(0.3)
+    # and one just below it: at kappa = 0 the two roots at cos k = 0.3 -+ eps/2.
+    _K_MIN = math.acos(0.3)
+    _XX_BRACKETS = ((_K_MIN, _K_MIN + 1e-6), (_K_MIN - 1e-6, _K_MIN))
+
+    @pytest.mark.parametrize("h, kappa, eps, brackets", [
+        # Near the critical field, where acos of the root in cos k loses it.
+        (1.0000000000004645, -81.58607093880616, 9.35460522159e-13, [(0.0, 1e-3)]),
+        (0.9999999999999679, -1.4210348913476685e-4, 9.026866590499726e-14,
+         [(0.0, 1e-3)]),
+        (1.0000000001109215, -0.002737686856703, 1.7327009783371679e-09, [(0.0, 1e-3)]),
+        (-1.000003432137425, 95.63723028640165, 0.01166510187682863,
+         [(math.pi - 1e-3, math.pi)]),
+        # Near the XX chain two roots flank the band minimum, where the
+        # discriminant in cos k cancels.
+        (0.3, 0.0, 1e-9, _XX_BRACKETS),
+        (0.3, 1e-12, 1e-9, _XX_BRACKETS),
+        # The root of x = q/A of the half-angle quadratic, not of C/q.
+        (0.9999999061708378, 1.0339636777311407e-4, 1.2712482501333868e-06,
+         [(0.0, 1e-2)]),
+    ])
+    def test_half_angle_roots_match_brentq(self, h, kappa, eps, brackets):
+        # Each bracket holds one sign change of eps_k - eps, listed in the
+        # twins' order of ascending cos k.  The reference takes h - cos k
+        # in the half angle, as h - 1 + 2 sin(k/2)**2 or h + 1 - 2
+        # cos(k/2)**2, since cos k near +-1 rounds away a small root.
+        def residual(k):
+            if k > 0.5 * math.pi:
+                x = h + 1.0 - 2.0 * math.cos(0.5 * k) ** 2
+            else:
+                x = h - 1.0 + 2.0 * math.sin(0.5 * k) ** 2
+            return 2.0 * math.hypot(x, kappa * math.sin(k)) - eps
+
+        m = ModelSpec.ising(h, kappa)
+        roots = energy_roots(m, eps)
+        rows = energy_roots_array(
+            ModelArrays(ModelKind.ISING_XY, h=np.array([h]), kappa=np.array([kappa])),
+            np.array([eps]))
+        assert rows.present[0].tolist() == [True, len(brackets) == 2]
+        assert len(roots) == len(brackets)
+        for j, (root, (lo, hi)) in enumerate(zip(roots, brackets)):
+            assert rows.k[0, j] == root.k and rows.velocity[0, j] == root.velocity
+            ref = brentq(residual, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=1000)
+            assert root.k == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 class TestDensityOfStates:
