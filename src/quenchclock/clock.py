@@ -389,7 +389,7 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
     series = abs(L * delta) < 1.0
     drifts_down = not series and delta > 0.0
     if series:
-        sums = _series_sums(np.array([float(d)]), np.array([delta]))[:, 0].tolist()
+        sums = _series_sums_float(float(d), delta)
     elif drifts_down:
         ell = float(np.log1p(delta))
         x = L * ell
@@ -471,6 +471,40 @@ def _series_sums(d, delta):
     s1 = c2 + delta * a3
     return np.stack([s1, d + delta * s1, 2.0 * (c - (2.0 * d - 1.0) * e),
                      b + 4.0 * a - 4.0 * (d - 1.0) * a3])
+
+
+def _series_sums_float(d, delta):
+    # _series_sums of one walk in Python floats, for the scalar twin,
+    # which would spend most of its time in numpy calls on one-element
+    # arrays: the same terms in the same order, each series summed as
+    # numpy's pairwise sum adds 8 to 128 terms (eight running sums over
+    # whole blocks of eight, combined pairwise, then the rest in turn), so
+    # the bits are the array twin's.
+    sums = []
+    for n, k in ((d, 4.0), (2.0 * d, 4.0), (2.0 * d - 1.0, 3.0), (d - 1.0, 2.0)):
+        term = 1.0
+        for j in range(int(k)):
+            term *= (n - j) / (j + 1.0)
+        terms = [term]
+        top = n - (k - 1.0)
+        for i in range(1, _SERIES_TERMS):
+            term *= delta * (top - i) / (k + i)
+            terms.append(term)
+        blocks = _SERIES_TERMS - _SERIES_TERMS % 8
+        r = terms[:8]
+        for i in range(8, blocks, 8):
+            r = [x + y for x, y in zip(r, terms[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in terms[blocks:]:
+            total += x
+        # numpy's sum starts from 0.0, which turns a -0.0 total into 0.0.
+        sums.append(0.0 + total)
+    a, b, c, e = sums
+    c2 = d * (d - 1.0) / 2.0
+    a3 = c2 * (d - 2.0) / 3.0 + delta * a
+    s1 = c2 + delta * a3
+    return [s1, d + delta * s1, 2.0 * (c - (2.0 * d - 1.0) * e),
+            b + 4.0 * a - 4.0 * (d - 1.0) * a3]
 
 
 def _combine(s1, u, s, p, r, alpha, beta):

@@ -10,12 +10,14 @@ slow way, twice over:
   converge to the closed forms as ``L`` grows and ``eta`` shrinks, as
   long as ``eta`` stays well above the local level spacing
   ``~ 2 pi |d(2 eps)/dk| / L``.  A refinement table sums all its rungs
-  in one pass over their stacked momentum grids.  The broadening is the
-  Lorentzian averaged over the energy image of each momentum cell,
-  which keeps the sum smooth even when ``eta`` dips below the level
-  spacing, and is unit normalized; :func:`_density` evaluates it as the
-  angle the cell subtends, one ``atan2``.  A cell of zero width takes
-  the point Lorentzian, its limit.
+  in one pass over their stacked momentum grids.  Each mode's occupation
+  and matrix element come from the unit vectors ``(x, y)/|(x, y)|`` of
+  its pair components, with no angle and no sine (:func:`_rung_modes`).
+  The broadening is the Lorentzian averaged over the energy image of
+  each momentum cell, which keeps the sum smooth even when ``eta`` dips
+  below the level spacing, and is unit normalized; :func:`_density`
+  evaluates it as the angle the cell subtends, one ``atan2``.  A cell of
+  zero width takes the point Lorentzian, its limit.
 
 * **Dense diagonalization** (:func:`dense_ed_correlator`): for tiny
   chains, the exact lines of the stationary correlator of the coupling
@@ -41,9 +43,6 @@ from .spectra import (
     QuenchSpec,
     _check_gapped,
     _components,
-    _energy,
-    _half_angle,
-    _occupation,
     band_edges,
 )
 
@@ -129,49 +128,117 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
     The grid, its cos and sin, the index arrays and the cell widths do
     not depend on the quench: :func:`_rung_grid` builds them once per
     tuple of sizes and keeps the last :data:`_GRID_MEMO` of them,
-    read-only.  Per quench, the final model's pair components over the
-    grid and the initial model's at the modes, each computed once, give
-    the energies at the modes and cell edges and the modes' angles.
-    Returns the pair energies ``E``, the energy span ``[lo, hi]`` of
-    each cell, the rate weight (cell width times squared matrix
-    element), the occupations ``n_k`` and each rung's mode count.
+    read-only.  Per quench, the final model's pair components ``(x, y)``
+    over the grid give ``r = sqrt(x**2 + y**2)`` and the pair energies,
+    ``2 eps_k = 4 r`` on the chain and ``2 r`` on the ring.  At the modes,
+    the unit vectors ``u = (x, y)/r = (cos 2 theta, sin 2 theta)`` of the
+    initial and the final model give the occupation and the matrix
+    element without an angle:
+
+        n_k = sin(theta_f - theta_i)**2 = |u_f - u_i|**2 / 4,
+        1 - n_k = |u_f + u_i|**2 / 4,    sin(2 theta_f)**2 = (y_f/r_f)**2,
+
+    each a sum of squares, so neither occupation cancels.  Returns the
+    pair energies ``E``, the energy span ``[lo, hi]`` of each cell, the
+    rate weight (cell width times squared matrix element), ``n_k``,
+    ``1 - n_k`` and each rung's mode count.
     """
     g = _rung_grid(tuple(int(L) for L in sizes))
-    km = g.k_mode
     final, initial = quench.final, quench.initial
-    x_f, y_f = _components(final, g.cos, g.sin)
-    eps = _energy(final, x_f, y_f)
-    _check_gapped(km, eps[g.mode])
+    ring = quench.kind is ModelKind.XX_RING
+    x, y = _components(final, g.cos, g.sin)
+    E = x * x
+    E += y * y
+    np.sqrt(E, out=E)
+    r_f = E[g.mode]
+    E *= 2.0 if ring else 4.0
+    E_mode = E[g.mode]
+    _check_gapped(g.k_mode, 0.5 * E_mode)
     x_i, y_i = _components(initial, g.cos_mode, g.sin_mode)
-    _check_gapped(km, _energy(initial, x_i, y_i))
-    # The ring's y is the scalar V: broadcast it so one index picks the modes.
-    th_f = _half_angle(x_f[g.mode], np.broadcast_to(y_f, x_f.shape)[g.mode])
-    n_k = _occupation(th_f - _half_angle(x_i, y_i))
-    e_a = 2.0 * eps[g.below]
-    e_b = 2.0 * eps[g.above]
-    weight = g.width * np.sin(2.0 * th_f) ** 2
-    if quench.kind is ModelKind.XX_RING:
-        weight = weight * (final.t * g.sin_mode) ** 2
-    return (2.0 * eps[g.mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b),
-            weight, n_k, g.counts)
+    r_i = x_i * x_i
+    r_i += y_i * y_i
+    np.sqrt(r_i, out=r_i)
+    _check_gapped(g.k_mode, r_i if ring else 2.0 * r_i)
+    ux_f, uy_f = _unit_vector(*_components(final, g.cos_mode, g.sin_mode), r_f)
+    ux_i, uy_i = _unit_vector(x_i, y_i, r_i)
+    weight = uy_f * uy_f
+    weight *= g.width
+    if ring:
+        ts = final.t * g.sin_mode
+        ts *= ts
+        weight *= ts
+    n_k = _quarter_square(ux_f - ux_i, uy_f - uy_i)
+    m_k = _quarter_square(np.add(ux_f, ux_i, out=ux_f), np.add(uy_f, uy_i, out=uy_i))
+    lo, hi = E[g.below], E[g.above]
+    return E_mode, np.minimum(lo, hi), np.maximum(lo, hi, out=hi), weight, n_k, m_k, g.counts
+
+
+def _unit_vector(x, y, r):
+    """``(x, y)/r``, written over ``x`` and ``r``.  Where ``r``, the norm of
+    finite components, overflowed, they are first scaled by the larger of
+    them, so that the unit vector stays finite as their angle does."""
+    big = np.isinf(r) if r.max() == math.inf else None
+    if big is not None:
+        xb, yb = x[big], np.broadcast_to(y, x.shape)[big]
+        m = np.maximum(np.abs(xb), np.abs(yb))
+        xb /= m
+        yb /= m
+        rb = np.sqrt(xb * xb + yb * yb)
+        xb /= rb
+        yb /= rb
+    x /= r
+    y = np.divide(y, r, out=r)
+    if big is not None:
+        x[big] = xb
+        y[big] = yb
+    return x, y
+
+
+def _quarter_square(a, b):
+    """``(a**2 + b**2) / 4``, written over ``a`` and ``b``."""
+    a *= a
+    b *= b
+    a += b
+    a *= 0.25
+    return a
 
 
 def _density(eta, omega, E, lo, hi):
     """Broadened density of the modes at energies ``E`` (cells
     ``[lo, hi]``) seen at frequencies ``omega``; the arguments broadcast.
     """
-    width = hi - lo
+    shape = np.broadcast(eta, omega, E, lo, hi).shape
+    val, buf, width = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.subtract(hi, lo, out=width)
+    # Im[log(b - i eta) - log(a - i eta)] with a = lo - omega and b = hi -
+    # omega, the angle the cell subtends, as one atan2 of (eta width, a b
+    # + eta**2): the difference of the two angles cancels in narrow cells.
+    np.subtract(lo, omega, out=val)
+    np.subtract(hi, omega, out=buf)
+    val *= buf
+    np.multiply(eta, eta, out=buf)
+    val += buf
+    np.multiply(eta, width, out=buf)
+    np.arctan2(buf, val, out=val)
     # Cells an extremum fold has collapsed take the point form, their limit.
-    narrow = width < 1e-12 * np.maximum(1.0, np.abs(E))
-    a, b = lo - omega, hi - omega
-    # Im[log(b - i eta) - log(a - i eta)], the angle the cell subtends,
-    # as one atan2: the difference of the two angles cancels in narrow
-    # cells.
-    val = np.arctan2(eta * width, a * b + eta * eta) / (np.pi * np.where(narrow, 1.0, width))
-    if narrow.any():
-        x = E - omega
-        val = np.where(narrow, eta / (np.pi * (x * x + eta * eta)), val)
-    return val
+    np.abs(E, out=buf)
+    np.maximum(buf, 1.0, out=buf)
+    buf *= 1e-12
+    narrow = width < buf
+    some_narrow = narrow.any()
+    if some_narrow:
+        width[narrow] = 1.0
+    width *= np.pi
+    val /= width
+    if some_narrow:
+        np.subtract(E, omega, out=buf)
+        buf *= buf
+        np.multiply(eta, eta, out=width)
+        buf += width
+        buf *= np.pi
+        np.divide(eta, buf, out=buf)
+        val[narrow] = buf[narrow]
+    return val[()]
 
 
 def _rel(value: float, ref: float) -> float:
@@ -215,12 +282,15 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     # nan; the closed forms below then raise their domain error, or the
     # table carries the non-finite rates, without numpy's warnings.
     with np.errstate(all="ignore"):
-        E, lo, hi, weight, n_k, counts = _rung_modes(quench, sizes)
+        E, lo, hi, weight, n_k, m_k, counts = _rung_modes(quench, sizes)
         eta_k = np.array([eta_r for _, eta_r in rungs]).repeat(counts)
-        base = weight * _density(eta_k, coupling.epsilon0, E, lo, hi)
+        base = _density(eta_k, coupling.epsilon0, E, lo, hi)
+        base *= weight
+        n_k *= base
+        m_k *= base
         starts = np.cumsum(counts) - counts
-        ups = np.add.reduceat(base * n_k, starts)
-        downs = np.add.reduceat(base * (1.0 - n_k), starts)
+        ups = np.add.reduceat(n_k, starts)
+        downs = np.add.reduceat(m_k, starts)
     L_ref = sizes[-1]
     closed = transition_rates(
         quench, QubitCoupling(coupling.epsilon0, coupling.g_obs, L_ref))

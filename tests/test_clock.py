@@ -392,6 +392,31 @@ class TestClosedForm:
                 assert getattr(fp, name)[i].item().hex() == getattr(want, name).hex(), (i, name)
         assert compared >= p_up.size // 2
 
+    def test_series_walks_match_the_array_twin_bits(self):
+        # Near-balanced walks, |(d - 1) delta| < 1, take the power series:
+        # the scalar twin sums it in Python floats, the array twin in numpy,
+        # with the same bits.  (d - 1) delta spans 1e-16 to 0.999 in size,
+        # of either sign, and 0.
+        rng = np.random.default_rng(30)
+        n = 10_000
+        d = rng.integers(2, 61, n)
+        scaled = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, math.log10(0.999), n)
+        scaled[::97] = 0.0
+        p_up = 10.0 ** rng.uniform(-4.0, 4.0, n)
+        p_down = p_up * (1.0 + scaled / (d - 1))
+        explicit = np.arange(n) % 2 == 1
+        gamma = np.where(explicit, p_up * 10.0 ** rng.uniform(-3.0, 3.0, n), np.nan)
+        assert np.all(np.abs((d - 1) * ((p_down - p_up) / p_up)) < 1.0)
+        fp, raises = clock.first_passage_array(p_up, p_down, gamma, d)
+        assert not np.logical_or.reduce([rows for _, rows in raises]).any()
+        names = ("mean_tick_time", "var_tick_time", "exact_N", "exact_rate")
+        for i in range(n):
+            ladder = LadderSpec(d=int(d[i]), epsilon_w=1.0, g=0.1,
+                                Gamma=float(gamma[i]) if explicit[i] else None)
+            want = solve_first_passage(LadderRates(float(p_up[i]), float(p_down[i])), ladder)
+            got = [getattr(fp, name)[i].item().hex() for name in names]
+            assert got == [getattr(want, name).hex() for name in names], i
+
     @given(exponents=st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=3),
            explicit=st.booleans(), d=st.sampled_from([2, 3, 7, 10, 33, 60, 1000, 10**15]),
            k=st.integers(-664, 664))

@@ -3,8 +3,10 @@
 The dense cross-check rebuilds the two-spin problem with explicit Pauli
 matrices and the textbook Lehmann sum, so it shares no code with the
 module under test, and pins every line of larger chains to a pair
-energy.  The differential test rebuilds the rung-by-rung
-complex-log mode sum that the stacked real-arithmetic one replaced.
+energy.  The differential tests rebuild the rung-by-rung complex-log
+mode sum that the stacked real-arithmetic one replaced, and the angle
+form of the occupations and matrix elements that the unit vectors
+replaced.
 """
 
 import math
@@ -22,6 +24,7 @@ from quenchclock import (
     QubitCoupling,
     QuenchSpec,
     TooLarge,
+    band_edges,
     dense_ed_correlator,
     discrete_rates,
     dispersion,
@@ -226,8 +229,9 @@ class TestAgainstComplexLogModeSum:
 
 
 
-def _rung_modes_unmemoized(quench, sizes):
-    """The stacked mode data built from scratch on every call."""
+def _stacked_grid(sizes):
+    """Rung mode counts, the stacked grids ``j pi/L`` and the grid index of
+    each mode, built from scratch."""
     counts = [(L + 2) // 4 for L in sizes]
     grids, modes, offset = [], [], 0
     for L, count in zip(sizes, counts):
@@ -236,22 +240,169 @@ def _rung_modes_unmemoized(quench, sizes):
         grids.append(grid)
         modes.append(np.arange(offset + 1, offset + 2 * count, 2))
         offset += len(grid)
-    k = np.concatenate(grids)
-    mode = np.concatenate(modes)
+    return counts, np.concatenate(grids), np.concatenate(modes)
+
+
+def _rung_modes_unmemoized(quench, sizes):
+    """The stacked mode data built from scratch on every call, by the
+    unit-vector formulas of :func:`_rung_modes` written out of place."""
+    counts, k, mode = _stacked_grid(sizes)
+    km = k[mode]
+    final, initial = quench.final, quench.initial
+    ring = quench.kind is ModelKind.XX_RING
+    c, s = np.cos(k), np.sin(k)
+    x, y = _components(final, c, s)
+    r = np.sqrt(x * x + y * y)
+    E = r * (2.0 if ring else 4.0)
+    _check_gapped(km, 0.5 * E[mode])
+    x_i, y_i = _components(initial, c[mode], s[mode])
+    r_i = np.sqrt(x_i * x_i + y_i * y_i)
+    _check_gapped(km, r_i if ring else 2.0 * r_i)
+    x_f, y_f = _components(final, c[mode], s[mode])
+    ux_f, uy_f = x_f / r[mode], y_f / r[mode]
+    ux_i, uy_i = x_i / r_i, y_i / r_i
+    weight = uy_f * uy_f * (k[mode + 1] - k[mode - 1])
+    if ring:
+        weight = weight * (final.t * s[mode]) ** 2
+    n_k = ((ux_f - ux_i) ** 2 + (uy_f - uy_i) ** 2) * 0.25
+    m_k = ((ux_f + ux_i) ** 2 + (uy_f + uy_i) ** 2) * 0.25
+    e_a, e_b = E[mode - 1], E[mode + 1]
+    return (E[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b), weight, n_k, m_k, counts)
+
+
+def _rung_modes_angle_form(quench, sizes):
+    """The stacked mode data of the angle form that the unit vectors
+    replaced: ``theta = atan2(y, x)/2`` per mode, ``n_k = sin(dtheta)**2``
+    and the matrix element ``sin(2 theta_f)**2``.  Its ``1 - n_k`` is
+    ``cos(dtheta)**2``, which, unlike ``1 - sin(dtheta)**2``, does not
+    cancel where ``n_k`` nears 1."""
+    counts, k, mode = _stacked_grid(sizes)
     km = k[mode]
     final, initial = quench.final, quench.initial
     c, s = np.cos(k), np.sin(k)
     eps = _energy(final, *_components(final, c, s))
     _check_gapped(km, eps[mode])
-    eps_i, _, _, th_f, _, n_k = _mode_fields(initial, final, c[mode], s[mode])
+    eps_i, _, _, th_f, dtheta, n_k = _mode_fields(initial, final, c[mode], s[mode])
     _check_gapped(km, eps_i)
-    e_a = 2.0 * eps[mode - 1]
-    e_b = 2.0 * eps[mode + 1]
     weight = (k[mode + 1] - k[mode - 1]) * np.sin(2.0 * th_f) ** 2
     if quench.kind is ModelKind.XX_RING:
         weight = weight * (final.t * s[mode]) ** 2
-    return (2.0 * eps[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b),
-            weight, n_k, counts)
+    e_a, e_b = 2.0 * eps[mode - 1], 2.0 * eps[mode + 1]
+    return (2.0 * eps[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b), weight, n_k,
+            np.cos(dtheta) ** 2, counts)
+
+
+# Both forms of n_k = sin(dtheta)**2 take the difference of two O(1)
+# quantities, the half angles or the unit vectors, each good to a few
+# eps.  With |d n_k / d dtheta| = 2 sqrt(n_k (1 - n_k)), both carry an
+# absolute error of a few eps times sqrt(n_k), the same for 1 - n_k and
+# for the matrix element s**2 = sin(2 theta_f)**2 (s is good to a few
+# eps absolute in the angle form).  An error delta in dtheta moves n_k by
+# 2 sqrt(n_k) delta + delta**2, so the tolerance on a mode is tol
+# (sqrt(value) + tol) with tol = _FORM_K eps, on s**2 for the weight (its
+# width and ring factor scaled out).  The largest error measured on the
+# draws and quenches below is 3.8 eps (sqrt(value) + tol).  Against
+# 40-digit mpmath, the n_k near 1e-20 of the near-identical quenches are
+# off by up to 5e-6 relative in the unit-vector form and 4e-5 in the
+# angle form: neither keeps more digits than sqrt(n_k) allows.
+_FORM_K = 8.0
+_EPS = np.finfo(float).eps
+_FORM_SIZES = ((512, 2048, 4096), (94, 510, 1030))
+
+
+def _matrix_scale(quench, sizes):
+    """Cell width, times ``(t sin k)**2`` on the ring: the weight over
+    its squared matrix element."""
+    g = _rung_grid(tuple(sizes))
+    if quench.kind is ModelKind.XX_RING:
+        return g.width * (quench.final.t * g.sin_mode) ** 2
+    return g.width
+
+
+def _mode_tolerance(value):
+    tol = _FORM_K * _EPS
+    return tol * (np.sqrt(value) + tol)
+
+
+def _assert_modes_match(quench, sizes):
+    """The unit-vector mode data against the angle form, mode by mode;
+    returns both."""
+    got, want = _rung_modes(quench, sizes), _rung_modes_angle_form(quench, sizes)
+    E, lo, hi, weight, n_k, m_k, counts = got
+    E0, lo0, hi0, weight0, n0, m0, counts0 = want
+    assert list(counts) == counts0
+    # The energies are the same expression: 4 r = 2 (2 r) on the chain.
+    for a, b in ((E, E0), (lo, lo0), (hi, hi0)):
+        assert a.tobytes() == b.tobytes()
+    scale = _matrix_scale(quench, sizes)
+    for name, a, b in (("n_k", n_k, n0), ("1 - n_k", m_k, m0),
+                       ("s**2", weight / scale, weight0 / scale)):
+        excess = np.abs(a - b) / _mode_tolerance(b)
+        assert excess.max() <= 1.0, (name, quench, sizes, excess.max())
+    return got, want
+
+
+def _rung_sums(modes, eta_rungs, omega):
+    """Each rung's sums of weight * density * n_k and * (1 - n_k), and of
+    weight * density * the mode tolerance of n_k."""
+    E, lo, hi, weight, n_k, m_k, counts = modes
+    base = weight * _density(np.repeat(eta_rungs, counts), omega, E, lo, hi)
+    starts = np.cumsum(counts) - counts
+    return [np.add.reduceat(base * v, starts) for v in (n_k, m_k, _mode_tolerance(n_k))]
+
+
+class TestAgainstAngleForm:
+    @pytest.mark.parametrize("draw, seed", [(_draw_chain_point, 31), (_draw_ring_point, 32)],
+                             ids=["chain", "ring"])
+    def test_modes_and_rung_sums(self, draw, seed):
+        for quench, coup in _points(draw, seed, 20):
+            for sizes in _FORM_SIZES:
+                _assert_modes_match(quench, sizes)
+            # discrete_rates' in-place sums against the angle form's, rung
+            # by rung: the rungs of 4096 and of 1030 are _FORM_SIZES.
+            for L in (4096, 1030):
+                table = discrete_rates(quench, coup, L=L, eta=1e-3).convergence_table
+                sizes = [row.L for row in table]
+                ups, downs, _ = _rung_sums(_rung_modes_angle_form(quench, sizes),
+                                           [row.eta for row in table], coup.epsilon0)
+                for row, up, down in zip(table, ups, downs, strict=True):
+                    pref = 4.0 * coup.g_obs**2 / (math.pi * row.L)
+                    assert row.gamma_up == pytest.approx(pref * up, rel=1e-12, abs=0.0)
+                    assert row.gamma_down == pytest.approx(pref * down, rel=1e-12, abs=0.0)
+
+    def test_overflowing_norms_keep_their_direction(self):
+        # Where x**2 + y**2 overflows, as at h or V near 1e300, the unit
+        # vector comes from components scaled by the larger one, and stays
+        # finite as the angle does.
+        with np.errstate(over="ignore"):
+            for quench in (QuenchSpec.ising(1e300, 1.5, 1.0), QuenchSpec.ising(0.5, 1e300, 1.0),
+                           QuenchSpec.ising(1e300, 1.5, 1e300),
+                           QuenchSpec.xx_ring(1e300, 1.0, 1.0)):
+                _assert_modes_match(quench, _FORM_SIZES[0])
+
+    @pytest.mark.parametrize("kind", ["chain", "ring"])
+    def test_near_identical_quenches(self, kind):
+        # h_i -> h_f (V_i -> V_f): n_k falls to 1e-20 and below, where both
+        # forms keep only the digits sqrt(n_k) allows.  The rung sums of
+        # n_k agree within the sums of the mode tolerances (plus 1e-12 of
+        # the sum for the summation), those of 1 - n_k within 1e-12.
+        quenches = []
+        for rel in (1e-4, 1e-7, 1e-10):
+            if kind == "chain":
+                quenches += [QuenchSpec.ising(h * (1.0 + rel), h, 0.9) for h in (0.6, 1.3, 2.0)]
+            else:
+                quenches += [QuenchSpec.xx_ring(V * (1.0 + rel), V, 1.0) for V in (0.4, 1.2)]
+        smallest = math.inf
+        for quench in quenches:
+            for sizes in _FORM_SIZES:
+                got, want = _assert_modes_match(quench, sizes)
+                smallest = min(smallest, want[4].min())
+                lo, hi = band_edges(quench.final, reduced=True)
+                up, down, _ = _rung_sums(got, [1e-2, 3e-3, 1e-3], lo + hi)
+                up0, down0, bound = _rung_sums(want, [1e-2, 3e-3, 1e-3], lo + hi)
+                assert np.all(np.abs(up - up0) <= bound + 1e-12 * up0), (quench, sizes)
+                assert np.all(np.abs(down - down0) <= 1e-12 * down0), (quench, sizes)
+        assert smallest < 1e-20
 
 
 class TestRungGridMemo:
@@ -318,9 +469,11 @@ class TestRungGridMemo:
 
 
 # Every ConvergenceRow field of discrete_rates at two chain and two ring
-# points drawn as _draw_*_point draws them: rungs 0 recorded before the
-# mode sums shared one cos and one sin per momentum, rungs 1 before the
-# rungs came to follow from (L, eta) alone, each through this same call.
+# points drawn as _draw_*_point draws them, through this same call.  Both
+# rung sets were recorded again when the occupations and matrix elements
+# came to be taken from unit vectors instead of angles: against the angle
+# form's records the rates moved by at most 6.6e-16 relative and the
+# errors, differences of nearly equal rates, by at most 2e-12 relative.
 # Keys are (point, rungs); rows are (L, eta, gamma_up, gamma_down,
 # rel_err_up, rel_err_down), and every float literal is the recorded repr.
 _ANCHOR_POINTS = (
@@ -335,68 +488,68 @@ _ANCHOR_POINTS = (
 )
 _ANCHORS = {
     (0, 0): (
-        (128, 0.04, 1.3461853685061242e-06, 1.0144510203799093e-05,
-         0.002110187899848602, 0.014365539435117841),
-        (512, 0.012649110640673518, 3.3736322307672545e-07, 2.561356026318172e-06,
-         0.00031193671082748315, 0.004560805954227377),
-        (1024, 0.004, 1.6860433966125899e-07, 1.284693542723201e-06,
-         0.00014629925415998802, 0.0014396346122523597),
+        (128, 0.04, 1.3461853685061236e-06, 1.0144510203799095e-05,
+         0.0021101878998490728, 0.014365539435117676),
+        (512, 0.012649110640673518, 3.373632230767255e-07, 2.561356026318172e-06,
+         0.0003119367108276401, 0.004560805954227377),
+        (1024, 0.004, 1.68604339661259e-07, 1.2846935427232012e-06,
+         0.00014629925415983103, 0.001439634612252195),
     ),
     (0, 1): (
-        (128, 0.04, 1.3461853685061242e-06, 1.0144510203799093e-05,
-         0.0021101878998487584, 0.014365539435117841),
-        (516, 0.012649110640673518, 3.359101575309088e-07, 2.5414248511120895e-06,
-         0.0037847453342483408, 0.004590456497096366),
-        (1030, 0.004, 1.6756924740395439e-07, 1.2772128339481345e-06,
-         0.0004620290227793496, 0.001437333742682043),
+        (128, 0.04, 1.3461853685061236e-06, 1.0144510203799095e-05,
+         0.0021101878998492293, 0.014365539435117676),
+        (516, 0.012649110640673518, 3.359101575309088e-07, 2.54142485111209e-06,
+         0.0037847453342483408, 0.0045904564970962),
+        (1030, 0.004, 1.6756924740395436e-07, 1.2772128339481347e-06,
+         0.0004620290227795075, 0.0014373337426818774),
     ),
     (1, 0): (
-        (128, 0.04, 2.6834968564252692e-06, 1.7241811380451584e-06,
-         0.015159915278292697, 0.017990206358474564),
+        (128, 0.04, 2.6834968564252684e-06, 1.7241811380451588e-06,
+         0.015159915278293008, 0.01799020635847432),
         (512, 0.012649110640673518, 6.77614346621278e-07, 4.368606318227833e-07,
          0.005265433514804597, 0.0047416493773015855),
-        (1024, 0.004, 3.3981519161791176e-07, 2.1945732721274355e-07,
-         0.0023059015660084913, 6.216352118537614e-05),
+        (1024, 0.004, 3.3981519161791176e-07, 2.1945732721274357e-07,
+         0.0023059015660084913, 6.216352118525554e-05),
     ),
     (1, 1): (
-        (128, 0.04, 2.6834968564252692e-06, 1.7241811380451584e-06,
-         0.015159915278292697, 0.017990206358474682),
-        (516, 0.012649110640673518, 6.71885556759794e-07, 4.341546349824216e-07,
-         0.005969607220296553, 0.003179173382190155),
-        (1030, 0.004, 3.380637158923873e-07, 2.178442926469552e-07,
-         0.001632484163905973, 0.001595865965287198),
+        (128, 0.04, 2.6834968564252684e-06, 1.7241811380451588e-06,
+         0.015159915278293008, 0.01799020635847444),
+        (516, 0.012649110640673518, 6.718855567597937e-07, 4.341546349824215e-07,
+         0.005969607220297023, 0.0031791733821903982),
+        (1030, 0.004, 3.380637158923872e-07, 2.178442926469552e-07,
+         0.0016324841639062857, 0.001595865965287198),
     ),
     (2, 0): (
-        (128, 0.04, 1.851899628689835e-07, 4.933015125232384e-06,
-         0.06400623202976936, 0.028240513069121016),
-        (512, 0.012649110640673518, 4.441207958233024e-08, 1.2102707795053859e-06,
-         0.020675823266572937, 0.00907815255284431),
-        (1024, 0.004, 2.1889991515007963e-08, 6.012067898017725e-07,
-         0.00614901715920801, 0.0025271154663931176),
+        (128, 0.04, 1.8518996286898344e-07, 4.933015125232384e-06,
+         0.06400623202976906, 0.028240513069121016),
+        (512, 0.012649110640673518, 4.4412079582330224e-08, 1.2102707795053857e-06,
+         0.02067582326657263, 0.009078152552844134),
+        (1024, 0.004, 2.1889991515007956e-08, 6.012067898017725e-07,
+         0.006149017159207707, 0.0025271154663931176),
     ),
     (2, 1): (
-        (128, 0.04, 1.851899628689835e-07, 4.933015125232384e-06,
-         0.06400623202976968, 0.02824051306912138),
-        (516, 0.012649110640673518, 4.4057817026724413e-08, 1.2006640523846402e-06,
-         0.020444605166765006, 0.008889272698118964),
-        (1030, 0.004, 2.1779396632860283e-08, 5.980845528179438e-07,
-         0.006931265918646675, 0.0031643844953597776),
+        (128, 0.04, 1.8518996286898344e-07, 4.933015125232384e-06,
+         0.06400623202976938, 0.02824051306912138),
+        (516, 0.012649110640673518, 4.4057817026724427e-08, 1.2006640523846407e-06,
+         0.02044460516676531, 0.00888927269811932),
+        (1030, 0.004, 2.1779396632860292e-08, 5.980845528179438e-07,
+         0.006931265918647135, 0.0031643844953597776),
     ),
     (3, 0): (
-        (128, 0.04, 5.161738515268622e-07, 2.364078345187971e-06,
-         0.3185575023530381, 0.013763036455396364),
-        (512, 0.012649110640673518, 1.0675633916898015e-07, 5.828342298387906e-07,
-         0.09082915780113884, 0.0002771273732301025),
-        (1024, 0.004, 5.042420034168844e-08, 2.917265628806743e-07,
-         0.03046223614798299, 0.000784451336256121),
+        (128, 0.04, 5.161738515268622e-07, 2.3640783451879715e-06,
+         0.3185575023530381, 0.013763036455396546),
+        (512, 0.012649110640673518, 1.0675633916898018e-07, 5.828342298387906e-07,
+         0.09082915780113911, 0.0002771273732301025),
+        (1024, 0.004, 5.042420034168843e-08, 2.917265628806743e-07,
+         0.030462236147982855, 0.000784451336256121),
     ),
     (3, 1): (
-        (128, 0.04, 5.161738515268622e-07, 2.364078345187971e-06,
-         0.3185575023530385, 0.01376303645539655),
-        (516, 0.012649110640673518, 1.0641566821636625e-07, 5.797847668147101e-07,
-         0.09584311256403412, 0.0022616653283048815),
-        (1030, 0.004, 5.016947111620986e-08, 2.9014361878307235e-07,
-         0.03126398668320091, 0.0011862249679845207),
+        (128, 0.04, 5.161738515268622e-07, 2.3640783451879715e-06,
+         0.3185575023530385, 0.01376303645539673),
+        (516, 0.012649110640673518, 1.0641566821636625e-07, 5.797847668147102e-07,
+         0.09584311256403412, 0.0022616653283050645),
+        (1030, 0.004, 5.016947111620983e-08, 2.901436187830723e-07,
+         0.03126398668320023, 0.0011862249679843381),
     ),
 }
 # Rungs 0: those of (L, eta) = (1024, 4e-3); rungs 1: those of (1030,
