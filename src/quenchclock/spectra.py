@@ -58,10 +58,6 @@ GAPLESS_TOL = 1e-10
 # Group velocities below this magnitude are treated as a van Hove point.
 DERIVATIVE_TOL = 1e-6
 
-# Residual tolerance on eps_k - eps, i.e. half the tolerance on the pair
-# energy 2 eps_k used by the resonance solvers.
-_ROOT_RESIDUAL_TOL = 5e-13
-
 
 class ModelKind(Enum):
     ISING_XY = "ising_xy"
@@ -317,9 +313,7 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
     the band does, and ``sin k`` is exactly 0 at the zone ends.
     """
     if model.kind is ModelKind.XX_RING:
-        lo = abs(model.V)
-        hi = math.hypot(2.0 * model.t, model.V)
-        return lo, hi
+        return abs(model.V), math.hypot(2.0 * model.t, model.V)
     us = [1.0, 0.0 if reduced else -1.0]
     a = 1.0 - model.kappa * model.kappa
     if abs(a) > 1e-12:
@@ -332,53 +326,127 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
-def _ring_cos2(model, eps):
-    """``cos**2 k`` at the ring's energy ``eps`` (scalars or arrays), by
-    numpy's division: where ``t*t`` underflows to 0 it is inf or nan,
-    which no root's range admits."""
-    with np.errstate(all="ignore"):
-        return np.divide(eps * eps - model.V * model.V, 4.0 * (model.t * model.t))
-
-
-def _meets(model, k, eps):
-    # Whether eps_k at momenta k meets eps within the residual bound; never
-    # at a nan k.
-    return np.abs(dispersion(model, k) - eps) <= _ROOT_RESIDUAL_TOL * np.maximum(1.0, eps)
-
-
 def _half_angle_roots(h, kappa, eps):
-    """The chain's roots ``k`` of ``eps_k = eps`` (scalars or arrays),
-    along a last axis of two in ascending ``cos k``, nan where absent.
+    """The chain's roots ``k`` of ``eps_k = eps`` (arrays), along a last
+    axis of two in ascending ``cos k``, nan where absent.
 
-    With ``sigma = +-1``, ``g = h - sigma`` and ``e = eps/2``, the roots
-    with ``sigma cos k >= 0`` solve
+    With ``sigma = +-1``, ``g = h - sigma`` and ``e = eps/2``, the root
+    equation in ``x = sin(k/2)**2`` (``sigma = +1``) or ``cos(k/2)**2``
+    (``sigma = -1``) is
 
-        4 (1 - kappa**2) x**2 + 4 sigma (g + sigma kappa**2) x + (g - e)(g + e) = 0
+        4 (1 - kappa**2) x**2 + 4 sigma (g + sigma kappa**2) x + (g - e)(g + e) = 0,
 
-    in ``x = sin(k/2)**2`` for ``sigma = +1`` and ``x = cos(k/2)**2`` for
-    ``sigma = -1``, which is small where ``cos k`` nears ``sigma``.  There
-    ``arccos`` of the root in ``cos k`` keeps none of a small ``x``'s
-    digits, and the stable quadratic formula keeps them all.  The
-    discriminant over 16, ``(1 - kappa**2) e**2 + kappa**2 ((h - 1)(h + 1)
-    + kappa**2)``, is the same for both signs and cancels only at the
-    band's interior extremum, where the van Hove guard takes over.
+    ``A x**2 + 4 b x + C = 0``.  Its stable solutions ``C/q`` and ``q/A``,
+    ``q = -2 (b + sign(b) sq)``, keep every digit of a small ``x``, near
+    the zone end ``cos k = sigma``, where ``arccos`` of a root in ``cos k``
+    keeps none.  The discriminant over 16, ``sq**2 = (1 - kappa**2) e**2
+    + kappa**2 ((h - 1)(h + 1) + kappa**2)``, is the same for both signs
+    and cancels only at the band's interior extremum, where the van Hove
+    guard takes over.
+
+    Each root ``cos k = (h + s sq)/(1 - kappa**2)``, ``s = +-1``, has an
+    ``x`` in both quadratics, the two summing to one, and it is ``q/A``
+    in the quadratic of ``sigma`` where ``s = sigma sign(b)``.  The root
+    takes the smaller of its two, so no branch tests the seam ``x = 1/2``
+    and no root comes twice, and it is a root where that ``x >= 0``.  A
+    ``C/q`` at most 0 is the zone end ``x = 0`` where ``e`` is within one
+    rounding unit of its ``|g|``.  A double root (``sq = 0``) is one root.
     """
     h, kappa, e = (np.asarray(v, dtype=float) for v in (h, kappa, 0.5 * eps))
     kap2 = kappa * kappa
-    a = 4.0 * (1.0 - kap2)
-    ks = []
+    a = 1.0 - kap2
+    xs = []
     with np.errstate(all="ignore"):
-        sq = np.sqrt((1.0 - kap2) * (e * e) + kap2 * ((h - 1.0) * (h + 1.0) + kap2))
+        d = a * (e * e) + kap2 * ((h - 1.0) * (h + 1.0) + kap2)
+        sq = np.sqrt(np.where(d < np.inf, d, np.nan))
         for sigma in (1.0, -1.0):
             g = h - sigma
             b = sigma * (g + sigma * kap2)
             q = -2.0 * (b + np.copysign(sq, b))
-            for x in ((g - e) * (g + e) / q, q / a):
-                inside = (x >= 0.0) & ((x <= 0.5) if sigma > 0.0 else (x < 0.5))
-                half = 2.0 * np.arcsin(np.sqrt(np.where(inside, x, np.nan)))
-                ks.append(half if sigma > 0.0 else math.pi - half)
+            small = (g - e) * (g + e) / q
+            small = np.where((small <= 0.0) & (np.abs(e - np.abs(g)) <= np.spacing(e)),
+                             0.0, small)
+            large = q / (4.0 * a)
+            # Both roots of a double root take the well-defined q/A.
+            first = (sigma * np.copysign(1.0, b) > 0.0) | (sq == 0.0)
+            xs.append((np.where(first, large, small), np.where(first, small, large)))
+        ks = []
+        for x_p, x_m in zip(*xs):
+            half = 2.0 * np.arcsin(np.sqrt(np.minimum(x_p, x_m)))
+            ks.append(np.where(x_p <= x_m, half, math.pi - half))
+        ks[1] = np.where(sq > 0.0, ks[1], np.nan)
     # Descending k is ascending cos k; nan sorts last.
-    return -np.sort(-np.stack(ks, axis=-1), axis=-1)[..., :2]
+    return -np.sort(-np.stack(ks, axis=-1), axis=-1)
+
+
+def _half_angle_roots_float(h: float, kappa: float, eps: float) -> list[float]:
+    """Scalar twin of :func:`_half_angle_roots` in Python floats, with
+    numpy's ``arcsin``: the list of the roots in ascending ``cos k``."""
+    e = 0.5 * eps
+    kap2 = kappa * kappa
+    a = 1.0 - kap2
+    d = a * (e * e) + kap2 * ((h - 1.0) * (h + 1.0) + kap2)
+    if not 0.0 <= d < math.inf:
+        return []
+    sq = math.sqrt(d)
+    xs = []
+    for sigma in (1.0, -1.0):
+        g = h - sigma
+        b = sigma * (g + sigma * kap2)
+        q = -2.0 * (b + math.copysign(sq, b))
+        small = (g - e) * (g + e) / q if q else math.nan
+        if small <= 0.0 and abs(e - abs(g)) <= math.ulp(e):
+            small = 0.0
+        large = q / (4.0 * a) if a else math.nan
+        first = sigma * math.copysign(1.0, b) > 0.0 or sq == 0.0
+        xs.append((large, small) if first else (small, large))
+    ks = []
+    for x_p, x_m in list(zip(*xs))[:2 if sq > 0.0 else 1]:
+        r = math.sqrt(min(x_p, x_m)) if x_p >= 0.0 and x_m >= 0.0 else math.nan
+        if r <= 1.0:
+            half = 2.0 * float(np.arcsin(r))
+            ks.append(half if x_p <= x_m else math.pi - half)
+    return sorted(ks, reverse=True)
+
+
+def _ring_root(t, V, eps):
+    """The ring's root ``k`` of ``eps_k = eps`` (arrays), nan where absent:
+    ``atan2(2t sin k, 2t cos k)`` with ``(2t sin k)**2 = (top - eps)(top +
+    eps)``, ``top = hypot(2t, V)``, and ``(2t cos k)**2 = (eps - |V|)(eps +
+    |V|)``, every energy scaled by the power of two that brings ``top``
+    into [1/2, 1) so that no product overflows or underflows.  The root
+    exists where both differences are nonnegative; an ``eps`` within one
+    rounding unit above ``top``, as :func:`dispersion` returns, is ``top``.
+    """
+    v = np.abs(V)
+    top = np.hypot(2.0 * t, V)
+    ok = (v <= eps) & (eps - top <= np.spacing(eps)) & (top < np.inf)
+    top = np.maximum(top, eps)
+    scale = np.ldexp(1.0, -np.frexp(top)[1])
+    top, e, v = top * scale, eps * scale, v * scale
+    return np.where(ok, np.arctan2(np.sqrt((top - e) * (top + e)),
+                                   np.sqrt((e - v) * (e + v))), np.nan)
+
+
+def _ring_root_float(t: float, V: float, eps: float) -> list[float]:
+    """Scalar twin of :func:`_ring_root` in Python floats, with numpy's
+    ``hypot`` and ``arctan2``: the list of at most one root."""
+    v = abs(V)
+    top = float(np.hypot(2.0 * t, V))
+    if not (v <= eps and eps - top <= math.ulp(eps) and top < math.inf):
+        return []
+    top = max(top, eps)
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    top, e, v = top * scale, eps * scale, v * scale
+    return [float(np.arctan2(math.sqrt((top - e) * (top + e)),
+                             math.sqrt((e - v) * (e + v))))]
+
+
+def _flat_band(model, eps):
+    """Where ``eps`` meets a flat band (scalars or arrays): the chain at
+    ``|kappa| = 1`` and ``h = 0``, whose ``eps_k`` is 2 at every ``k``."""
+    return ((model.kind is ModelKind.ISING_XY) & (model.kappa * model.kappa == 1.0)
+            & (model.h == 0.0) & (eps == 2.0))
 
 
 def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
@@ -387,54 +455,21 @@ def energy_roots(model: ModelSpec, eps: float) -> tuple[EnergyRoot, ...]:
     For the transverse-field chain the half zone is ``k in [0, pi]``
     (``u = cos k in [-1, 1]``); for the ring it is ``k in [0, pi/2]``.
     Returns an empty tuple when ``eps`` lies outside the band; raises
-    :class:`DegenerateRoot` on a flat band.  The roots come from a
-    quadratic in ``cos k``; where one of them misses the residual bound,
-    as ``arccos`` makes it near the zone ends of a chain at a critical
-    field, the chain's roots are solved again in the half angle
-    (:func:`_half_angle_roots`), and a candidate that still misses the
-    bound is no root.
+    :class:`DegenerateRoot` on a flat band.  The roots come from closed
+    forms only, :func:`_half_angle_roots` and :func:`_ring_root`, each
+    solution in a form's domain is a root, and the arithmetic is in
+    Python floats with numpy's transcendentals, so the bits are those
+    of :func:`energy_roots_array`.
     """
     eps = float(eps)
     if eps < 0.0:
         return ()
-    us: list[float] = []
+    if _flat_band(model, eps):
+        raise DegenerateRoot("flat band: the density of states is not defined")
     if model.kind is ModelKind.XX_RING:
-        c2 = _ring_cos2(model, eps)
-        if -1e-14 <= c2 <= 1.0 + 1e-12:
-            us.append(math.sqrt(min(max(c2, 0.0), 1.0)))
+        ks = _ring_root_float(model.t, model.V, eps)
     else:
-        h, kap = model.h, model.kappa
-        a = 1.0 - kap * kap
-        b = -2.0 * h
-        c = h * h + kap * kap - eps * eps / 4.0
-        if abs(a) < 1e-12:
-            if abs(b) < 1e-12:
-                # Flat band (|kappa| = 1, h = 0): eps_k identically 2.
-                if abs(c) < 1e-12:
-                    raise DegenerateRoot(
-                        "flat band: the density of states is not defined")
-            else:
-                us.append(-c / b)
-        else:
-            disc = b * b - 4.0 * a * c
-            if disc >= 0.0:
-                if disc == 0.0:
-                    us.append(-b / (2.0 * a))
-                else:
-                    sq = math.sqrt(disc)
-                    q = -0.5 * (b + math.copysign(sq, b)) if b != 0.0 else sq / 2.0
-                    u1 = q / a
-                    us.append(u1)
-                    if q != 0.0:
-                        u2 = c / q
-                        if abs(u2 - u1) > 1e-12:
-                            us.append(u2)
-        us = [min(1.0, max(-1.0, u)) for u in us if -1.0 - 1e-12 <= u <= 1.0 + 1e-12]
-    ks = [float(np.arccos(u)) for u in sorted(set(us))]  # u is clipped to the zone
-    if not all(_meets(model, k, eps) for k in ks):
-        if model.kind is ModelKind.ISING_XY:
-            ks = _half_angle_roots(model.h, model.kappa, eps).tolist()
-        ks = [k for k in ks if _meets(model, k, eps)]
+        ks = _half_angle_roots_float(model.h, model.kappa, eps)
     return tuple(EnergyRoot(k=k, u=float(np.cos(k)), velocity=group_velocity(model, k))
                  for k in ks)
 
@@ -446,7 +481,7 @@ class RootArrays:
     Row ``i`` holds at most two roots, in the ascending ``u`` order of
     the scalar twin, with the single root of a row in column 0; absent
     roots are nan.  ``degenerate`` marks the rows on which
-    :func:`energy_roots` raises: a flat band.
+    :func:`energy_roots` raises, a flat band, and they hold no root.
     """
 
     k: np.ndarray  # (n, 2)
@@ -456,63 +491,21 @@ class RootArrays:
     degenerate: np.ndarray  # (n,) bool
 
 
-def _band_u(u: np.ndarray) -> np.ndarray:
-    # A quadratic root inside [-1, 1] up to rounding, clipped; nan otherwise.
-    inside = (u >= -1.0 - 1e-12) & (u <= 1.0 + 1e-12)
-    return np.where(inside, np.clip(u, -1.0, 1.0), np.nan)
-
-
 def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
     """Array twin of :func:`energy_roots`: the roots of ``eps_k = eps[i]``
-    of every row ``i``, from the same masked quadratic in ``u = cos k``."""
+    of every row ``i``, from the same closed forms."""
     eps = np.asarray(eps, dtype=float)
-    n = eps.shape[0]
-    degenerate = np.zeros(n, dtype=bool)
-    u = np.full((n, 2), np.nan)
+    k = np.full((eps.shape[0], 2), np.nan)
     with np.errstate(all="ignore"):
         if model.kind is ModelKind.XX_RING:
-            c2 = _ring_cos2(model, eps)
-            hit = (c2 >= -1e-14) & (c2 <= 1.0 + 1e-12)
-            u[:, 0] = np.where(hit, np.sqrt(np.clip(c2, 0.0, 1.0)), np.nan)
+            k[:, 0] = _ring_root(model.t, model.V, eps)
         else:
-            h = np.broadcast_to(model.h, (n,))
-            kap = np.broadcast_to(model.kappa, (n,))
-            a = 1.0 - kap * kap
-            b = -2.0 * h
-            c = h * h + kap * kap - eps * eps / 4.0
-            linear = np.abs(a) < 1e-12
-            flat = linear & (np.abs(b) < 1e-12)
-            degenerate |= flat & (np.abs(c) < 1e-12)
-            disc = b * b - 4.0 * a * c
-            double = ~linear & (disc == 0.0)
-            split = ~linear & (disc > 0.0)
-            sq = np.sqrt(disc)
-            q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), sq / 2.0)
-            u1 = np.where(linear & ~flat, -c / b, np.nan)
-            u1 = np.where(double, -b / (2.0 * a), np.where(split, q / a, u1))
-            u2 = np.where(split & (q != 0.0), c / q, np.nan)
-            u2 = np.where(np.abs(u2 - u1) > 1e-12, u2, np.nan)
-            u1, u2 = _band_u(u1), _band_u(u2)
-            u2 = np.where(u2 == u1, np.nan, u2)
-            u[:, 0] = np.fmin(u1, u2)
-            u[:, 1] = np.where(np.isnan(u1) | np.isnan(u2), np.nan, np.fmax(u1, u2))
-        # Both quadratics see eps only squared; no energy below zero is reached.
-        u[eps < 0.0] = np.nan
-        k = np.arccos(u)
-        model2 = model.take((slice(None), None))
-        eps2 = eps[:, None]
-        rough = ~np.isnan(k) & ~_meets(model2, k, eps2)
-        if rough.any():
-            rows = rough.any(axis=1)
-            if model.kind is ModelKind.ISING_XY:
-                chain = model.take(rows)
-                k[rows] = _half_angle_roots(chain.h, chain.kappa, eps[rows])
-            # A candidate that misses the bound is no root; the one left of
-            # two moves to column 0 (descending k is ascending u).
-            k = -np.sort(-np.where(_meets(model2, k, eps2), k, np.nan), axis=1)
-        present = ~np.isnan(k)
-        velocity = np.where(present, group_velocity(model2, k), np.nan)
-    return RootArrays(k=k, u=np.cos(k), velocity=velocity, present=present,
+            k[:] = _half_angle_roots(model.h, model.kappa, eps)
+        degenerate = _flat_band(model, eps)
+        # No energy below zero is reached, and a flat band has no roots.
+        k[(eps < 0.0) | degenerate] = np.nan
+        velocity = group_velocity(model.take((slice(None), None)), k)
+    return RootArrays(k=k, u=np.cos(k), velocity=velocity, present=~np.isnan(k),
                       degenerate=degenerate)
 
 

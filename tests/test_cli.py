@@ -804,13 +804,26 @@ class TestLadderScale:
 
     @pytest.mark.parametrize("t", ["1e7", "2e7"])
     def test_ring_gap_below_the_band_has_no_resonance(self, t):
-        # eps_k >= |V_f| = 3 everywhere, so a gap of 1 has no pair: at
-        # t = 2e7 the quadratic admits cos**2 k = -5e-15, whose k = pi/2
-        # misses eps = 0.5 by 2.5.
+        # eps_k >= |V_f| = 3 everywhere, so a gap of 1 has no pair: eps =
+        # 0.5 lies below the bottom of the ring's closed-form domain.
         code, _, _, rows = _cli_run(["rates"], ["model.kind=xx_ring", f"model.t={t}",
                                                 "model.v_f=3.0", "coupling.epsilon0=1.0"])
         assert code == 3
         assert [row["flag"] for row in rows] == ["no_resonance"]
+
+    @pytest.mark.parametrize("sets, code, flag", [
+        # A chain root at k = 6.4e-8 by the critical field, where cos k is
+        # within rounding of 1; its mode energy, 1.4e-11, is gapless.
+        (["model.h_f=1.0", "model.kappa=1.1123651081666135e-4",
+          "coupling.epsilon0=2.8485716412370226e-11"], 3, "gapless"),
+        # A ring root by k = pi/2 at t = 1e9, where one ulp of k moves eps_k
+        # by 4.4e-7, past any absolute residual bound.
+        (["model.kind=xx_ring", "model.t=1e9", "model.v_f=0.5", "coupling.epsilon0=10"],
+         0, ""),
+    ])
+    def test_gaps_the_closed_forms_resonate(self, sets, code, flag):
+        got, _, _, rows = _cli_run(["rates"], sets)
+        assert (got, [row["flag"] for row in rows]) == (code, [flag])
 
     def test_scalar_overflow_leaves_stderr_empty(self):
         # The histogram's scalar calls overflow at h_i = 1e155, quietly, as
@@ -875,7 +888,7 @@ _WIDE_FLOATS = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
 _WIDE_PINS = (
     # kappa**2 overflows in the band edges of the NoResonance message.
     ["model.kappa=1e160"],
-    # 4 t**2 underflows to 0 in the ring's root equation.
+    # A ring band narrower than rounding: 2t is far below |V|.
     ["model.kind=xx_ring", "model.t=1e-170"],
     # Both rates are inf, and chi_second nan.
     ["coupling.g_obs=1e160"],

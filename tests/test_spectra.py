@@ -7,6 +7,7 @@ the code under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,10 +174,10 @@ class TestEnergyRoots:
         for r in energy_roots(m, eps):
             assert abs(dispersion(m, r.k) - eps) <= 1e-12 * max(1.0, eps)
 
-    def test_array_twin_polishes_critical_roots_like_the_scalar(self):
-        # At the critical field h = 1 a root near k = 0 comes from acos(u)
-        # with u close to 1 and misses the residual bound, so both twins
-        # solve it again in the half angle.
+    def test_array_twin_solves_critical_roots_like_the_scalar(self):
+        # At the critical field h = 1 a root near k = 0 is the small
+        # solution of a half-angle quadratic, where arccos of a root in
+        # cos k kept none of its digits; both twins return its bits.
         kappa = np.repeat([0.3, 0.5, 0.7, 0.9], 7)
         eps = np.tile(4.0 * 10.0 ** -np.arange(6.0, 13.0), 4)
         roots = energy_roots_array(
@@ -190,7 +191,7 @@ class TestEnergyRoots:
             # An independent solve: k ~ e/(2 kappa) lies inside [0, 1e-3].
             ref = brentq(lambda k: dispersion(m, k) - e, 0.0, 1e-3,
                          xtol=1e-300, rtol=8.9e-16, maxiter=1000)
-            assert root.k == pytest.approx(ref, rel=1e-12)
+            assert root.k == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     # A momentum just above the chain's interior band minimum at k = acos(0.3)
     # and one just below it: at kappa = 0 the two roots at cos k = 0.3 -+ eps/2.
@@ -342,14 +343,18 @@ def _random_models(kind, rng, n):
     return specs, rows, eps
 
 
+# Half the tolerance on the pair energy 2 eps_k that a resonant root meets.
+_RESIDUAL_TOL = 5e-13
+
+
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_every_root_meets_the_residual_or_sits_at_an_extremum(kind):
-    # Every root meets _ROOT_RESIDUAL_TOL * max(1, eps): one that misses it
-    # with no sign change nearby is dropped, and an extremum touching eps
-    # meets it, for the van Hove guard to see its slope.
+    # Every root the closed forms return meets _RESIDUAL_TOL * max(1, eps),
+    # and an extremum touching eps is a root, for the van Hove guard to
+    # see its slope.
     rng = np.random.default_rng(29)
     specs, rows, eps = _random_models(kind, rng, 10000)
-    tol = spectra._ROOT_RESIDUAL_TOL * np.maximum(1.0, eps)
+    tol = _RESIDUAL_TOL * np.maximum(1.0, eps)
 
     arr = energy_roots_array(rows, eps)
     keep = arr.present & ~arr.degenerate[:, None]
@@ -374,10 +379,10 @@ def test_every_root_meets_the_residual_or_sits_at_an_extremum(kind):
 
 
 def test_ring_gap_just_below_the_band_has_no_root():
-    # At t = 2e7, V = 3 and eps = 0.5, cos**2 k = (eps**2 - V**2)/(4 t**2)
-    # is -5e-15, inside the quadratic's rounding allowance, but eps_k >= 3
-    # at every k: the root at k = pi/2 misses eps by 2.5, and both twins
-    # drop it.  At t = 1e7 the allowance already excludes it.
+    # eps_k >= |V| = 3 at every k, so eps = 0.5 leaves the factor
+    # (eps - |V|)(eps + |V|) = (2t cos k)**2 of the ring's closed form
+    # negative, outside its domain, however large t is: divided by 4 t**2
+    # it would be -5e-15 at t = 2e7, within rounding of 0.
     for t in (1e7, 2e7):
         assert energy_roots(ModelSpec.xx_ring(t=t, V=3.0), 0.5) == ()
         arr = energy_roots_array(
@@ -385,3 +390,113 @@ def test_ring_gap_just_below_the_band_has_no_root():
             np.array([0.5]))
         assert not arr.present.any() and not arr.degenerate.any()
         assert np.isnan(arr.k).all() and np.isnan(arr.velocity).all()
+
+
+def _mp_chain_root(model, eps, k0):
+    """The chain's root near ``k0`` at 50 digits, with ``h - cos k`` in the
+    half angle of the zone end nearest ``k0``."""
+    with mpmath.workdps(50):
+        h, kappa, e = (mpmath.mpf(v) for v in (model.h, model.kappa, eps))
+
+        def residual(k):
+            if k > mpmath.pi / 2:
+                x = h + 1 - 2 * mpmath.cos(k / 2) ** 2
+            else:
+                x = h - 1 + 2 * mpmath.sin(k / 2) ** 2
+            return 2 * mpmath.sqrt(x * x + (kappa * mpmath.sin(k)) ** 2) - e
+
+        return float(mpmath.findroot(residual, mpmath.mpf(k0)))
+
+
+def _twin_roots(model, eps):
+    """The roots of both twins at one row, after checking that they are
+    the same bits."""
+    roots = energy_roots(model, eps)
+    if model.kind is ModelKind.ISING_XY:
+        rows = ModelArrays(model.kind, h=np.array([model.h]), kappa=np.array([model.kappa]))
+    else:
+        rows = ModelArrays(model.kind, t=np.array([model.t]), V=np.array([model.V]))
+    arr = energy_roots_array(rows, np.array([eps]))
+    assert arr.present[0].sum() == len(roots)
+    for j, root in enumerate(roots):
+        assert (arr.k[0, j], arr.velocity[0, j]) == (root.k, root.velocity)
+    return roots
+
+
+class TestClosedFormRoots:
+    """Roots where ``cos k`` keeps few of their digits: within rounding of
+    a zone end or of the seam ``k = pi/2``, and on a ring whose hopping
+    is far above the gap."""
+
+    @pytest.mark.parametrize("h, kappa, eps", [
+        # Roots near k = 0 by the critical field, where cos k is within
+        # rounding of 1: k = 6.4e-8 and 2.2e-6.
+        (1.0, 1.1123651081666135e-4, 0.5 * 2.8485716412370226e-11),
+        (1.0, 0.9, 4e-6),
+        # The reduced band edge at cos k = 0, the seam of the two half-angle
+        # quadratics, where both x = sin(k/2)**2 and cos(k/2)**2 round above 1/2.
+        (-2.5538364782379697, -0.08841330079446097, 5.1107328904321685),
+    ])
+    def test_chain_root_matches_mpmath(self, h, kappa, eps):
+        model = ModelSpec.ising(h, kappa)
+        (root,) = _twin_roots(model, eps)
+        assert root.k == pytest.approx(_mp_chain_root(model, eps, root.k), rel=1e-15, abs=0.0)
+
+    def test_ring_root_far_below_the_hopping(self):
+        # At t = 1e9 one ulp of k near pi/2 moves eps_k by 4.4e-7, so no
+        # double k meets an absolute residual bound such as 5e-13 * eps.
+        model = ModelSpec.xx_ring(1e9, 0.5)
+        (root,) = _twin_roots(model, 5.0)
+        with mpmath.workdps(50):
+            exact = mpmath.findroot(
+                lambda k: mpmath.sqrt((2 * mpmath.mpf(model.t) * mpmath.cos(k)) ** 2
+                                      + mpmath.mpf(model.V) ** 2) - 5, mpmath.mpf(root.k))
+            assert abs(root.k - exact) <= math.ulp(root.k)
+
+    @pytest.mark.parametrize("h, kappa, eps, k_end, n_roots", [
+        # Gaps one ulp above a zone-end maximum of the near-critical band,
+        # as eps_k at k = 1e-10 or pi - 1e-10 rounds: the half-angle root
+        # is just below 0, and the zone end is the root, a van Hove one.
+        (0.9999999901373375, -1.819598117424966, 3.9999999802746746, math.pi, 2),
+        (0.9999999934485296, 1.3485625426910104, 3.9999999868970595, math.pi, 1),
+        (-0.9999999999999157, -1.3242031616626495, 3.9999999999998317, 0.0, 1),
+    ])
+    def test_zone_end_within_rounding_is_a_van_hove_root(self, h, kappa, eps, k_end,
+                                                         n_roots):
+        roots = _twin_roots(ModelSpec.ising(h, kappa), eps)
+        assert len(roots) == n_roots
+        ends = [root for root in roots if root.k == k_end]
+        assert len(ends) == 1 and spectra.van_hove(ends[0].velocity)
+
+
+def test_ring_roots_over_wide_scales():
+    # Every row has one root, both twins give its bits, and it is within one
+    # ulp of an exact root of a gap within one rounding unit of eps: the
+    # exact eps_k at the two doubles next to k, which bracket the gap as
+    # eps_k falls with k, widened by ulp(eps), hold eps.  Half the gaps are
+    # eps_k at uniform k; the others lie 10**U(-12, 0) of the band's width
+    # above its bottom |V|, whose roots near k = pi/2 no double k meets to
+    # an absolute residual bound where t is large: there one ulp of k moves
+    # eps_k by up to 4.4e-16 t.
+    rng = np.random.default_rng(31)
+    n = 3000
+    t = 10.0 ** rng.uniform(-6.0, 9.0, n)
+    V = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+    rows = ModelArrays(ModelKind.XX_RING, t=t, V=V)
+    bottom, width = np.abs(V), np.hypot(2.0 * t, V) - np.abs(V)
+    eps = np.where(rng.random(n) < 0.5,
+                   dispersion(rows, rng.uniform(0.0, 0.5 * math.pi, n)),
+                   bottom + width * 10.0 ** rng.uniform(-12.0, 0.0, n))
+
+    arr = energy_roots_array(rows, eps)
+    assert arr.present[:, 0].all() and not arr.present[:, 1].any()
+    with mpmath.workdps(30):
+        for i, (ti, vi, e) in enumerate(zip(t.tolist(), V.tolist(), eps.tolist())):
+            (root,) = energy_roots(ModelSpec.xx_ring(ti, vi), e)
+            assert (root.k, root.velocity) == (arr.k[i, 0], arr.velocity[i, 0])
+            top, bottom = (mpmath.sqrt((2 * mpmath.mpf(ti) * mpmath.cos(mpmath.mpf(k))) ** 2
+                                       + mpmath.mpf(vi) ** 2)
+                           for k in (max(math.nextafter(root.k, -1.0), 0.0),
+                                     math.nextafter(root.k, 2.0)))
+            unit = math.ulp(e)
+            assert bottom - unit <= e <= top + unit, (ti, vi, e, root.k)
