@@ -10,7 +10,8 @@ slow way, twice over:
   converge to the closed forms as ``L`` grows and ``eta`` shrinks, as
   long as ``eta`` stays well above the local level spacing
   ``~ 2 pi |d(2 eps)/dk| / L``.  A refinement table sums all its rungs
-  in one pass over their stacked momentum grids.  Each mode's occupation
+  in one pass, with the final model evaluated once on the union of their
+  momentum grids, each distinct momentum once.  Each mode's occupation
   and matrix element come from the unit vectors ``(x, y)/|(x, y)|`` of
   its pair components, with no angle and no sine (:func:`_rung_modes`).
   The broadening is the Lorentzian averaged over the energy image of
@@ -81,20 +82,22 @@ def _check_settings(L: int) -> None:
 class _RungGrid(NamedTuple):
     """Quench-independent part of :func:`_rung_modes`, read-only."""
 
-    cos: np.ndarray  # cos k on the stacked grids k = j pi/L, rung after rung
+    cos: np.ndarray  # cos k on the union of the rungs' grids k = j pi/L, ascending
     sin: np.ndarray  # sin k
-    mode: np.ndarray  # grid index of each mode
-    below: np.ndarray  # grid index of its lower cell edge, mode - 1
-    above: np.ndarray  # and of its upper one, mode + 1
+    mode: np.ndarray  # union index of each mode, rung after rung
+    below: np.ndarray  # union index of its lower cell edge
+    above: np.ndarray  # and of its upper one
     k_mode: np.ndarray  # k at the modes
     cos_mode: np.ndarray
     sin_mode: np.ndarray
     width: np.ndarray  # cell width k[above] - k[below]
+    starts: np.ndarray  # index of each rung's first mode
     counts: tuple[int, ...]  # modes per rung
 
 
 # Chain sizes L whose rung grids a process keeps (the rungs follow from
-# L); one entry at L = 4096, rungs (512, 2048, 4096), holds about 145 KiB.
+# L); one entry at L = 4096, rungs (512, 2048, 4096) on a union of 2049
+# momenta, holds about 123 KiB.
 _GRID_MEMO = 8
 
 
@@ -108,11 +111,15 @@ def _rung_grid(sizes: tuple[int, ...]) -> _RungGrid:
         grids.append(grid)
         modes.append(np.arange(offset + 1, offset + 2 * count, 2))
         offset += len(grid)
-    k = np.concatenate(grids)
-    mode = np.concatenate(modes)
-    below, above = mode - 1, mode + 1
+    # Each distinct double of the stacked grids once, ascending: the rungs
+    # of L = 4096 nest, and their 3331 grid points are 2049 momenta.
+    k, union = np.unique(np.concatenate(grids), return_inverse=True)
+    stacked = np.concatenate(modes)
+    mode, below, above = union[stacked], union[stacked - 1], union[stacked + 1]
     c, s = np.cos(k), np.sin(k)
-    arrays = (c, s, mode, below, above, k[mode], c[mode], s[mode], k[above] - k[below])
+    starts = np.cumsum(counts) - counts
+    arrays = (c, s, mode, below, above, k[mode], c[mode], s[mode], k[above] - k[below],
+              starts)
     for a in arrays:
         a.flags.writeable = False
     return _RungGrid(*arrays, counts)
@@ -125,23 +132,26 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
     momenta ``(2n+1) pi/L`` in ``(0, pi/2]``.  On the grid ``j pi/L``,
     ``j = 0 .. 2 count``, the odd ``j`` are those modes and the even
     ``j`` their cell edges, the last edge clipped to the reduced zone.
-    The grid, its cos and sin, the index arrays and the cell widths do
-    not depend on the quench: :func:`_rung_grid` builds them once per
-    tuple of sizes and keeps the last :data:`_GRID_MEMO` of them,
-    read-only.  Per quench, the final model's pair components ``(x, y)``
-    over the grid give ``r = sqrt(x**2 + y**2)`` and the pair energies,
-    ``2 eps_k = 4 r`` on the chain and ``2 r`` on the ring.  At the modes,
-    the unit vectors ``u = (x, y)/r = (cos 2 theta, sin 2 theta)`` of the
-    initial and the final model give the occupation and the matrix
-    element without an angle:
+    The union of the rungs' grids, each distinct momentum once, its cos
+    and sin, the index arrays into it, the cell widths and the rung
+    starts do not depend on the quench: :func:`_rung_grid` builds them
+    once per tuple of sizes and keeps the last :data:`_GRID_MEMO` of
+    them, read-only.  Per quench, the final model's pair components
+    ``(x, y)`` over the union give ``r = sqrt(x**2 + y**2)`` and the pair
+    energies, ``2 eps_k = 4 r`` on the chain and ``2 r`` on the ring, each
+    momentum once however many rungs share it.  At the modes, the unit
+    vectors ``u = (x, y)/r = (cos 2 theta, sin 2 theta)`` of the initial
+    and the final model give the occupation and the matrix element
+    without an angle:
 
         n_k = sin(theta_f - theta_i)**2 = |u_f - u_i|**2 / 4,
         1 - n_k = |u_f + u_i|**2 / 4,    sin(2 theta_f)**2 = (y_f/r_f)**2,
 
     each a sum of squares, so neither occupation cancels.  Returns the
-    pair energies ``E``, the energy span ``[lo, hi]`` of each cell, the
-    rate weight (cell width times squared matrix element), ``n_k``,
-    ``1 - n_k`` and each rung's mode count.
+    pair energies ``E``, the pair energies at each cell's lower and upper
+    momentum edge (either may be the larger; :func:`_density` takes them
+    in either order), the rate weight (cell width times squared matrix
+    element), ``n_k``, ``1 - n_k`` and each rung's mode count.
     """
     g = _rung_grid(tuple(int(L) for L in sizes))
     final, initial = quench.final, quench.initial
@@ -151,9 +161,10 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
     E += y * y
     np.sqrt(E, out=E)
     r_f = E[g.mode]
-    E *= 2.0 if ring else 4.0
-    E_mode = E[g.mode]
-    _check_gapped(g.k_mode, 0.5 * E_mode)
+    scale = 2.0 if ring else 4.0
+    E *= scale
+    E_mode = r_f * scale
+    _check_gapped(g.k_mode, r_f if ring else 2.0 * r_f)
     x_i, y_i = _components(initial, g.cos_mode, g.sin_mode)
     r_i = x_i * x_i
     r_i += y_i * y_i
@@ -169,8 +180,7 @@ def _rung_modes(quench: QuenchSpec, sizes) -> tuple[np.ndarray, ...]:
         weight *= ts
     n_k = _quarter_square(ux_f - ux_i, uy_f - uy_i)
     m_k = _quarter_square(np.add(ux_f, ux_i, out=ux_f), np.add(uy_f, uy_i, out=uy_i))
-    lo, hi = E[g.below], E[g.above]
-    return E_mode, np.minimum(lo, hi), np.maximum(lo, hi, out=hi), weight, n_k, m_k, g.counts
+    return E_mode, E[g.below], E[g.above], weight, n_k, m_k, g.counts
 
 
 def _unit_vector(x, y, r):
@@ -203,18 +213,21 @@ def _quarter_square(a, b):
     return a
 
 
-def _density(eta, omega, E, lo, hi):
-    """Broadened density of the modes at energies ``E`` (cells
-    ``[lo, hi]``) seen at frequencies ``omega``; the arguments broadcast.
+def _density(eta, omega, E, e_a, e_b):
+    """Broadened density of the modes at energies ``E`` seen at
+    frequencies ``omega``; each mode's cell spans the energies ``e_a`` and
+    ``e_b`` at its two ends, in either order.  The arguments broadcast.
     """
-    shape = np.broadcast(eta, omega, E, lo, hi).shape
+    shape = np.broadcast(eta, omega, E, e_a, e_b).shape
     val, buf, width = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.subtract(hi, lo, out=width)
-    # Im[log(b - i eta) - log(a - i eta)] with a = lo - omega and b = hi -
-    # omega, the angle the cell subtends, as one atan2 of (eta width, a b
-    # + eta**2): the difference of the two angles cancels in narrow cells.
-    np.subtract(lo, omega, out=val)
-    np.subtract(hi, omega, out=buf)
+    np.subtract(e_b, e_a, out=width)
+    np.abs(width, out=width)
+    # |Im[log(b - i eta) - log(a - i eta)]| with a = e_a - omega and b =
+    # e_b - omega, the angle the cell subtends, as one atan2 of (eta width,
+    # a b + eta**2): the difference of the two angles cancels in narrow
+    # cells.  Neither term depends on the order of the ends.
+    np.subtract(e_a, omega, out=val)
+    np.subtract(e_b, omega, out=buf)
     val *= buf
     np.multiply(eta, eta, out=buf)
     val += buf
@@ -282,13 +295,13 @@ def discrete_rates(quench: QuenchSpec, coupling: QubitCoupling, L: int,
     # nan; the closed forms below then raise their domain error, or the
     # table carries the non-finite rates, without numpy's warnings.
     with np.errstate(all="ignore"):
-        E, lo, hi, weight, n_k, m_k, counts = _rung_modes(quench, sizes)
+        E, e_a, e_b, weight, n_k, m_k, counts = _rung_modes(quench, sizes)
         eta_k = np.array([eta_r for _, eta_r in rungs]).repeat(counts)
-        base = _density(eta_k, coupling.epsilon0, E, lo, hi)
+        base = _density(eta_k, coupling.epsilon0, E, e_a, e_b)
         base *= weight
         n_k *= base
         m_k *= base
-        starts = np.cumsum(counts) - counts
+        starts = _rung_grid(tuple(sizes)).starts
         ups = np.add.reduceat(n_k, starts)
         downs = np.add.reduceat(m_k, starts)
     L_ref = sizes[-1]

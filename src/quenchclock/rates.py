@@ -140,9 +140,8 @@ def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
     up = 0.0
     down = 0.0
     contribs = []
-    for root, ms in pairs:
-        weight, emission, absorption = map(float, _pair_rates(
-            quench.final, root.k, root.velocity, ms.theta_f, ms.n_k, pref))
+    for ms, element, weight in pairs:
+        emission, absorption = _pair_shares(pref, element, weight, ms.n_k)
         contribs.append(RootContribution(mode=ms, weight=weight, emission=emission,
                                          absorption=absorption))
         up += emission
@@ -152,15 +151,17 @@ def transition_rates(quench: QuenchSpec, coupling: QubitCoupling) -> Rates:
 
 
 # The last resonance :func:`_resonance` solved, as one tuple
-# (quench, epsilon0, excluded root count, ((root, mode state), ...)).
+# (quench, epsilon0, excluded root count, ((mode state, squared matrix
+# element, delta weight), ...)), the two factors as Python floats.
 # It is only ever replaced whole, so a reader in another thread sees one
 # consistent entry.
 _last_resonance = None
 
 
 def _resonance(quench: QuenchSpec, epsilon0):
-    """The excluded root count and the coupled roots with their mode
-    states at gap ``epsilon0``, after the guards of :func:`transition_rates`.
+    """The excluded root count and, per coupled root, its mode state,
+    squared matrix element and delta-function weight at gap ``epsilon0``,
+    after the guards of :func:`transition_rates`.
 
     The last success is kept and reused for the same ``quench`` object
     (by identity: ``==`` holds between specs whose signed zeros give
@@ -182,24 +183,30 @@ def _resonance(quench: QuenchSpec, epsilon0):
     pairs = []
     for root in included:
         check_slope(root)
-        pairs.append((root, mode_state(quench, root.k)))
+        ms = mode_state(quench, root.k)
+        element, weight = _pair_factors(quench.final, root.k, root.velocity, ms.theta_f)
+        pairs.append((ms, float(element), float(weight)))
     excluded = len(roots) - len(included)
     pairs = tuple(pairs)
     _last_resonance = (quench, epsilon0, excluded, pairs)
     return excluded, pairs
 
 
-def _pair_rates(final, k, velocity, theta_f, n_k, pref):
-    # Delta-function weight, emission and absorption of resonant pairs at
-    # momenta k of the final band (scalars or arrays).
+def _pair_factors(final, k, velocity, theta_f):
+    # Squared matrix element and delta-function weight of resonant pairs
+    # at momenta k of the final band (scalars or arrays).
     s = np.sin(2.0 * theta_f)
     element = s * s
     if final.kind is ModelKind.XX_RING:
         st = final.t * np.sin(k)
         element = element * (st * st)
-    weight = 1.0 / (2.0 * abs(velocity))
+    return element, 1.0 / (2.0 * abs(velocity))
+
+
+def _pair_shares(pref, element, weight, n_k):
+    # Emission and absorption of resonant pairs (Python floats or arrays).
     base = pref * SYMMETRY_FACTOR * element * weight
-    return weight, base * n_k, base * (1.0 - n_k)
+    return base * n_k, base * (1.0 - n_k)
 
 
 @dataclass(frozen=True)
@@ -245,9 +252,9 @@ def transition_rates_array(initial: ModelArrays, final: ModelArrays, epsilon0,
         v = roots.velocity
         flat = van_hove(v)
         pref = 2.0 * (g_obs * g_obs) / (math.pi * L)
-        weight, emission, absorption = _pair_rates(
-            final.take(column), roots.k, v, mode.theta_f, mode.n_k,
-            np.reshape(pref, (-1, 1)))
+        element, weight = _pair_factors(final.take(column), roots.k, v, mode.theta_f)
+        emission, absorption = _pair_shares(np.reshape(pref, (-1, 1)), element, weight,
+                                            mode.n_k)
     emission = np.where(included, emission, 0.0)
     absorption = np.where(included, absorption, 0.0)
     raises = [(DegenerateRoot, roots.degenerate),

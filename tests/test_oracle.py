@@ -79,6 +79,18 @@ class TestKernels:
         peak_cell = _cell_density(self.ETA, 0.0, cell_width=0.5)
         assert 0.0 < peak_cell < peak_point
 
+    def test_cell_ends_in_either_order(self):
+        # A cell's two end energies may come in either order, with the
+        # same bits, in wide cells and in the narrow ones of the point form.
+        rng = np.random.default_rng(7)
+        E = rng.uniform(-1.0, 3.0, 400)
+        e_a = E - 10.0 ** rng.uniform(-15.0, 0.0, 400)
+        e_b = E + 10.0 ** rng.uniform(-15.0, 0.0, 400)
+        omega = np.linspace(-1.0, 3.0, 9)[:, None]
+        for eta in (self.ETA, 1e-6):
+            got = _density(eta, omega, E, e_a, e_b)
+            assert got.tobytes() == _density(eta, omega, E, e_b, e_a).tobytes()
+
     def test_zero_width_cells_are_the_point_kernel(self):
         # A cell collapsed to its mode takes the point form, bit for bit.
         eta = self.ETA
@@ -266,8 +278,7 @@ def _rung_modes_unmemoized(quench, sizes):
         weight = weight * (final.t * s[mode]) ** 2
     n_k = ((ux_f - ux_i) ** 2 + (uy_f - uy_i) ** 2) * 0.25
     m_k = ((ux_f + ux_i) ** 2 + (uy_f + uy_i) ** 2) * 0.25
-    e_a, e_b = E[mode - 1], E[mode + 1]
-    return (E[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b), weight, n_k, m_k, counts)
+    return (E[mode], E[mode - 1], E[mode + 1], weight, n_k, m_k, counts)
 
 
 def _rung_modes_angle_form(quench, sizes):
@@ -287,8 +298,7 @@ def _rung_modes_angle_form(quench, sizes):
     weight = (k[mode + 1] - k[mode - 1]) * np.sin(2.0 * th_f) ** 2
     if quench.kind is ModelKind.XX_RING:
         weight = weight * (final.t * s[mode]) ** 2
-    e_a, e_b = 2.0 * eps[mode - 1], 2.0 * eps[mode + 1]
-    return (2.0 * eps[mode], np.minimum(e_a, e_b), np.maximum(e_a, e_b), weight, n_k,
+    return (2.0 * eps[mode], 2.0 * eps[mode - 1], 2.0 * eps[mode + 1], weight, n_k,
             np.cos(dtheta) ** 2, counts)
 
 
@@ -328,11 +338,11 @@ def _assert_modes_match(quench, sizes):
     """The unit-vector mode data against the angle form, mode by mode;
     returns both."""
     got, want = _rung_modes(quench, sizes), _rung_modes_angle_form(quench, sizes)
-    E, lo, hi, weight, n_k, m_k, counts = got
-    E0, lo0, hi0, weight0, n0, m0, counts0 = want
+    E, e_a, e_b, weight, n_k, m_k, counts = got
+    E0, e_a0, e_b0, weight0, n0, m0, counts0 = want
     assert list(counts) == counts0
     # The energies are the same expression: 4 r = 2 (2 r) on the chain.
-    for a, b in ((E, E0), (lo, lo0), (hi, hi0)):
+    for a, b in ((E, E0), (e_a, e_a0), (e_b, e_b0)):
         assert a.tobytes() == b.tobytes()
     scale = _matrix_scale(quench, sizes)
     for name, a, b in (("n_k", n_k, n0), ("1 - n_k", m_k, m0),
@@ -345,8 +355,8 @@ def _assert_modes_match(quench, sizes):
 def _rung_sums(modes, eta_rungs, omega):
     """Each rung's sums of weight * density * n_k and * (1 - n_k), and of
     weight * density * the mode tolerance of n_k."""
-    E, lo, hi, weight, n_k, m_k, counts = modes
-    base = weight * _density(np.repeat(eta_rungs, counts), omega, E, lo, hi)
+    E, e_a, e_b, weight, n_k, m_k, counts = modes
+    base = weight * _density(np.repeat(eta_rungs, counts), omega, E, e_a, e_b)
     starts = np.cumsum(counts) - counts
     return [np.add.reduceat(base * v, starts) for v in (n_k, m_k, _mode_tolerance(n_k))]
 
@@ -407,8 +417,9 @@ class TestAgainstAngleForm:
 
 class TestRungGridMemo:
     # Default rungs; L = 2 mod 4 (a mode at pi/2); L % 8 != 0 and sizes
-    # that do not nest, in falling order too; one rung.
-    SIZES = ((512, 2048, 4096), (94, 510, 1030), (100, 252, 700), (1030, 94, 300), (64,))
+    # that do not nest, in falling order too; a repeated rung; one rung.
+    SIZES = ((512, 2048, 4096), (94, 510, 1030), (100, 252, 700), (1030, 94, 300),
+             (64, 64, 96), (64,))
 
     @staticmethod
     def _assert_bits_equal(got, want):
@@ -431,6 +442,25 @@ class TestRungGridMemo:
                         self._assert_bits_equal(_rung_modes(quench, sizes),
                                                 _rung_modes_unmemoized(quench, sizes))
 
+    @pytest.mark.parametrize("sizes, distinct", [((512, 2048, 4096), 2049),
+                                                 ((94, 510, 1030), 812), ((64, 64, 96), 69)])
+    def test_union_holds_each_momentum_once(self, sizes, distinct):
+        # The grid is the ascending union of the stacked rung grids, each
+        # distinct double once; its indices pick each rung's modes and
+        # cell edges out of it.
+        counts, k, mode = _stacked_grid(sizes)
+        union = np.unique(k)
+        assert len(union) == distinct
+        g = _rung_grid(sizes)
+        assert g.cos.tobytes() == np.cos(union).tobytes()
+        assert g.sin.tobytes() == np.sin(union).tobytes()
+        for index, stacked in ((g.mode, mode), (g.below, mode - 1), (g.above, mode + 1)):
+            assert union[index].tobytes() == k[stacked].tobytes()
+        assert g.k_mode.tobytes() == k[mode].tobytes()
+        assert g.width.tobytes() == (k[mode + 1] - k[mode - 1]).tobytes()
+        assert g.starts.tolist() == (np.cumsum(counts) - counts).tolist()
+        assert g.counts == tuple(counts)
+
     def test_numpy_sizes_share_the_entry(self):
         _rung_grid.cache_clear()
         _rung_modes(ISING, [512, 2048])
@@ -441,7 +471,7 @@ class TestRungGridMemo:
     def test_arrays_refuse_writes(self):
         grid = _rung_grid((94, 512))
         arrays = [a for a in grid if isinstance(a, np.ndarray)]
-        assert len(arrays) == len(grid) - 1
+        assert len(arrays) == len(grid) - 1 and any(a is grid.starts for a in arrays)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[1]

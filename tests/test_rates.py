@@ -327,6 +327,25 @@ class TestResonanceMemo:
                 assert _outcome(call, quench) == first, name
             assert not _outcome(warm["transition_rates"], quench).startswith(error.__name__)
 
+    @pytest.mark.parametrize("draw, seed", [(_draw_chain_point, 35), (_draw_ring_point, 36)],
+                             ids=["chain", "ring"])
+    def test_memo_hit_matches_a_fresh_solve(self, draw, seed, monkeypatch):
+        # A hit forms each pair's shares from the matrix element and delta
+        # weight the memo keeps as Python floats.  At any probe, with the
+        # infinite rates of g_obs = 1e160 too, every field, roots
+        # included, is what a solve with the memo cleared gives.
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            quench, coup, _ = draw(rng)
+            for g_obs, L in ((0.1, 512), (1.0, 2), (0.1, 4096), (3.3e-7, 7), (1e160, 512)):
+                probe = QubitCoupling(epsilon0=coup.epsilon0, g_obs=g_obs, L=L)
+                transition_rates(quench, coup)
+                hit = repr(transition_rates(quench, probe))
+                monkeypatch.setattr("quenchclock.rates._last_resonance", None)
+                fresh = transition_rates(quench, probe)
+                assert hit == repr(fresh), (quench, probe)
+                assert math.isinf(fresh.gamma_down) == (g_obs == 1e160)
+
     def test_signed_zero_specs_keep_their_own_bits(self):
         # kappa = -0.0 and 0.0 give equal, equally hashed specs whose
         # angles differ in sign where h_f - cos k < 0, so the memo must
