@@ -33,6 +33,7 @@ from typing import Any
 
 import numpy as np
 
+from . import _gformat
 from .battery import lifetime_report_array
 from .clock import (
     LadderRates,
@@ -431,17 +432,36 @@ def oracle_table(config: RunConfig) -> Table:
                               for name in columns))
 
 
-def _number_texts(columns: list[np.ndarray], code: str) -> list[list[str]]:
-    """The cells of number columns of one dtype and length as text, one
-    list per column in row order.
+# Tables with fewer distinct floats than this print them with `%` one by
+# one, where the kernel's fixed cost, about 0.1 ms, outweighs its gain:
+# the two break even near 350 keys at precision 17 and near 800 at 6 and
+# 12, so from here either way a table takes at most about 20% longer
+# than the faster of the two.
+_KERNEL_MIN_KEYS = 600
 
-    Each distinct value of all the columns is formatted once with the
-    printf ``code``; the values are keyed on their int64 bit view, so
-    -0.0 and nan keep their own text.
+
+def _number_texts(columns: list[np.ndarray], precision: int) -> list[list[str]]:
+    """The cells of number columns of one dtype and length as text, one
+    list per column in row order: ``%.{precision}g`` for floats, ``%d``
+    for ints.
+
+    Each distinct value of all the columns is formatted once; the values
+    are keyed on their int64 bit view, so -0.0 and nan keep their own
+    text.  From _KERNEL_MIN_KEYS distinct floats on, and at precisions 1
+    to 17, :func:`~quenchclock._gformat.format_g` formats them in numpy
+    chunks, with ``%`` for zeros, non-finite values and near-ties; below
+    that ``%`` formats each one.
     """
     stacked = np.stack(columns)
     keys, index = np.unique(stacked.view(np.int64), return_inverse=True)
-    texts = np.array([code % x for x in keys.view(stacked.dtype).tolist()], dtype=object)
+    values = keys.view(stacked.dtype)
+    if stacked.dtype.kind == "f" and keys.size >= _KERNEL_MIN_KEYS \
+            and precision in _gformat.PRECISIONS:
+        texts = _gformat.format_g(values, precision)
+    else:
+        code = f"%.{precision}g" if stacked.dtype.kind == "f" else "%d"
+        texts = [code % x for x in values.tolist()]
+    texts = np.fromiter(texts, dtype=object, count=keys.size)
     return texts[index.reshape(stacked.shape)].tolist()
 
 
@@ -450,13 +470,15 @@ def write_csv(table: Table, precision: int) -> str:
 
     A number cell is its column's printf code, taken from the dtype:
     ``%.{p}g`` prints a float as ``format(x, ".{p}g")`` does and ``%d``
-    an int.  A string cell is written as it is.
+    an int.  A string cell is written as it is.  A table with
+    _KERNEL_MIN_KEYS or more distinct floats has them printed by a numpy
+    kernel, chunk by chunk, to the bytes ``%`` gives (:func:`_number_texts`).
     """
     cells = [v.tolist() if v.dtype.kind == "O" else None for v in table.values]
-    for kind, code in (("f", f"%.{precision}g"), ("i", "%d")):
+    for kind in "fi":
         at = [i for i, v in enumerate(table.values) if v.dtype.kind == kind]
         if at:
-            for i, texts in zip(at, _number_texts([table.values[i] for i in at], code)):
+            for i, texts in zip(at, _number_texts([table.values[i] for i in at], precision)):
                 cells[i] = texts
     return "\n".join([f"# schema: {table.schema}",
                       "# columns: " + ",".join(table.columns),

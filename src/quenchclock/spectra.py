@@ -309,8 +309,9 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
     ``cos k >= 0``, the domain the rate integrals live on; the ring's
     zone is already reduced.  The chain's candidates, the zone ends and
     the stationary ``cos k``, go through the dispersion's own
-    :func:`_components` and :func:`_energy`, so they overflow to inf as
-    the band does, and ``sin k`` is exactly 0 at the zone ends.
+    :func:`_components` and :func:`_energy`'s formula, so they overflow to
+    inf as the band does, and ``sin k`` is exactly 0 at the zone ends;
+    ``math.sqrt`` gives the bits of its ``np.sqrt``.
     """
     if model.kind is ModelKind.XX_RING:
         return abs(model.V), math.hypot(2.0 * model.t, model.V)
@@ -321,8 +322,10 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
         lo_u = 0.0 if reduced else -1.0
         if lo_u < u_star < 1.0:
             us.append(u_star)
-    vals = [float(_energy(model, *_components(model, u, math.sqrt(1.0 - u * u))))
-            for u in us]
+    vals = []
+    for u in us:
+        x, y = _components(model, u, math.sqrt(1.0 - u * u))
+        vals.append(2.0 * math.sqrt(x * x + y * y))
     return min(vals), max(vals)
 
 

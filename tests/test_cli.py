@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quenchclock
+from quenchclock import _gformat
 from quenchclock import config as config_module
 from quenchclock import scan
 from quenchclock import (
@@ -1111,6 +1112,75 @@ class TestWriters:
         code = f"%.{precision}g"
         for x in values:
             assert code % x == format(x, f".{precision}g")
+
+    @staticmethod
+    def _kernel_families(p: int) -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(100 + p)
+        bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64, endpoint=False)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        # (n + 1/2) 10**-j with n of p digits is a double when 5**j divides
+        # 2n + 1: a / 2**(j + 1) for odd a, and exactly halfway between two
+        # p-digit texts.  The products of (n + 1/2) with 10.0**-j are the
+        # doubles next to such ties.
+        ties = []
+        for j in range(0, 24):
+            lo, hi = 2 * 10 ** (p - 1) // 5 ** j + 1, min(2 * 10 ** p // 5 ** j, 2 ** 53)
+            odd = rng.integers(lo, hi, size=12) | 1 if lo < hi else []
+            ties += [math.ldexp(int(a), -j - 1) for a in odd if lo <= a < hi]
+        n = rng.integers(10 ** (p - 1), 10 ** p, size=200, dtype=np.int64)
+        near_ties = (n + 0.5) * 10.0 ** -rng.integers(0, 20, size=200)
+        specials = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-320,
+                    2.225073858507201e-308, 2.2250738585072014e-308,
+                    1.7976931348623157e308, -1.7976931348623157e308, 1e23, 0.1, 1.0]
+        nans = np.array([0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000BAD],
+                        dtype=np.uint64).view(np.float64)
+        return {
+            "random bits": bits.view(np.float64),
+            "powers of ten": np.concatenate([powers, np.nextafter(powers, 0.0),
+                                             np.nextafter(powers, np.inf)]),
+            "integers near 10**p": np.arange(10 ** p - 60, 10 ** p + 60, dtype=np.float64),
+            "ties": np.array(ties + [-t for t in ties]),
+            "near ties": near_ties,
+            "specials": np.concatenate([specials, nans]),
+        }
+
+    @pytest.mark.parametrize("precision", range(6, 18))
+    def test_printf_kernel_matches_format(self, precision):
+        # The writer's vectorized %.{p}g against format(), value by value.
+        for name, values in self._kernel_families(precision).items():
+            texts = _gformat.format_g(values, precision)
+            expected = [format(x, f".{precision}g") for x in values.tolist()]
+            wrong = [(x, a, b) for x, a, b in zip(values.tolist(), texts, expected) if a != b]
+            assert not wrong, (name, wrong[:5])
+
+    def test_printf_kernel_takes_the_exponent_of_the_value(self):
+        # The double nearest 1e23 is below 10**23; its rounded 16 digits
+        # are not.
+        assert _gformat.format_g(np.array([1e23, 1e22, 9.5]), 16) == [
+            "9.999999999999999e+22", "1e+22", "9.5"]
+
+    def test_printf_kernel_chunks(self, monkeypatch):
+        values = self._kernel_families(17)["random bits"]
+        whole = _gformat.format_g(values, 17)
+        monkeypatch.setattr(_gformat, "_CHUNK", 7)
+        assert _gformat.format_g(values, 17) == whole
+
+    @pytest.mark.parametrize("keys", [scan._KERNEL_MIN_KEYS - 1, scan._KERNEL_MIN_KEYS])
+    def test_csv_matches_per_cell_reference_about_the_crossover(self, keys, monkeypatch):
+        # A float column of `keys` distinct values beside an int column:
+        # % formats them one by one below the crossover and the kernel at it.
+        calls = []
+        kernel = _gformat.format_g
+        monkeypatch.setattr(_gformat, "format_g", lambda *a: calls.append(a) or kernel(*a))
+        rng = np.random.default_rng(keys)
+        x = np.concatenate([rng.standard_normal(keys - 5) * 10.0 ** rng.integers(-8, 20, keys - 5),
+                            [0.0, -0.0, math.nan, math.inf, 0.5]])
+        table = Table(schema="t.v1", columns=("x", "n"),
+                      values=(x[rng.permutation(2 * keys) % keys], np.arange(2 * keys)))
+        for precision in (6, 12, 17):
+            rows = [f"{format(a, f'.{precision}g')},{b}" for a, b in table.rows]
+            assert write_csv(table, precision).splitlines()[3:] == rows
+        assert len(calls) == (3 if keys >= scan._KERNEL_MIN_KEYS else 0)
 
     def test_json_unchanged(self):
         assert write_json(self.TABLE) == (

@@ -116,6 +116,27 @@ class TestBandEdges:
         assert lo_r == pytest.approx(1.0, rel=1e-15)
         assert hi_r == pytest.approx(2.0 * math.sqrt(3.25), rel=1e-15)  # u=0
 
+    def test_chain_edges_keep_the_bits_of_the_numpy_energy(self):
+        # band_edges takes its candidate energies with math.sqrt; they
+        # must keep the bits of _energy's np.sqrt, overflow included.
+        def numpy_form(m, reduced):
+            us = [1.0, 0.0 if reduced else -1.0]
+            a = 1.0 - m.kappa * m.kappa
+            if abs(a) > 1e-12 and (0.0 if reduced else -1.0) < m.h / a < 1.0:
+                us.append(m.h / a)
+            vals = [float(spectra._energy(m, *spectra._components(m, u, math.sqrt(1.0 - u * u))))
+                    for u in us]
+            return min(vals), max(vals)
+
+        rng = np.random.default_rng(34)
+        wide = rng.choice([-1.0, 1.0], (2000, 2)) * 10.0 ** rng.uniform(-300, 300, (2000, 2))
+        near = rng.uniform(-3.0, 3.0, (2000, 2))
+        for h, kappa in [*wide, *near, (1e160, 1.0), (0.5, 1e200), (1.0, 1.0 + 1e-13)]:
+            m = ModelSpec.ising(h, kappa)
+            for reduced in (False, True):
+                got, want = band_edges(m, reduced=reduced), numpy_form(m, reduced)
+                assert [v.hex() for v in got] == [v.hex() for v in want], (h, kappa, reduced)
+
     def test_chain_interior_extremum(self):
         # kappa < 1 pulls a band minimum inside the zone at u = h/(1-kappa^2)
         m = ModelSpec.ising(h=0.5, kappa=0.5)
