@@ -22,8 +22,9 @@ come from :func:`solve_first_passage` (moments of the tick time),
 
 The sampler draws each tick interval exactly, as a sum of ``d``
 independent exponential stages whose rates are the passage-time spectrum
-of the walk (Keilson's theorem), in one numpy call per level chunk of
-each block of :data:`_STREAM_BLOCK` trajectories.  The spectrum comes in
+of the walk (Keilson's theorem), each stage by inversion from one uniform
+double, in one draw and one vector log per level chunk of each block of
+:data:`_STREAM_BLOCK` trajectories.  The spectrum comes in
 O(d) from the roots of a boundary equation, with numpy alone.  Block
 ``b`` of seed ``s`` draws from ``numpy.random.PCG64`` seeded by
 ``SeedSequence(s, spawn_key=(b,))``, so a sample is fixed by its seed and
@@ -51,8 +52,9 @@ from .rates import Rates
 # Trajectories per Monte Carlo stream block.  It is part of the stream
 # format, not a tuning knob: every sampled value depends on it.
 _STREAM_BLOCK = 2048
-# Levels a block draws per numpy call.  The stream is consumed level-major,
-# so the chunk changes no sampled bit; it bounds the one reused buffer.
+# Levels a block draws per numpy call: one uniform double per stage, then
+# one vector log over the chunk.  The stream is consumed level-major, so
+# the chunk changes no sampled bit; it bounds the one reused buffer.
 _LEVEL_CHUNK = 64
 # Largest share of the exact mean tick time by which the mean of the
 # sampled spectrum, sum(1/lambda), may differ from it.
@@ -737,19 +739,27 @@ def _bracketed_root(f, lo, hi, x):
 def _simulate(rates: np.ndarray, seed: int, n: int) -> np.ndarray:
     # Trajectory j is lane j % _STREAM_BLOCK of block j // _STREAM_BLOCK,
     # and block b draws from numpy's PCG64 seeded by SeedSequence(seed,
-    # spawn_key=(b,)).  A block draws its exponentials level-major, in the
-    # order of ``rates``, into rows 1... of one reused buffer whose row 0
-    # holds the running lanes; one reduction over the rows adds the stages
-    # level by level, so no sum depends on the chunking or on a BLAS.
+    # spawn_key=(b,)).  A block draws one uniform double U per stage,
+    # level-major in the order of ``rates``, into rows 1... of one reused
+    # buffer whose row 0 holds the running lanes, and turns it into the
+    # stage log(1 - U) * (-1/lambda) by inversion.  U is a multiple of
+    # 2**-53 in [0, 1), so 1 - U is exact and in (0, 1]: every stage is
+    # finite, at most 53 ln 2 / lambda.  One reduction over the rows adds
+    # the stages level by level, so no sum depends on the chunking or on
+    # a BLAS.
+    scales = -1.0 / rates[:, None]
     times = np.zeros((-(-n // _STREAM_BLOCK), _STREAM_BLOCK))
     buf = np.empty((min(rates.size, _LEVEL_CHUNK) + 1, _STREAM_BLOCK))
     for b, lanes in enumerate(times):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
         for start in range(0, rates.size, _LEVEL_CHUNK):
-            chunk = rates[start:start + _LEVEL_CHUNK, None]
-            part = buf[:chunk.size + 1]
+            scale = scales[start:start + _LEVEL_CHUNK]
+            part = buf[:scale.size + 1]
             part[0] = lanes
-            np.divide(rng.standard_exponential(out=part[1:]), chunk, out=part[1:])
+            stages = rng.random(out=part[1:])
+            np.subtract(1.0, stages, out=stages)
+            np.log(stages, out=stages)
+            np.multiply(stages, scale, out=stages)
             np.add.reduce(part, axis=0, out=lanes)
     return times.reshape(-1)[:n]
 
@@ -761,16 +771,23 @@ def sample_tick_times(lr: LadderRates, ladder: LadderSpec, n_ticks: int,
     Ticks renew the ladder at the bottom level, so intervals are iid and
     one interval per trajectory suffices.  Each interval is drawn exactly,
     as ``d`` exponential stages over the passage-time spectrum, at a
-    cost of O(d) per interval whatever the bias or the emission rate.
+    cost of O(d) per interval whatever the bias or the emission rate:
+    stage ``j`` is ``log(1 - U) * (-1/lambda_j)`` from one uniform double
+    ``U``, so an interval costs ``d`` uniform doubles and one vector log.
     Trajectories come in blocks of :data:`_STREAM_BLOCK`; block ``b`` draws,
     always whole, from numpy's PCG64 seeded by ``SeedSequence(seed,
     spawn_key=(b,))``.  So the sample is reproducible bit for bit for a
     given integer ``seed``, and a shorter sample is a prefix of a longer one.
 
-    Raises what :func:`solve_first_passage` raises, where it does, and
+    Raises :class:`ValueError` for a non-integer ``n_ticks`` or ``seed``,
+    what :func:`solve_first_passage` raises, where it does, and
     :class:`RuntimeError` when the spectrum's mean tick time misses the
     exact one, which only a wrong spectrum can do.
     """
+    try:
+        n_ticks = operator.index(n_ticks)
+    except TypeError:
+        raise ValueError(f"n_ticks must be an integer, got {n_ticks!r}") from None
     if n_ticks < 1:
         raise ValueError(f"need at least 1 tick sample, got {n_ticks!r}")
     try:

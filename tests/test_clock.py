@@ -685,10 +685,14 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     def test_statistics_against_exact(self):
-        stats = simulate_ticks(self.LR, self.LAD, 20000, seed=77)
-        fp = solve_first_passage(self.LR, self.LAD)
-        assert stats.mean_tick_time == pytest.approx(fp.mean_tick_time, rel=0.03)
-        assert stats.empirical_accuracy == pytest.approx(fp.exact_N, rel=0.06)
+        # Depths past the first and the second level chunk check the
+        # reciprocals of every chunk without the stage formula.
+        for d in (4, 65, 133):
+            lad = LadderSpec(d=d, epsilon_w=1.0, g=0.1, Gamma=40.0)
+            stats = simulate_ticks(self.LR, lad, 20000, seed=77)
+            fp = solve_first_passage(self.LR, lad)
+            assert stats.mean_tick_time == pytest.approx(fp.mean_tick_time, rel=0.03), d
+            assert stats.empirical_accuracy == pytest.approx(fp.exact_N, rel=0.06), d
 
     def test_two_level_hand_distribution(self):
         lr = LadderRates(p_up=0.7, p_down=0.0)
@@ -801,9 +805,10 @@ class TestSampling:
     def test_stream_matches_slow_reference(self):
         # The slow path of the stream format: per block of 2048 lanes a
         # fresh PCG64 under SeedSequence(seed, spawn_key=(b,)), one (d, 2048)
-        # draw in ascending rates, added level by level.  Depths on both
-        # sides of a level chunk, sizes on both sides of a block; a ladder
-        # has d >= 2, so one stage goes to the block loop directly.
+        # uniform draw in ascending rates, each stage log(1 - U) * (-1/rate),
+        # added level by level.  Depths on both sides of a level chunk,
+        # sizes on both sides of a block; a ladder has d >= 2, so one stage
+        # goes to the block loop directly.
         block, chunk = clock._STREAM_BLOCK, clock._LEVEL_CHUNK
         for d in (1, 2, chunk, chunk + 1, 2 * chunk + 5):
             lad = LadderSpec(d=max(d, 2), epsilon_w=1.0, g=0.1, Gamma=40.0)
@@ -813,12 +818,46 @@ class TestSampling:
                 expected = np.zeros((-(-n // block), block))
                 for b, times in enumerate(expected):
                     seq = np.random.SeedSequence(31, spawn_key=(b,))
-                    rng = np.random.Generator(np.random.PCG64(seq))
-                    for stage in rng.standard_exponential((d, block)) / rates[:, None]:
+                    u = np.random.Generator(np.random.PCG64(seq)).random((d, block))
+                    for stage in np.log(1.0 - u) * (-1.0 / rates)[:, None]:
                         times += stage
                 got = (sample_tick_times(self.LR, lad, n, seed=31) if d > 1
                        else clock._simulate(rates, 31, n))
                 assert np.array_equal(got, expected.reshape(-1)[:n]), (d, n)
+
+    def test_ends_of_the_uniform(self, monkeypatch):
+        # U = 0 gives a stage of exactly 0, and the largest uniform double
+        # 1 - 2**-53 the longest stage, 53 ln 2 / rate: no stage is infinite.
+        top = 1.0 - 2.0**-53
+
+        class Ends:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, out):
+                out[:, 0::2] = 0.0
+                out[:, 1::2] = top
+                return out
+
+        monkeypatch.setattr(np.random, "Generator", Ends)
+        for rate in (0.7, 40.0, 3e-200, 5e250):
+            t = clock._simulate(np.array([rate]), 9, 5)
+            assert np.all(np.isfinite(t)) and np.all(t >= 0.0), rate
+            assert np.all(t[0::2] == 0.0), rate
+            longest = 53.0 * math.log(2.0) / rate
+            assert np.all(np.abs(t[1::2] - longest) <= 4.0 * np.spacing(longest)), rate
+        rates = clock._passage_spectrum(self.LR.p_up, self.LR.p_down, 40.0, 133)
+        t = clock._simulate(rates, 9, 2049)
+        assert np.all(np.isfinite(t)) and np.all(t >= 0.0)
+        assert np.all(t[0::2] == 0.0)
+        assert t[1::2] == pytest.approx(53.0 * math.log(2.0) * np.sum(1.0 / rates),
+                                        rel=1e-13)
+
+    @pytest.mark.parametrize("n_ticks", [100.0, 2.5])
+    @pytest.mark.parametrize("sampler", [sample_tick_times, simulate_ticks])
+    def test_non_integer_sample_size_refused(self, sampler, n_ticks):
+        with pytest.raises(ValueError, match="n_ticks must be an integer"):
+            sampler(self.LR, self.LAD, n_ticks, seed=1)
 
     @pytest.mark.parametrize("seed", [3.7, 2.0])
     def test_non_integer_seed_refused(self, seed):
