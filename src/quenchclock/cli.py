@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -82,15 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The config file, then every ``--set``, then the typed flags."""
+    """The config file, then every ``--set``, then the typed flags, built
+    and checked once."""
     config = load_config(args.config) if args.config else RunConfig()
-    config = apply_overrides(config, args.assignments)
-    mc = {} if args.seed is None else {"seed": args.seed}
-    output = {key: value for key, value in (("format", args.format), ("path", args.out))
-              if value is not None}
-    # RunConfig checks the replaced values as it checks a parsed document.
-    return replace(config, mc=replace(config.mc, **mc),
-                   output=replace(config.output, **output))
+    typed = [(section, key, value) for section, key, value in (
+        ("mc", "seed", args.seed), ("output", "format", args.format),
+        ("output", "path", args.out)) if value is not None]
+    return apply_overrides(config, args.assignments, typed)
 
 
 def _histogram_table(config: RunConfig, bins: int) -> Table:

@@ -422,12 +422,13 @@ def _sums_drift_up(L, delta, r, w):
     # w = r**L <= 1/e: no term cancels more than a few digits.
     W = w - 1.0
     rW = r * W
+    rw = r * w
     Ld = L * delta
     dd = delta * delta
     return ((rW - Ld) / dd,
             rW / delta + 1.0,
-            2.0 / dd * ((r * w + 1.0) * W / delta - 2.0 * L * w),
-            (rW * (r * (w + 1.0) + 4.0) - Ld * (2.0 + delta + 4.0 * r * w)) / (dd * dd))
+            2.0 / dd * ((rw + 1.0) * W / delta - 2.0 * L * w),
+            (rW * (r * (w + 1.0) + 4.0) - Ld * (2.0 + delta + 4.0 * rw)) / (dd * dd))
 
 
 def _sums_drift_down(L, delta, r, z, beta):
@@ -540,11 +541,12 @@ def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
         series = np.abs(L * delta) < 1.0
         drifts_down = ~series & (delta > 0.0)
         any_down = drifts_down.any()
-        sums = np.array(_sums_drift_up(L, delta, r, np.exp(x)))
+        sums = _sums_drift_up(L, delta, r, np.exp(x))
         if any_down:
             *down, t = _sums_drift_down(L, delta, r, np.exp(-x), mu / gamma)
             sums = np.where(drifts_down, down, sums)
         if series.any():
+            sums = np.array(sums)
             d = np.broadcast_to(d, series.shape)[series].astype(float)
             sums[:, series] = _series_sums(d, delta[series])
         M, V = _combine(*sums, r, mu / p_up, mu / gamma)
@@ -558,8 +560,8 @@ def first_passage_array(p_up, p_down, Gamma, d) -> tuple[FirstPassage, Raises]:
         in_range = ((0.0 < mean) & (mean < np.inf) & (var < np.inf)
                     & np.isfinite(passage.exact_N) & (passage.exact_rate < np.inf))
     return passage, ((ZeroRates, ~(p_up + p_down > 0.0)),
-                     (NotReachable, ~(p_up > 0.0) | ~((0.0 < gamma) & (gamma < np.inf))
-                      | ~in_range))
+                     (NotReachable, ~((p_up > 0.0) & (0.0 < gamma) & (gamma < np.inf)
+                                      & in_range)))
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
-from typing import Any, Callable, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -137,23 +137,27 @@ class PointArrays:
     def point(self, i: int) -> tuple[QuenchSpec, QubitCoupling, LadderSpec]:
         """The quench, probe and ladder of row ``i``.
 
-        The ladder's rung is the row's probe gap.  A row :meth:`valid`
-        rejects raises the ``ValueError`` of the first spec that rejects it.
+        A row :meth:`valid` rejects raises the ``ValueError`` of the first
+        spec that rejects it.
         """
-        def at(values):
-            return values[i].item()
+        return (*self.probe(i), self.ladder(i))
 
+    def probe(self, i: int) -> tuple[QuenchSpec, QubitCoupling]:
+        """The quench and probe of row ``i``."""
         a, b = self.initial, self.final
         if a.kind is ModelKind.ISING_XY:
-            quench = QuenchSpec.ising(h_i=at(a.h), h_f=at(b.h), kappa=at(a.kappa))
+            quench = QuenchSpec.ising(h_i=a.h.item(i), h_f=b.h.item(i),
+                                      kappa=a.kappa.item(i))
         else:
-            quench = QuenchSpec.xx_ring(V_i=at(a.V), V_f=at(b.V), t=at(a.t))
-        coupling = QubitCoupling(epsilon0=at(self.epsilon0), g_obs=at(self.g_obs),
-                                 L=at(self.L))
-        gamma = at(self.Gamma)
-        ladder = LadderSpec(d=at(self.d), epsilon_w=coupling.epsilon0, g=at(self.g),
-                            Gamma=None if math.isnan(gamma) else gamma)
-        return quench, coupling, ladder
+            quench = QuenchSpec.xx_ring(V_i=a.V.item(i), V_f=b.V.item(i), t=a.t.item(i))
+        return quench, QubitCoupling(epsilon0=self.epsilon0.item(i),
+                                     g_obs=self.g_obs.item(i), L=self.L.item(i))
+
+    def ladder(self, i: int) -> LadderSpec:
+        """The ladder of row ``i``, whose rung is the row's probe gap."""
+        gamma = self.Gamma.item(i)
+        return LadderSpec(d=self.d.item(i), epsilon_w=self.epsilon0.item(i),
+                          g=self.g.item(i), Gamma=None if math.isnan(gamma) else gamma)
 
 
 @dataclass(frozen=True)
@@ -340,8 +344,9 @@ def _validate(config: RunConfig) -> None:
                 f"scan.axes: steps must fit in an i64 for {axis.name!r}, got {axis.steps}")
 
 
-def _build(raw: Any) -> RunConfig:
-    """Type-check a mapping of sections and build the config it describes."""
+def _build(raw: Any, typed: Iterable[tuple[str, str, Any]] = ()) -> RunConfig:
+    """Type-check a mapping of sections and build the config it describes,
+    with the ``(section, key, value)`` triples of ``typed`` set as they are."""
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -350,6 +355,8 @@ def _build(raw: Any) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown sections {sorted(unknown)}")
     sections = {name: read(name, raw.get(name)) for name, read in _SECTIONS.items()}
+    for section, key, value in typed:
+        sections[section] = replace(sections[section], **{key: value})
     scan = sections.pop("scan").axes
     return RunConfig(scan=scan, **sections)
 
@@ -405,14 +412,17 @@ def emit_config(config: RunConfig) -> str:
     return yaml.safe_dump(_to_raw(config), sort_keys=False, default_flow_style=False)
 
 
-def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
+def apply_overrides(config: RunConfig, assignments: list[str],
+                    typed: Iterable[tuple[str, str, Any]] = ()) -> RunConfig:
     """Apply ``section.key=value`` assignments on top of a config.
 
     Values are parsed as YAML scalars, so ``gamma=null`` clears an
     optional and ``scan.axes=[{name: h_f, min: 0.1, max: 3, steps: 5}]``
     replaces the whole axis list.  The assignments edit the mapping of
     ``config``, which is then built once, as :func:`parse_config` builds
-    a document.
+    a document; the ``(section, key, value)`` triples of ``typed`` set
+    their values as they are, after every assignment, and only
+    :class:`RunConfig`'s own rules check them.
     """
     raw = _to_raw(config)
     for item in assignments:
@@ -432,4 +442,4 @@ def apply_overrides(config: RunConfig, assignments: list[str]) -> RunConfig:
         if key not in raw[section]:
             raise ConfigError(f"--set {item!r}: unknown key {section}.{key}")
         raw[section][key] = value
-    return _build(raw)
+    return _build(raw, typed)

@@ -37,16 +37,17 @@ import numpy as np
 
 from .errors import DegenerateRoot, GaplessMode, NoResonance, Raises
 from .spectra import (
+    GAPLESS_TOL,
     ModeState,
     ModelArrays,
     ModelKind,
     QuenchSpec,
+    _mode_fields,
     band_edges,
     check_slope,
     energy_roots,
     energy_roots_array,
     mode_state,
-    mode_state_array,
     van_hove,
 )
 
@@ -246,27 +247,27 @@ def transition_rates_array(initial: ModelArrays, final: ModelArrays, epsilon0,
     roots = energy_roots_array(final, 0.5 * np.asarray(epsilon0, dtype=float))
     included = roots.present & _coupled(final.kind, roots.u)
     column = (slice(None), None)
+    final = final.take(column)
     with np.errstate(all="ignore"):
-        mode, gapless = mode_state_array(initial.take(column), final.take(column),
-                                         roots.k)
-        v = roots.velocity
-        flat = van_hove(v)
+        # The mode data of mode_state at every root.
+        eps_i, eps_f, _, theta_f, _, n_k = _mode_fields(initial.take(column), final,
+                                                        roots.u, np.sin(roots.k))
         pref = 2.0 * (g_obs * g_obs) / (math.pi * L)
-        element, weight = _pair_factors(final.take(column), roots.k, v, mode.theta_f)
-        emission, absorption = _pair_shares(np.reshape(pref, (-1, 1)), element, weight,
-                                            mode.n_k)
+        element, weight = _pair_factors(final, roots.k, roots.velocity, theta_f)
+        emission, absorption = _pair_shares(np.reshape(pref, (-1, 1)), element, weight, n_k)
     emission = np.where(included, emission, 0.0)
     absorption = np.where(included, absorption, 0.0)
+    flat = included & van_hove(roots.velocity)
+    gapless = included & ((eps_i < GAPLESS_TOL) | (eps_f < GAPLESS_TOL))
     raises = [(DegenerateRoot, roots.degenerate),
               (NoResonance, ~included.any(axis=1))]
     for j in range(included.shape[1]):
-        raises += [(DegenerateRoot, included[:, j] & flat[:, j]),
-                   (GaplessMode, included[:, j] & gapless[:, j])]
+        raises += [(DegenerateRoot, flat[:, j]), (GaplessMode, gapless[:, j])]
     return RateArrays(gamma_up=emission[:, 0] + emission[:, 1],
                       gamma_down=absorption[:, 0] + absorption[:, 1],
-                      excluded_roots=(roots.present & ~included).sum(axis=1),
+                      excluded_roots=(roots.present ^ included).sum(axis=1),
                       included=included, u=roots.u, weight=weight,
-                      n_k=mode.n_k, raises=tuple(raises))
+                      n_k=n_k, raises=tuple(raises))
 
 
 @dataclass(frozen=True)
@@ -341,10 +342,10 @@ def bias_condition_array(initial: ModelArrays, final: ModelArrays, epsilon0,
                                     epsilon0, rates.u)
         if arg is not None:
             ok = np.isfinite(arg) & (arg > 0.0)
-            lhs = np.where(ok, lhs / (epsilon0 * np.sqrt(np.where(ok, arg, 1.0))), np.nan)
+            lhs = np.where(ok, lhs / (epsilon0 * np.sqrt(arg)), np.nan)
     included = rates.included
-    lhs = np.broadcast_to(lhs, included.shape)
-    first = np.where(included[:, 0], lhs[:, 0], lhs[:, 1])
+    # The ring's lhs has one column, the same at both roots.
+    first = np.where(included[:, 0], lhs[:, 0], lhs[:, -1])
     count = included.sum(axis=1)
     defined = (count > 0) & np.all(np.isfinite(lhs) | ~included, axis=1)
     return first, defined, count > 1

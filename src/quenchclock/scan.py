@@ -26,6 +26,7 @@ drift; ``passive`` flags only a chain that does not pump (lifetime).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -116,7 +117,7 @@ class Table:
         if "flag" not in self.columns:
             return False
         flag = self.values[self.columns.index("flag")]
-        return flag.size > 0 and bool((flag != "").all())
+        return flag.size > 0 and "" not in flag.tolist()
 
 
 def row_seed(base: int, index: int) -> int:
@@ -132,7 +133,7 @@ def _axis_values(axis: AxisSpec) -> np.ndarray:
         values = np.linspace(axis.min, axis.max, axis.steps)
     if SWEEPABLE[axis.name][1] is not int:
         return values
-    rounded = np.round(values)
+    rounded = np.rint(values)
     off = np.abs(values - rounded) > 1e-9
     if off.any():
         raise ConfigError(
@@ -197,51 +198,59 @@ _FLAG_OF_ERROR = (
     (ZeroRates, "zero_rates"),
     (NotReachable, "not_reachable"),
 )
+# A row's flag is kept as a code, the flag's index in FLAG_PRIORITY, and
+# _NO_FLAG when it has none; the lower code wins.
+_CODE = {flag: code for code, flag in enumerate(FLAG_PRIORITY)}
+_NO_FLAG = len(FLAG_PRIORITY)
+_FLAG_TEXT = np.array([*FLAG_PRIORITY, ""], dtype=object)
 
 
-def _flag_of(error: type[Exception]) -> str:
-    for cls, flag in _FLAG_OF_ERROR:
-        if issubclass(error, cls):
-            return flag
-    return "invalid"
+@functools.cache
+def _error_code(error: type[Exception]) -> int:
+    """The flag code of the rows on which a scalar twin raises ``error``."""
+    return _CODE[next((flag for cls, flag in _FLAG_OF_ERROR if issubclass(error, cls)),
+                      "invalid")]
 
 
 class _Rows:
     """Cells and flags of every grid row, filled one layer at a time.
 
     ``live`` marks the rows still being evaluated: the first error of a
-    row flags it and takes it out of the later layers.
+    row flags it and takes it out of the later layers.  Only the cells of
+    ``columns`` are kept; :meth:`put` passes over the others.
     """
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, n: int, columns: tuple[str, ...]):
         self.live = np.ones(n, dtype=bool)
-        self.flags = {flag: np.zeros(n, dtype=bool) for flag in FLAG_PRIORITY}
-        self.cells: dict[str, np.ndarray] = {}
+        self.code = np.full(n, _NO_FLAG, dtype=np.int8)
+        # The nan columns are the rows of one block.
+        floats = [name for name in columns if name not in _UNSET]
+        self.cells = dict(zip(floats, np.full((len(floats), n), math.nan)))
+        for name in columns:
+            if name in _UNSET:
+                unset = _UNSET[name]
+                self.cells[name] = np.full(
+                    n, unset, dtype=object if isinstance(unset, str) else type(unset))
+
+    def flag(self, rows: np.ndarray, code: int) -> None:
+        """Flag ``rows`` with ``code``, unless a row has a lower one."""
+        np.minimum(self.code, code, out=self.code, where=rows)
 
     def fail(self, raises: Raises) -> None:
         for error, rows in raises:
-            hit = self.live & rows
-            self.flags[_flag_of(error)] |= hit
-            self.live &= ~hit
+            if rows.any():
+                hit = self.live & rows
+                self.flag(hit, _error_code(error))
+                self.live ^= hit
 
-    def put(self, rows: np.ndarray, **values: Any) -> None:
+    def put(self, rows: np.ndarray, **values: np.ndarray) -> None:
         """Set the cells of ``rows``; the other rows keep their unset value."""
         for name, value in values.items():
-            self.column(name)[rows] = np.broadcast_to(value, (self.n,))[rows]
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.cells:
-            unset = _UNSET.get(name, math.nan)
-            self.cells[name] = np.full(
-                self.n, unset, dtype=object if isinstance(unset, str) else type(unset))
-        return self.cells[name]
+            if name in self.cells:
+                np.copyto(self.cells[name], value, where=rows)
 
     def flag_column(self) -> np.ndarray:
-        picked = np.full(self.n, "", dtype=object)
-        for flag in reversed(FLAG_PRIORITY):
-            picked[self.flags[flag]] = flag
-        return picked
+        return _FLAG_TEXT.take(self.code)
 
 
 def _check_rates_twin(pt: PointArrays, rates: RateArrays, rows: np.ndarray) -> None:
@@ -252,11 +261,10 @@ def _check_rates_twin(pt: PointArrays, rates: RateArrays, rows: np.ndarray) -> N
     two agree to the last bits; a difference beyond rounding means the
     twins have drifted apart, and the table would be wrong.
     """
-    first = np.flatnonzero(rows)[:1].tolist()
-    if not first:
+    if not rows.any():
         return
-    i = first[0]
-    quench, coupling, _ = pt.point(i)
+    i = int(rows.argmax())
+    quench, coupling = pt.probe(i)
     up, down = float(rates.gamma_up[i]), float(rates.gamma_down[i])
     try:
         ref = transition_rates(quench, coupling)
@@ -284,33 +292,32 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
     later layers; a stage whose own check fails (pumping) drops out of
     that row while the others go on.
     """
-    # Rows the lifetime stage still runs on.
-    lifetime = np.full(out.n, "lifetime" in stages)
     out.fail(((ValueError, ~pt.valid()),))
     rates = transition_rates_array(pt.initial, pt.final, pt.epsilon0, pt.g_obs, pt.L)
     out.fail(rates.raises)
     _check_rates_twin(pt, rates, out.live)
     chi = rates.chi_second
     if "rates" in stages:
-        live = out.live.copy()
+        live = out.live
         out.put(live, gamma_up=rates.gamma_up, gamma_down=rates.gamma_down,
-                chi_second=chi,
-                verdict=np.select([chi < 0.0, chi >= 0.0], ["active", "passive"], ""),
+                chi_second=chi, verdict=_VERDICT.take((chi < 0.0) + 2 * (chi >= 0.0)),
                 excluded_roots=rates.excluded_roots)
         lhs, defined, multi = bias_condition_array(pt.initial, pt.final, pt.epsilon0,
                                                    rates)
         # Written so that a nan chi, the difference of two infinite rates, is
         # undefined too.
         undefined = ~multi & (~defined | ~(np.abs(chi) > _BALANCE_TOL * rates.total))
-        out.flags["multi_root"] |= live & multi
-        out.flags["condition_undefined"] |= live & undefined
+        out.flag(live & multi, _CODE["multi_root"])
+        out.flag(live & undefined, _CODE["condition_undefined"])
         out.put(live & ~multi & ~undefined, condition_lhs=lhs)
     if "lifetime" in stages:
-        passive = out.live & lifetime & (chi >= 0.0)
-        out.flags["passive"] |= passive
-        lifetime &= ~passive
-    if not stages - {"rates", "lifetime"}:
-        out.live &= lifetime
+        # Rows that leave the lifetime stage; the clock stages go on with them.
+        passive = out.live & (chi >= 0.0)
+        out.flag(passive, _CODE["passive"])
+    if "clock" not in stages:
+        if "lifetime" not in stages:
+            return
+        out.live ^= passive
     if not out.live.any():
         return
 
@@ -320,25 +327,24 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
     metrics, raises = clock_metrics_array(p_up, p_down, pt.d)
     out.fail(raises)
     if "clock" in stages:
-        live = out.live.copy()
-        out.put(live, p_up=p_up, p_down=p_down, nu_tick=metrics.nu_tick,
+        out.put(out.live, p_up=p_up, p_down=p_down, nu_tick=metrics.nu_tick,
                 accuracy_N=metrics.accuracy_N,
                 entropy_per_tick=metrics.entropy_per_tick,
                 relative_bias=metrics.relative_bias, tur_ratio=metrics.tur_ratio)
-        out.flags["zero_down_rate"] |= live & (p_down == 0.0)
+        out.flag(out.live & (p_down == 0.0), _CODE["zero_down_rate"])
 
     fp, raises = first_passage_array(p_up, p_down, pt.Gamma, pt.d)
     out.fail(raises)
     out.put(out.live, exact_N=fp.exact_N, exact_rate=fp.exact_rate)
     if "mc" in stages:
-        accuracy = out.column("empirical_accuracy")
-        rate = out.column("empirical_rate")
+        accuracy = out.cells["empirical_accuracy"]
+        rate = out.cells["empirical_rate"]
         n = config.mc.n_trajectories
         too_large = size_error(f"mc.n_trajectories: a sample of {n} tick times", n)
         # One row at a time: each row draws from its own seed's streams.
         # The sampler refuses only the rows the first passage flagged.
         for i in np.flatnonzero(out.live).tolist():
-            _, _, ladder = pt.point(i)
+            ladder = pt.ladder(i)
             try:
                 stats = simulate_ticks(
                     LadderRates(p_up=float(p_up[i]), p_down=float(p_down[i])),
@@ -349,7 +355,7 @@ def _evaluate_layers(config: RunConfig, stages: frozenset[str], pt: PointArrays,
             rate[i] = stats.empirical_rate
     if "lifetime" in stages:
         rep = lifetime_report_array(rates, pt.L, fp.mean_tick_time)
-        out.put(out.live & lifetime, t_star=rep.lifetime, mean_tick_time=rep.mean_tick_time)
+        out.put(out.live & ~passive, t_star=rep.lifetime, mean_tick_time=rep.mean_tick_time)
 
 
 # Stages each command runs, and the value columns it writes.
@@ -371,6 +377,8 @@ _MC_COLS = ("empirical_accuracy", "empirical_rate")
 _SCHEMA_VERSION = {"lifetime": 2}
 # Value of a cell its row could not compute; every other column gets nan.
 _UNSET = {"verdict": "", "excluded_roots": 0}
+# The verdict of a rate balance chi: none where chi is nan.
+_VERDICT = np.array(["", "active", "passive"], dtype=object)
 
 
 def run_scan(config: RunConfig, command: str) -> Table:
@@ -386,7 +394,7 @@ def run_scan(config: RunConfig, command: str) -> Table:
         stages = stages | {"mc"}
         value_cols = value_cols + _MC_COLS
     n, axes = _grid_axes(config)
-    out = _Rows(n)
+    out = _Rows(n, value_cols)
     columns = {name: values[index] for name, (values, index) in axes.items()}
     # Flagged rows go on through the arithmetic, with meaningless values.
     with np.errstate(all="ignore"):
@@ -395,7 +403,7 @@ def run_scan(config: RunConfig, command: str) -> Table:
     return Table(schema=f"quenchclock.{command}.v{_SCHEMA_VERSION.get(command, 1)}",
                  columns=axis_names + value_cols + ("flag",),
                  values=(*(columns[name] for name in axis_names),
-                         *(out.column(name) for name in value_cols), out.flag_column()))
+                         *(out.cells[name] for name in value_cols), out.flag_column()))
 
 
 def single_point(config: RunConfig, command: str) -> tuple:
@@ -445,13 +453,17 @@ def _number_texts(columns: list[np.ndarray], precision: int) -> list[list[str]]:
     list per column in row order: ``%.{precision}g`` for floats, ``%d``
     for ints.
 
-    Each distinct value of all the columns is formatted once; the values
-    are keyed on their int64 bit view, so -0.0 and nan keep their own
-    text.  From _KERNEL_MIN_KEYS distinct floats on, and at precisions 1
-    to 17, :func:`~quenchclock._gformat.format_g` formats them in numpy
-    chunks, with ``%`` for zeros, non-finite values and near-ties; below
-    that ``%`` formats each one.
+    Fewer than _KERNEL_MIN_KEYS cells are formatted one by one with
+    ``%``.  From there each distinct value of all the columns is formatted
+    once; the values are keyed on their int64 bit view, so -0.0 and nan
+    keep their own text.  From _KERNEL_MIN_KEYS distinct floats on, and
+    at precisions 1 to 17, :func:`~quenchclock._gformat.format_g` formats
+    them in numpy chunks, with ``%`` for zeros, non-finite values and
+    near-ties; below that ``%`` formats each one.
     """
+    code = f"%.{precision}g" if columns[0].dtype.kind == "f" else "%d"
+    if len(columns) * columns[0].size < _KERNEL_MIN_KEYS:
+        return [[code % x for x in v.tolist()] for v in columns]
     stacked = np.stack(columns)
     keys, index = np.unique(stacked.view(np.int64), return_inverse=True)
     values = keys.view(stacked.dtype)
@@ -459,7 +471,6 @@ def _number_texts(columns: list[np.ndarray], precision: int) -> list[list[str]]:
             and precision in _gformat.PRECISIONS:
         texts = _gformat.format_g(values, precision)
     else:
-        code = f"%.{precision}g" if stacked.dtype.kind == "f" else "%d"
         texts = [code % x for x in values.tolist()]
     texts = np.fromiter(texts, dtype=object, count=keys.size)
     return texts[index.reshape(stacked.shape)].tolist()

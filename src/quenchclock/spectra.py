@@ -216,10 +216,9 @@ def _half_angle(x, y):
     return 0.5 * np.arctan2(y, x)
 
 
-def _velocity_parts(model, k):
+def _velocity_parts(model, c, s):
     # eps_k and eps_k * d eps_k/dk, whose quotient is the group velocity,
-    # from one cos and one sin of k.
-    c, s = np.cos(k), np.sin(k)
+    # from cos k and sin k.
     if model.kind is ModelKind.ISING_XY:
         num = 4.0 * s * (model.h - (1.0 - model.kappa * model.kappa) * c)
     else:
@@ -234,12 +233,19 @@ def group_velocity(model: ModelSpec, k):
     there and the callers guard against it.
     """
     if isinstance(model, ModelSpec) and np.ndim(k) == 0:
-        eps, num = map(float, _velocity_parts(model, float(k)))
+        k = float(k)
+        eps, num = map(float, _velocity_parts(model, np.cos(k), np.sin(k)))
         return num / eps if eps > 0.0 else math.nan
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps, num = _velocity_parts(model, np.asarray(k, dtype=float))
-        v = np.where(eps > 0.0, num / np.where(eps > 0.0, eps, 1.0), np.nan)
+        k = np.asarray(k, dtype=float)
+        v = _velocity(model, np.cos(k), np.sin(k))
     return v if v.ndim else float(v)
+
+
+def _velocity(model, c, s):
+    # group_velocity of arrays, from cos k and sin k.
+    eps, num = _velocity_parts(model, c, s)
+    return np.where(eps > 0.0, num / eps, np.nan)
 
 
 def _check_gapped(k, eps) -> None:
@@ -287,21 +293,6 @@ def mode_state(quench: QuenchSpec, k: float) -> ModeState:
                      theta_f=theta_f, dtheta=dtheta, n_k=n_k)
 
 
-def mode_state_array(initial: ModelArrays, final: ModelArrays,
-                     k: np.ndarray) -> tuple[ModeState, np.ndarray]:
-    """Array twin of :func:`mode_state`: mode data at momenta ``k``.
-
-    ``k`` broadcasts against the models' parameters.  Returns the
-    :class:`ModeState` with array fields and the mask of modes on which
-    :func:`mode_state` raises :class:`GaplessMode`.
-    """
-    eps_i, eps_f, theta_i, theta_f, dtheta, n_k = _mode_fields(
-        initial, final, np.cos(k), np.sin(k))
-    state = ModeState(k=k, eps_i=eps_i, eps_f=eps_f, theta_i=theta_i,
-                      theta_f=theta_f, dtheta=dtheta, n_k=n_k)
-    return state, (eps_i < GAPLESS_TOL) | (eps_f < GAPLESS_TOL)
-
-
 def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
     """Extrema of ``eps_k`` over the model's momentum domain.
 
@@ -329,9 +320,17 @@ def band_edges(model: ModelSpec, reduced: bool = False) -> tuple[float, float]:
     return min(vals), max(vals)
 
 
+# sigma = (1, -1) along a first axis, and whether each of the two roots,
+# along an axis before it, takes q/A where sign(b) is sigma.
+_SIGMA = np.array([[1.0], [-1.0]])
+_NEGATIVE = _SIGMA < 0.0
+_FIRST_ROOT = np.array([[[True]], [[False]]])
+
+
 def _half_angle_roots(h, kappa, eps):
     """The chain's roots ``k`` of ``eps_k = eps`` (arrays), along a last
-    axis of two in ascending ``cos k``, nan where absent.
+    axis of two in ascending ``cos k``, nan where absent; the caller sets
+    ``np.errstate``.
 
     With ``sigma = +-1``, ``g = h - sigma`` and ``e = eps/2``, the root
     equation in ``x = sin(k/2)**2`` (``sigma = +1``) or ``cos(k/2)**2``
@@ -358,28 +357,25 @@ def _half_angle_roots(h, kappa, eps):
     h, kappa, e = (np.asarray(v, dtype=float) for v in (h, kappa, 0.5 * eps))
     kap2 = kappa * kappa
     a = 1.0 - kap2
-    xs = []
-    with np.errstate(all="ignore"):
-        d = a * (e * e) + kap2 * ((h - 1.0) * (h + 1.0) + kap2)
-        sq = np.sqrt(np.where(d < np.inf, d, np.nan))
-        for sigma in (1.0, -1.0):
-            g = h - sigma
-            b = sigma * (g + sigma * kap2)
-            q = -2.0 * (b + np.copysign(sq, b))
-            small = (g - e) * (g + e) / q
-            small = np.where((small <= 0.0) & (np.abs(e - np.abs(g)) <= np.spacing(e)),
-                             0.0, small)
-            large = q / (4.0 * a)
-            # Both roots of a double root take the well-defined q/A.
-            first = (sigma * np.copysign(1.0, b) > 0.0) | (sq == 0.0)
-            xs.append((np.where(first, large, small), np.where(first, small, large)))
-        ks = []
-        for x_p, x_m in zip(*xs):
-            half = 2.0 * np.arcsin(np.sqrt(np.minimum(x_p, x_m)))
-            ks.append(np.where(x_p <= x_m, half, math.pi - half))
-        ks[1] = np.where(sq > 0.0, ks[1], np.nan)
+    g = h - _SIGMA
+    # (h - 1)(h + 1), with h + 1 as h - (-1).
+    d = a * (e * e) + kap2 * (g[0] * g[1] + kap2)
+    sq = np.sqrt(np.where(d < np.inf, d, np.nan))
+    b = _SIGMA * (g + _SIGMA * kap2)
+    q = -2.0 * (b + np.copysign(sq, b))
+    small = (g - e) * (g + e) / q
+    small[(small <= 0.0) & (np.abs(e - np.abs(g)) <= np.spacing(e))] = 0.0
+    large = q / (4.0 * a)
+    # Where sign(b) is sigma, and for both roots of a double root, which
+    # take the well-defined q/A.
+    first = (np.signbit(b) == _NEGATIVE) | (sq == 0.0)
+    x = np.where(first == _FIRST_ROOT, large, small)
+    x_p, x_m = x[:, 0], x[:, 1]
+    half = 2.0 * np.arcsin(np.sqrt(np.minimum(x_p, x_m)))
+    k = np.where(x_p <= x_m, half, math.pi - half)
+    k[1, ~(sq > 0.0)] = np.nan
     # Descending k is ascending cos k; nan sorts last.
-    return -np.sort(-np.stack(ks, axis=-1), axis=-1)
+    return -np.sort(-k, axis=0).T
 
 
 def _half_angle_roots_float(h: float, kappa: float, eps: float) -> list[float]:
@@ -498,17 +494,18 @@ def energy_roots_array(model: ModelArrays, eps: np.ndarray) -> RootArrays:
     """Array twin of :func:`energy_roots`: the roots of ``eps_k = eps[i]``
     of every row ``i``, from the same closed forms."""
     eps = np.asarray(eps, dtype=float)
-    k = np.full((eps.shape[0], 2), np.nan)
     with np.errstate(all="ignore"):
         if model.kind is ModelKind.XX_RING:
+            k = np.full((eps.shape[0], 2), np.nan)
             k[:, 0] = _ring_root(model.t, model.V, eps)
         else:
-            k[:] = _half_angle_roots(model.h, model.kappa, eps)
+            k = _half_angle_roots(model.h, model.kappa, eps)
         degenerate = _flat_band(model, eps)
         # No energy below zero is reached, and a flat band has no roots.
         k[(eps < 0.0) | degenerate] = np.nan
-        velocity = group_velocity(model.take((slice(None), None)), k)
-    return RootArrays(k=k, u=np.cos(k), velocity=velocity, present=~np.isnan(k),
+        u = np.cos(k)
+        velocity = _velocity(model.take((slice(None), None)), u, np.sin(k))
+    return RootArrays(k=k, u=u, velocity=velocity, present=~np.isnan(k),
                       degenerate=degenerate)
 
 

@@ -46,6 +46,21 @@ def test_tracer_wraps_a_cli_run(monkeypatch, tmp_path):
         assert stats[name].calls == 1, name
 
 
+def test_one_row_clock_run_calls_each_layer_once(monkeypatch, tmp_path):
+    # One call of each traced layer a one-row sampled clock run reaches,
+    # the twin check's scalar rates included, so that no layer's work
+    # moves out of the function the benchmark times it in.
+    tracer = _load(monkeypatch, "tracer").Tracer()
+    with tracer.installed():
+        assert cli.main(["clock", "--threads", "1", "--out", str(tmp_path / "c.csv"),
+                         "--set", "mc.n_trajectories=200"]) == 0
+    stats = tracer.layer_stats(tracer.take())
+    for name in ("config.apply_overrides", "scan.run_scan", "scan.render_table",
+                 "rates.transition_rates", "clock.solve_first_passage",
+                 "clock.simulate_ticks"):
+        assert stats[name].calls == 1, name
+
+
 def test_point_pipeline_runs(monkeypatch):
     workloads = _load(monkeypatch, "workloads")
     points = workloads.draw_points(1, 4)

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -551,6 +552,65 @@ _REFERENCE_FLAGS = ((GaplessMode, "gapless"), (NoResonance, "no_resonance"),
                     (NotReachable, "not_reachable"))
 
 
+# The error class through which a twin's Raises pairs flag each flag that
+# a scalar twin raises; the engine gives the other flags to live rows.
+_RAISED_FLAGS = {"invalid": ValueError, "gapless": GaplessMode,
+                 "no_resonance": NoResonance, "van_hove": DegenerateRoot,
+                 "zero_rates": ZeroRates, "not_reachable": NotReachable}
+
+
+def _rows(n, column):
+    return scan._Rows(n, (column,))
+
+
+def _set_flag(out, flag, rows):
+    """Give ``rows`` the flag, live or not, as a row that meets it."""
+    out.flag(rows, scan._CODE[flag])
+
+
+def _cells(out, column):
+    return out.cells[column]
+
+
+class TestRowFlags:
+    """The one flag a row prints when the layers give it several."""
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(FLAG_PRIORITY, 2))
+    def test_every_pair_prints_the_earlier_flag(self, first, second):
+        out = _rows(3, "p_up")
+        _set_flag(out, first, np.array([True, True, False]))
+        _set_flag(out, second, np.array([True, False, False]))
+        want = min(first, second, key=FLAG_PRIORITY.index)
+        assert out.flag_column().tolist() == [want, first, ""]
+
+    @pytest.mark.parametrize("raised", sorted(_RAISED_FLAGS))
+    @pytest.mark.parametrize("kept", ["multi_root", "condition_undefined", "passive",
+                                      "zero_down_rate"])
+    def test_a_raised_flag_stops_the_row_and_the_others_go_on(self, raised, kept):
+        # Rows 0 and 1 meet both flags, in either order; row 2 meets only
+        # the kept flag and row 3 only the raised one.  The engine fails a
+        # row through a Raises pair and gives the other flags to its live
+        # rows; a later layer puts cells on the live rows alone.
+        out = _rows(5, "p_up")
+        error = _RAISED_FLAGS[raised]
+        out.fail(((error, np.array([False, True, False, True, False])),))
+        _set_flag(out, kept, out.live & np.array([True, True, True, False, False]))
+        out.fail(((error, np.array([True, False, False, False, False])),))
+        out.put(out.live, p_up=np.arange(5.0))
+        want = min(raised, kept, key=FLAG_PRIORITY.index)
+        assert out.flag_column().tolist() == [want, raised, kept, raised, ""]
+        cells = _cells(out, "p_up")
+        assert np.isnan(cells[[0, 1, 3]]).all() and cells[[2, 4]].tolist() == [2.0, 4.0]
+
+    def test_the_first_raised_flag_stops_the_row(self):
+        # The layers raise in pipeline order, and a failed row takes no
+        # later error, whatever its place in FLAG_PRIORITY.
+        out = _rows(2, "p_up")
+        out.fail(((NotReachable, np.array([True, False])), (ZeroRates, np.array([True, True]))))
+        assert out.flag_column().tolist() == ["not_reachable", "zero_rates"]
+        assert not out.live.any()
+
+
 class _SharedSampler:
     """:func:`simulate_ticks`, run once per distinct input.
 
@@ -735,6 +795,40 @@ class TestColumnarScan:
                 assert str(got.value) == str(exc) and not valid[i]
             else:
                 assert pt.point(i) == want and valid[i]
+
+    @given(scan_overrides())
+    @example([FIXED_GRID])
+    # Rows with two resonant roots (multi_root), and walk rates whose
+    # down rate underflows to 0 (zero_down_rate) beside others that vanish
+    # or leave the top unreachable.
+    @example(["model.h_i=0.2", "model.h_f=0.5", "model.kappa=0.5",
+              "scan.axes=[{name: epsilon0, min: 1.7, max: 1.9, steps: 3}]"])
+    @example(["coupling.epsilon0=2.2", "coupling.g_obs=1000",
+              "scan.axes=[{name: g, min: 8.8e-162, max: 7.9e-161, steps: 9}]"])
+    @_with_edge_rows
+    @settings(max_examples=80, deadline=None)
+    def test_grid_row_prints_what_its_point_alone_prints(self, overrides):
+        # The value and flag cells of every grid row, byte for byte at full
+        # precision, against a one-row run of the row's point without axes.
+        c = apply_overrides(RunConfig(), [*overrides, "mc.n_trajectories=0"])
+        points = grid_points(c)
+        for command in ("rates", "clock", "lifetime", "scan"):
+            grid = write_csv(run_scan(c, command), 17).splitlines()[3:]
+            assert len(grid) == len(points)
+            for line, values in zip(grid, points):
+                alone = write_csv(run_scan(_point_config(c, values), command), 17)
+                assert line.split(",")[len(c.scan):] == alone.splitlines()[3].split(","), (
+                    command, values)
+
+
+def _point_config(config, values):
+    """The config of one grid point: its axis ``values`` set, the axes gone."""
+    sections = {}
+    for name, value in values.items():
+        section = config_module.SWEEPABLE[name][0]
+        sections[section] = dataclasses.replace(
+            sections.get(section, getattr(config, section)), **{name: value})
+    return dataclasses.replace(config, scan=(), **sections)
 
 
 def _cli_run(args: list[str], sets: list[str]
