@@ -559,6 +559,7 @@ _RAISED_FLAGS = {"invalid": ValueError, "gapless": GaplessMode,
                  "zero_rates": ZeroRates, "not_reachable": NotReachable}
 
 
+# The three calls through which TestRowFlags reaches the engine's rows.
 def _rows(n, column):
     return scan._Rows(n, (column,))
 
