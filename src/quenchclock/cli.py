@@ -120,8 +120,8 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
     else:
         try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 

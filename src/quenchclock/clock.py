@@ -32,10 +32,13 @@ is a prefix of any larger one.
 
 The ``*_array`` functions are the array twins the grid scan uses; each
 shares its arithmetic with its scalar twin and reports the errors that
-twin would raise as :data:`~quenchclock.errors.Raises`.  The two twins
-of :func:`clock_metrics` evaluate one float64 expression per figure of
-merit, without branches: IEEE arithmetic gives its limits, an infinite
-entropy where a rate vanishes and a nan TUR ratio on a balanced walk.
+twin would raise as :data:`~quenchclock.errors.Raises`.  Every sum of
+the first passage has one kernel, which both of its twins call, the
+scalar one on a one-element row where the sums are a series.  The two
+twins of :func:`clock_metrics` evaluate one float64 expression per
+figure of merit, without branches: IEEE arithmetic gives its limits, an
+infinite entropy where a rate vanishes and a nan TUR ratio on a balanced
+walk.
 """
 
 from __future__ import annotations
@@ -80,9 +83,12 @@ _PADE_13_TERMS = np.array([(0.0, *_PADE_13[9::2]), _PADE_13[1:8:2],
                            (0.0, *_PADE_13[8:13:2]), _PADE_13[0:7:2]])
 # Largest eta for which the Pade-13 backward error stays below 2**-53 (Al-Mohy & Higham 2009).
 _THETA_13 = 4.25
-# Terms of the power series of the first-passage sums (see
-# :func:`_series_sums`).
+# Terms of the power series of the first-passage sums, and the constants
+# of its four series: k, j and i of :func:`_series_sums`.
 _SERIES_TERMS = 20
+_SERIES_K = np.array([4.0, 4.0, 3.0, 2.0])[:, None, None]
+_SERIES_J = np.arange(4.0)
+_SERIES_I = np.arange(1.0, _SERIES_TERMS)
 
 
 @dataclass(frozen=True)
@@ -391,7 +397,10 @@ def solve_first_passage(lr: LadderRates, ladder: LadderSpec) -> FirstPassage:
     series = abs(L * delta) < 1.0
     drifts_down = not series and delta > 0.0
     if series:
-        sums = _series_sums_float(float(d), delta)
+        # The array twin's kernel on one row.  Past d = 1e77 its binomials
+        # overflow into nan sums, as the moments do, and numpy would warn.
+        with np.errstate(all="ignore"):
+            sums = _series_sums(np.array([float(d)]), np.array([delta]))[:, 0].tolist()
     elif drifts_down:
         ell = float(np.log1p(delta))
         x = L * ell
@@ -462,9 +471,7 @@ def _series_sums(d, delta):
     # _SERIES_TERMS of them reach rounding; at small d they end by
     # themselves, where the binomials vanish.
     n = np.stack([d, 2.0 * d, 2.0 * d - 1.0, d - 1.0])[..., None]
-    k = np.array([4.0, 4.0, 3.0, 2.0])[:, None, None]
-    j = np.arange(4.0)
-    i = np.arange(1.0, _SERIES_TERMS)
+    k, j, i = _SERIES_K, _SERIES_J, _SERIES_I
     terms = np.empty(n.shape[:2] + (_SERIES_TERMS,))
     terms[..., 0] = np.where(j < k, (n - j) / (j + 1.0), 1.0).prod(axis=-1)
     terms[..., 1:] = delta[:, None] * (n - (k - 1.0) - i) / (k + i)
@@ -474,40 +481,6 @@ def _series_sums(d, delta):
     s1 = c2 + delta * a3
     return np.stack([s1, d + delta * s1, 2.0 * (c - (2.0 * d - 1.0) * e),
                      b + 4.0 * a - 4.0 * (d - 1.0) * a3])
-
-
-def _series_sums_float(d, delta):
-    # _series_sums of one walk in Python floats, for the scalar twin,
-    # which would spend most of its time in numpy calls on one-element
-    # arrays: the same terms in the same order, each series summed as
-    # numpy's pairwise sum adds 8 to 128 terms (eight running sums over
-    # whole blocks of eight, combined pairwise, then the rest in turn), so
-    # the bits are the array twin's.
-    sums = []
-    for n, k in ((d, 4.0), (2.0 * d, 4.0), (2.0 * d - 1.0, 3.0), (d - 1.0, 2.0)):
-        term = 1.0
-        for j in range(int(k)):
-            term *= (n - j) / (j + 1.0)
-        terms = [term]
-        top = n - (k - 1.0)
-        for i in range(1, _SERIES_TERMS):
-            term *= delta * (top - i) / (k + i)
-            terms.append(term)
-        blocks = _SERIES_TERMS - _SERIES_TERMS % 8
-        r = terms[:8]
-        for i in range(8, blocks, 8):
-            r = [x + y for x, y in zip(r, terms[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in terms[blocks:]:
-            total += x
-        # numpy's sum starts from 0.0, which turns a -0.0 total into 0.0.
-        sums.append(0.0 + total)
-    a, b, c, e = sums
-    c2 = d * (d - 1.0) / 2.0
-    a3 = c2 * (d - 2.0) / 3.0 + delta * a
-    s1 = c2 + delta * a3
-    return [s1, d + delta * s1, 2.0 * (c - (2.0 * d - 1.0) * e),
-            b + 4.0 * a - 4.0 * (d - 1.0) * a3]
 
 
 def _combine(s1, u, s, p, r, alpha, beta):

@@ -30,7 +30,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -106,11 +105,6 @@ class Table:
             if v.ndim != 1 or v.dtype not in _COLUMN_DTYPES:
                 raise ValueError(f"column {name!r} is a {v.ndim}-D {v.dtype} array, "
                                  "not a 1-D float64, int64 or object one")
-
-    @property
-    def rows(self) -> tuple[tuple[Any, ...], ...]:
-        """The cells as row tuples of Python floats, ints and strings."""
-        return tuple(zip(*(v.tolist() for v in self.values)))
 
     @property
     def all_flagged(self) -> bool:

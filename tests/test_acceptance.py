@@ -153,7 +153,7 @@ def test_criterion_3_bias_condition_equivalence():
         idx = {name: cols.index(name) for name in
                ("verdict", "condition_lhs", "chi_second", "flag")}
         unflagged = active_rows = 0
-        for row in table.rows:
+        for row in zip(*(v.tolist() for v in table.values)):
             if row[idx["flag"]] != "":
                 continue
             unflagged += 1

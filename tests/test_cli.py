@@ -425,8 +425,13 @@ def _with_edge_rows(test):
     return test
 
 
+def _table_rows(table):
+    """The cells as row tuples of Python floats, ints and strings."""
+    return list(zip(*(v.tolist() for v in table.values)))
+
+
 def _first_row(table):
-    return dict(zip(table.columns, table.rows[0]))
+    return dict(zip(table.columns, _table_rows(table)[0]))
 
 
 class TestRunScan:
@@ -439,7 +444,7 @@ class TestRunScan:
                                  "flag")
         quench, coupling, _ = _reference_specs(c, {})
         r = transition_rates(quench, coupling)
-        row = table.rows[0]
+        row = _table_rows(table)[0]
         assert row[0] == r.gamma_up and row[1] == r.gamma_down
         assert row[3] == "active" and row[6] == ""
 
@@ -452,7 +457,7 @@ class TestRunScan:
         for command in ("rates", "clock", "lifetime", "scan"):
             table = run_scan(c, command)
             flag_idx = table.columns.index("flag")
-            for row in table.rows:
+            for row in _table_rows(table):
                 flag = row[flag_idx]
                 assert flag == "" or flag in FLAG_PRIORITY
                 bad = any(isinstance(v, float) and not math.isfinite(v)
@@ -464,7 +469,7 @@ class TestRunScan:
         c = apply_overrides(RunConfig(), [FIXED_GRID, "mc.n_trajectories=50"])
         for command in ("rates", "clock", "lifetime", "scan"):
             table = run_scan(c, command)
-            flags = [row[table.columns.index("flag")] for row in table.rows]
+            flags = [row[table.columns.index("flag")] for row in _table_rows(table)]
             assert "no_resonance" in flags  # epsilon0 = 1 is below the band
             assert "" in flags              # epsilon0 = 4 row is evaluable
             assert not table.all_flagged
@@ -726,7 +731,7 @@ def _assert_matches_reference(config, command):
     if command == "clock" and config.mc.n_trajectories:
         stages = stages | {"mc"}
     names = table.columns
-    for index, (values, row) in enumerate(zip(grid_points(config), table.rows)):
+    for index, (values, row) in enumerate(zip(grid_points(config), _table_rows(table))):
         cells, flags = _reference_point(config, stages, index, values, sample)
         flag = next((f for f in FLAG_PRIORITY if f in flags), "")
         got = dict(zip(names, row))
@@ -1114,7 +1119,7 @@ def writer_tables():
         "scan.axes=[{name: d, min: 2, max: 6, steps: 3},"
         " {name: epsilon0, min: 1.0, max: 4.0, steps: 4}]", "mc.n_trajectories=50"])
     tables = {command: run_scan(c, command) for command in ("rates", "clock", "lifetime", "scan")}
-    flags = [row[-1] for row in tables["scan"].rows]
+    flags = [row[-1] for row in _table_rows(tables["scan"])]
     assert "" in flags and "no_resonance" in flags
     point = apply_overrides(RunConfig(), ["oracle.L_oracle=512", "mc.n_trajectories=200"])
     tables["oracle"] = oracle_table(point)
@@ -1142,8 +1147,9 @@ class TestWriters:
         assert "3.14159265358979" in full
 
     def test_rows_are_python_cells(self):
-        assert self.TABLE.rows[0][0] == math.pi and self.TABLE.rows[0][3] == "ok"
-        assert [type(v) for v in self.TABLE.rows[1]] == [float, float, int, str]
+        rows = _table_rows(self.TABLE)
+        assert rows[0][0] == math.pi and rows[0][3] == "ok"
+        assert [type(v) for v in rows[1]] == [float, float, int, str]
 
     @pytest.mark.parametrize("values", [
         (np.array([True, False]),),
@@ -1167,15 +1173,16 @@ class TestWriters:
         # The column-wise writers against a cell-by-cell rendering of the
         # rows: format() for floats, str() for ints and strings.
         table = writer_tables[kind]
-        assert table.rows
+        rows = _table_rows(table)
+        assert rows
         for precision in (6, 12, 17):
             lines = [f"# schema: {table.schema}", "# columns: " + ",".join(table.columns),
                      ",".join(table.columns)]
             lines += [",".join(format(v, f".{precision}g") if isinstance(v, float) else str(v)
-                               for v in row) for row in table.rows]
+                               for v in row) for row in rows]
             assert write_csv(table, precision) == "\n".join(lines) + "\n"
         cells = [[v if not isinstance(v, float) or math.isfinite(v) else None for v in row]
-                 for row in table.rows]
+                 for row in rows]
         doc = {"schema": table.schema, "columns": list(table.columns), "rows": cells}
         assert write_json(table) == json.dumps(doc, indent=2) + "\n"
 
@@ -1191,7 +1198,7 @@ class TestWriters:
         s = np.array(["a", "", "b"], dtype=object)[rng.integers(0, 3, 200)]
         table = Table(schema="t.v1", columns=("x", "n", "s"), values=(x, n, s))
         for precision in (6, 17):
-            rows = [f"{format(a, f'.{precision}g')},{b},{c}" for a, b, c in table.rows]
+            rows = [f"{format(a, f'.{precision}g')},{b},{c}" for a, b, c in _table_rows(table)]
             assert write_csv(table, precision).splitlines()[3:] == rows
 
     @pytest.mark.parametrize("precision", range(6, 18))
@@ -1273,7 +1280,7 @@ class TestWriters:
         table = Table(schema="t.v1", columns=("x", "n"),
                       values=(x[rng.permutation(2 * keys) % keys], np.arange(2 * keys)))
         for precision in (6, 12, 17):
-            rows = [f"{format(a, f'.{precision}g')},{b}" for a, b in table.rows]
+            rows = [f"{format(a, f'.{precision}g')},{b}" for a, b in _table_rows(table)]
             assert write_csv(table, precision).splitlines()[3:] == rows
         assert len(calls) == (3 if keys >= scan._KERNEL_MIN_KEYS else 0)
 
@@ -1649,7 +1656,7 @@ print(json.dumps([codes, drift]))
         assert a == b
         assert a != c
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_byte_identical_across_runs_and_threads(self, tmp_path, capsysbinary):
         base = ["clock",
                 "--set", "scan.axes=[{name: epsilon0, min: 2.3, max: 2.7, steps: 2}]",
                 "--set", "mc.n_trajectories=200", "--seed", "11"]
@@ -1659,6 +1666,12 @@ print(json.dumps([codes, drift]))
             assert main(base + ["--threads", threads, "--out", str(path)]) == 0
             out.append(path.read_bytes())
         assert out[0] == out[1] == out[2]
+        # --out writes the bytes stdout gets.
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"out.{fmt}"
+            assert main(base + ["--format", fmt, "--out", str(path)]) == 0
+            assert main(base + ["--format", fmt]) == 0
+            assert path.read_bytes() == capsysbinary.readouterr().out
 
     def test_typed_flags_apply_after_set(self, tmp_path, capsys):
         assert main(["rates", "--set", "output.format=csv", "--format", "json"]) == 0

@@ -394,9 +394,9 @@ class TestClosedForm:
 
     def test_series_walks_match_the_array_twin_bits(self):
         # Near-balanced walks, |(d - 1) delta| < 1, take the power series:
-        # the scalar twin sums it in Python floats, the array twin in numpy,
-        # with the same bits.  (d - 1) delta spans 1e-16 to 0.999 in size,
-        # of either sign, and 0.
+        # the scalar twin sums it with the array twin's kernel on one row,
+        # to the same bits as on the whole grid.  (d - 1) delta spans 1e-16
+        # to 0.999 in size, of either sign, and 0.
         rng = np.random.default_rng(30)
         n = 10_000
         d = rng.integers(2, 61, n)
@@ -406,6 +406,20 @@ class TestClosedForm:
         p_down = p_up * (1.0 + scaled / (d - 1))
         explicit = np.arange(n) % 2 == 1
         gamma = np.where(explicit, p_up * 10.0 ** rng.uniform(-3.0, 3.0, n), np.nan)
+        # Edge rows: d = 2, where the binomials vanish, and d = 10**15, with
+        # (d - 1) delta = +-0.999 at the regime's edge (0.888 at 10**15, the
+        # largest double below 1 there).  The rates are powers of two, so
+        # delta is the rounded scaled / (d - 1) itself.
+        edge_d = np.repeat([2, 10, 10**15], 4)
+        edge_scaled = np.tile([-0.999, -0.5, 0.0, 0.999], 3)
+        edge_up = 2.0 ** np.arange(-6.0, 6.0)
+        edge_explicit = np.arange(edge_d.size) % 2 == 1
+        d = np.append(d, edge_d)
+        p_up = np.append(p_up, edge_up)
+        p_down = np.append(p_down, edge_up * (1.0 + edge_scaled / (edge_d - 1)))
+        explicit = np.append(explicit, edge_explicit)
+        gamma = np.append(gamma, np.where(edge_explicit, 4.0 * edge_up, np.nan))
+        n += edge_d.size
         assert np.all(np.abs((d - 1) * ((p_down - p_up) / p_up)) < 1.0)
         fp, raises = clock.first_passage_array(p_up, p_down, gamma, d)
         assert not np.logical_or.reduce([rows for _, rows in raises]).any()

@@ -125,7 +125,7 @@ class TestDomains:
 def _rates_row(sets):
     """The one row of the ``rates`` table of the default config with ``sets``."""
     table = run_scan(apply_overrides(RunConfig(), sets), "rates")
-    return dict(zip(table.columns, table.rows[0]))
+    return {name: v.tolist()[0] for name, v in zip(table.columns, table.values)}
 
 
 _FLAG_OF = {NoResonance: "no_resonance", DegenerateRoot: "van_hove", GaplessMode: "gapless"}
